@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .errors import ConsistencyError
-from .ratfun import RatFun, pdivmod, poly
+from .ratfun import RatFun, linear_product, pdiv_linear, pmul
 
 SIGMA_PLUS = "sigma+"
 SIGMA_MINUS = "sigma-"
@@ -218,19 +218,6 @@ def _k_scaled_factors(g: BinomialGerm) -> list[tuple[int, int]]:
             for n_j, nu_j in zip(g.N, g.nu)]
 
 
-def _int_linear_product(factors) -> list[int]:
-    out = [1]
-    for a, b in factors:
-        nxt = [0] * (len(out) + 1)
-        for i, c in enumerate(out):
-            nxt[i] += c * a
-            nxt[i + 1] += c * b
-        if not nxt[-1]:
-            nxt.pop()
-        out = nxt
-    return out
-
-
 def w_top(g: BinomialGerm, bullet: str) -> RatFun:
     """Closed-form topological term of the given cone, in s."""
     fs = _k_scaled_factors(g)
@@ -244,18 +231,12 @@ def w_top(g: BinomialGerm, bullet: str) -> RatFun:
                                          fs + [(1, 1)])
     if bullet == SIGMA_MINUS:
         # (1/(k r)) (1/prod nu - k^q/prod F); k r = (m+k)s + nu_z divides
-        # the combined numerator exactly, and the quotient shares no root
-        # with prod F, so only content scaling remains.
-        prod_f = _int_linear_product(fs)
+        # the combined numerator exactly, in integers
         prod_nu = prod(g.nu)
-        num = list(prod_f)
+        num = list(linear_product(fs))
         num[0] -= kq * prod_nu
-        quot, rem = pdivmod(poly(num), poly([g.nu_z, g.m + g.k]))
-        assert not rem
-        den = poly([prod_nu * c for c in prod_f])
-        if not quot:
-            return RatFun.zero()
-        return RatFun._scaled(quot, den)
+        quot = pdiv_linear(num, (g.nu_z, g.m + g.k))
+        return RatFun.scaled_inv_product(Fraction(1, prod_nu), fs, quot)
     raise ValueError(f"unknown bullet {bullet!r}")
 
 
@@ -321,14 +302,6 @@ def _unit_pow_lminus1(n: int, scale: int = 1) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unit_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
 def _pair_exponents(points, nu_vec, weight_vec) -> tuple[tuple[int, int], ...]:
     """Each lattice point beta becomes (a, b) = (<beta, nu>, <beta, weights>)."""
     out = []
@@ -383,7 +356,7 @@ def motivic_w(g: BinomialGerm, bullet: str) -> MotExpr:
 
     if bullet == RHO:
         # (L - 1 - e_q) (L - 1)^q
-        unit = _unit_mul(_unit_pow_lminus1(q), (-1 - g.e_q, 1))
+        unit = pmul(_unit_pow_lminus1(q), (-1 - g.e_q, 1))
         return MotExpr((MotTerm(
             unit=unit,
             p_exponents=_pair_exponents(cones.d_rho, nu_full, n_full),
@@ -412,8 +385,8 @@ def euler_specialize(expr: MotExpr) -> RatFun:
     for term in expr.terms:
         coeffs = list(term.unit)
         order = 0
-        while any(coeffs) and _value_at_one(coeffs) == 0:
-            coeffs = _divide_l_minus_1(coeffs)
+        while any(coeffs) and sum(coeffs) == 0:   # unit vanishes at L = 1
+            coeffs = pdiv_linear(coeffs, (-1, 1))
             order += 1
         if not any(coeffs):
             continue  # zero unit
@@ -423,21 +396,6 @@ def euler_specialize(expr: MotExpr) -> RatFun:
         if order < n_atoms:
             raise ConsistencyError(
                 f"term has {n_atoms} atoms but unit vanishes to order {order}")
-        scalar = _value_at_one(coeffs) * term.cardinality
+        scalar = sum(coeffs) * term.cardinality
         total = total + RatFun.scaled_inv_product(scalar, term.atoms)
     return total
-
-
-def _value_at_one(coeffs) -> int:
-    return sum(coeffs)
-
-
-def _divide_l_minus_1(coeffs):
-    """Exact division of an integer polynomial by (L - 1)."""
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry += coeffs[i]
-        out[i - 1] = carry
-    assert carry + coeffs[0] == 0, "polynomial not divisible by L - 1"
-    return out

@@ -18,7 +18,11 @@ from .ratfun import FactorizationError, RatFun, render_latex, render_text
 
 def _read_json(path: str) -> dict:
     data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return json.loads(data)
+    obj = json.loads(data)
+    if not isinstance(obj, dict):
+        raise ValidationError("input must be a JSON object, got "
+                              f"{type(obj).__name__}")
+    return obj
 
 
 def _emit_json(obj) -> str:

@@ -1,25 +1,33 @@
 """Exact univariate rational functions over Q in the variable s.
 
-Every zeta function in this package is a RatFun.  The canonical form is
-fully reduced and scaled so that numerator and denominator have integer
-coefficients of joint content 1, with the denominator's leading
-coefficient positive; two RatFuns are equal iff their canonical forms are
-componentwise identical.  Canonical coefficients being integers, the ring
-operations run on plain int tuples (ascending degree, () the zero
-polynomial); rationals only enter at construction, substitution and
-evaluation.
+Every denominator in this package is a product of integer linear forms:
+zeta functions are sums of chi/prod(N_i s + nu_i), and the suspension and
+Le-Yomdin formulas only shift them affinely and multiply by more such
+terms.  A RatFun is stored as num(s) / (scale * prod (a + b s)^mult): num an
+integer polynomial (ascending, () for zero), scale a positive integer
+coprime to its content, forms ((a, b), mult) sorted, coprime with b > 0 and
+no root -a/b a root of num.  The form is canonical, so equality is exact.
+Ring operations merge the forms and cancel by integer synthetic division;
+poles and rendering read them.  Dense input (JSON, from_polys, division by
+a polynomial) is factored once, in polynomial time, or rejected.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Union
+
+from .errors import ConsistencyError
 
 Scalar = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers
+#
+# Tuples are built from lists, never from generators: tuple(generator) grows
+# by resizing, which strands tuples on CPython's per-size free lists and lets
+# a long run's memory creep up.
 
 
 def _trim(c: list) -> tuple:
@@ -28,18 +36,10 @@ def _trim(c: list) -> tuple:
     return tuple(c)
 
 
-def poly(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    return _trim([Fraction(c) for c in coeffs])
-
-
 def padd(a, b):
     n = max(len(a), len(b))
     return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                   for i in range(n)])
-
-
-def pneg(a):
-    return tuple(-c for c in a)
 
 
 def pmul(a, b):
@@ -53,111 +53,130 @@ def pmul(a, b):
     return _trim(out)
 
 
-def pdivmod(a, b):
-    """Quotient and remainder over Q (inputs may be int or Fraction tuples)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, cb in enumerate(b):
-                a[i + j] -= coef * cb
-    return _trim(q), _trim(a)
+def linear_product(factors: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """prod (a + b s) over integer pairs (a, b), as a dense polynomial."""
+    out = [1]
+    for a, b in factors:
+        nxt = [c * a for c in out] + [0]
+        for i, c in enumerate(out):
+            nxt[i + 1] += c * b
+        out = nxt
+    return _trim(out)
 
 
-def pgcd(a, b):
-    """Monic gcd over Q."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return ()
-    inv = Fraction(1) / a[-1]
-    return tuple(c * inv for c in a)
+def _div_form(p, form: tuple[int, int]):
+    """p / (a + b s) by integer synthetic division for a primitive form, or
+    None when the form does not divide p (by Gauss's lemma the quotient of
+    an integer polynomial by a primitive divisor is integral)."""
+    a, b = form
+    n = len(p) - 1
+    if n < 1:
+        return None
+    q = [0] * n
+    acc = p[n]
+    for i in range(n - 1, -1, -1):
+        c, rem = divmod(acc, b)
+        if rem:
+            return None
+        q[i] = c
+        acc = p[i] - a * c
+    return None if acc else tuple(q)
 
 
-def peval(a, x: Scalar) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+def pdiv_linear(p, form: tuple[int, int]) -> tuple[int, ...]:
+    """Exact quotient of the integer polynomial p by a + b s; raises
+    ConsistencyError when the division is not exact in integers."""
+    q = _div_form(p, form)
+    if q is None:
+        raise ConsistencyError(f"{_poly_str(form)} does not divide {_poly_str(p)}")
+    return q
 
 
-def pcompose_affine(p, a: Scalar, b: Scalar):
-    """p(a*s + b) via Horner in the polynomial ring."""
-    lin = poly([b, a])
-    acc: tuple = ()
-    for c in reversed(p):
-        acc = padd(pmul(acc, lin), poly([c]))
-    return acc
+def _form(a: int, b: int) -> tuple[int, tuple[int, int]]:
+    """a + b s = unit * (a' + b' s) with a', b' coprime and b' > 0; b != 0."""
+    g = gcd(a, b)
+    if b < 0:
+        g = -g
+    return g, (a // g, b // g)
 
 
-# integer-polynomial layer (for reduction of ring-operation results)
+def _integer_poly(coeffs: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
+    """(p, d) with coeffs = p / d, p an integer polynomial."""
+    cs = [Fraction(c) for c in coeffs]
+    d = lcm(1, *(c.denominator for c in cs))
+    return _trim([int(c * d) for c in cs]), d
 
 
-def _int_content(p) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g
+# ---------------------------------------------------------------------------
+# factorization of dense input
 
 
-def _int_primitive(p) -> tuple[int, ...]:
-    g = _int_content(p)
-    if g in (0, 1):
-        return tuple(p)
-    return tuple(c // g for c in p)
+def _roots_above(q, c: int) -> int:
+    """Sign changes of q(x + c), by repeated synthetic division: the number
+    of roots of q above c when every root is real (Descartes' rule)."""
+    shifted = list(q)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            shifted[j] += c * shifted[j + 1]
+    changes = 0
+    last = 0
+    for x in shifted:
+        if x:
+            if last and (x > 0) != (last > 0):
+                changes += 1
+            last = x
+    return changes
 
 
-def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer polynomials (lead(b)-scaled Euclid)."""
-    a = list(a)
-    db = len(b)
-    lb = b[-1]
-    while a and len(a) >= db:
-        coef = a[-1]
-        shift = len(a) - db
-        a = [c * lb for c in a]
-        for j, cb in enumerate(b):
-            a[shift + j] -= coef * cb
-        while a and not a[-1]:
-            a.pop()
-    return tuple(a)
+def _integer_roots(q) -> list[int]:
+    """Candidate integer roots of a monic integer polynomial, complete when
+    all its roots are real integers: bisection on Descartes counts.  The
+    roots then satisfy sum y^2 = q_{n-1}^2 - 2 q_{n-2}, which bounds them."""
+    n = len(q) - 1
+    power_sum = q[n - 1] ** 2 - 2 * (q[n - 2] if n > 1 else 0)
+    bound = isqrt(max(power_sum, 0)) + 1
+    roots = []
+    todo = [(-bound - 1, n, bound, 0)]   # (lo, roots above lo, hi, roots above hi)
+    while todo:
+        lo, above_lo, hi, above_hi = todo.pop()
+        if above_lo <= above_hi:
+            continue
+        if hi - lo == 1:
+            roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        above_mid = _roots_above(q, mid)
+        todo += [(lo, above_lo, mid, above_mid), (mid, above_mid, hi, above_hi)]
+    return roots
 
 
-def _int_gcd_poly(a, b) -> tuple[int, ...]:
-    """Primitive gcd of nonzero integer polynomials, positive lead."""
-    a, b = _int_primitive(a), _int_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_pseudo_rem(a, b)
-        a, b = b, _int_primitive(r)
-    if a[-1] < 0:
-        a = tuple(-c for c in a)
-    return a
+def _factor(p: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], int]]:
+    """p = unit * prod form^mult over primitive forms, for a nonzero integer
+    polynomial p that splits into linear factors over Q.
 
-
-def _int_div_exact(a, b) -> tuple[int, ...]:
-    """a // b for integer polynomials when the division is exact."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        coef, rem = divmod(a[i + len(b) - 1], b[-1])
-        assert rem == 0, "inexact integer polynomial division"
-        if coef:
-            q[i] = coef
-            for j, cb in enumerate(b):
-                a[i + j] -= coef * cb
-    assert not any(a), "inexact integer polynomial division"
-    return _trim(q)
-
-
-ONE_POLY = (1,)
+    The rational roots -a/b of p are the integer roots y = -a lead/b of the
+    monic q(y) = lead^(n-1) p(y/lead); each candidate is checked by exact
+    division, and anything left over raises FactorizationError."""
+    unit = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    p = tuple([c // unit for c in p])
+    forms: dict[tuple[int, int], int] = {}
+    zeros = next(i for i, c in enumerate(p) if c)
+    if zeros:
+        forms[(0, 1)] = zeros
+        p = p[zeros:]
+    if len(p) > 1:
+        n, lead = len(p) - 1, p[-1]
+        q = [c * lead ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]
+        for y in _integer_roots(q):
+            _, form = _form(-y, lead)
+            while (quot := _div_form(p, form)) is not None:
+                p = quot
+                forms[form] = forms.get(form, 0) + 1
+    if len(p) > 1:
+        raise FactorizationError(
+            "denominator does not split into linear factors over Q: "
+            + _poly_str(p))
+    return unit, forms
 
 
 # ---------------------------------------------------------------------------
@@ -174,109 +193,95 @@ class FactorizationError(ArithmeticError):
 @dataclass(frozen=True)
 class RatFun:
     num: tuple[int, ...]
-    den: tuple[int, ...]
+    scale: int
+    forms: tuple[tuple[tuple[int, int], int], ...]   # ((a, b), mult)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
+    def _canonical(num, scale: int, forms: dict, cancel=()) -> "RatFun":
+        """num / (scale * prod form^mult) in canonical form.  num is an
+        integer polynomial, scale a nonzero integer and the forms primitive
+        with b > 0; only the forms in cancel may share a root with num."""
+        if not num:
+            return _ZERO
+        for form in cancel:
+            mult = forms[form]
+            while mult and (quot := _div_form(num, form)) is not None:
+                num, mult = quot, mult - 1
+            if mult:
+                forms[form] = mult
+            else:
+                del forms[form]
+        g = gcd(scale, *num)
+        if scale < 0:
+            g = -g
+        if g != 1:
+            num = tuple([c // g for c in num])
+            scale //= g
+        return RatFun(num, scale, tuple(sorted(forms.items())))
+
+    @staticmethod
     def from_polys(num: Iterable[Scalar], den: Iterable[Scalar]) -> "RatFun":
-        n, d = poly(num), poly(den)
+        n, n_scale = _integer_poly(num)
+        d, d_scale = _integer_poly(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         if not n:
-            return RatFun((), ONE_POLY)
-        if len(n) > 1 and len(d) > 1:
-            g = pgcd(n, d)
-            if len(g) > 1:
-                n = pdivmod(n, g)[0]
-                d = pdivmod(d, g)[0]
-        return RatFun._scaled(n, d)
+            return _ZERO
+        unit, forms = _factor(d)
+        return RatFun._canonical(tuple([c * d_scale for c in n]),
+                                 unit * n_scale, forms, list(forms))
 
     @staticmethod
-    def _scaled(n, d) -> "RatFun":
-        """Scale a reduced Fraction-coefficient pair to the canonical
-        integer form."""
-        lcm_den = 1
-        for c in (*n, *d):
-            c = Fraction(c)
-            lcm_den = lcm(lcm_den, c.denominator)
-        n_i = [int(c * lcm_den) for c in n]
-        d_i = [int(c * lcm_den) for c in d]
-        content = gcd(_int_content(n_i), _int_content(d_i))
-        if d_i[-1] < 0:
-            content = -content
-        return RatFun(tuple(c // content for c in n_i),
-                      tuple(c // content for c in d_i))
-
-    @staticmethod
-    def _reduced_int(n: tuple[int, ...], d: tuple[int, ...]) -> "RatFun":
-        """Canonicalize an integer pair coming from ring operations."""
-        if not n:
-            return RatFun((), ONE_POLY)
-        if len(n) > 1 and len(d) > 1:
-            g = _int_gcd_poly(n, d)
-            if len(g) > 1:
-                n = _int_div_exact(n, g)
-                d = _int_div_exact(d, g)
-        content = gcd(_int_content(n), _int_content(d))
-        if d[-1] < 0:
-            content = -content
-        if content != 1:
-            n = tuple(c // content for c in n)
-            d = tuple(c // content for c in d)
-        return RatFun(n, d)
-
-    @staticmethod
-    def scaled_inv_product(scalar: Scalar, factors) -> "RatFun":
-        """scalar * prod 1/(a_i + b_i s) for integer pairs (a_i, b_i); the
-        numerator stays constant, so no polynomial gcd is needed."""
+    def scaled_inv_product(scalar: Scalar, factors, num=(1,)) -> "RatFun":
+        """scalar * num(s) / prod (a_i + b_i s) for integer pairs (a_i, b_i)
+        and an integer polynomial num."""
         scalar = Fraction(scalar)
-        if not scalar:
-            return RatFun((), ONE_POLY)
-        den = [1]
+        if not scalar or not num:
+            return _ZERO
+        scale = scalar.denominator
+        forms: dict[tuple[int, int], int] = {}
         for a, b in factors:
-            if not a and not b:
-                raise ZeroDivisionError("zero linear factor")
-            nxt = [0] * (len(den) + 1)
-            for i, c in enumerate(den):
-                nxt[i] += c * a
-                nxt[i + 1] += c * b
-            if not nxt[-1]:
-                nxt.pop()
-            den = nxt
-        p, q = scalar.numerator, scalar.denominator
-        content = abs(p)
-        for c in den:
-            content = gcd(content, q * c)
-        if den[-1] < 0:
-            content = -content
-        return RatFun((p // content,),
-                      tuple(q * c // content for c in den))
+            if not b:
+                if not a:
+                    raise ZeroDivisionError("zero linear factor")
+                scale *= a
+                continue
+            unit, form = _form(a, b)
+            scale *= unit
+            forms[form] = forms.get(form, 0) + 1
+        return RatFun._canonical(
+            tuple([scalar.numerator * c for c in num]), scale, forms,
+            list(forms) if len(num) > 1 else ())
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":
         c = Fraction(c)
         if not c:
-            return RatFun((), ONE_POLY)
-        return RatFun((c.numerator,), (c.denominator,))
+            return _ZERO
+        return RatFun((c.numerator,), c.denominator, ())
 
     @staticmethod
     def zero() -> "RatFun":
-        return RatFun((), ONE_POLY)
+        return _ZERO
 
     @staticmethod
     def one() -> "RatFun":
-        return RatFun((1,), (1,))
+        return RatFun((1,), 1, ())
 
     @staticmethod
     def linear(a: Scalar, b: Scalar) -> "RatFun":
         """The polynomial a*s + b."""
-        return RatFun.from_polys([b, a], [1])
+        num, scale = _integer_poly([b, a])
+        return RatFun._canonical(num, scale, {})
 
     @staticmethod
     def inv_linear(a: Scalar, b: Scalar) -> "RatFun":
         """1/(a*s + b)."""
-        return RatFun.from_polys([1], [b, a])
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)
+        return RatFun.scaled_inv_product(d, [(int(b * d), int(a * d))])
 
     def is_zero(self) -> bool:
         return not self.num
@@ -291,18 +296,36 @@ class RatFun:
             return RatFun.const(x)
         return NotImplemented  # type: ignore[return-value]
 
+    def _lift(self, scale: int, forms: dict) -> tuple[int, ...]:
+        """Numerator over the common denominator scale * prod forms."""
+        k = scale // self.scale
+        mine = dict(self.forms)
+        extra = linear_product(f for f, m in forms.items()
+                               for _ in range(m - mine.get(f, 0)))
+        return pmul(tuple([k * c for c in self.num]), extra)
+
     def __add__(self, other):
         o = RatFun._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFun._reduced_int(
-            padd(pmul(self.num, o.den), pmul(o.num, self.den)),
-            pmul(self.den, o.den))
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        forms = dict(self.forms)
+        for f, m in o.forms:
+            if m > forms.get(f, 0):
+                forms[f] = m
+        scale = lcm(self.scale, o.scale)
+        num = padd(self._lift(scale, forms), o._lift(scale, forms))
+        # a form can only cancel where both summands have it to the top power
+        cancel = set(self.forms) & set(o.forms)
+        return RatFun._canonical(num, scale, forms, [f for f, _ in cancel])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(pneg(self.num), self.den)
+        return RatFun(tuple([-c for c in self.num]), self.scale, self.forms)
 
     def __sub__(self, other):
         o = RatFun._coerce(other)
@@ -317,8 +340,15 @@ class RatFun:
         o = RatFun._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFun._reduced_int(pmul(self.num, o.num),
-                                   pmul(self.den, o.den))
+        if not self.num or not o.num:
+            return _ZERO
+        forms = dict(self.forms)
+        for f, m in o.forms:
+            forms[f] = forms.get(f, 0) + m
+        # a form of one factor can only cancel against the other numerator
+        cancel = {f for f, _ in self.forms} ^ {f for f, _ in o.forms}
+        return RatFun._canonical(pmul(self.num, o.num), self.scale * o.scale,
+                                 forms, cancel)
 
     __rmul__ = __mul__
 
@@ -328,8 +358,13 @@ class RatFun:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RatFun._reduced_int(pmul(self.num, o.den),
-                                   pmul(self.den, o.num))
+        unit, forms = _factor(o.num)
+        for f, m in self.forms:
+            forms[f] = forms.get(f, 0) + m
+        num = pmul(self.num, linear_product(
+            f for f, m in o.forms for _ in range(m)))
+        return RatFun._canonical(tuple([o.scale * c for c in num]),
+                                 self.scale * unit, forms, list(forms))
 
     def __rtruediv__(self, other):
         return RatFun._coerce(other) / self
@@ -345,57 +380,68 @@ class RatFun:
     # -- analysis -----------------------------------------------------------
 
     def substitute_affine(self, a: Scalar, b: Scalar) -> "RatFun":
-        """f(a*s + b); a must be nonzero."""
-        if not Fraction(a):
+        """f(a*s + b); a must be nonzero.  Writing a*s + b = L(s)/Q with L an
+        integer linear polynomial and Q an integer, a form c0 + c1 t becomes
+        (c0 Q + c1 L)/Q and the numerator Q^-deg times an integer polynomial."""
+        a, b = Fraction(a), Fraction(b)
+        if not a:
             raise ValueError("affine substitution needs a != 0")
-        return RatFun.from_polys(pcompose_affine(self.num, a, b),
-                                 pcompose_affine(self.den, a, b))
+        if not self.num:
+            return self
+        big_q = a.denominator * b.denominator
+        lin = (b.numerator * a.denominator, a.numerator * b.denominator)
+        num: tuple = ()
+        power = 1
+        for c in reversed(self.num):
+            num = padd(pmul(num, lin), (c * power,))
+            power *= big_q
+        scale = self.scale
+        forms = {}
+        den_degree = 0
+        for (c0, c1), mult in self.forms:
+            unit, form = _form(c0 * big_q + c1 * lin[0], c1 * lin[1])
+            scale *= unit ** mult
+            forms[form] = mult
+            den_degree += mult
+        # the powers of Q left over from numerator and forms
+        excess = den_degree - (len(self.num) - 1)
+        if excess > 0:
+            num = tuple([c * big_q ** excess for c in num])
+        else:
+            scale *= big_q ** -excess
+        return RatFun._canonical(num, scale, forms)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        d = peval(self.den, x)
-        if not d:
-            raise PoleError(f"evaluation at the pole s = {Fraction(x)}")
-        return peval(self.num, x) / d
-
-    def _linear_factors(self) -> tuple[list[tuple[Fraction, int]], int]:
-        """Denominator as lead * prod (s - root)^mult; roots found by exact
-        rational-root search (denominators here are products of integer
-        linear forms by construction)."""
-        den = poly(self.den)
-        roots: dict[Fraction, int] = {}
-        lead = self.den[-1]
-        while len(den) > 1:
-            root = _rational_root(den)
-            if root is None:
-                raise FactorizationError(
-                    "non-linear irreducible denominator factor: "
-                    + _poly_str(den))
-            quot, rem = pdivmod(den, poly([-root, 1]))
-            assert not rem
-            roots[root] = roots.get(root, 0) + 1
-            den = quot
-        return sorted(roots.items()), lead
+        x = Fraction(x)
+        den = Fraction(self.scale)
+        for (a, b), mult in self.forms:
+            if not a + b * x:
+                raise PoleError(f"evaluation at the pole s = {x}")
+            den *= (a + b * x) ** mult
+        value = Fraction(0)
+        for c in reversed(self.num):
+            value = value * x + c
+        return value / den
 
     def poles_with_multiplicity(self) -> list[tuple[Fraction, int]]:
         """Sorted (pole, multiplicity) pairs."""
-        if self.is_zero():
-            return []
-        return self._linear_factors()[0]
+        return sorted((Fraction(-a, b), mult) for (a, b), mult in self.forms)
 
     def pol_plus(self) -> frozenset[Fraction]:
         """Absolute values of the poles."""
-        return frozenset(abs(p) for p, _ in self.poles_with_multiplicity())
+        return frozenset(abs(Fraction(a, b)) for (a, b), _ in self.forms)
 
     def residue_at(self, x: Scalar) -> Fraction:
         x = Fraction(x)
-        if peval(self.den, x):
+        forms = dict(self.forms)
+        mult = forms.pop((-x.numerator, x.denominator), 0)
+        if not mult:
             return Fraction(0)
-        quot, rem = pdivmod(self.den, poly([-x, 1]))
-        assert not rem
-        g_at_x = peval(quot, x)
-        if not g_at_x:
+        if mult > 1:
             raise PoleError(f"pole of order >= 2 at s = {x}")
-        return peval(self.num, x) / g_at_x
+        # a + b s = b (s - x): the rest of the denominator carries b
+        rest = RatFun(self.num, self.scale * x.denominator, tuple(forms.items()))
+        return rest.evaluate(x)
 
     # -- rendering / serialization ------------------------------------------
 
@@ -403,8 +449,9 @@ class RatFun:
         return render_text(self)
 
     def to_json(self) -> dict:
+        den = linear_product(f for f, m in self.forms for _ in range(m))
         return {"num": [str(c) for c in self.num],
-                "den": [str(c) for c in self.den]}
+                "den": [str(self.scale * c) for c in den]}
 
     @staticmethod
     def from_json(obj: dict) -> "RatFun":
@@ -412,34 +459,7 @@ class RatFun:
                                  [Fraction(c) for c in obj["den"]])
 
 
-def _rational_root(den: Sequence[Fraction]) -> Fraction | None:
-    """A rational root of a rational-coefficient polynomial, or None."""
-    scale = 1
-    for c in den:
-        scale = lcm(scale, Fraction(c).denominator)
-    ints = [int(c * scale) for c in den]
-    a0, lead = ints[0], ints[-1]
-    if a0 == 0:
-        return Fraction(0)
-    for p in _int_divisors(abs(a0)):
-        for q in _int_divisors(abs(lead)):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if not peval(ints, cand):
-                    return cand
-    return None
-
-
-def _int_divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+_ZERO = RatFun((), 1, ())
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +500,10 @@ def _poly_str(p, star: str = "*") -> str:
 
 
 def _den_factored(f: RatFun, star: str, pow_fmt) -> tuple[str, int]:
-    """Denominator as integer-content linear factors, largest slope first;
-    returns the string and the number of displayed parts."""
-    try:
-        roots, _lead = f._linear_factors()
-    except FactorizationError:
-        return f"({_poly_str(f.den, star)})", 1
-    factors = []
-    scale = Fraction(f.den[-1])
-    for root, mult in sorted(roots, key=lambda rm: (-rm[0].denominator, rm[0])):
-        b, a = root.denominator, -root.numerator  # b*s + a, content 1
-        factors.append(((b, a), mult))
-        scale /= Fraction(b) ** mult
-    assert scale.denominator == 1
-    parts = [] if scale == 1 else [str(int(scale))]
-    for (b, a), mult in factors:
+    """Denominator as scale and linear forms, largest slope first, then by
+    increasing root; returns the string and the number of displayed parts."""
+    parts = [] if f.scale == 1 else [str(f.scale)]
+    for (a, b), mult in sorted(f.forms, key=lambda fm: (-fm[0][1], -fm[0][0])):
         base = f"({_poly_str((a, b), star)})"
         parts.append(base if mult == 1 else pow_fmt(base, mult))
     return star.join(parts), len(parts)
@@ -504,7 +513,7 @@ def render_text(f: RatFun) -> str:
     if f.is_zero():
         return "0"
     num = _poly_str(f.num)
-    if f.den == ONE_POLY:
+    if f.scale == 1 and not f.forms:
         return num
     den, nparts = _den_factored(f, "*", lambda b, m: f"{b}^{m}")
     if nparts > 1:
@@ -516,7 +525,7 @@ def render_latex(f: RatFun) -> str:
     if f.is_zero():
         return "0"
     num = _poly_str(f.num, star=" ")
-    if f.den == ONE_POLY:
+    if f.scale == 1 and not f.forms:
         return num
     den, _ = _den_factored(f, " ", lambda b, m: f"{b}^{{{m}}}")
     return rf"\frac{{{num}}}{{{den}}}"

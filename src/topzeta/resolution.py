@@ -356,8 +356,7 @@ def graph_to_json(g: CurveResolutionGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> CurveResolutionGraph:
-    vertices = [Vertex(d["id"], int(d.get("N", 0)) or _missing(d, "N"),
-                       int(d.get("nu", 0)) or _missing(d, "nu"),
+    vertices = [Vertex(d["id"], _positive(d, "N"), _positive(d, "nu"),
                        d.get("self_intersection"))
                 for d in obj["vertices"]]
     arrows = [Arrow(d["id"], int(d["mult"]), d["attached_to"])
@@ -377,8 +376,13 @@ def shape_from_json(obj: dict) -> GraphShape:
     return GraphShape(ids, selfint, arrows, edges, int(obj.get("prod_nu0", 1)))
 
 
-def _missing(d: dict, key: str):
-    raise ValidationError(f"vertex {d.get('id')}: missing field {key!r}")
+def _positive(d: dict, key: str) -> int:
+    if key not in d:
+        raise ValidationError(f"vertex {d.get('id')}: missing field {key!r}")
+    value = int(d[key])
+    if value < 1:
+        raise ValidationError(f"vertex {d.get('id')}: non-positive {key} = {value}")
+    return value
 
 
 def strata_to_json(res: StratifiedResolution) -> dict:

@@ -9,7 +9,20 @@ from functools import lru_cache
 
 from topzeta.arith import divisors
 from topzeta.cyclo import CycloProduct
-from topzeta.ratfun import _int_div_exact, pmul
+from topzeta.ratfun import pmul
+
+
+def _div_exact(a, b) -> tuple[int, ...]:
+    """a // b for integer polynomials, b monic, when the division is exact."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        q[i] = coef = a[i + len(b) - 1]
+        for j, cb in enumerate(b):
+            a[i + j] -= coef * cb
+    if any(a):
+        raise ValueError("inexact integer polynomial division")
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)
@@ -18,7 +31,7 @@ def cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     num = tuple([-1] + [0] * (d - 1) + [1])  # x^d - 1
     for e in divisors(d):
         if e != d:
-            num = _int_div_exact(num, cyclotomic_coeffs(e))
+            num = _div_exact(num, cyclotomic_coeffs(e))
     return num
 
 
@@ -39,4 +52,4 @@ def expand(h: CycloProduct) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def expand_poly(h: CycloProduct) -> tuple[int, ...]:
     """Coefficients of a polynomial CycloProduct."""
     num, den = expand(h)
-    return _int_div_exact(num, den)
+    return _div_exact(num, den)

@@ -188,3 +188,22 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "zeta", "graph", "--in", "-", "--ell", "9")
     assert code == 0
     assert out.strip() == "(1)/(18*s + 5)"
+
+
+def test_non_object_json_exit_code(capsys, tmp_path):
+    f = tmp_path / "list.json"
+    f.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "zeta", "graph", "--in", str(f))
+    assert code == 1 and not out
+    assert err == "error: input must be a JSON object, got list\n"
+
+
+def test_nonlinear_profile_denominator_exit_code(capsys, tmp_path):
+    f = tmp_path / "profile.json"
+    f.write_text(json.dumps({"entries": [
+        {"ell": 1, "num": ["1"], "den": ["1", "1", "1"]}]}))
+    code, out, err = run_cli(capsys, "suspend", "--in", str(f),
+                             "--k", "2", "--ell", "1")
+    assert code == 1 and not out
+    assert err.startswith("error: denominator does not split") and \
+        err.count("\n") == 1

@@ -1,21 +1,40 @@
+import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topzeta.ratfun import FactorizationError, PoleError, RatFun, pdivmod, \
-    poly, render_latex, render_text
+from ratroots import roots_by_search
+from topzeta.errors import ConsistencyError
+from topzeta.ratfun import FactorizationError, PoleError, RatFun, \
+    linear_product, pdiv_linear, pmul, render_latex, render_text
 
 coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
 
+# integer linear forms a + b s as (a, b): negative slopes, roots at 0 and
+# repeated forms all occur
+linear_forms = st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool))
 
-def nonzero_poly():
-    return coeffs.filter(lambda c: any(c))
+
+def expand(scalar, factors):
+    """scalar * prod (a + b s), expanded without the package's helpers."""
+    out = [F(scalar)]
+    for a, b in factors:
+        nxt = [F(0)] * (len(out) + 1)
+        for i, c in enumerate(out):
+            nxt[i] += a * c
+            nxt[i + 1] += b * c
+        out = nxt
+    return out
 
 
-ratfuns = st.builds(RatFun.from_polys, coeffs, nonzero_poly())
-nonzero_ratfuns = st.builds(RatFun.from_polys, nonzero_poly(), nonzero_poly())
+# denominators are products of linear forms: a dense 1 + s + s^2 is not a
+# RatFun any more, so the strategies build them from forms
+ratfuns = st.builds(
+    lambda num, scalar, factors: RatFun.from_polys(num, expand(scalar, factors)),
+    coeffs, st.integers(-6, 6).filter(bool), st.lists(linear_forms, max_size=3))
 
 
 def test_ring_examples():
@@ -35,6 +54,9 @@ def test_zero_and_division():
     with pytest.raises(ZeroDivisionError):
         RatFun.one() / z
     assert (RatFun.linear(1, 0) / RatFun.linear(1, 0)) == RatFun.one()
+    # dividing by a polynomial factors it: (s^2 - 1)/(2s^2 - 2s) = (s+1)/(2s)
+    assert RatFun.from_polys([-1, 0, 1], [1]) / RatFun.from_polys([0, -2, 2], [1]) \
+        == RatFun.from_polys([1, 1], [0, 2])
 
 
 def test_substitute_affine_examples():
@@ -56,8 +78,14 @@ def test_poles_examples():
 
 
 def test_poles_nonlinear_factor():
+    # denominators that do not split over Q are rejected at ingest
+    for den in ([1, 0, 1], [1, 1, 1], [-2, 0, 1], [-2, -2, 1, 1]):
+        with pytest.raises(FactorizationError):
+            RatFun.from_polys([1], den)
     with pytest.raises(FactorizationError):
-        RatFun.from_polys([1], [1, 0, 1]).poles_with_multiplicity()
+        RatFun.one() / RatFun.from_polys([1, 0, 1], [1])
+    with pytest.raises(FactorizationError):
+        RatFun.from_json({"num": ["1"], "den": ["1", "1", "1"]})
 
 
 def test_evaluate_examples():
@@ -71,15 +99,12 @@ def test_evaluate_examples():
 
 
 def test_residue_examples():
-    from topzeta.ratfun import peval
     assert RatFun.inv_linear(2, 1).residue_at(F(-1, 2)) == F(1, 2)
     assert RatFun.inv_linear(2, 1).residue_at(7) == 0
     f = RatFun.from_polys([7, 3], [7, 22, 15])
-    # limit oracle: divide out (s + 7/15) and evaluate the rest there
-    shifted, rem = pdivmod(poly(f.den), poly([F(7, 15), 1]))
-    assert not rem
-    assert f.residue_at(F(-7, 15)) == peval(poly(f.num), F(-7, 15)) / \
-        peval(shifted, F(-7, 15))
+    # limit oracle: (s + 7/15) f(s) has no pole there; evaluate it
+    assert f.residue_at(F(-7, 15)) == \
+        (RatFun.linear(1, F(7, 15)) * f).evaluate(F(-7, 15))
     assert f.residue_at(F(-7, 15)) == F(7, 10)
     with pytest.raises(PoleError):
         RatFun.from_polys([1], [1, 4, 4]).residue_at(F(-1, 2))
@@ -87,15 +112,31 @@ def test_residue_examples():
 
 @given(ratfuns)
 def test_canonical_idempotence(f):
-    assert RatFun.from_polys(f.num, f.den) == f
+    assert RatFun.from_json(f.to_json()) == f
+    dense_form = f.to_json()
+    assert RatFun.from_polys([F(c) for c in dense_form["num"]],
+                             [F(c) for c in dense_form["den"]]) == f
+
+
+@given(ratfuns)
+def test_canonical_form_invariants(f):
+    assert f.scale > 0 and gcd(f.scale, *f.num) == 1
+    assert list(f.forms) == sorted(f.forms)
+    for (a, b), mult in f.forms:
+        assert b > 0 and gcd(a, b) == 1 and mult >= 1
+        assert sum(c * F(-a, b) ** i for i, c in enumerate(f.num)) != 0
+
+
+def _dense(f):
+    obj = f.to_json()
+    return tuple(int(c) for c in obj["num"]), tuple(int(c) for c in obj["den"])
 
 
 @settings(max_examples=200)
 @given(ratfuns, ratfuns)
 def test_equality_matches_cross_multiplication(f, g):
-    from topzeta.ratfun import pmul
-    cross = pmul(f.num, g.den) == pmul(g.num, f.den)
-    assert (f == g) == cross
+    (fn, fd), (gn, gd) = _dense(f), _dense(g)
+    assert (f == g) == (pmul(fn, gd) == pmul(gn, fd))
 
 
 @given(ratfuns, st.integers(-6, 6).filter(bool), st.integers(-6, 6))
@@ -106,11 +147,14 @@ def test_substitute_affine_roundtrip(f, a, b):
 
 @given(ratfuns, ratfuns, st.integers(-5, 5))
 def test_evaluate_respects_ring_ops(f, g, x):
-    from topzeta.ratfun import peval
-    if not peval(f.den, x) or not peval(g.den, x):
+    poles = {p for p, _ in f.poles_with_multiplicity() + g.poles_with_multiplicity()}
+    if x in poles:
         return
     assert (f + g).evaluate(x) == f.evaluate(x) + g.evaluate(x)
     assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
+    assert (f - g).evaluate(x) == f.evaluate(x) - g.evaluate(x)
+    if g.evaluate(x) and roots_by_search(_dense(g)[0]) is not None:
+        assert (f / g).evaluate(x) == f.evaluate(x) / g.evaluate(x)
 
 
 @given(st.integers(-20, 20), st.lists(
@@ -124,10 +168,54 @@ def test_scaled_inv_product_agrees_with_generic_path(scalar, factors):
     assert direct == slow
 
 
+@given(st.integers(-30, 30).filter(bool), st.lists(linear_forms, max_size=6))
+def test_ingest_factorization_matches_oracle(scalar, factors):
+    den = expand(scalar, factors)
+    ingested = RatFun.from_polys([1], den)
+    assert ingested == RatFun.scaled_inv_product(F(1, scalar), factors)
+    assert ingested.poles_with_multiplicity() == roots_by_search(den)
+
+
+def test_linear_helpers():
+    assert linear_product([]) == (1,)
+    assert linear_product([(1, 1), (1, 1), (-3, 2)]) == (-3, -4, 1, 2)
+    assert pdiv_linear((-3, -4, 1, 2), (-3, 2)) == (1, 2, 1)
+    with pytest.raises(ConsistencyError):
+        pdiv_linear((1, 0, 1), (1, 1))
+
+
+def test_poles_of_four_three_digit_forms():
+    # the constant term and lead have 12 digits: a divisor search is slow here
+    factors = [(991, 997), (977, 983), (-967, 971), (947, 953)]
+    den = expand(1, factors)
+    start = time.perf_counter()
+    f = RatFun.from_polys([1], den)
+    poles = f.poles_with_multiplicity()
+    text = render_text(f)
+    assert time.perf_counter() - start < 1.0
+    assert poles == sorted((F(-a, b), 1) for a, b in factors)
+    assert f == RatFun.scaled_inv_product(1, factors)
+    assert text == "(1)/((997*s + 991)*(983*s + 977)*(971*s - 967)*(953*s + 947))"
+
+
+def test_factorization_with_twenty_digit_coefficients():
+    factors = [(12345678901234567891, 98765432109876543211),
+               (-31415926535897932385, 27182818284590452354),
+               (-31415926535897932385, 27182818284590452354),
+               (0, 11111111111111111111)]
+    den = expand(7, factors)
+    start = time.perf_counter()
+    f = RatFun.from_polys([3, 5], den)
+    assert time.perf_counter() - start < 2.0
+    assert f == RatFun.scaled_inv_product(F(1, 7), factors, (3, 5))
+    assert [m for _, m in f.poles_with_multiplicity()] == [1, 1, 2]
+
+
 def test_json_roundtrip():
     f = RatFun.from_polys([F(1, 2), 3], [2, 5])
     assert RatFun.from_json(f.to_json()) == f
     assert RatFun.from_json(RatFun.zero().to_json()).is_zero()
+    assert f.to_json() == {"num": ["1", "6"], "den": ["4", "10"]}
 
 
 def test_render():
@@ -136,6 +224,7 @@ def test_render():
     assert render_text(RatFun.from_polys([-5], [14, 30])) == "(-5)/(2*(15*s + 7))"
     assert render_text(RatFun.zero()) == "0"
     assert render_text(RatFun.linear(2, -1)) == "2*s - 1"
+    assert render_text(RatFun.const(F(1, 2))) == "(1)/2"
     assert render_latex(f) == r"\frac{3 s + 7}{(15 s + 7) (s + 1)}"
     sq = RatFun.from_polys([1], [1, 5, 8, 4])
     assert render_text(sq) == "(1)/((2*s + 1)^2*(s + 1))"

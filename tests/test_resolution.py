@@ -183,3 +183,17 @@ def test_json_roundtrips(triple_cusp_graph):
     shape = shape_from_json(as_json)
     assert [(v.N, v.nu) for v in solve_multiplicities(shape).vertices] == \
         [(v.N, v.nu) for v in triple_cusp_graph.vertices]
+
+
+def test_graph_from_json_field_errors():
+    def graph(vertex):
+        return {"vertices": [vertex],
+                "arrows": [{"id": "a", "mult": 1, "attached_to": "E"}]}
+
+    for key in ("N", "nu"):
+        with pytest.raises(ValidationError, match=f"non-positive {key} = 0"):
+            graph_from_json(graph({"id": "E", "N": 2, "nu": 2, key: 0}))
+        vertex = {"id": "E", "N": 2, "nu": 2}
+        del vertex[key]
+        with pytest.raises(ValidationError, match=f"missing field '{key}'"):
+            graph_from_json(graph(vertex))
