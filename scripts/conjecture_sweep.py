@@ -16,7 +16,7 @@ from topzeta.cyclo import CycloProduct
 from topzeta.lys import lys_charpoly, lys_from_json, lys_orders, lys_ztop
 from topzeta.resolution import acampo, graph_from_json, strata_of_graph, \
     ztop_from_strata
-from topzeta.suspension import summary_from_graph, suspend_F, suspend_orders
+from topzeta.suspension import summary_from_graph, suspend_G, suspend_orders
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 ONE_BRACKET = CycloProduct.from_brackets([(1, 1)])
@@ -42,8 +42,9 @@ def check_curve(g, label: str) -> bool:
 def check_suspension(g, k: int, label: str) -> bool:
     germ = summary_from_graph(g)
     delta_f, orders = suspend_orders(germ, k)
-    mon = check_monodromy(suspend_F(germ.zeta, k, 1), delta_f * ONE_BRACKET)
-    hol = check_holomorphy(lambda l: suspend_F(germ.zeta, k, l), orders,
+    mon = check_monodromy(suspend_G(germ.zeta, 0, k, 1, 1),
+                          delta_f * ONE_BRACKET)
+    hol = check_holomorphy(lambda l: suspend_G(germ.zeta, 0, k, 1, l), orders,
                            min(2 * max(orders, default=1), 120))
     ok = mon.passed and hol.passed
     print(f"  {label:34s} monodromy={'PASS' if mon.passed else 'FAIL'} "

@@ -12,7 +12,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from topzeta.arith import divisors, jordan_totient
 from topzeta.ratfun import render_text
-from topzeta.suspension import profile_from_json, suspend_F, suspend_matrix
+from topzeta.suspension import profile_from_json, suspend_G, suspend_matrix
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,7 +27,7 @@ def main() -> int:
         print(f"  Z^({ell})(f)  = {render_text(profile.entries[ell])}")
     print("\noutput twists (all nonzero ell <= 30):")
     for ell in range(1, 31):
-        z = suspend_F(profile, k, ell)
+        z = suspend_G(profile, 0, k, 1, ell)
         if not z.is_zero():
             print(f"  Z^({ell})(F)  = {render_text(z)}")
     _, b_matrix, holds = suspend_matrix(profile, k)

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
+from .arith import gauss_jordan
 from .errors import ConsistencyError
 from .ratfun import RatFun, linear_product, pdiv_linear, pmul
 
@@ -62,10 +63,6 @@ class BinomialGerm:
         object.__setattr__(self, "e_q", gcd(self.k, n_q))
         object.__setattr__(self, "k_j", tuple(gcd(self.k, x) for x in self.N))
 
-    def r_linear(self) -> tuple[Fraction, Fraction]:
-        """r = ((m+k)s + nu_z)/k as (slope, intercept)."""
-        return Fraction(self.m + self.k, self.k), Fraction(self.nu_z, self.k)
-
 
 # ---------------------------------------------------------------------------
 # cone data
@@ -105,21 +102,8 @@ def _coordinate_solver(rays: list[tuple[int, ...]]):
     aug = [[Fraction(rays[j][i]) for j in range(ncols)]
            + [Fraction(int(i == r)) for r in range(nrows)]
            for i in range(nrows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ConsistencyError("rays are linearly dependent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
+    if not gauss_jordan(aug, ncols):
+        raise ConsistencyError("rays are linearly dependent")
     solve_rows = [aug[r][ncols:] for r in range(ncols)]
     consistency = [aug[r][ncols:] for r in range(ncols, nrows)]
     denom = 1

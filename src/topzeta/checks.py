@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith import lcm_all
-from .cyclo import CycloProduct, OrderSet, order_closure
+from .arith import divisor_closure, lcm_all
+from .cyclo import CycloProduct, OrderSet
+from .errors import ValidationError
 from .ratfun import RatFun
 
 L_MAX_CAP = 10_000
@@ -73,7 +74,7 @@ def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
 
 
 def default_l_max(orders: OrderSet) -> int:
-    closure = order_closure(orders)
+    closure = divisor_closure(orders)
     if not closure:
         return 2
     return min(2 * lcm_all(closure), L_MAX_CAP)
@@ -82,8 +83,12 @@ def default_l_max(orders: OrderSet) -> int:
 def check_holomorphy(zeta_family: Callable[[int], RatFun], orders: OrderSet,
                      l_max: int | None = None) -> Report:
     """Every 1 < l <= l_max outside the order closure must give the zero
-    function; l inside the closure is unconstrained and skipped."""
-    closure = order_closure(orders)
+    function; l inside the closure is unconstrained and skipped.  A given
+    l_max must lie in [2, L_MAX_CAP]."""
+    if l_max is not None and not 2 <= l_max <= L_MAX_CAP:
+        raise ValidationError(
+            f"l_max must be between 2 and {L_MAX_CAP}, got {l_max}")
+    closure = divisor_closure(orders)
     if l_max is None:
         l_max = default_l_max(orders)
     items = []

@@ -12,17 +12,13 @@ import sys
 
 from . import checks, lys as lys_mod, resolution, suspension
 from .cyclo import CycloProduct, cyclo_str, cyclo_to_json
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, json_check
 from .ratfun import FactorizationError, RatFun, render_latex, render_text
 
 
 def _read_json(path: str) -> dict:
     data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    obj = json.loads(data)
-    if not isinstance(obj, dict):
-        raise ValidationError("input must be a JSON object, got "
-                              f"{type(obj).__name__}")
-    return obj
+    return json_check(json.loads(data), dict, "input")
 
 
 def _emit_json(obj) -> str:
@@ -98,8 +94,8 @@ def _load_subject(obj: dict):
             germ = suspension.summary_from_json(germ_obj)
         delta_f, orders = suspension.suspend_orders(germ, k)
         delta_tilde = delta_f * CycloProduct.from_brackets([(1, 1)])
-        return (suspension.suspend_F(germ.zeta, k, 1), delta_tilde, orders,
-                lambda l: suspension.suspend_F(germ.zeta, k, l))
+        return (suspension.suspend_G(germ.zeta, 0, k, 1, 1), delta_tilde,
+                orders, lambda l: suspension.suspend_G(germ.zeta, 0, k, 1, l))
     if kind == "lys":
         surface = lys_mod.lys_from_json(obj.get("lys", obj))
         _, delta_tilde = lys_mod.lys_charpoly(surface)
@@ -136,14 +132,9 @@ def _cmd_acampo(args) -> int:
 def _cmd_suspend(args) -> int:
     profile = suspension.profile_from_json(_read_json(args.infile))
     ells = _parse_ells(args.ell)
-    results = []
-    for l in ells:
-        if args.m == 0 and args.nuz == 1:
-            z = suspension.suspend_F(profile, args.k, l, strict=args.strict)
-        else:
-            z = suspension.suspend_G(profile, args.m, args.k, args.nuz, l,
-                                     strict=args.strict)
-        results.append((l, z))
+    results = [(l, suspension.suspend_G(profile, args.m, args.k, args.nuz, l,
+                                        strict=args.strict))
+               for l in ells]
     payload = {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]}
     if len(results) == 1 and not args.matrix:
         lines = [_render(results[0][1], args.format)]
@@ -164,8 +155,9 @@ def _cmd_suspend(args) -> int:
 def _cmd_lys(args, sis: bool) -> int:
     surface = lys_mod.lys_from_json(_read_json(args.infile))
     ells = _parse_ells(args.ell)
-    fn = lys_mod.sis_ztop if sis else lys_mod.lys_ztop
-    results = [(l, fn(surface, l)) for l in ells]
+    if sis and surface.k != 1:
+        raise ValidationError(f"sis needs k = 1, got k = {surface.k}")
+    results = [(l, lys_mod.lys_ztop(surface, l)) for l in ells]
     _print(args, {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]},
            [f"Z^({l}) = {_render(z, args.format)}" for l, z in results])
     return 0
@@ -240,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lys.add_argument("--ell", required=True)
     p_lys.set_defaults(fn=lambda a: _cmd_lys(a, sis=False))
 
-    p_sis = sub.add_parser("sis", help="superisolated specialization (k = 1)")
+    p_sis = sub.add_parser("sis", help="superisolated surfaces: lys restricted "
+                                       "to k = 1")
     p_sis.add_argument("--in", dest="infile", required=True)
     p_sis.add_argument("--ell", required=True)
     p_sis.set_defaults(fn=lambda a: _cmd_lys(a, sis=True))

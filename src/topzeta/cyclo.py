@@ -9,10 +9,10 @@ finite-order automorphism) and the variable substitution tau -> tau^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
-from .arith import divisor_closure, divisors, euler_phi, lcm_all
-from .errors import ConsistencyError
+from .arith import divisors, euler_phi
+from .errors import json_array, json_check
 
 OrderSet = frozenset
 
@@ -106,9 +106,6 @@ class CycloProduct:
     def root_orders(self) -> OrderSet:
         return frozenset(d for d, e in self.items if e > 0)
 
-    def order_data(self) -> tuple[OrderSet, bool]:
-        return self.root_orders(), self.is_polynomial()
-
     def degree(self) -> int:
         """Total degree sum e_d * phi(d); negative exponents subtract."""
         return sum(e * euler_phi(d) for d, e in self.items)
@@ -119,48 +116,16 @@ class CycloProduct:
         """Root multiset of the suspension by k points: {eta*zeta} over
         eta^k = 1, eta != 1 and zeta a root of self.
 
-        Roots are tracked as residues modulo L = lcm(orders, k) and the
-        resulting counts refactored into cyclotomics; the multiset is
-        Galois-stable by construction, which is asserted.
-        """
+        Root multisets are bilinear under this join, the k points are
+        [k] - [1] in brackets, and [a] x [b] = gcd(a, b) [lcm(a, b)]."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self.is_polynomial():
             raise ValueError("Thom-Sebastiani tensor needs a polynomial input")
-        if not self.items:
-            return CycloProduct.one()
-        L = lcm_all([d for d, _ in self.items] + [k])
-        counts: dict[int, int] = {}
-        for d, e in self.items:
-            step = L // d
-            for j in range(d):
-                if gcd(j, d) != 1:
-                    continue
-                zeta = j * step
-                for a in range(1, k):
-                    res = (zeta + a * (L // k)) % L
-                    counts[res] = counts.get(res, 0) + e
-        return _refactor_counts(counts, L)
-
-
-def _refactor_counts(counts: dict[int, int], L: int) -> CycloProduct:
-    """Turn residue-class multiplicities mod L into Phi_d exponents."""
-    by_order: dict[int, dict[int, int]] = {}
-    for res, c in counts.items():
-        d = L // gcd(res, L)
-        by_order.setdefault(d, {})[res] = c
-    factors = {}
-    for d, residues in by_order.items():
-        mults = set(residues.values())
-        if len(mults) != 1 or len(residues) != euler_phi(d):
-            raise ConsistencyError(
-                f"root multiset is not Galois-stable at order {d}")
-        factors[d] = mults.pop()
-    return CycloProduct.from_factors(factors)
-
-
-def order_closure(orders) -> OrderSet:
-    return divisor_closure(orders)
+        brackets = []
+        for m, n in self.to_brackets():
+            brackets += [(lcm(m, k), n * gcd(m, k)), (m, -n)]
+        return CycloProduct.from_brackets(brackets)
 
 
 # -- serialization -----------------------------------------------------------
@@ -173,10 +138,11 @@ def cyclo_to_json(h: CycloProduct) -> dict:
 def cyclo_from_json(obj: dict) -> CycloProduct:
     if "cyclotomic" in obj:
         return CycloProduct.from_factors(
-            {int(d): int(e) for d, e in obj["cyclotomic"].items()})
+            {int(d): int(e) for d, e in
+             json_check(obj["cyclotomic"], dict, "'cyclotomic'").items()})
     if "brackets" in obj:
         return CycloProduct.from_brackets(
-            (int(m), int(n)) for m, n in obj["brackets"])
+            (int(m), int(n)) for m, n in json_array(obj, "brackets", list))
     raise ValueError("expected a 'cyclotomic' or 'brackets' key")
 
 

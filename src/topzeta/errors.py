@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON container checks that raise them."""
 
 
 class ValidationError(ValueError):
@@ -7,3 +7,24 @@ class ValidationError(ValueError):
 
 class ConsistencyError(ArithmeticError):
     """An internal cross-check (two computation paths) disagrees."""
+
+
+def json_array(obj: dict, key: str, of: type = dict,
+               required: bool = True) -> list:
+    """obj[key] checked to be a JSON array whose items are of type `of`
+    (objects by default); an absent optional field reads as []."""
+    items = obj[key] if required else obj.get(key, [])
+    json_check(items, list, repr(key))
+    for i, item in enumerate(items):
+        json_check(item, of, f"{key!r}[{i}]")
+    return items
+
+
+def json_check(value, kind: type, what: str):
+    """Raise ValidationError unless value is a JSON array (kind = list) or
+    object (kind = dict)."""
+    if not isinstance(value, kind):
+        name = "a JSON array" if kind is list else "a JSON object"
+        raise ValidationError(
+            f"{what} must be {name}, got {type(value).__name__}")
+    return value

@@ -6,16 +6,16 @@ exceptional P^n, so its zeta functions assemble from the global strata and
 one generalized-suspension term per singular point of C_m, in the shift
 r = (1 + n + (m+k)s)/k.  The characteristic polynomial assembles as
 (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) * prod_q Delta_q^(k)(tau^{m+k}).
+Superisolated surfaces (k = 1) go through the same assembly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .arith import frak_n
-from .cyclo import CycloProduct, OrderSet, order_closure
-from .errors import ConsistencyError, ValidationError
+from .arith import divisor_closure, frak_n
+from .cyclo import CycloProduct, OrderSet
+from .errors import ConsistencyError, ValidationError, json_array
 from .ratfun import PoleError, RatFun
 from .resolution import graph_from_json
 from .suspension import GermSummary, summary_from_graph, \
@@ -63,46 +63,6 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     return total
 
 
-def sis_ztop(S: LysSurface, l: int = 1) -> RatFun:
-    """Superisolated specialization (k = 1), with t = (1+m)s + n + 1; agrees
-    with lys_ztop at k = 1."""
-    if S.k != 1:
-        raise ValidationError("sis_ztop needs k = 1")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    m, n = S.m, S.n
-    t_fun = RatFun.linear(1 + m, n + 1)
-    inv_t = RatFun.inv_linear(1 + m, n + 1)
-    inv_ts = RatFun.inv_linear(m, n + 1)           # 1/(t - s)
-    inv_s1 = RatFun.inv_linear(1, 1)
-    s_fun = RatFun.linear(1, 0)
-
-    def at_t(point: GermSummary, e: int) -> RatFun:
-        return point.zeta.entry(e).substitute_affine(1 + m, n + 1)
-
-    if l == 1:
-        total = (S.chi_complement * inv_ts
-                 + S.chi_curve_smooth * inv_ts * inv_s1)
-        for q in S.points:
-            total = total + inv_t + (s_fun * (t_fun + 1) * (s_fun - t_fun + 1)
-                                     * inv_t * inv_s1 * inv_ts * at_t(q, 1))
-        return total
-    if (m + 1) % l == 0:
-        total = RatFun.zero()
-        for q in S.points:
-            total = total + inv_t * (RatFun.one() - (t_fun + 1) * at_t(q, 1))
-        return total
-    if m % l == 0:
-        total = S.chi_complement * inv_ts
-        for q in S.points:
-            total = total + (s_fun - t_fun + 1) * inv_ts * at_t(q, l)
-        return total
-    total = RatFun.zero()
-    for q in S.points:
-        total = total - at_t(q, l // gcd(l, m + 1))
-    return total
-
-
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     """(Delta, Delta_tilde): the characteristic polynomial of the monodromy
     and its (tau - 1) multiple, which must be an honest polynomial."""
@@ -129,9 +89,9 @@ def lys_orders(S: LysSurface) -> OrderSet:
     for q in S.points:
         for n0 in q.delta.root_orders():
             gens.add(frak_n(n0, S.m, S.k))
-    formula = order_closure(gens)
+    formula = divisor_closure(gens)
     delta, _ = lys_charpoly(S)
-    assembled = order_closure(delta.root_orders())
+    assembled = divisor_closure(delta.root_orders())
     if formula != assembled:
         raise ConsistencyError(
             f"order sets disagree: formula {sorted(formula)} vs "
@@ -202,7 +162,7 @@ def lys_to_json(S: LysSurface) -> dict:
 
 def lys_from_json(obj: dict, validate: bool = True) -> LysSurface:
     points = []
-    for i, p in enumerate(obj.get("points", [])):
+    for i, p in enumerate(json_array(obj, "points", required=False)):
         name = p.get("name", f"q{i + 1}")
         if "graph" in p:
             points.append(summary_from_graph(graph_from_json(p["graph"]), name))

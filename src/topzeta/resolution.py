@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import gauss_jordan
 from .cyclo import CycloProduct
-from .errors import ValidationError
+from .errors import ValidationError, json_array
 from .ratfun import RatFun
 
 
@@ -127,7 +128,7 @@ class CurveResolutionGraph:
         for u, v in self.edges:
             if u not in ids or v not in ids or u == v:
                 raise ValidationError(f"bad edge ({u}, {v})")
-        if not _connected(ids, self.edges):
+        if len(_components([v.id for v in self.vertices], self.edges)) != 1:
             raise ValidationError("exceptional graph is not connected")
         if all(v.self_intersection is not None for v in self.vertices):
             self.check_projection_formula()
@@ -165,21 +166,29 @@ class CurveResolutionGraph:
                     f"{total} != {e} * {v.N}")
 
 
-def _connected(ids: set[str], edges) -> bool:
-    if not ids:
-        return False
+def _components(ids, edges) -> list[set[str]]:
+    """Connected components of the graph on ids spanned by those edges whose
+    ends both lie in ids, each started from its first id in the given order."""
     adj: dict[str, set[str]] = {i: set() for i in ids}
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    stack = [next(iter(ids))]
-    seen = set(stack)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == ids
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    out: list[set[str]] = []
+    seen: set[str] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(comp)
+    return out
 
 
 def strata_of_graph(g: CurveResolutionGraph) -> StratifiedResolution:
@@ -218,24 +227,6 @@ def acampo(g: CurveResolutionGraph) -> tuple[CycloProduct, CycloProduct]:
 # solving (N, nu) from self-intersections
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; raises on a singular system."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular intersection matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 @dataclass
 class GraphShape:
     """A dual graph with self-intersections and arrow multiplicities but
@@ -252,7 +243,8 @@ def solve_multiplicities(shape: GraphShape) -> CurveResolutionGraph:
 
     N solves the projection formula sum_{j~i} N_j + arrows_i = e_i N_i;
     nu - 1 solves the adjunction system M (nu - 1) = (e_i - 2) with M the
-    intersection matrix (arrows contribute nu - 1 = 0).
+    intersection matrix (arrows contribute nu - 1 = 0).  Both right-hand
+    sides go through one elimination.
     """
     ids = shape.vertex_ids
     if set(shape.self_intersections) != set(ids):
@@ -265,11 +257,14 @@ def solve_multiplicities(shape: GraphShape) -> CurveResolutionGraph:
     for u, v in shape.edges:
         m[index[u]][index[v]] += 1
         m[index[v]][index[u]] += 1
-    arrow_load = [Fraction(sum(a.mult for a in shape.arrows if a.attached_to == vid))
-                  for vid in ids]
-    big_n = _solve_exact([row[:] for row in m], [-x for x in arrow_load])
-    rhs_nu = [Fraction(-shape.self_intersections[vid] - 2) for vid in ids]
-    nu_minus_1 = _solve_exact([row[:] for row in m], rhs_nu)
+    for vid in ids:
+        arrow_load = sum(a.mult for a in shape.arrows if a.attached_to == vid)
+        m[index[vid]] += [Fraction(-arrow_load),
+                          Fraction(-shape.self_intersections[vid] - 2)]
+    if not gauss_jordan(m, n):
+        raise ValidationError("singular intersection matrix")
+    big_n = [row[n] for row in m]
+    nu_minus_1 = [row[n + 1] for row in m]
     for name, vals in (("N", big_n), ("nu", [x + 1 for x in nu_minus_1])):
         for vid, val in zip(ids, vals):
             if val.denominator != 1:
@@ -303,24 +298,9 @@ def e_n_components(g: CurveResolutionGraph, n: int) -> list[EnComponent]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    good = {v.id for v in g.vertices if v.N % n == 0}
-    adj: dict[str, set[str]] = {vid: set() for vid in good}
-    for u, v in g.edges:
-        if u in good and v in good:
-            adj[u].add(v)
-            adj[v].add(u)
+    good = sorted(v.id for v in g.vertices if v.N % n == 0)
     out = []
-    unvisited = set(good)
-    while unvisited:
-        start = min(unvisited)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        unvisited -= comp
+    for comp in _components(good, g.edges):
         strata: list[frozenset[str]] = [frozenset([vid]) for vid in sorted(comp)]
         strata += [frozenset([u, v]) for u, v in g.edges
                    if u in comp and v in comp]
@@ -358,21 +338,22 @@ def graph_to_json(g: CurveResolutionGraph) -> dict:
 def graph_from_json(obj: dict) -> CurveResolutionGraph:
     vertices = [Vertex(d["id"], _positive(d, "N"), _positive(d, "nu"),
                        d.get("self_intersection"))
-                for d in obj["vertices"]]
+                for d in json_array(obj, "vertices")]
     arrows = [Arrow(d["id"], int(d["mult"]), d["attached_to"])
-              for d in obj.get("arrows", [])]
-    edges = [(u, v) for u, v in obj.get("edges", [])]
+              for d in json_array(obj, "arrows", required=False)]
+    edges = [(u, v) for u, v in json_array(obj, "edges", list, required=False)]
     return CurveResolutionGraph(vertices, arrows, edges,
                                 int(obj.get("prod_nu0", 1)))
 
 
 def shape_from_json(obj: dict) -> GraphShape:
     """Graph with N/nu absent, for solve_multiplicities input."""
-    ids = [d["id"] for d in obj["vertices"]]
-    selfint = {d["id"]: int(d["self_intersection"]) for d in obj["vertices"]}
+    vertices = json_array(obj, "vertices")
+    ids = [d["id"] for d in vertices]
+    selfint = {d["id"]: int(d["self_intersection"]) for d in vertices}
     arrows = [Arrow(d["id"], int(d["mult"]), d["attached_to"])
-              for d in obj.get("arrows", [])]
-    edges = [(u, v) for u, v in obj.get("edges", [])]
+              for d in json_array(obj, "arrows", required=False)]
+    edges = [(u, v) for u, v in json_array(obj, "edges", list, required=False)]
     return GraphShape(ids, selfint, arrows, edges, int(obj.get("prod_nu0", 1)))
 
 
@@ -395,6 +376,7 @@ def strata_to_json(res: StratifiedResolution) -> dict:
 
 def strata_from_json(obj: dict) -> StratifiedResolution:
     comps = [Component(d["id"], int(d["N"]), int(d["nu"]))
-             for d in obj["components"]]
-    strata = [Stratum(frozenset(d["I"]), int(d["chi"])) for d in obj["strata"]]
+             for d in json_array(obj, "components")]
+    strata = [Stratum(frozenset(d["I"]), int(d["chi"]))
+              for d in json_array(obj, "strata")]
     return StratifiedResolution(comps, strata, int(obj.get("prod_nu0", 1)))

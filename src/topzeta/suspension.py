@@ -1,15 +1,15 @@
 """Zeta-function transfer along suspensions.
 
 Given the family of twisted local zeta functions of a germ f (a
-ZetaProfile), these routines compute the corresponding functions of
-G = z^m (z^k + f) and F = z^k + f in closed form.  The ell-twisted output
-is a five-case dispatch on the divisibility of m and m+k by ell, with
-Jordan-totient-weighted sums over divisors of k; the shifts are
-r = ((m+k)s + nu_z)/k for G and t = s + 1/k for F.
+ZetaProfile), suspend_G computes the corresponding functions of
+G = z^m (z^k + f) in closed form; the plain suspension F = z^k + f is the
+case m = 0, nu_z = 1.  The ell-twisted output is a five-case dispatch on
+the divisibility of m and m+k by ell, with Jordan-totient-weighted sums
+over divisors of k, in the shift r = ((m+k)s + nu_z)/k.
 
-Also here: the k = 2 specialization, eigenvalue-order transfer via
-classical Thom-Sebastiani, and the f-bad order classification that
-controls which orders disappear under suspension by two points.
+Also here: the matrix form of the transfer identity for F, eigenvalue-order
+transfer via classical Thom-Sebastiani, and the f-bad order classification
+that controls which orders disappear under suspension by two points.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import divisor_closure, divisors, frak_m, jordan_totient
-from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json, order_closure
-from .errors import ValidationError
+from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
+from .errors import ValidationError, json_array, json_check
 from .ratfun import RatFun
 from .resolution import CurveResolutionGraph, acampo, strata_of_graph, \
     ztop_from_strata
@@ -163,54 +163,6 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
     return total
 
 
-# ---------------------------------------------------------------------------
-# plain suspension F = z^k + f
-
-
-def suspend_F(f: ZetaProfile, k: int, l: int, strict: bool = False) -> RatFun:
-    """Z_top^(l)(F, s) for F = z^k + f (volume form with nu_z = 1); the
-    three-case closed form in t = s + 1/k.  Must agree with
-    suspend_G(f, 0, k, 1, l), which the test suite enforces."""
-    if k < 1 or l < 1:
-        raise ValueError("need k >= 1, l >= 1")
-    shift = Fraction(1, k)
-
-    def at_t(e: int) -> RatFun:
-        return f.entry(e, strict).substitute_affine(1, shift)
-
-    inv_kt = RatFun.inv_linear(k, 1)                  # 1/(k t)
-    t_fun = RatFun.linear(1, shift)
-    s_fun = RatFun.linear(1, 0)
-    inv_s1 = RatFun.inv_linear(1, 1)
-
-    if l == 1:
-        total = (inv_kt * Fraction(1, f.prod_nu0)
-                 + (s_fun * inv_s1 * Fraction(k - 1, k) * (t_fun + 1)
-                    * RatFun.inv_linear(1, shift) * at_t(1)))
-        for e in divisors(k):
-            if e == 1:
-                continue
-            total = total - (s_fun * inv_s1 * Fraction(jordan_totient(2, e), k)
-                             * at_t(e))
-        return total
-
-    if k % l == 0:
-        total = (inv_kt * Fraction(1, f.prod_nu0)
-                 + at_t(l)
-                 - (t_fun + 1) * inv_kt * at_t(1))
-        for e in divisors(k):
-            if e == 1:
-                continue
-            total = total - Fraction(jordan_totient(2, e), k) * at_t(e)
-        return total
-
-    fm = frak_m(k, l, k)
-    total = at_t(l)
-    for e in divisors(k):
-        total = total - Fraction(jordan_totient(2, e), k) * at_t(lcm(e, fm))
-    return total
-
-
 def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int, ells,
                     strict: bool = False) -> ZetaProfile:
     """Whole-profile wrapper: computes the requested twists plus the divisor
@@ -228,7 +180,8 @@ def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int, ells,
 def suspend_matrix(f: ZetaProfile, k: int):
     """Matrix form over the divisors 1 = l_1 < l_2 < ... of k:
     B = k Id - J with J rows (J_2(l_i)), and the identity
-    k ZF(s) = (1/t) A + B Zf(t), verified against suspend_F outputs.
+    k ZF(s) = (1/t) A + B Zf(t), verified against suspend_G outputs for
+    F = z^k + f.
 
     Returns (A, B, identity_holds)."""
     ds = list(divisors(k))
@@ -244,7 +197,7 @@ def suspend_matrix(f: ZetaProfile, k: int):
 
     zf = [f.entry(l).substitute_affine(1, shift) for l in ds]
     zf[0] = (t_fun + 1) * inv_t * zf[0]
-    zF = [suspend_F(f, k, l) for l in ds]
+    zF = [suspend_G(f, 0, k, 1, l) for l in ds]
     zF[0] = (s_fun + 1) / s_fun * zF[0]
 
     holds = True
@@ -256,36 +209,6 @@ def suspend_matrix(f: ZetaProfile, k: int):
         if lhs != rhs:
             holds = False
     return a_vec, b_matrix, holds
-
-
-# ---------------------------------------------------------------------------
-# k = 2 twisted specialization
-
-
-def k2_twisted(f: ZetaProfile, l: int, strict: bool = False) -> RatFun:
-    """Z_top^(l)(z^2 + f, s) via the four-way split on l = 2^a l2, t = s + 1/2.
-
-    The odd-l case follows the general suspension theorem
-    (1/2) Z^(l) - (3/2) Z^(2l); the specialization lemma's printed sign
-    for that case fails on the cusp z^2 + x^3 and is not used.
-    """
-    if l < 2:
-        raise ValueError("k2_twisted needs l >= 2")
-    half = Fraction(1, 2)
-
-    def at_t(e: int) -> RatFun:
-        return f.entry(e, strict).substitute_affine(1, half)
-
-    if l % 2 == 1:
-        return half * at_t(l) - Fraction(3, 2) * at_t(2 * l)
-    if l == 2:
-        t_fun = RatFun.linear(1, half)
-        inv_t = RatFun.inv_linear(1, half)
-        return half * (inv_t * Fraction(1, f.prod_nu0) - at_t(2)
-                       - (t_fun + 1) * inv_t * at_t(1))
-    if l % 4 == 2:
-        return -half * (at_t(l // 2) + at_t(l))
-    return -at_t(l)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +229,15 @@ def is_bad_eigenvalue(d: int, orders_f: OrderSet) -> bool:
     """Denef-Veys badness of an eigenvalue order d of f."""
     if d not in orders_f:
         raise ValueError(f"{d} is not an eigenvalue order of the germ")
-    closure = order_closure(orders_f)
+    closure = divisor_closure(orders_f)
     return d % 4 == 2 and 2 * d not in closure and (d % 2 or d // 2 not in orders_f)
 
 
 def fbad_set(orders_f: OrderSet) -> OrderSet:
     """All f-bad integers: l = 2 mod 4 in the order closure, with 2l outside
     the closure and l/2 outside the closure of the odd orders."""
-    closure = order_closure(orders_f)
-    odd_closure = order_closure(d for d in orders_f if d % 2 == 1)
+    closure = divisor_closure(orders_f)
+    odd_closure = divisor_closure(d for d in orders_f if d % 2 == 1)
     return frozenset(
         l for l in closure
         if l % 4 == 2 and 2 * l not in closure and l // 2 not in odd_closure)
@@ -331,7 +254,8 @@ def profile_to_json(f: ZetaProfile) -> dict:
 
 
 def profile_from_json(obj: dict, validate: bool = True) -> ZetaProfile:
-    entries = {int(e["ell"]): RatFun.from_json(e) for e in obj["entries"]}
+    entries = {int(e["ell"]): RatFun.from_json(e)
+               for e in json_array(obj, "entries")}
     return ZetaProfile(entries, int(obj.get("prod_nu0", 1)),
                        validate=validate and obj.get("validate", True))
 
@@ -345,5 +269,6 @@ def summary_to_json(g: GermSummary) -> dict:
 
 
 def summary_from_json(obj: dict, validate: bool = True) -> GermSummary:
-    return GermSummary(profile_from_json(obj, validate),
-                       cyclo_from_json(obj["delta"]), obj.get("name", ""))
+    delta = json_check(obj["delta"], dict, "'delta'")
+    return GermSummary(profile_from_json(obj, validate), cyclo_from_json(delta),
+                       obj.get("name", ""))

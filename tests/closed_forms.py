@@ -1,0 +1,191 @@
+"""Closed-form specializations kept as test oracles.
+
+The library computes every suspension and Le-Yomdin zeta function through
+the general formulas (suspension.suspend_G, lys.lys_ztop) and the
+Thom-Sebastiani eigenvalue transfer in bracket form.  The paper's special
+cases below - the plain suspension z^k + f, the k = 2 split, the
+superisolated (k = 1) surfaces - and the residue-class walk over the root
+multiset are independent derivations of the same quantities; the tests
+compare them with the production path.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from topzeta.arith import divisors, euler_phi, frak_m, jordan_totient, lcm_all
+from topzeta.cyclo import CycloProduct
+from topzeta.errors import ConsistencyError, ValidationError
+from topzeta.lys import LysSurface
+from topzeta.ratfun import RatFun
+from topzeta.suspension import GermSummary, ZetaProfile
+
+
+# ---------------------------------------------------------------------------
+# plain suspension F = z^k + f
+
+
+def suspend_F(f: ZetaProfile, k: int, l: int, strict: bool = False) -> RatFun:
+    """Z_top^(l)(F, s) for F = z^k + f (volume form with nu_z = 1); the
+    three-case closed form in t = s + 1/k.  Must agree with
+    suspend_G(f, 0, k, 1, l), which the test suite enforces."""
+    if k < 1 or l < 1:
+        raise ValueError("need k >= 1, l >= 1")
+    shift = Fraction(1, k)
+
+    def at_t(e: int) -> RatFun:
+        return f.entry(e, strict).substitute_affine(1, shift)
+
+    inv_kt = RatFun.inv_linear(k, 1)                  # 1/(k t)
+    t_fun = RatFun.linear(1, shift)
+    s_fun = RatFun.linear(1, 0)
+    inv_s1 = RatFun.inv_linear(1, 1)
+
+    if l == 1:
+        total = (inv_kt * Fraction(1, f.prod_nu0)
+                 + (s_fun * inv_s1 * Fraction(k - 1, k) * (t_fun + 1)
+                    * RatFun.inv_linear(1, shift) * at_t(1)))
+        for e in divisors(k):
+            if e == 1:
+                continue
+            total = total - (s_fun * inv_s1 * Fraction(jordan_totient(2, e), k)
+                             * at_t(e))
+        return total
+
+    if k % l == 0:
+        total = (inv_kt * Fraction(1, f.prod_nu0)
+                 + at_t(l)
+                 - (t_fun + 1) * inv_kt * at_t(1))
+        for e in divisors(k):
+            if e == 1:
+                continue
+            total = total - Fraction(jordan_totient(2, e), k) * at_t(e)
+        return total
+
+    fm = frak_m(k, l, k)
+    total = at_t(l)
+    for e in divisors(k):
+        total = total - Fraction(jordan_totient(2, e), k) * at_t(lcm(e, fm))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# k = 2 twisted specialization
+
+
+def k2_twisted(f: ZetaProfile, l: int, strict: bool = False) -> RatFun:
+    """Z_top^(l)(z^2 + f, s) via the four-way split on l = 2^a l2, t = s + 1/2.
+
+    The odd-l case follows the general suspension theorem
+    (1/2) Z^(l) - (3/2) Z^(2l); the specialization lemma's printed sign
+    for that case fails on the cusp z^2 + x^3 and is not used.
+    """
+    if l < 2:
+        raise ValueError("k2_twisted needs l >= 2")
+    half = Fraction(1, 2)
+
+    def at_t(e: int) -> RatFun:
+        return f.entry(e, strict).substitute_affine(1, half)
+
+    if l % 2 == 1:
+        return half * at_t(l) - Fraction(3, 2) * at_t(2 * l)
+    if l == 2:
+        t_fun = RatFun.linear(1, half)
+        inv_t = RatFun.inv_linear(1, half)
+        return half * (inv_t * Fraction(1, f.prod_nu0) - at_t(2)
+                       - (t_fun + 1) * inv_t * at_t(1))
+    if l % 4 == 2:
+        return -half * (at_t(l // 2) + at_t(l))
+    return -at_t(l)
+
+
+# ---------------------------------------------------------------------------
+# superisolated surfaces (Le-Yomdin with k = 1)
+
+
+def sis_ztop(S: LysSurface, l: int = 1) -> RatFun:
+    """Superisolated specialization (k = 1), with t = (1+m)s + n + 1; agrees
+    with lys_ztop at k = 1."""
+    if S.k != 1:
+        raise ValidationError("sis_ztop needs k = 1")
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    m, n = S.m, S.n
+    t_fun = RatFun.linear(1 + m, n + 1)
+    inv_t = RatFun.inv_linear(1 + m, n + 1)
+    inv_ts = RatFun.inv_linear(m, n + 1)           # 1/(t - s)
+    inv_s1 = RatFun.inv_linear(1, 1)
+    s_fun = RatFun.linear(1, 0)
+
+    def at_t(point: GermSummary, e: int) -> RatFun:
+        return point.zeta.entry(e).substitute_affine(1 + m, n + 1)
+
+    if l == 1:
+        total = (S.chi_complement * inv_ts
+                 + S.chi_curve_smooth * inv_ts * inv_s1)
+        for q in S.points:
+            total = total + inv_t + (s_fun * (t_fun + 1) * (s_fun - t_fun + 1)
+                                     * inv_t * inv_s1 * inv_ts * at_t(q, 1))
+        return total
+    if (m + 1) % l == 0:
+        total = RatFun.zero()
+        for q in S.points:
+            total = total + inv_t * (RatFun.one() - (t_fun + 1) * at_t(q, 1))
+        return total
+    if m % l == 0:
+        total = S.chi_complement * inv_ts
+        for q in S.points:
+            total = total + (s_fun - t_fun + 1) * inv_ts * at_t(q, l)
+        return total
+    total = RatFun.zero()
+    for q in S.points:
+        total = total - at_t(q, l // gcd(l, m + 1))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Thom-Sebastiani by walking the root multiset
+
+
+def thom_sebastiani_walk(h: CycloProduct, k: int) -> CycloProduct:
+    """Root multiset of the suspension by k points: {eta*zeta} over
+    eta^k = 1, eta != 1 and zeta a root of h.
+
+    Roots are tracked as residues modulo L = lcm(orders, k) and the
+    resulting counts refactored into cyclotomics; the multiset must be
+    Galois-stable, which is checked.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not h.is_polynomial():
+        raise ValueError("Thom-Sebastiani tensor needs a polynomial input")
+    if not h.items:
+        return CycloProduct.one()
+    L = lcm_all([d for d, _ in h.items] + [k])
+    counts: dict[int, int] = {}
+    for d, e in h.items:
+        step = L // d
+        for j in range(d):
+            if gcd(j, d) != 1:
+                continue
+            zeta = j * step
+            for a in range(1, k):
+                res = (zeta + a * (L // k)) % L
+                counts[res] = counts.get(res, 0) + e
+    return _refactor_counts(counts, L)
+
+
+def _refactor_counts(counts: dict[int, int], L: int) -> CycloProduct:
+    """Turn residue-class multiplicities mod L into Phi_d exponents."""
+    by_order: dict[int, dict[int, int]] = {}
+    for res, c in counts.items():
+        d = L // gcd(res, L)
+        by_order.setdefault(d, {})[res] = c
+    factors = {}
+    for d, residues in by_order.items():
+        mults = set(residues.values())
+        if len(mults) != 1 or len(residues) != euler_phi(d):
+            raise ConsistencyError(
+                f"root multiset is not Galois-stable at order {d}")
+        factors[d] = mults.pop()
+    return CycloProduct.from_factors(factors)

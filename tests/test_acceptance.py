@@ -14,19 +14,19 @@ import pytest
 
 from conftest import load_fixture
 from graphgen import random_graph
-from topzeta.arith import divisors, frak_m, jordan_totient
+from topzeta.arith import divisor_closure, divisors, frak_m, jordan_totient
 from topzeta.binomial import BULLETS, BinomialGerm, euler_specialize, \
     motivic_w, w_top
 from topzeta.checks import check_holomorphy, check_monodromy
-from topzeta.cyclo import CycloProduct, order_closure
+from topzeta.cyclo import CycloProduct
 from topzeta.lys import LysSurface, lys_candidate_poles, lys_charpoly, \
     lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import acampo, graph_from_json, strata_of_graph, \
     ztop_from_strata
-from topzeta.suspension import ZetaProfile, fbad_set, k2_twisted, \
-    profile_from_graph, profile_from_json, summary_from_graph, suspend_F, \
-    suspend_matrix, suspend_orders
+from topzeta.suspension import ZetaProfile, fbad_set, profile_from_graph, \
+    profile_from_json, summary_from_graph, suspend_G, suspend_matrix, \
+    suspend_orders
 
 ONE_BRACKET = CycloProduct.from_brackets([(1, 1)])
 
@@ -54,7 +54,8 @@ def test_criterion_01_suspension_of_x5y6():
             30: RatFun.from_polys([7], [14, 30]),
         }
         for ell in range(1, 31):
-            assert suspend_F(prof, 10, ell) == rows.get(ell, RatFun.zero()), ell
+            assert suspend_G(prof, 0, 10, 1, ell) == \
+                rows.get(ell, RatFun.zero()), ell
         _, b_matrix, holds = suspend_matrix(prof, 10)
         assert b_matrix == [[9, -3, -24, -72], [-1, 7, -24, -72],
                             [-1, -3, -14, -72], [-1, -3, -24, -62]]
@@ -64,7 +65,8 @@ def test_criterion_01_suspension_of_x5y6():
 def test_criterion_02_lvp_twist_27():
     with criterion(2, "k = 84, ell = 27 twist"):
         prof = profile_from_json(load_fixture("lvp_profile.json"))
-        assert suspend_F(prof, 84, 27) == RatFun.from_polys([8], [317, 756])
+        assert suspend_G(prof, 0, 84, 1, 27) == \
+            RatFun.from_polys([8], [317, 756])
 
 
 def test_criterion_03_triple_cusp_suite():
@@ -76,7 +78,7 @@ def test_criterion_03_triple_cusp_suite():
         assert ztop_from_strata(res, 9) == RatFun.from_polys([1], [5, 18])
         assert ztop_from_strata(res, 18) == RatFun.from_polys([-1], [5, 18])
         assert fbad_set(delta.root_orders()) == frozenset({18})
-        assert k2_twisted(profile_from_graph(g), 18).is_zero()
+        assert suspend_G(profile_from_graph(g), 0, 2, 1, 18).is_zero()
 
 
 def test_criterion_04_low_degree_lys():
@@ -201,10 +203,10 @@ def test_criterion_08_structural_theorems():
             orders_f = germ.delta.root_orders()
             _, orders_sus = suspend_orders(germ, 2)
             assert fbad_set(orders_f) == \
-                order_closure(orders_f) - order_closure(orders_sus)
+                divisor_closure(orders_f) - divisor_closure(orders_sus)
         for S in _lys_fixtures():
             assert lys_orders(S) == \
-                order_closure(lys_charpoly(S)[0].root_orders())
+                divisor_closure(lys_charpoly(S)[0].root_orders())
             z1 = lys_ztop(S, 1)
             assert z1.pol_plus() <= lys_candidate_poles(S)
             if F(S.n + 1, S.m + S.k) != 1:
@@ -215,7 +217,7 @@ def test_criterion_08_structural_theorems():
             prof = profile_from_graph(g)
             for k in (2, 3):
                 for ell in (1, 2, 3, 6, 9, 18):
-                    for pole, _ in suspend_F(prof, k, ell) \
+                    for pole, _ in suspend_G(prof, 0, k, 1, ell) \
                             .poles_with_multiplicity():
                         if pole.denominator == 1:
                             continue
@@ -243,10 +245,10 @@ def test_criterion_09_conjecture_suites():
             germ = summary_from_graph(g)
             for k in (2, 3):
                 delta_f, orders = suspend_orders(germ, k)
-                mon = check_monodromy(suspend_F(germ.zeta, k, 1),
+                mon = check_monodromy(suspend_G(germ.zeta, 0, k, 1, 1),
                                       delta_f * ONE_BRACKET)
                 hol = check_holomorphy(
-                    lambda l: suspend_F(germ.zeta, k, l), orders,
+                    lambda l: suspend_G(germ.zeta, 0, k, 1, l), orders,
                     min(2 * max(orders), 80))
                 assert mon.passed and hol.passed
         for S in _lys_fixtures():

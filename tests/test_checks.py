@@ -8,7 +8,7 @@ from topzeta.cyclo import CycloProduct
 from topzeta.lys import lys_charpoly, lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import acampo, strata_of_graph, ztop_from_strata
-from topzeta.suspension import summary_from_graph, suspend_F, suspend_orders
+from topzeta.suspension import summary_from_graph, suspend_G, suspend_orders
 
 ONE_BRACKET = CycloProduct.from_brackets([(1, 1)])
 
@@ -24,7 +24,7 @@ def test_monodromy_xyz_lys():
 def test_monodromy_suspension_of_triple_cusp(triple_cusp_graph):
     germ = summary_from_graph(triple_cusp_graph)
     delta_f, _ = suspend_orders(germ, 2)
-    zeta1 = suspend_F(germ.zeta, 2, 1)
+    zeta1 = suspend_G(germ.zeta, 0, 2, 1, 1)
     assert F(7, 9) in zeta1.pol_plus()
     report = check_monodromy(zeta1, delta_f * ONE_BRACKET)
     assert report.passed
@@ -49,7 +49,7 @@ def test_monodromy_rejects_nonpolynomial():
 def test_holomorphy_suspension(triple_cusp_graph):
     germ = summary_from_graph(triple_cusp_graph)
     _, orders = suspend_orders(germ, 2)
-    family = lambda l: suspend_F(germ.zeta, 2, l)
+    family = lambda l: suspend_G(germ.zeta, 0, 2, 1, l)
     report = check_holomorphy(family, orders, l_max=50)
     assert report.passed
     checked = {int(item.label) for item in report.items}
@@ -74,7 +74,7 @@ def test_holomorphy_suspension_k_gt_2(triple_cusp_graph, a3_graph):
         for k in (3, 4, 5):
             _, orders = suspend_orders(germ, k)
             report = check_holomorphy(
-                lambda l: suspend_F(germ.zeta, k, l), orders, l_max=60)
+                lambda l: suspend_G(germ.zeta, 0, k, 1, l), orders, l_max=60)
             assert report.passed
 
 

@@ -1,8 +1,13 @@
 import io
 import json
 
+import pytest
+
 from conftest import FIXTURES
 from topzeta.cli import main
+
+
+ROOT = FIXTURES.parent
 
 
 def run_cli(capsys, *argv):
@@ -207,3 +212,91 @@ def test_nonlinear_profile_denominator_exit_code(capsys, tmp_path):
     assert code == 1 and not out
     assert err.startswith("error: denominator does not split") and \
         err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lmax", ["1", "0", "-3", "10001"])
+def test_check_holomorphy_lmax_out_of_range(capsys, lmax):
+    code, out, err = run_cli(capsys, "check", "holomorphy", "--in",
+                             str(FIXTURES / "cusp3_susp.json"), "--lmax", lmax)
+    assert code == 1 and not out
+    assert err == f"error: l_max must be between 2 and 10000, got {lmax}\n"
+
+
+def test_check_holomorphy_lmax_lower_bound_accepted(capsys):
+    code, out, _ = run_cli(capsys, "check", "holomorphy", "--in",
+                           str(FIXTURES / "cusp3_susp.json"), "--lmax", "2")
+    assert code == 0 and out.startswith("holomorphy: PASS")
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+STRATA = ROOT / "perfbench" / "data" / "triple_cusp_strata.json"
+
+SUSPEND = ["suspend", "--in", "IN", "--k", "2", "--ell", "1"]
+GRAPH = ["zeta", "graph", "--in", "IN"]
+LYS = ["lys", "--in", "IN", "--ell", "1"]
+STRATA_CMD = ["zeta", "strata", "--in", "IN"]
+
+# (id, argv with IN for the input path, fixture, path to the field, value,
+#  the expected message)
+MALFORMED = [
+    ("entries", SUSPEND, FIXTURES / "x5y6_profile.json", ["entries"], 5,
+     "'entries' must be a JSON array, got int"),
+    ("entries-item", SUSPEND, FIXTURES / "x5y6_profile.json", ["entries"],
+     [5], "'entries'[0] must be a JSON object, got int"),
+    ("vertices", GRAPH, FIXTURES / "triple_cusp_graph.json", ["vertices"], 3,
+     "'vertices' must be a JSON array, got int"),
+    ("arrows", GRAPH, FIXTURES / "triple_cusp_graph.json", ["arrows"], "A1",
+     "'arrows' must be a JSON array, got str"),
+    ("edges", GRAPH, FIXTURES / "triple_cusp_graph.json", ["edges"],
+     {"E1": "E2"}, "'edges' must be a JSON array, got dict"),
+    ("edges-item", GRAPH, FIXTURES / "triple_cusp_graph.json", ["edges", 0],
+     7, "'edges'[0] must be a JSON array, got int"),
+    ("points", LYS, FIXTURES / "lys_xyz_k1.json", ["points"], 5,
+     "'points' must be a JSON array, got int"),
+    ("delta", LYS, FIXTURES / "lys_xyz_k1.json", ["points", 0, "delta"], 3,
+     "'delta' must be a JSON object, got int"),
+    ("cyclotomic", LYS, FIXTURES / "lys_xyz_k1.json",
+     ["points", 0, "delta", "cyclotomic"], [[1, 1]],
+     "'cyclotomic' must be a JSON object, got list"),
+    ("germ-vertices", ["check", "monodromy", "--in", "IN"],
+     FIXTURES / "cusp3_susp.json", ["germ", "graph", "vertices"], None,
+     "'vertices' must be a JSON array, got NoneType"),
+    ("components", STRATA_CMD, STRATA, ["components"], 5,
+     "'components' must be a JSON array, got int"),
+    ("strata", STRATA_CMD, STRATA, ["strata"], {},
+     "'strata' must be a JSON array, got dict"),
+]
+
+
+@pytest.mark.parametrize("argv,fixture,path,value,message",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_nested_json_exit_code(capsys, tmp_path, argv, fixture,
+                                         path, value, message):
+    obj = json.loads(fixture.read_text())
+    _set(obj, path, value)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *[str(f) if a == "IN" else a
+                                       for a in argv])
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
+GOLDEN = json.loads(
+    (ROOT / "perfbench" / "refs" / "cli_oneshot.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_cli_matches_recorded_output(capsys, monkeypatch, label):
+    # argv paths in the recording are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    case = GOLDEN[label]
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import thom_sebastiani_walk
 from cycloexpand import expand_poly
-from topzeta.arith import euler_phi, lcm_all
-from topzeta.cyclo import CycloProduct, order_closure
+from topzeta.arith import divisor_closure, euler_phi, lcm_all
+from topzeta.cyclo import CycloProduct
 
 brackets_strategy = st.lists(
     st.tuples(st.integers(1, 30), st.integers(-3, 3).filter(bool)),
@@ -141,12 +142,13 @@ def test_prop_cyclo_3_and_4(brackets, k, m, n):
 
 def test_order_data_examples():
     delta = CycloProduct.from_brackets([(1, 1), (18, 1), (21, 2), (6, -1), (9, -1)])
-    orders, is_poly = delta.order_data()
-    assert orders == frozenset({1, 3, 7, 18, 21}) and is_poly
-    assert order_closure(orders) == order_closure([18, 21])
-    assert CycloProduct.one().order_data() == (frozenset(), True)
+    orders = delta.root_orders()
+    assert orders == frozenset({1, 3, 7, 18, 21}) and delta.is_polynomial()
+    assert divisor_closure(orders) == divisor_closure([18, 21])
+    assert CycloProduct.one().root_orders() == frozenset()
+    assert CycloProduct.one().is_polynomial()
     ratio = CycloProduct.from_brackets([(2, 1), (4, -1)])
-    assert not ratio.order_data()[1]
+    assert not ratio.is_polynomial()
     assert ratio.exponent(4) == -1
 
 
@@ -181,6 +183,18 @@ def test_casesorder2_on_random_inputs():
         h = CycloProduct.from_factors(factors)
         tensored = h.thom_sebastiani_tensor(2)
         assert tensored.root_orders() == _orders_after_z2(h.root_orders())
+
+
+def test_thom_sebastiani_matches_residue_walk():
+    rng = random.Random(20261018)
+    assert CycloProduct.one().thom_sebastiani_tensor(5) == CycloProduct.one()
+    for _ in range(300):
+        h = CycloProduct.from_factors({rng.randint(1, 40): rng.randint(1, 3)
+                                       for _ in range(rng.randint(1, 7))})
+        for k in (1, rng.randint(2, 12)):
+            assert h.thom_sebastiani_tensor(k) == thom_sebastiani_walk(h, k)
+    with pytest.raises(ValueError):
+        CycloProduct.one().thom_sebastiani_tensor(0)
 
 
 def test_thom_sebastiani_degree():

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from closed_forms import sis_ztop
 from conftest import load_fixture
-from topzeta.cyclo import CycloProduct, order_closure
+from topzeta.arith import divisor_closure
+from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import LysSurface, candidate_a, is_bad_divisor, lys_charpoly, \
-    lys_from_json, lys_orders, lys_to_json, lys_ztop, residue_lct, sis_ztop
+    lys_from_json, lys_orders, lys_to_json, lys_ztop, residue_lct
 from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph
 
@@ -79,12 +81,12 @@ def test_sis_equals_lys_at_k1(a3_graph):
 
 
 def test_lys_orders(a3_graph):
-    assert lys_orders(xyz_surface(2)) == order_closure([5])
-    assert lys_orders(xyz_surface(4)) == order_closure([7])
+    assert lys_orders(xyz_surface(2)) == divisor_closure([5])
+    assert lys_orders(xyz_surface(4)) == divisor_closure([7])
     # tacnode k = 1: local orders {1, 4} -> n(1,3,1) = 4, n(4,3,1) = 16
-    assert lys_orders(tacnode_surface(1, a3_graph)) == order_closure([16])
+    assert lys_orders(tacnode_surface(1, a3_graph)) == divisor_closure([16])
     smooth = LysSurface(2, 4, 2, 7, -4, [])
-    assert lys_orders(smooth) == order_closure([4])
+    assert lys_orders(smooth) == divisor_closure([4])
 
 
 def test_lys_orders_matches_charpoly_closure(a3_graph):
@@ -92,7 +94,7 @@ def test_lys_orders_matches_charpoly_closure(a3_graph):
               lys_from_json(load_fixture("lys_kashiwara_Ib.json")),
               lys_from_json(load_fixture("lys_kashiwara_IbL.json"))):
         delta, _ = lys_charpoly(S)
-        assert lys_orders(S) == order_closure(delta.root_orders())
+        assert lys_orders(S) == divisor_closure(delta.root_orders())
 
 
 def test_candidate_poles(a3_graph):

@@ -130,6 +130,28 @@ def test_e_n_components(triple_cusp_graph):
     assert len([s for s in comps1[0].strata if len(s) == 1]) == 4
 
 
+def test_e_n_components_partition_random_graphs():
+    # components are disjoint, cover E^(n), meet no edge between them, are
+    # each connected, and come in the order of their least vertex id
+    rng = random.Random(20261018)
+    for _ in range(40):
+        g = random_graph(rng)
+        for n in (1, 2, 3, 4, 6):
+            good = {v.id for v in g.vertices if v.N % n == 0}
+            comps = [{vid for st in c.strata for vid in st if len(st) == 1}
+                     for c in e_n_components(g, n)]
+            assert sorted(vid for c in comps for vid in c) == sorted(good)
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+            for c in comps:
+                assert not any((u in c) != (v in c) for u, v in g.edges
+                               if u in good and v in good)
+                reached = {min(c)}
+                for _ in c:
+                    reached |= {w for u, v in g.edges if {u, v} & reached
+                                for w in (u, v) if w in c}
+                assert reached == c
+
+
 def test_e_n_type1():
     # bamboo with a middle valence-2 vertex isolated in E^(4)
     g = solve_multiplicities(GraphShape(

@@ -4,17 +4,18 @@ from fractions import Fraction as F
 import pytest
 
 from graphgen import random_graph
-from topzeta.arith import divisors
+from closed_forms import k2_twisted, suspend_F
+from topzeta.arith import divisor_closure, divisors
 from topzeta.binomial import BULLETS, BinomialGerm, w_top, w_top_twisted
-from topzeta.cyclo import CycloProduct, order_closure
+from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import candidate_a
 from topzeta.ratfun import RatFun
 from topzeta.resolution import strata_of_graph
 from topzeta.suspension import GermSummary, MissingEntryError, ZetaProfile, \
-    fbad_set, is_bad_eigenvalue, k2_twisted, profile_from_graph, \
-    profile_from_json, profile_to_json, summary_from_graph, suspend_F, \
-    suspend_G, suspend_matrix, suspend_orders, suspend_profile
+    fbad_set, is_bad_eigenvalue, profile_from_graph, profile_from_json, \
+    profile_to_json, summary_from_graph, suspend_G, suspend_matrix, \
+    suspend_orders, suspend_profile
 
 
 def test_profile_invariants():
@@ -43,7 +44,7 @@ def test_x5y6_rows(x5y6_profile):
     }
     for l in range(1, 31):
         expected = rows.get(l, RatFun.zero())
-        assert suspend_F(prof, 10, l) == expected, l
+        assert suspend_G(prof, 0, 10, 1, l) == expected, l
 
 
 def test_x5y6_matrix(x5y6_profile):
@@ -100,7 +101,8 @@ def test_pole_transfer(triple_cusp_graph, a3_graph):
         prof = profile_from_graph(graph)
         for k in (2, 3):
             for l in range(1, 25):
-                for pole, _ in suspend_F(prof, k, l).poles_with_multiplicity():
+                for pole, _ in suspend_G(prof, 0, k, 1, l) \
+                        .poles_with_multiplicity():
                     if pole.denominator == 1:
                         continue
                     target = pole + F(1, k)
@@ -116,7 +118,7 @@ def test_k2_twisted_cases(triple_cusp_graph):
     prof = profile_from_graph(triple_cusp_graph)
     assert k2_twisted(prof, 18).is_zero()
     for l in range(2, 46):
-        assert k2_twisted(prof, l) == suspend_F(prof, 2, l)
+        assert k2_twisted(prof, l) == suspend_G(prof, 0, 2, 1, l)
     with pytest.raises(ValueError):
         k2_twisted(prof, 1)
 
@@ -127,7 +129,7 @@ def test_k2_twisted_node_example():
                         2: RatFun.zero()})
     t = RatFun.linear(1, F(1, 2))
     assert k2_twisted(prof, 2) == 1 / (2 * (t + 1))
-    assert k2_twisted(prof, 2) == suspend_F(prof, 2, 2)
+    assert k2_twisted(prof, 2) == suspend_G(prof, 0, 2, 1, 2)
     # the l = 2 case as pure substitution arithmetic, on an unnormalized
     # family with Z = 2/(s+1)^2: (1/2)(1/t - 2/(t(t+1))) = (t-1)/(2t(t+1))
     raw = ZetaProfile({1: RatFun.from_polys([2], [1, 2, 1]),
@@ -144,7 +146,7 @@ def test_suspend_orders_triple_cusp(triple_cusp_graph):
     germ = summary_from_graph(triple_cusp_graph)
     delta_f, orders = suspend_orders(germ, 2)
     assert orders == frozenset({2, 6, 9, 14, 42})
-    assert order_closure(orders) == order_closure([9, 42])
+    assert divisor_closure(orders) == divisor_closure([9, 42])
     with pytest.raises(ValueError):
         suspend_orders(germ, 2, m=1)
 
@@ -181,7 +183,7 @@ def test_set_f_bad_lemma_on_fixtures(triple_cusp_graph, two_cusp_graph,
         orders_f = germ.delta.root_orders()
         _, orders_sus = suspend_orders(germ, 2)
         assert fbad_set(orders_f) == \
-            order_closure(orders_f) - order_closure(orders_sus)
+            divisor_closure(orders_f) - divisor_closure(orders_sus)
 
 
 def test_set_f_bad_lemma_randomized():
@@ -192,7 +194,7 @@ def test_set_f_bad_lemma_randomized():
         orders_f = germ.delta.root_orders()
         _, orders_sus = suspend_orders(germ, 2)
         assert fbad_set(orders_f) == \
-            order_closure(orders_f) - order_closure(orders_sus)
+            divisor_closure(orders_f) - divisor_closure(orders_sus)
 
 
 def test_cross_consistency_random_profiles():
@@ -248,5 +250,5 @@ def test_strict_mode(x5y6_profile):
     entries = {l: x5y6_profile.entries[l] for l in (1, 2, 3, 5, 6, 10, 15, 30)}
     partial = ZetaProfile(entries)
     with pytest.raises(MissingEntryError):
-        suspend_F(partial, 10, 7, strict=True)
-    assert suspend_F(partial, 10, 7).is_zero()
+        suspend_G(partial, 0, 10, 1, 7, strict=True)
+    assert suspend_G(partial, 0, 10, 1, 7).is_zero()
