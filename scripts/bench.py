@@ -1,0 +1,161 @@
+"""Time the binomial layer and the criterion-5 motivic grid; write BENCH_*.json.
+
+Usage:
+    python3 scripts/bench.py --label after --out BENCH_4.json
+    PYTHONPATH=../parent/src python3 scripts/bench.py --label before \
+        --out BENCH_4.json
+
+topzeta is imported from PYTHONPATH when it is set there, else from this
+checkout's src/, so pointing PYTHONPATH at another checkout's src/ measures
+that checkout with the same script (a before row).
+A row replaces the row of the same label in the output file and keeps the
+others.  Each row holds:
+
+  * machine: Python version, platform and CPU count;
+  * layers: microseconds per case of w_top, motivic_w and euler_specialize
+    on a fixed sample of the grid's shapes at q = 1, 2, 3 (cone cache warm),
+    and microseconds per (k, N) key of cone_multiplicities with the cone
+    cache cleared; each the median of REPEATS timings;
+  * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
+    cases, euler_specialize(motivic_w) == w_top checked on each) from a
+    cleared cone cache, GRID_REPEATS times, in seconds;
+  * src_lines: the line count of the imported topzeta package.
+
+Standard library only; timings use time.perf_counter.
+"""
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from topzeta import binomial  # noqa: E402
+
+REPEATS = 5
+GRID_REPEATS = 3
+SHAPES_PER_Q = 12
+
+
+def grid_shapes(q_values=(1, 2, 3)) -> list[tuple]:
+    """Criterion 5's (N, nu) shapes."""
+    pairs = [(n_j, nu_j) for n_j in range(1, 7) for nu_j in range(1, 4)]
+    shapes = []
+    for q in q_values:
+        for shape in itertools.combinations_with_replacement(pairs, q):
+            shapes.append((tuple(p[0] for p in shape),
+                           tuple(p[1] for p in shape)))
+    return shapes
+
+
+def germs(shapes) -> list:
+    return [binomial.BinomialGerm(m, k, n_vec, nu_vec, nu_z)
+            for n_vec, nu_vec in shapes for m in range(0, 5)
+            for k in range(1, 7) for nu_z in range(1, 5)]
+
+
+def per_case_us(fn, cases) -> float:
+    """Median over REPEATS of the microseconds per call of fn on cases."""
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for case in cases:
+            fn(*case)
+        samples.append((time.perf_counter() - start) / len(cases) * 1e6)
+    return statistics.median(samples)
+
+
+def layer_rows() -> dict:
+    rows = {}
+    rng = random.Random(4)
+    for q in (1, 2, 3):
+        shapes = rng.sample(grid_shapes((q,)), SHAPES_PER_Q)
+        keys = sorted({(k, n_vec) for n_vec, _ in shapes for k in range(1, 7)})
+        key_germs = [(binomial.BinomialGerm(0, k, n_vec, n_vec, 1),)
+                     for k, n_vec in keys]
+
+        def cold_cone(g):
+            binomial._cone_data_cached.cache_clear()
+            binomial.cone_multiplicities(g)
+
+        rows[f"cone_multiplicities_cold_us|q={q}"] = \
+            per_case_us(cold_cone, key_germs)
+        cases = [(g, b) for g in germs(shapes) for b in binomial.BULLETS]
+        for g, _ in cases:
+            binomial.cone_multiplicities(g)
+        rows[f"w_top_us|q={q}"] = per_case_us(binomial.w_top, cases)
+        rows[f"motivic_w_us|q={q}"] = per_case_us(binomial.motivic_w, cases)
+        exprs = [(binomial.motivic_w(g, b),) for g, b in cases]
+        rows[f"euler_specialize_us|q={q}"] = \
+            per_case_us(binomial.euler_specialize, exprs)
+        rows[f"cases|q={q}"] = len(cases)
+    return rows
+
+
+def grid_seconds() -> float:
+    """One pass of the criterion-5 grid from a cleared cone cache."""
+    binomial._cone_data_cached.cache_clear()
+    start = time.perf_counter()
+    cases = 0
+    for n_vec, nu_vec in grid_shapes():
+        for m in range(0, 5):
+            for k in range(1, 7):
+                for nu_z in range(1, 5):
+                    g = binomial.BinomialGerm(m, k, n_vec, nu_vec, nu_z)
+                    for b in binomial.BULLETS:
+                        cases += 1
+                        if binomial.euler_specialize(binomial.motivic_w(g, b)) \
+                                != binomial.w_top(g, b):
+                            raise SystemExit(f"oracle mismatch at {g}, {b}")
+    elapsed = time.perf_counter() - start
+    if cases != 637_920:
+        raise SystemExit(f"grid has {cases} cases, expected 637,920")
+    return elapsed
+
+
+def src_lines() -> int:
+    package = Path(binomial.__file__).parent
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted(package.glob("*.py")))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True,
+                        help="row name, e.g. before or after")
+    parser.add_argument("--out", required=True, help="BENCH_*.json to update")
+    args = parser.parse_args(argv)
+
+    grid = [grid_seconds() for _ in range(GRID_REPEATS)]
+    row = {
+        "label": args.label,
+        "machine": {"python": platform.python_version(),
+                    "platform": platform.platform(),
+                    "nproc": os.cpu_count()},
+        "layers": layer_rows(),
+        "end_to_end": {"criterion5_grid_s": statistics.median(grid),
+                       "criterion5_grid_samples_s": grid,
+                       "criterion5_grid_cases": 637_920},
+        "src_lines": src_lines(),
+    }
+    out = Path(args.out)
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"] \
+        if out.exists() else []
+    rows = [r for r in rows if r["label"] != args.label] + [row]
+    out.write_text(json.dumps({"rows": rows}, indent=2) + "\n",
+                   encoding="utf-8")
+    json.dump(row, sys.stdout, indent=2)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

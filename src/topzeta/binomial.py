@@ -7,24 +7,30 @@ over rho), and the local zeta function splits into four corresponding
 terms.  This module computes:
 
   * the cone data (primitive rays, multiplicities, fundamental-domain
-    point sets D_C, enumerated exactly);
+    point sets D_C, enumerated from their coordinates in O(|D_C|) and
+    counted against the closed-form multiplicities);
   * the divisibility weights N(bullet) gating the twisted terms;
   * the topological terms w_top in closed form, in the variable
     r = ((m+k)s + nu_z)/k;
   * a symbolic motivic layer (MotExpr) mirroring the generating-function
     expressions term by term, whose Euler specialization must reproduce
-    w_top exactly - the package's main internal oracle.
+    w_top exactly - the package's main internal oracle.  Units are kept
+    factored as (L - 1)^order * cofactor(L), so the specialization reads
+    the order and cofactor(1) without dividing; the P factors keep their
+    domain and pairing vectors, and their exponents are computed only
+    when asked for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, prod
+from operator import mul
 
-from .arith import gauss_jordan
 from .errors import ConsistencyError
-from .ratfun import RatFun, linear_product, pdiv_linear, pmul
+from .ratfun import RatFun, linear_product, pdiv_linear
 
 SIGMA_PLUS = "sigma+"
 SIGMA_MINUS = "sigma-"
@@ -89,81 +95,33 @@ def rho_rays(k: int, N: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(rays)
 
 
-def _coordinate_solver(rays: list[tuple[int, ...]]):
-    """Exact solver for lambda = M^-1 x, precomputed once per cone.
-
-    Row-reduces the ray matrix over Q to a left inverse A (so lambda = A x)
-    plus consistency rows C (points with C x != 0 lie outside the span);
-    both are returned integerized over a common denominator d, so the
-    membership test 0 < lambda_i <= 1 becomes 0 < (A x)_i <= d in integers.
-    """
-    nrows = len(rays[0])
-    ncols = len(rays)
-    aug = [[Fraction(rays[j][i]) for j in range(ncols)]
-           + [Fraction(int(i == r)) for r in range(nrows)]
-           for i in range(nrows)]
-    if not gauss_jordan(aug, ncols):
-        raise ConsistencyError("rays are linearly dependent")
-    solve_rows = [aug[r][ncols:] for r in range(ncols)]
-    consistency = [aug[r][ncols:] for r in range(ncols, nrows)]
-    denom = 1
-    for line in solve_rows + consistency:
-        for c in line:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    int_solve = [[int(c * denom) for c in line] for line in solve_rows]
-    int_cons = [[int(c * denom) for c in line] for line in consistency]
-    return int_solve, int_cons, denom
-
-
-def _enumerate_domain(rays: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Integer points sum lambda_i a_i with lambda_i in (0, 1], by walking the
-    integer box [0, sum a_i] and solving for lambda exactly."""
-    dim = len(rays[0])
-    box = [sum(r[i] for r in rays) for i in range(dim)]
-    solve, cons, denom = _coordinate_solver(rays)
-    points = []
-
-    def walk(i: int, current: list[int]):
-        if i == dim:
-            for line in cons:
-                if sum(c * x for c, x in zip(line, current)):
-                    return
-            for line in solve:
-                lam = sum(c * x for c, x in zip(line, current))
-                if not 0 < lam <= denom:
-                    return
-            points.append(tuple(current))
-            return
-        for x in range(box[i] + 1):
-            current.append(x)
-            walk(i + 1, current)
-            current.pop()
-
-    walk(0, [])
-    return tuple(sorted(points))
-
-
 @lru_cache(maxsize=None)
 def _cone_data_cached(k: int, N: tuple[int, ...]) -> ConeData:
-    q = len(N)
+    """D_C = {sum lambda_i a_i : lambda_i in (0, 1]} over the rays a_i of C,
+    read off coordinates: the rays v_i fix x_i = lambda_i k/k_i in 1..k/k_i,
+    and with S = sum x_i N_i the last coordinate is S/k + lambda_z, so
+    D_sigma+ is {(x, floor(S/k) + 1)} and D_rho is {(x, S/k) : k | S};
+    both come out sorted."""
     k_j = [gcd(k, x) for x in N]
     n_q = 0
     for x in N:
         n_q = gcd(n_q, x)
-    e_q = gcd(k, n_q)
-    mult_sigma = k ** q // prod(k_j)
-    mult_rho = k ** (q - 1) * e_q // prod(k_j)
-    rays = list(rho_rays(k, N))
-    e_z = tuple([0] * q + [1])
-    d_sigma = _enumerate_domain(rays + [e_z])
-    d_rho = _enumerate_domain(rays)
+    mult_sigma = k ** len(N) // prod(k_j)
+    mult_rho = k ** (len(N) - 1) * gcd(k, n_q) // prod(k_j)
+    d_sigma = []
+    d_rho = []
+    for x in product(*[range(1, k // kj + 1) for kj in k_j]):
+        z, rem = divmod(sum(map(mul, x, N)), k)
+        d_sigma.append((*x, z + 1))
+        if not rem:
+            d_rho.append((*x, z))
     if len(d_sigma) != mult_sigma:
         raise ConsistencyError(
             f"|D_sigma+| = {len(d_sigma)} != closed form {mult_sigma}")
     if len(d_rho) != mult_rho:
         raise ConsistencyError(
             f"|D_rho| = {len(d_rho)} != closed form {mult_rho}")
-    return ConeData(mult_sigma, mult_rho, d_sigma, d_rho)
+    return ConeData(mult_sigma, mult_rho, tuple(d_sigma), tuple(d_rho))
 
 
 def cone_multiplicities(g: BinomialGerm) -> ConeData:
@@ -248,24 +206,47 @@ def ztop_binomial(g: BinomialGerm, l: int = 1) -> RatFun:
 
 @dataclass(frozen=True)
 class MotTerm:
-    """unit(L) * prod bare monomials L^-a T^b * sum_{(a,b) in p_exponents}
-    L^-a T^b * prod_{(a,b) in atoms} 1/(1 - L^-a T^b).
+    """(L - 1)^order * cofactor(L) * prod bare monomials L^-a T^b
+    * sum_{(a,b) in p_exponents} L^-a T^b * prod_{(a,b) in atoms}
+    1/(1 - L^-a T^b).
 
-    unit is an integer polynomial in L (ascending coefficients); atoms must
-    have (a, b) != (0, 0).
+    cofactor is an integer polynomial in L (ascending coefficients) with
+    cofactor(1) != 0, so order is the unit's order of vanishing at L = 1.
+    The P factor is kept as a fundamental domain and two pairing vectors:
+    each point beta gives (a, b) = (<beta, nu_vec>, <beta, weights>); the
+    default domain, one empty point, is P = 1.  Atoms must have
+    (a, b) != (0, 0).
     """
-    unit: tuple[int, ...]
-    p_exponents: tuple[tuple[int, int], ...]
+    order: int
+    cofactor: tuple[int, ...]
     atoms: tuple[tuple[int, int], ...]
+    domain: tuple[tuple[int, ...], ...] = ((),)
+    nu_vec: tuple[int, ...] = ()
+    weights: tuple[int, ...] = ()
     monomials: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if any(ab == (0, 0) for ab in self.atoms):
+        if not sum(self.cofactor):
+            raise ValueError("unit cofactor vanishes at L = 1")
+        if (0, 0) in self.atoms:
             raise ValueError("atom with (a, b) = (0, 0)")
 
     @property
+    def p_exponents(self) -> tuple[tuple[int, int], ...]:
+        out = []
+        for beta in self.domain:
+            a = 0
+            b = 0
+            for x, nu, w in zip(beta, self.nu_vec, self.weights):
+                a += x * nu
+                b += x * w
+            out.append((a, b))
+        out.sort()
+        return tuple(out)
+
+    @property
     def cardinality(self) -> int:
-        return len(self.p_exponents)
+        return len(self.domain)
 
 
 @dataclass(frozen=True)
@@ -273,85 +254,44 @@ class MotExpr:
     terms: tuple[MotTerm, ...]
 
 
-@lru_cache(maxsize=None)
-def _unit_pow_lminus1(n: int, scale: int = 1) -> tuple[int, ...]:
-    """scale * (L - 1)^n as an integer coefficient tuple."""
-    out = [scale]
-    for _ in range(n):
-        nxt = [0] * (len(out) + 1)
-        for i, c in enumerate(out):
-            nxt[i] -= c
-            nxt[i + 1] += c
-        out = nxt
-    return tuple(out)
-
-
-def _pair_exponents(points, nu_vec, weight_vec) -> tuple[tuple[int, int], ...]:
-    """Each lattice point beta becomes (a, b) = (<beta, nu>, <beta, weights>)."""
-    out = []
-    for beta in points:
-        a = 0
-        b = 0
-        for i, x in enumerate(beta):
-            if x:
-                a += x * nu_vec[i]
-                b += x * weight_vec[i]
-        out.append((a, b))
-    out.sort()
-    return tuple(out)
-
-
 def motivic_w(g: BinomialGerm, bullet: str) -> MotExpr:
     """The generating-function expression of the given cone term, kept
-    symbolic: units in L, fundamental-domain monomials for the P factors,
-    and geometric atoms 1/(1 - L^-a T^b)."""
+    symbolic: units (L - 1)^order * cofactor(L), fundamental domains with
+    their pairings for the P factors, and geometric atoms
+    1/(1 - L^-a T^b)."""
     cones = cone_multiplicities(g)
     q = g.q
     nu_full = (*g.nu, g.nu_z)
     n_full = (*g.N, g.m)                       # T-weights on sigma+/rho
     mk_ez = tuple([0] * q + [g.m + g.k])       # T-weights (m+k) e_z
     # shared atom blocks
-    h_atoms = tuple(((g.k * nu_j + g.nu_z * n_j) // k_j,
-                     (g.m + g.k) * n_j // k_j)
-                    for n_j, nu_j, k_j in zip(g.N, g.nu, g.k_j))
+    h_atoms = tuple([((g.k * nu_j + g.nu_z * n_j) // k_j,
+                      (g.m + g.k) * n_j // k_j)
+                     for n_j, nu_j, k_j in zip(g.N, g.nu, g.k_j)])
     k_atom = (g.nu_z, g.m)
     k_tilde_atom = (g.nu_z, g.m + g.k)
 
     if bullet == SIGMA_PLUS:
-        return MotExpr((MotTerm(
-            unit=_unit_pow_lminus1(q + 1),
-            p_exponents=_pair_exponents(cones.d_sigma_plus, nu_full, n_full),
-            atoms=(k_atom, *h_atoms)),))
+        return MotExpr((MotTerm(q + 1, (1,), (k_atom, *h_atoms),
+                                cones.d_sigma_plus, nu_full, n_full),))
 
     if bullet == SIGMA_MINUS:
-        term1 = MotTerm(
-            unit=_unit_pow_lminus1(q + 1),
-            p_exponents=((0, 0),),
-            atoms=(k_tilde_atom, *((nu_j, 0) for nu_j in g.nu)))
-        term2 = MotTerm(
-            unit=_unit_pow_lminus1(q + 1, scale=-1),
-            p_exponents=_pair_exponents(cones.d_sigma_plus, nu_full, mk_ez),
-            atoms=(k_tilde_atom, *h_atoms))
-        term3 = MotTerm(
-            unit=_unit_pow_lminus1(q + 1, scale=-1),
-            p_exponents=_pair_exponents(cones.d_rho, nu_full, mk_ez),
-            atoms=h_atoms)
+        term1 = MotTerm(q + 1, (1,),
+                        (k_tilde_atom, *[(nu_j, 0) for nu_j in g.nu]))
+        term2 = MotTerm(q + 1, (-1,), (k_tilde_atom, *h_atoms),
+                        cones.d_sigma_plus, nu_full, mk_ez)
+        term3 = MotTerm(q + 1, (-1,), h_atoms, cones.d_rho, nu_full, mk_ez)
         return MotExpr((term1, term2, term3))
 
     if bullet == RHO:
         # (L - 1 - e_q) (L - 1)^q
-        unit = pmul(_unit_pow_lminus1(q), (-1 - g.e_q, 1))
-        return MotExpr((MotTerm(
-            unit=unit,
-            p_exponents=_pair_exponents(cones.d_rho, nu_full, n_full),
-            atoms=h_atoms),))
+        return MotExpr((MotTerm(q, (-1 - g.e_q, 1), h_atoms,
+                                cones.d_rho, nu_full, n_full),))
 
     if bullet == RHO_STAR:
-        return MotExpr((MotTerm(
-            unit=_unit_pow_lminus1(q + 1, scale=g.e_q),
-            p_exponents=_pair_exponents(cones.d_rho, nu_full, n_full),
-            atoms=((1, 1), *h_atoms),
-            monomials=((1, 1),)),))
+        return MotExpr((MotTerm(q + 1, (g.e_q,), ((1, 1), *h_atoms),
+                                cones.d_rho, nu_full, n_full,
+                                monomials=((1, 1),)),))
 
     raise ValueError(f"unknown bullet {bullet!r}")
 
@@ -360,26 +300,20 @@ def euler_specialize(expr: MotExpr) -> RatFun:
     """Euler-characteristic specialization at T = L^-s, L -> 1.
 
     Each (L - 1) unit paired with an atom 1/(1 - L^-(a+bs)) contributes
-    1/(a + bs); P monomials and bare monomials go to 1; terms whose unit
-    vanishes at L = 1 to higher order than the number of atoms vanish by
-    additivity.  A unit vanishing to *lower* order would be a genuine pole
-    at L = 1 and raises.
+    1/(a + bs); P monomials and bare monomials go to 1, so P counts its
+    domain; terms whose unit vanishes at L = 1 to higher order than the
+    number of atoms vanish by additivity.  A unit vanishing to *lower*
+    order would be a genuine pole at L = 1 and raises.
     """
     total = RatFun.zero()
     for term in expr.terms:
-        coeffs = list(term.unit)
-        order = 0
-        while any(coeffs) and sum(coeffs) == 0:   # unit vanishes at L = 1
-            coeffs = pdiv_linear(coeffs, (-1, 1))
-            order += 1
-        if not any(coeffs):
-            continue  # zero unit
         n_atoms = len(term.atoms)
-        if order > n_atoms:
+        if term.order > n_atoms:
             continue
-        if order < n_atoms:
+        if term.order < n_atoms:
             raise ConsistencyError(
-                f"term has {n_atoms} atoms but unit vanishes to order {order}")
-        scalar = sum(coeffs) * term.cardinality
+                f"term has {n_atoms} atoms but unit vanishes to order "
+                f"{term.order}")
+        scalar = sum(term.cofactor) * len(term.domain)
         total = total + RatFun.scaled_inv_product(scalar, term.atoms)
     return total

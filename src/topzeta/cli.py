@@ -12,7 +12,8 @@ import sys
 
 from . import checks, lys as lys_mod, resolution, suspension
 from .cyclo import CycloProduct, cyclo_str, cyclo_to_json
-from .errors import ConsistencyError, ValidationError, json_check
+from .errors import ConsistencyError, ValidationError, json_check, \
+    json_number
 from .ratfun import FactorizationError, RatFun, render_latex, render_text
 
 
@@ -85,7 +86,7 @@ def _load_subject(obj: dict):
                 delta.root_orders(),
                 lambda l: resolution.ztop_from_strata(res, l))
     if kind == "suspension":
-        k = int(obj["k"])
+        k = json_number(obj["k"], "'k'")
         germ_obj = obj["germ"]
         if "graph" in germ_obj or "vertices" in germ_obj:
             germ = suspension.summary_from_graph(

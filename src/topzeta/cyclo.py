@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .arith import divisors, euler_phi
-from .errors import json_array, json_check
+from .errors import json_array, json_check, json_number
 
 OrderSet = frozenset
 
@@ -138,11 +138,14 @@ def cyclo_to_json(h: CycloProduct) -> dict:
 def cyclo_from_json(obj: dict) -> CycloProduct:
     if "cyclotomic" in obj:
         return CycloProduct.from_factors(
-            {int(d): int(e) for d, e in
+            {json_number(d, "'cyclotomic' key"):
+             json_number(e, f"'cyclotomic'[{d!r}]") for d, e in
              json_check(obj["cyclotomic"], dict, "'cyclotomic'").items()})
     if "brackets" in obj:
         return CycloProduct.from_brackets(
-            (int(m), int(n)) for m, n in json_array(obj, "brackets", list))
+            [(json_number(m, f"'brackets'[{i}]"),
+              json_number(n, f"'brackets'[{i}]"))
+             for i, (m, n) in enumerate(json_array(obj, "brackets", list))])
     raise ValueError("expected a 'cyclotomic' or 'brackets' key")
 
 

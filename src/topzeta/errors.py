@@ -1,4 +1,5 @@
-"""Shared exception types, and the JSON container checks that raise them."""
+"""Shared exception types, and the JSON field checks that raise them."""
+import json
 
 
 class ValidationError(ValueError):
@@ -28,3 +29,18 @@ def json_check(value, kind: type, what: str):
         raise ValidationError(
             f"{what} must be {name}, got {type(value).__name__}")
     return value
+
+
+def json_number(value, what: str, kind: type = int):
+    """value read as kind (int or Fraction): a JSON integer, or a string
+    that kind parses exactly ("12", "-3/4"); null, booleans, floats, arrays
+    and objects raise ValidationError."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    shown = {list: "an array", dict: "an object"}.get(type(value)) \
+        or json.dumps(value)
+    name = "an integer" if kind is int else "a rational number"
+    raise ValidationError(f"{what} must be {name}, got {shown}")

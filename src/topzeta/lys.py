@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .arith import divisor_closure, frak_n
 from .cyclo import CycloProduct, OrderSet
-from .errors import ConsistencyError, ValidationError, json_array
+from .errors import ConsistencyError, ValidationError, json_array, \
+    json_number
 from .ratfun import PoleError, RatFun
 from .resolution import graph_from_json
 from .suspension import GermSummary, summary_from_graph, \
@@ -168,6 +169,7 @@ def lys_from_json(obj: dict, validate: bool = True) -> LysSurface:
             points.append(summary_from_graph(graph_from_json(p["graph"]), name))
         else:
             points.append(summary_from_json(p, validate))
-    return LysSurface(int(obj["n"]), int(obj["m"]), int(obj["k"]),
-                      int(obj["chi_complement"]), int(obj["chi_curve_smooth"]),
-                      points)
+    n, m, k, chi_complement, chi_curve_smooth = [
+        json_number(obj[key], repr(key)) for key in
+        ("n", "m", "k", "chi_complement", "chi_curve_smooth")]
+    return LysSurface(n, m, k, chi_complement, chi_curve_smooth, points)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, json_check, json_number
 
 Scalar = Union[int, Fraction]
 
@@ -237,7 +237,8 @@ class RatFun:
     def scaled_inv_product(scalar: Scalar, factors, num=(1,)) -> "RatFun":
         """scalar * num(s) / prod (a_i + b_i s) for integer pairs (a_i, b_i)
         and an integer polynomial num."""
-        scalar = Fraction(scalar)
+        if not isinstance(scalar, int):
+            scalar = Fraction(scalar)
         if not scalar or not num:
             return _ZERO
         scale = scalar.denominator
@@ -455,8 +456,10 @@ class RatFun:
 
     @staticmethod
     def from_json(obj: dict) -> "RatFun":
-        return RatFun.from_polys([Fraction(c) for c in obj["num"]],
-                                 [Fraction(c) for c in obj["den"]])
+        num, den = [[json_number(c, f"{key!r}[{i}]", Fraction) for i, c in
+                     enumerate(json_check(obj[key], list, repr(key)))]
+                    for key in ("num", "den")]
+        return RatFun.from_polys(num, den)
 
 
 _ZERO = RatFun((), 1, ())

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .arith import gauss_jordan
 from .cyclo import CycloProduct
-from .errors import ValidationError, json_array
+from .errors import ValidationError, json_array, json_number
 from .ratfun import RatFun
 
 
@@ -337,30 +337,44 @@ def graph_to_json(g: CurveResolutionGraph) -> dict:
 
 def graph_from_json(obj: dict) -> CurveResolutionGraph:
     vertices = [Vertex(d["id"], _positive(d, "N"), _positive(d, "nu"),
-                       d.get("self_intersection"))
+                       None if d.get("self_intersection") is None
+                       else _self_intersection(d))
                 for d in json_array(obj, "vertices")]
-    arrows = [Arrow(d["id"], int(d["mult"]), d["attached_to"])
-              for d in json_array(obj, "arrows", required=False)]
-    edges = [(u, v) for u, v in json_array(obj, "edges", list, required=False)]
-    return CurveResolutionGraph(vertices, arrows, edges,
-                                int(obj.get("prod_nu0", 1)))
+    return CurveResolutionGraph(vertices, _arrows(obj), _edges(obj),
+                                _prod_nu0(obj))
 
 
 def shape_from_json(obj: dict) -> GraphShape:
     """Graph with N/nu absent, for solve_multiplicities input."""
     vertices = json_array(obj, "vertices")
     ids = [d["id"] for d in vertices]
-    selfint = {d["id"]: int(d["self_intersection"]) for d in vertices}
-    arrows = [Arrow(d["id"], int(d["mult"]), d["attached_to"])
-              for d in json_array(obj, "arrows", required=False)]
-    edges = [(u, v) for u, v in json_array(obj, "edges", list, required=False)]
-    return GraphShape(ids, selfint, arrows, edges, int(obj.get("prod_nu0", 1)))
+    selfint = {d["id"]: _self_intersection(d) for d in vertices}
+    return GraphShape(ids, selfint, _arrows(obj), _edges(obj), _prod_nu0(obj))
+
+
+def _self_intersection(d: dict) -> int:
+    return json_number(d["self_intersection"],
+                       f"vertex {d.get('id')}: 'self_intersection'")
+
+
+def _arrows(obj: dict) -> list[Arrow]:
+    return [Arrow(d["id"], json_number(d["mult"], f"arrow {d['id']}: 'mult'"),
+                  d["attached_to"])
+            for d in json_array(obj, "arrows", required=False)]
+
+
+def _edges(obj: dict) -> list[tuple]:
+    return [(u, v) for u, v in json_array(obj, "edges", list, required=False)]
+
+
+def _prod_nu0(obj: dict) -> int:
+    return json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
 
 
 def _positive(d: dict, key: str) -> int:
     if key not in d:
         raise ValidationError(f"vertex {d.get('id')}: missing field {key!r}")
-    value = int(d[key])
+    value = json_number(d[key], f"vertex {d.get('id')}: {key!r}")
     if value < 1:
         raise ValidationError(f"vertex {d.get('id')}: non-positive {key} = {value}")
     return value
@@ -375,8 +389,11 @@ def strata_to_json(res: StratifiedResolution) -> dict:
 
 
 def strata_from_json(obj: dict) -> StratifiedResolution:
-    comps = [Component(d["id"], int(d["N"]), int(d["nu"]))
+    comps = [Component(d["id"],
+                       json_number(d["N"], f"component {d['id']}: 'N'"),
+                       json_number(d["nu"], f"component {d['id']}: 'nu'"))
              for d in json_array(obj, "components")]
-    strata = [Stratum(frozenset(d["I"]), int(d["chi"]))
-              for d in json_array(obj, "strata")]
-    return StratifiedResolution(comps, strata, int(obj.get("prod_nu0", 1)))
+    strata = [Stratum(frozenset(d["I"]),
+                      json_number(d["chi"], f"'strata'[{i}]: 'chi'"))
+              for i, d in enumerate(json_array(obj, "strata"))]
+    return StratifiedResolution(comps, strata, _prod_nu0(obj))

@@ -19,7 +19,8 @@ from math import lcm
 
 from .arith import divisor_closure, divisors, frak_m, jordan_totient
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
-from .errors import ValidationError, json_array, json_check
+from .errors import ValidationError, json_array, json_check, \
+    json_number
 from .ratfun import RatFun
 from .resolution import CurveResolutionGraph, acampo, strata_of_graph, \
     ztop_from_strata
@@ -254,9 +255,11 @@ def profile_to_json(f: ZetaProfile) -> dict:
 
 
 def profile_from_json(obj: dict, validate: bool = True) -> ZetaProfile:
-    entries = {int(e["ell"]): RatFun.from_json(e)
-               for e in json_array(obj, "entries")}
-    return ZetaProfile(entries, int(obj.get("prod_nu0", 1)),
+    entries = {json_number(e["ell"], f"'entries'[{i}]: 'ell'"):
+               RatFun.from_json(e)
+               for i, e in enumerate(json_array(obj, "entries"))}
+    prod_nu0 = json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
+    return ZetaProfile(entries, prod_nu0,
                        validate=validate and obj.get("validate", True))
 
 

@@ -2,18 +2,21 @@
 
 The library computes every suspension and Le-Yomdin zeta function through
 the general formulas (suspension.suspend_G, lys.lys_ztop) and the
-Thom-Sebastiani eigenvalue transfer in bracket form.  The paper's special
-cases below - the plain suspension z^k + f, the k = 2 split, the
-superisolated (k = 1) surfaces - and the residue-class walk over the root
-multiset are independent derivations of the same quantities; the tests
-compare them with the production path.
+Thom-Sebastiani eigenvalue transfer in bracket form, and it enumerates
+the fundamental domains of the binomial cones from their coordinates.
+The paper's special cases below (the plain suspension z^k + f, the k = 2
+split, the superisolated k = 1 surfaces), the residue-class walk over the
+root multiset and the box walk that solves for every integer point of a
+cone's bounding box are independent derivations of the same quantities;
+the tests compare them with the production path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from topzeta.arith import divisors, euler_phi, frak_m, jordan_totient, lcm_all
+from topzeta.arith import divisors, euler_phi, frak_m, gauss_jordan, \
+    jordan_totient, lcm_all
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ConsistencyError, ValidationError
 from topzeta.lys import LysSurface
@@ -189,3 +192,61 @@ def _refactor_counts(counts: dict[int, int], L: int) -> CycloProduct:
                 f"root multiset is not Galois-stable at order {d}")
         factors[d] = mults.pop()
     return CycloProduct.from_factors(factors)
+
+
+# ---------------------------------------------------------------------------
+# fundamental domains of simplicial cones by a walk over the bounding box
+
+
+def _coordinate_solver(rays: list[tuple[int, ...]]):
+    """Exact solver for lambda = M^-1 x, precomputed once per cone.
+
+    Row-reduces the ray matrix over Q to a left inverse A (so lambda = A x)
+    plus consistency rows C (points with C x != 0 lie outside the span);
+    both are returned integerized over a common denominator d, so the
+    membership test 0 < lambda_i <= 1 becomes 0 < (A x)_i <= d in integers.
+    """
+    nrows = len(rays[0])
+    ncols = len(rays)
+    aug = [[Fraction(rays[j][i]) for j in range(ncols)]
+           + [Fraction(int(i == r)) for r in range(nrows)]
+           for i in range(nrows)]
+    if not gauss_jordan(aug, ncols):
+        raise ConsistencyError("rays are linearly dependent")
+    solve_rows = [aug[r][ncols:] for r in range(ncols)]
+    consistency = [aug[r][ncols:] for r in range(ncols, nrows)]
+    denom = 1
+    for line in solve_rows + consistency:
+        for c in line:
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+    int_solve = [[int(c * denom) for c in line] for line in solve_rows]
+    int_cons = [[int(c * denom) for c in line] for line in consistency]
+    return int_solve, int_cons, denom
+
+
+def _enumerate_domain(rays: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Integer points sum lambda_i a_i with lambda_i in (0, 1], by walking the
+    integer box [0, sum a_i] and solving for lambda exactly."""
+    dim = len(rays[0])
+    box = [sum(r[i] for r in rays) for i in range(dim)]
+    solve, cons, denom = _coordinate_solver(rays)
+    points = []
+
+    def walk(i: int, current: list[int]):
+        if i == dim:
+            for line in cons:
+                if sum(c * x for c, x in zip(line, current)):
+                    return
+            for line in solve:
+                lam = sum(c * x for c, x in zip(line, current))
+                if not 0 < lam <= denom:
+                    return
+            points.append(tuple(current))
+            return
+        for x in range(box[i] + 1):
+            current.append(x)
+            walk(i + 1, current)
+            current.pop()
+
+    walk(0, [])
+    return tuple(sorted(points))

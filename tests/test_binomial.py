@@ -5,11 +5,28 @@ from math import gcd, prod
 
 import pytest
 
+from closed_forms import _enumerate_domain
 from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, SIGMA_PLUS, \
     BinomialGerm, MotExpr, MotTerm, cone_multiplicities, euler_specialize, \
     motivic_w, n_bullet, rho_rays, w_top, w_top_twisted, ztop_binomial
 from topzeta.errors import ConsistencyError
 from topzeta.ratfun import RatFun
+
+
+def _grid_shapes():
+    """The (N, nu) shapes of criterion 5's grid."""
+    pairs = [(n_j, nu_j) for n_j in range(1, 7) for nu_j in range(1, 4)]
+    shapes = []
+    for q in (1, 2, 3):
+        shapes.extend(itertools.combinations_with_replacement(pairs, q))
+    return [(tuple(p[0] for p in s), tuple(p[1] for p in s)) for s in shapes]
+
+
+def _box_walk_domains(k, N):
+    """(D_sigma+, D_rho) by the box-walk oracle."""
+    rays = list(rho_rays(k, N))
+    return (_enumerate_domain(rays + [tuple([0] * len(N) + [1])]),
+            _enumerate_domain(rays))
 
 
 def test_cone_multiplicities_examples():
@@ -19,6 +36,27 @@ def test_cone_multiplicities_examples():
     assert two.mult_sigma_plus == 2 and len(two.d_sigma_plus) == 2
     assert cone_multiplicities(BinomialGerm(0, 10, (4, 6), (1, 1), 1)) \
         .mult_sigma_plus == 25
+
+
+def test_domains_match_box_walk_on_grid():
+    keys = sorted({(k, n_vec) for n_vec, _ in _grid_shapes()
+                   for k in range(1, 7)})
+    assert len(keys) == 498
+    for k, n_vec in keys:
+        cones = cone_multiplicities(BinomialGerm(0, k, n_vec, n_vec, 1))
+        assert (cones.d_sigma_plus, cones.d_rho) == \
+            _box_walk_domains(k, n_vec), (k, n_vec)
+
+
+def test_domains_match_box_walk_random():
+    rng = random.Random(4)
+    for _ in range(200):
+        q = rng.randint(1, 4)
+        k = rng.randint(1, 8)
+        n_vec = tuple(rng.randint(1, 9) for _ in range(q))
+        cones = cone_multiplicities(BinomialGerm(0, k, n_vec, n_vec, 1))
+        assert (cones.d_sigma_plus, cones.d_rho) == \
+            _box_walk_domains(k, n_vec), (k, n_vec)
 
 
 def test_cone_enumeration_bound():
@@ -103,7 +141,8 @@ def test_motivic_structure():
     rho_star = motivic_w(g, RHO_STAR)
     term = rho_star.terms[0]
     assert (1, 1) in term.atoms and term.monomials == ((1, 1),)
-    assert sum(term.unit) == 0  # (L-1)^{q+1} scaled by e_q vanishes at L = 1
+    # e_q (L-1)^{q+1}: the unit vanishes at L = 1
+    assert term.order == g.q + 1 and term.cofactor == (g.e_q,)
     assert motivic_w(g, SIGMA_MINUS).terms[0].p_exponents == ((0, 0),)
     assert len(motivic_w(g, SIGMA_MINUS).terms) == 3
     trivial = BinomialGerm(1, 1, (1,), (1,), 1)
@@ -112,38 +151,84 @@ def test_motivic_structure():
             assert term.cardinality == 1
 
 
+def _eager_pairing(points, nu_vec, weight_vec):
+    """The pairing exponents computed up front, point by point."""
+    out = []
+    for beta in points:
+        a = 0
+        b = 0
+        for i, x in enumerate(beta):
+            if x:
+                a += x * nu_vec[i]
+                b += x * weight_vec[i]
+        out.append((a, b))
+    out.sort()
+    return tuple(out)
+
+
+def test_p_exponents_match_eager_pairing():
+    rng = random.Random(11)
+    shapes = _grid_shapes()
+    for _ in range(300):
+        n_vec, nu_vec = rng.choice(shapes)
+        g = BinomialGerm(rng.randint(0, 4), rng.randint(1, 6), n_vec, nu_vec,
+                         rng.randint(1, 4))
+        d_sigma, d_rho = _box_walk_domains(g.k, g.N)
+        nu_full = (*g.nu, g.nu_z)
+        n_full = (*g.N, g.m)
+        mk_ez = (0,) * g.q + (g.m + g.k,)
+        expected = {
+            SIGMA_PLUS: [_eager_pairing(d_sigma, nu_full, n_full)],
+            SIGMA_MINUS: [((0, 0),), _eager_pairing(d_sigma, nu_full, mk_ez),
+                          _eager_pairing(d_rho, nu_full, mk_ez)],
+            RHO: [_eager_pairing(d_rho, nu_full, n_full)],
+            RHO_STAR: [_eager_pairing(d_rho, nu_full, n_full)],
+        }
+        for bullet in BULLETS:
+            terms = motivic_w(g, bullet).terms
+            assert [t.p_exponents for t in terms] == expected[bullet], \
+                (g, bullet)
+            assert [t.cardinality for t in terms] == \
+                [len(e) for e in expected[bullet]]
+
+
 def test_euler_examples():
     # chi(K) = 1/(nu_z + m s)
-    k_factor = MotExpr((MotTerm(unit=(-1, 1), p_exponents=((0, 0),),
-                                atoms=((3, 2),)),))
+    k_factor = MotExpr((MotTerm(order=1, cofactor=(1,), atoms=((3, 2),)),))
+    assert k_factor.terms[0].p_exponents == ((0, 0),)
     assert euler_specialize(k_factor) == RatFun.inv_linear(2, 3)
     # chi of an H-type factor equals k_j/(k (N_j r + nu_j))
     g = BinomialGerm(1, 4, (6,), (1,), 2)
     k_j = gcd(4, 6)
     atom = ((4 * 1 + 2 * 6) // k_j, (1 + 4) * 6 // k_j)
-    h_factor = MotExpr((MotTerm(unit=(-1, 1), p_exponents=((0, 0),),
-                                atoms=(atom,)),))
+    h_factor = MotExpr((MotTerm(order=1, cofactor=(1,), atoms=(atom,)),))
     # k (N r + nu) = 30 s + 16 here, so k_j/(k(Nr+nu)) = 2/(30s+16)
     assert euler_specialize(h_factor) == RatFun.from_polys([2], [16, 30])
     assert euler_specialize(MotExpr(())).is_zero()
 
 
 def test_euler_unpaired_units_vanish():
-    dead = MotExpr((MotTerm(unit=(1, -2, 1), p_exponents=((0, 0),),
+    dead = MotExpr((MotTerm(order=2, cofactor=(1,),
                             atoms=((1, 1),)),))  # (L-1)^2 but one atom
     assert euler_specialize(dead).is_zero()
 
 
 def test_euler_underpaired_unit_raises():
-    bad = MotExpr((MotTerm(unit=(1,), p_exponents=((0, 0),),
-                           atoms=((1, 1),)),))
+    bad = MotExpr((MotTerm(order=0, cofactor=(1,), atoms=((1, 1),)),))
     with pytest.raises(ConsistencyError):
         euler_specialize(bad)
 
 
 def test_atom_validation():
     with pytest.raises(ValueError):
-        MotTerm(unit=(1,), p_exponents=(), atoms=((0, 0),))
+        MotTerm(order=0, cofactor=(1,), atoms=((0, 0),), domain=())
+
+
+@pytest.mark.parametrize("cofactor", [(), (0,), (1, -1), (-3, 1, 2)])
+def test_cofactor_vanishing_at_one_rejected(cofactor):
+    # the order of L - 1 would not be the unit's order of vanishing
+    with pytest.raises(ValueError):
+        MotTerm(order=1, cofactor=cofactor, atoms=((1, 1),))
 
 
 def test_oracle_equivalence_sample():

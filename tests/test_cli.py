@@ -270,6 +270,47 @@ MALFORMED = [
      "'components' must be a JSON array, got int"),
     ("strata", STRATA_CMD, STRATA, ["strata"], {},
      "'strata' must be a JSON array, got dict"),
+    # scalar fields, at least one per reader: integers and numeric strings
+    # only, no null, booleans, floats, arrays or objects
+    ("vertex-N", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["vertices", 0, "N"], None, "vertex E1: 'N' must be an integer, got null"),
+    ("vertex-nu", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["vertices", 0, "nu"], 2.0, "vertex E1: 'nu' must be an integer, got 2.0"),
+    ("vertex-self_intersection", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["vertices", 0, "self_intersection"], "-3x",
+     "vertex E1: 'self_intersection' must be an integer, got \"-3x\""),
+    ("arrow-mult", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["arrows", 0, "mult"], [1],
+     "arrow A1: 'mult' must be an integer, got an array"),
+    ("graph-prod_nu0", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["prod_nu0"], True, "'prod_nu0' must be an integer, got true"),
+    ("component-N", STRATA_CMD, STRATA, ["components", 0, "N"], {"a": 1},
+     "component E1: 'N' must be an integer, got an object"),
+    ("stratum-chi", STRATA_CMD, STRATA, ["strata", 0, "chi"], "x",
+     "'strata'[0]: 'chi' must be an integer, got \"x\""),
+    ("entry-ell", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 0, "ell"], None,
+     "'entries'[0]: 'ell' must be an integer, got null"),
+    ("profile-prod_nu0", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["prod_nu0"], 1.5, "'prod_nu0' must be an integer, got 1.5"),
+    ("num-coefficient", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 0, "num", 0], [11],
+     "'num'[0] must be a rational number, got an array"),
+    ("den-coefficient", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 0, "den", 1], 41.0,
+     "'den'[1] must be a rational number, got 41.0"),
+    ("den", SUSPEND, FIXTURES / "x5y6_profile.json", ["entries", 0, "den"],
+     5, "'den' must be a JSON array, got int"),
+    ("lys-k", LYS, FIXTURES / "lys_xyz_k1.json", ["k"], None,
+     "'k' must be an integer, got null"),
+    ("lys-chi", LYS, FIXTURES / "lys_xyz_k1.json", ["chi_complement"], 0.5,
+     "'chi_complement' must be an integer, got 0.5"),
+    ("suspension-k", ["check", "monodromy", "--in", "IN"],
+     FIXTURES / "cusp3_susp.json", ["k"], [2],
+     "'k' must be an integer, got an array"),
+    ("cyclotomic-exponent", LYS, FIXTURES / "lys_xyz_k1.json",
+     ["points", 0, "delta", "cyclotomic", "1"], None,
+     "'cyclotomic'['1'] must be an integer, got null"),
 ]
 
 
@@ -286,6 +327,41 @@ def test_malformed_nested_json_exit_code(capsys, tmp_path, argv, fixture,
                                        for a in argv])
     assert code == 1 and not out
     assert err == f"error: {message}\n"
+
+
+INTEGER_FIELDS = {"N", "nu", "mult", "self_intersection", "prod_nu0", "chi",
+                  "ell", "k", "n", "m", "chi_complement", "chi_curve_smooth"}
+
+
+def _stringify_integers(obj):
+    """obj with every integer field and cyclotomic exponent as a string."""
+    if isinstance(obj, list):
+        return [_stringify_integers(x) for x in obj]
+    if not isinstance(obj, dict):
+        return obj
+    return {key: str(value) if isinstance(value, int) and (
+                key in INTEGER_FIELDS or key.isdigit())
+            else _stringify_integers(value) for key, value in obj.items()}
+
+
+@pytest.mark.parametrize("argv,fixture", [
+    (SUSPEND, FIXTURES / "x5y6_profile.json"),
+    (GRAPH, FIXTURES / "triple_cusp_graph.json"),
+    (STRATA_CMD, STRATA),
+    (LYS, FIXTURES / "lys_xyz_k2.json"),
+    (["check", "monodromy", "--in", "IN"], FIXTURES / "cusp3_susp.json"),
+], ids=["profile", "graph", "strata", "lys", "suspension"])
+def test_numeric_strings_read_as_integers(capsys, tmp_path, argv, fixture):
+    obj = json.loads(fixture.read_text())
+    text = _stringify_integers(obj)
+    assert text != obj
+    outputs = []
+    for data in (obj, text):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(data))
+        outputs.append(run_cli(capsys, *[str(f) if a == "IN" else a
+                                         for a in argv]))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
 
 GOLDEN = json.loads(

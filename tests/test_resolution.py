@@ -219,3 +219,16 @@ def test_graph_from_json_field_errors():
         del vertex[key]
         with pytest.raises(ValidationError, match=f"missing field '{key}'"):
             graph_from_json(graph(vertex))
+
+
+def test_shape_from_json_scalar_errors(triple_cusp_graph):
+    as_json = graph_to_json(triple_cusp_graph)
+    as_json["vertices"][0]["self_intersection"] = None
+    with pytest.raises(ValidationError, match="'self_intersection' must be "
+                                              "an integer, got null"):
+        shape_from_json(as_json)
+    as_json["vertices"][0]["self_intersection"] = "-3"
+    as_json["arrows"][0]["mult"] = 1.0
+    with pytest.raises(ValidationError, match="'mult' must be an integer, "
+                                              "got 1.0"):
+        shape_from_json(as_json)
