@@ -1,9 +1,10 @@
-"""Time the binomial layer and the criterion-5 motivic grid; write BENCH_*.json.
+"""Time the binomial, suspension and strata layers and the criterion-5 motivic
+grid; write BENCH_*.json.
 
 Usage:
-    python3 scripts/bench.py --label after --out BENCH_4.json
+    python3 scripts/bench.py --label after --out BENCH_5.json
     PYTHONPATH=../parent/src python3 scripts/bench.py --label before \
-        --out BENCH_4.json
+        --out BENCH_5.json
 
 topzeta is imported from PYTHONPATH when it is set there, else from this
 checkout's src/, so pointing PYTHONPATH at another checkout's src/ measures
@@ -14,8 +15,11 @@ others.  Each row holds:
   * machine: Python version, platform and CPU count;
   * layers: microseconds per case of w_top, motivic_w and euler_specialize
     on a fixed sample of the grid's shapes at q = 1, 2, 3 (cone cache warm),
-    and microseconds per (k, N) key of cone_multiplicities with the cone
-    cache cleared; each the median of REPEATS timings;
+    microseconds per (k, N) key of cone_multiplicities with the cone
+    cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
+    profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
+    ztop_from_strata on each curve fixture (l = 1..12); each the median
+    of REPEATS timings;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
     cleared cone cache, GRID_REPEATS times, in seconds;
@@ -38,11 +42,16 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from topzeta import binomial  # noqa: E402
+from topzeta import binomial, resolution, suspension  # noqa: E402
 
 REPEATS = 5
 GRID_REPEATS = 3
 SHAPES_PER_Q = 12
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CURVES = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
+SUSPEND_K = 6
+L_LADDER = (1, 2, 3, 5, 6, 10, 27, 30, 54, 97)
+CALLS_PER_TWIST = 200
 
 
 def grid_shapes(q_values=(1, 2, 3)) -> list[tuple]:
@@ -100,6 +109,26 @@ def layer_rows() -> dict:
     return rows
 
 
+def twist_rows() -> dict:
+    """suspend_G and ztop_from_strata, microseconds per call."""
+    rows = {}
+    for name in ("x5y6", "lvp"):
+        prof = suspension.profile_from_json(json.loads(
+            (FIXTURES / f"{name}_profile.json").read_text(encoding="utf-8")))
+        for m in (0, 2):
+            for l in L_LADDER:
+                rows[f"suspend_G_us|{name},m={m},l={l}"] = per_case_us(
+                    suspension.suspend_G,
+                    [(prof, m, SUSPEND_K, 1, l)] * CALLS_PER_TWIST)
+    for name in CURVES:
+        res = resolution.strata_of_graph(resolution.graph_from_json(json.loads(
+            (FIXTURES / f"{name}.json").read_text(encoding="utf-8"))))
+        rows[f"ztop_from_strata_us|{name}"] = per_case_us(
+            resolution.ztop_from_strata,
+            [(res, l) for l in range(1, 13)] * (CALLS_PER_TWIST // 12))
+    return rows
+
+
 def grid_seconds() -> float:
     """One pass of the criterion-5 grid from a cleared cone cache."""
     binomial._cone_data_cached.cache_clear()
@@ -140,7 +169,7 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(),
                     "platform": platform.platform(),
                     "nproc": os.cpu_count()},
-        "layers": layer_rows(),
+        "layers": {**layer_rows(), **twist_rows()},
         "end_to_end": {"criterion5_grid_s": statistics.median(grid),
                        "criterion5_grid_samples_s": grid,
                        "criterion5_grid_cases": 637_920},

@@ -11,6 +11,7 @@ eigenvalue orders, the l-twisted zeta function must vanish identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .arith import divisor_closure, lcm_all
@@ -23,9 +24,29 @@ L_MAX_CAP = 10_000
 
 @dataclass(frozen=True)
 class CheckItem:
-    label: str
+    """One checked twist ell (holomorphy) or pole (monodromy, ell None);
+    the order of a pole is its denominator."""
+    ell: int | None
     ok: bool
     note: str = ""
+    pole: Fraction | None = None
+
+    @property
+    def order(self) -> int | None:
+        return None if self.pole is None else self.pole.denominator
+
+    @property
+    def label(self) -> str:
+        return str(self.ell) if self.pole is None \
+            else f"{self.pole}|{self.order}"
+
+    def to_json(self) -> dict:
+        out = {"ell": self.ell} if self.pole is None \
+            else {"pole": str(self.pole), "order": self.order}
+        out["ok"] = self.ok
+        if self.note:
+            out["note"] = self.note
+        return out
 
 
 @dataclass(frozen=True)
@@ -38,20 +59,9 @@ class Report:
         return all(item.ok for item in self.items)
 
     def to_json(self) -> dict:
-        out = {"conjecture": self.conjecture,
-               "verdict": "pass" if self.passed else "fail",
-               "items": []}
-        for item in self.items:
-            entry: dict = {"ok": item.ok}
-            if self.conjecture == "monodromy":
-                pole, order = item.label.split("|")
-                entry = {"pole": pole, "order": int(order), "ok": item.ok}
-            else:
-                entry = {"ell": int(item.label), "ok": item.ok}
-            if item.note:
-                entry["note"] = item.note
-            out["items"].append(entry)
-        return out
+        return {"conjecture": self.conjecture,
+                "verdict": "pass" if self.passed else "fail",
+                "items": [item.to_json() for item in self.items]}
 
 
 def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
@@ -63,13 +73,15 @@ def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
     for pole, _mult in zeta1.poles_with_multiplicity():
         order = pole.denominator
         if order == 1:
-            items.append(CheckItem(f"{pole}|1", True, "accepted via smooth point"))
+            items.append(CheckItem(None, True, "accepted via smooth point",
+                                   pole))
         elif delta_tilde.exponent(order) >= 1:
-            items.append(CheckItem(f"{pole}|{order}", True))
+            items.append(CheckItem(None, True, pole=pole))
         else:
             items.append(CheckItem(
-                f"{pole}|{order}", False,
-                f"Phi_{order} does not divide the characteristic polynomial"))
+                None, False,
+                f"Phi_{order} does not divide the characteristic polynomial",
+                pole))
     return Report("monodromy", tuple(items))
 
 
@@ -96,6 +108,6 @@ def check_holomorphy(zeta_family: Callable[[int], RatFun], orders: OrderSet,
         if l in closure:
             continue
         z = zeta_family(l)
-        items.append(CheckItem(str(l), z.is_zero(),
+        items.append(CheckItem(l, z.is_zero(),
                                "" if z.is_zero() else f"Z^({l}) = {z}"))
     return Report("holomorphy", tuple(items))

@@ -87,7 +87,7 @@ def _load_subject(obj: dict):
                 lambda l: resolution.ztop_from_strata(res, l))
     if kind == "suspension":
         k = json_number(obj["k"], "'k'")
-        germ_obj = obj["germ"]
+        germ_obj = json_check(obj["germ"], dict, "'germ'")
         if "graph" in germ_obj or "vertices" in germ_obj:
             germ = suspension.summary_from_graph(
                 resolution.graph_from_json(germ_obj.get("graph", germ_obj)))

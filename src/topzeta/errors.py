@@ -14,20 +14,27 @@ def json_array(obj: dict, key: str, of: type = dict,
                required: bool = True) -> list:
     """obj[key] checked to be a JSON array whose items are of type `of`
     (objects by default); an absent optional field reads as []."""
-    items = obj[key] if required else obj.get(key, [])
-    json_check(items, list, repr(key))
+    return json_items(obj[key] if required else obj.get(key, []), of,
+                      repr(key))
+
+
+def json_items(items, of: type, what: str) -> list:
+    """items checked to be a JSON array whose items are of type `of`."""
+    json_check(items, list, what)
     for i, item in enumerate(items):
-        json_check(item, of, f"{key!r}[{i}]")
+        json_check(item, of, f"{what}[{i}]")
     return items
 
 
+_KINDS = {list: "a JSON array", dict: "a JSON object", str: "a JSON string"}
+
+
 def json_check(value, kind: type, what: str):
-    """Raise ValidationError unless value is a JSON array (kind = list) or
-    object (kind = dict)."""
+    """Raise ValidationError unless value is a JSON array (kind = list),
+    object (dict) or string (str)."""
     if not isinstance(value, kind):
-        name = "a JSON array" if kind is list else "a JSON object"
         raise ValidationError(
-            f"{what} must be {name}, got {type(value).__name__}")
+            f"{what} must be {_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arith import divisor_closure, frak_n
 from .cyclo import CycloProduct, OrderSet
 from .errors import ConsistencyError, ValidationError, json_array, \
-    json_number
+    json_check, json_number
 from .ratfun import PoleError, RatFun
 from .resolution import graph_from_json
 from .suspension import GermSummary, summary_from_graph, \
@@ -43,24 +43,19 @@ class LysSurface:
                     f"{self.chi_curve_smooth} + {len(self.points)} != 3")
 
 
-def _global_inv_krs(s_surface: LysSurface) -> RatFun:
-    # k (r - s) = m s + n + 1
-    return RatFun.inv_linear(s_surface.m, s_surface.n + 1)
-
-
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     """Z_top^(l)(F, s): global strata plus one suspension term per singular
     point of the tangent cone."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    inv_krs = _global_inv_krs(S)
+    krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
     total = RatFun.zero()
     if S.m % l == 0:
-        total = total + S.chi_complement * inv_krs
+        total = RatFun.scaled_inv_product(S.chi_complement, [krs])
     if l == 1:
-        total = total + S.chi_curve_smooth * inv_krs * RatFun.inv_linear(1, 1)
+        total += RatFun.scaled_inv_product(S.chi_curve_smooth, [krs, (1, 1)])
     for point in S.points:
-        total = total + suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
+        total += suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
     return total
 
 
@@ -162,6 +157,7 @@ def lys_to_json(S: LysSurface) -> dict:
 
 
 def lys_from_json(obj: dict, validate: bool = True) -> LysSurface:
+    json_check(obj, dict, "'lys'")
     points = []
     for i, p in enumerate(json_array(obj, "points", required=False)):
         name = p.get("name", f"q{i + 1}")

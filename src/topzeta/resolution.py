@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .arith import gauss_jordan
 from .cyclo import CycloProduct
-from .errors import ValidationError, json_array, json_number
+from .errors import ValidationError, json_array, json_check, json_items, \
+    json_number
 from .ratfun import RatFun
 
 
@@ -57,16 +58,14 @@ class StratifiedResolution:
             if c.N < 1 or c.nu < 1:
                 raise ValidationError(f"component {c.id}: N and nu must be >= 1")
 
-    def component(self, cid: str) -> Component:
-        return next(c for c in self.components if c.id == cid)
-
     def check_normalization(self) -> None:
         """sum chi / prod nu_i over strata must equal 1 / prod_nu0."""
+        nu = {c.id: c.nu for c in self.components}
         total = Fraction(0)
         for st in self.strata:
             prod = 1
             for cid in st.I:
-                prod *= self.component(cid).nu
+                prod *= nu[cid]
             total += Fraction(st.chi, prod)
         if total != Fraction(1, self.prod_nu0):
             raise ValidationError(
@@ -78,15 +77,13 @@ def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
     """Z_top^(l); l = 1 imposes no divisibility condition."""
     if l < 1:
         raise ValueError("l must be >= 1")
+    by_id = {c.id: c for c in res.components}
     total = RatFun.zero()
     for st in res.strata:
-        comps = [res.component(cid) for cid in st.I]
-        if any(c.N % l for c in comps):
-            continue
-        term = RatFun.const(st.chi)
-        for c in comps:
-            term = term * RatFun.inv_linear(c.N, c.nu)
-        total = total + term
+        comps = [by_id[cid] for cid in st.I]
+        if all(c.N % l == 0 for c in comps):
+            total += RatFun.scaled_inv_product(
+                st.chi, [(c.nu, c.N) for c in comps])
     return total
 
 
@@ -133,17 +130,8 @@ class CurveResolutionGraph:
         if all(v.self_intersection is not None for v in self.vertices):
             self.check_projection_formula()
 
-    def vertex(self, vid: str) -> Vertex:
-        return next(v for v in self.vertices if v.id == vid)
-
     def neighbors(self, vid: str) -> list[str]:
-        out = []
-        for u, v in self.edges:
-            if u == vid:
-                out.append(v)
-            elif v == vid:
-                out.append(u)
-        return out
+        return [v if u == vid else u for u, v in self.edges if vid in (u, v)]
 
     def arrows_at(self, vid: str) -> list[Arrow]:
         return [a for a in self.arrows if a.attached_to == vid]
@@ -154,11 +142,12 @@ class CurveResolutionGraph:
     def check_projection_formula(self) -> None:
         """Total transform meets each exceptional E_i with intersection 0:
         sum of neighbor multiplicities (arrows weighted by mult) = e_i N_i."""
+        big_n = {v.id: v.N for v in self.vertices}
         for v in self.vertices:
             if v.self_intersection is None:
                 continue
             e = -v.self_intersection
-            total = sum(self.vertex(w).N for w in self.neighbors(v.id))
+            total = sum(big_n[w] for w in self.neighbors(v.id))
             total += sum(a.mult for a in self.arrows_at(v.id))
             if total != e * v.N:
                 raise ValidationError(
@@ -336,10 +325,12 @@ def graph_to_json(g: CurveResolutionGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> CurveResolutionGraph:
-    vertices = [Vertex(d["id"], _positive(d, "N"), _positive(d, "nu"),
+    json_check(obj, dict, "'graph'")
+    vertices = [Vertex(json_check(d["id"], str, f"'vertices'[{i}]: 'id'"),
+                       _positive(d, "N"), _positive(d, "nu"),
                        None if d.get("self_intersection") is None
                        else _self_intersection(d))
-                for d in json_array(obj, "vertices")]
+                for i, d in enumerate(json_array(obj, "vertices"))]
     return CurveResolutionGraph(vertices, _arrows(obj), _edges(obj),
                                 _prod_nu0(obj))
 
@@ -347,8 +338,9 @@ def graph_from_json(obj: dict) -> CurveResolutionGraph:
 def shape_from_json(obj: dict) -> GraphShape:
     """Graph with N/nu absent, for solve_multiplicities input."""
     vertices = json_array(obj, "vertices")
-    ids = [d["id"] for d in vertices]
-    selfint = {d["id"]: _self_intersection(d) for d in vertices}
+    ids = [json_check(d["id"], str, f"'vertices'[{i}]: 'id'")
+           for i, d in enumerate(vertices)]
+    selfint = {vid: _self_intersection(d) for vid, d in zip(ids, vertices)}
     return GraphShape(ids, selfint, _arrows(obj), _edges(obj), _prod_nu0(obj))
 
 
@@ -358,13 +350,19 @@ def _self_intersection(d: dict) -> int:
 
 
 def _arrows(obj: dict) -> list[Arrow]:
-    return [Arrow(d["id"], json_number(d["mult"], f"arrow {d['id']}: 'mult'"),
-                  d["attached_to"])
-            for d in json_array(obj, "arrows", required=False)]
+    return [Arrow(aid := json_check(d["id"], str, f"'arrows'[{i}]: 'id'"),
+                  json_number(d["mult"], f"arrow {aid}: 'mult'"),
+                  json_check(d["attached_to"], str,
+                             f"'arrows'[{i}]: 'attached_to'"))
+            for i, d in enumerate(json_array(obj, "arrows", required=False))]
 
 
 def _edges(obj: dict) -> list[tuple]:
-    return [(u, v) for u, v in json_array(obj, "edges", list, required=False)]
+    edges = json_array(obj, "edges", list, required=False)
+    for i, edge in enumerate(edges):
+        if len(json_items(edge, str, f"'edges'[{i}]")) != 2:
+            raise ValidationError(f"'edges'[{i}] must have two ends")
+    return [(u, v) for u, v in edges]
 
 
 def _prod_nu0(obj: dict) -> int:
@@ -389,11 +387,12 @@ def strata_to_json(res: StratifiedResolution) -> dict:
 
 
 def strata_from_json(obj: dict) -> StratifiedResolution:
-    comps = [Component(d["id"],
-                       json_number(d["N"], f"component {d['id']}: 'N'"),
-                       json_number(d["nu"], f"component {d['id']}: 'nu'"))
-             for d in json_array(obj, "components")]
-    strata = [Stratum(frozenset(d["I"]),
+    comps = [Component(cid := json_check(d["id"], str,
+                                         f"'components'[{i}]: 'id'"),
+                       json_number(d["N"], f"component {cid}: 'N'"),
+                       json_number(d["nu"], f"component {cid}: 'nu'"))
+             for i, d in enumerate(json_array(obj, "components"))]
+    strata = [Stratum(frozenset(json_items(d["I"], str, f"'strata'[{i}]: 'I'")),
                       json_number(d["chi"], f"'strata'[{i}]: 'chi'"))
               for i, d in enumerate(json_array(obj, "strata"))]
     return StratifiedResolution(comps, strata, _prod_nu0(obj))

@@ -3,9 +3,10 @@
 Given the family of twisted local zeta functions of a germ f (a
 ZetaProfile), suspend_G computes the corresponding functions of
 G = z^m (z^k + f) in closed form; the plain suspension F = z^k + f is the
-case m = 0, nu_z = 1.  The ell-twisted output is a five-case dispatch on
-the divisibility of m and m+k by ell, with Jordan-totient-weighted sums
-over divisors of k, in the shift r = ((m+k)s + nu_z)/k.
+case m = 0, nu_z = 1.  The ell-twisted output is one sum over the cones
+sigma+, sigma-, rho, rho* of z^m (z^k + x^N), each gated by the
+divisibility of m or m+k by ell, with a Jordan-totient-weighted sum over
+the divisors of k, in the shift r = ((m+k)s + nu_z)/k.
 
 Also here: the matrix form of the transfer identity for F, eigenvalue-order
 transfer via classical Thom-Sebastiani, and the f-bad order classification
@@ -108,60 +109,40 @@ def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
 def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
               strict: bool = False) -> RatFun:
     """Z_top^(l)(G, omega_{d+1}, s) for G = z^m (z^k + f) and the form
-    x^nu0 z^nu_z dx/x dz/z."""
+    x^nu0 z^nu_z dx/x dz/z: one term per cone of z^m (z^k + x^N), gated as
+    in binomial.n_bullet (the entries of f carry the n_q part), in
+    r = ((m+k)s + nu_z)/k:
+
+        [l | m]   Z^(l)(f)(r) / (k (r - s))                     sigma+
+      + [l | m+k] (1/prod_nu0 - Z^(1)(f)(r)) / (k r)            sigma-
+      - w_l(s) sum_{e | k} J_2(e)/k Z^(lcm(e, m(k,l,m+k)))(f)(r)  rho, rho*
+
+    with w_1 = s/(s+1) = 1 - 1/(s+1) (rho* adds the -1/(s+1)) and w_l = 1
+    for l >= 2 (rho* vanishes).  Entries are read in that order, so strict
+    mode names the first missing one."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
         raise ValueError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
-    a = Fraction(m + k, k)
-    b = Fraction(nu_z, k)
 
-    def at_r(e: int) -> RatFun:
-        return f.entry(e, strict).substitute_affine(a, b)
+    def at_r(z: RatFun) -> RatFun:
+        return z.substitute_affine(Fraction(m + k, k), Fraction(nu_z, k))
 
-    inv_kr = RatFun.inv_linear(m + k, nu_z)          # 1/(k r)
-    inv_krs = RatFun.inv_linear(m, nu_z)             # 1/(k (r - s))
-    r_fun = RatFun.linear(a, b)
-    s_fun = RatFun.linear(1, 0)
-    inv_s1 = RatFun.inv_linear(1, 1)                 # 1/(s + 1)
-
-    div_mk = (m + k) % l == 0
-    div_m = m % l == 0
-
-    if l == 1:
-        # 1/(k r (r-s)(s+1)) = [1/(k r)] [1/(k (r-s))] [1/(s+1)] k
-        coeff = (s_fun * (s_fun - r_fun + 1) * (r_fun + 1)
-                 * inv_kr * inv_krs * inv_s1 * k)
-        total = inv_kr * Fraction(1, f.prod_nu0) + coeff * at_r(1)
-        for e in divisors(k):
-            if e == 1:
-                continue
-            total = total - (s_fun * inv_s1 * Fraction(jordan_totient(2, e), k)
-                             * at_r(e))
-        return total
-
-    if div_mk and div_m:
-        total = (inv_kr * Fraction(1, f.prod_nu0)
-                 + inv_krs * at_r(l)
-                 - (r_fun + 1) * inv_kr * at_r(1))
-        for e in divisors(k):
-            if e == 1:
-                continue
-            total = total - Fraction(jordan_totient(2, e), k) * at_r(e)
-        return total
-
-    if div_mk:
-        total = (inv_kr * Fraction(1, f.prod_nu0)
-                 - (r_fun + 1) * inv_kr * at_r(1))
-        for e in divisors(k):
-            if e == 1:
-                continue
-            total = total - Fraction(jordan_totient(2, e), k) * at_r(e)
-        return total
-
+    total = RatFun.zero()
+    if m % l == 0:
+        total = at_r(f.entry(l, strict)) \
+            * RatFun.scaled_inv_product(1, [(nu_z, m)])
+    if (m + k) % l == 0:
+        total += (Fraction(1, f.prod_nu0) - at_r(f.entry(1, strict))) \
+            * RatFun.scaled_inv_product(1, [(nu_z, m + k)])
     fm = frak_m(k, l, m + k)
-    total = inv_krs * at_r(l) if div_m else RatFun.zero()
+    rho = RatFun.zero()
     for e in divisors(k):
-        total = total - (Fraction(jordan_totient(2, e), k) * at_r(lcm(e, fm)))
-    return total
+        z = f.entry(lcm(e, fm), strict)
+        if not z.is_zero():
+            rho += z * Fraction(jordan_totient(2, e), k)
+    rho = at_r(rho)
+    if l == 1:
+        rho = rho * RatFun.scaled_inv_product(1, [(1, 1)], (0, 1))
+    return total - rho
 
 
 def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int, ells,
@@ -189,17 +170,17 @@ def suspend_matrix(f: ZetaProfile, k: int):
     j2 = [jordan_totient(2, l) for l in ds]
     b_matrix = [[(k if i == j else 0) - j2[j] for j in range(len(ds))]
                 for i in range(len(ds))]
-    shift = Fraction(1, k)
-    s_fun = RatFun.linear(1, 0)
-    t_fun = RatFun.linear(1, shift)
-    inv_t = RatFun.inv_linear(1, shift)
+    # (s + 1)/s, and in t = s + 1/k: 1/t = k/(ks + 1), (t + 1)/t
+    s1_s = RatFun.scaled_inv_product(1, [(0, 1)], (1, 1))
+    inv_t = RatFun.scaled_inv_product(k, [(1, k)])
+    t1_t = RatFun.scaled_inv_product(1, [(1, k)], (k + 1, k))
     a_vec = [RatFun.const(Fraction(1, f.prod_nu0)) for _ in ds]
-    a_vec[0] = (s_fun + 1) / s_fun * Fraction(1, f.prod_nu0)
+    a_vec[0] = s1_s * Fraction(1, f.prod_nu0)
 
-    zf = [f.entry(l).substitute_affine(1, shift) for l in ds]
-    zf[0] = (t_fun + 1) * inv_t * zf[0]
+    zf = [f.entry(l).substitute_affine(1, Fraction(1, k)) for l in ds]
+    zf[0] = t1_t * zf[0]
     zF = [suspend_G(f, 0, k, 1, l) for l in ds]
-    zF[0] = (s_fun + 1) / s_fun * zF[0]
+    zF[0] = s1_s * zF[0]
 
     holds = True
     for i in range(len(ds)):

@@ -4,11 +4,12 @@ The library computes every suspension and Le-Yomdin zeta function through
 the general formulas (suspension.suspend_G, lys.lys_ztop) and the
 Thom-Sebastiani eigenvalue transfer in bracket form, and it enumerates
 the fundamental domains of the binomial cones from their coordinates.
-The paper's special cases below (the plain suspension z^k + f, the k = 2
-split, the superisolated k = 1 surfaces), the residue-class walk over the
-root multiset and the box walk that solves for every integer point of a
-cone's bounding box are independent derivations of the same quantities;
-the tests compare them with the production path.
+The paper's special cases below (the five-case statement of the
+generalized suspension z^m (z^k + f), the plain suspension z^k + f, the
+k = 2 split, the superisolated k = 1 surfaces), the residue-class walk
+over the root multiset and the box walk that solves for every integer
+point of a cone's bounding box are independent derivations of the same
+quantities; the tests compare them with the production path.
 """
 from __future__ import annotations
 
@@ -69,6 +70,71 @@ def suspend_F(f: ZetaProfile, k: int, l: int, strict: bool = False) -> RatFun:
     total = at_t(l)
     for e in divisors(k):
         total = total - Fraction(jordan_totient(2, e), k) * at_t(lcm(e, fm))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# generalized suspension G = z^m (z^k + f), case by case
+
+
+def suspend_G_dispatch(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
+                       strict: bool = False) -> RatFun:
+    """Z_top^(l)(G, omega_{d+1}, s) for G = z^m (z^k + f) and the form
+    x^nu0 z^nu_z dx/x dz/z, as the paper states it: a five-case dispatch
+    on l = 1, l | m and l | m+k, in r = ((m+k)s + nu_z)/k.  Must agree
+    with suspension.suspend_G, the sum over the four cones."""
+    if m < 0 or k < 1 or nu_z < 1 or l < 1:
+        raise ValueError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
+    a = Fraction(m + k, k)
+    b = Fraction(nu_z, k)
+
+    def at_r(e: int) -> RatFun:
+        return f.entry(e, strict).substitute_affine(a, b)
+
+    inv_kr = RatFun.inv_linear(m + k, nu_z)          # 1/(k r)
+    inv_krs = RatFun.inv_linear(m, nu_z)             # 1/(k (r - s))
+    r_fun = RatFun.linear(a, b)
+    s_fun = RatFun.linear(1, 0)
+    inv_s1 = RatFun.inv_linear(1, 1)                 # 1/(s + 1)
+
+    div_mk = (m + k) % l == 0
+    div_m = m % l == 0
+
+    if l == 1:
+        # 1/(k r (r-s)(s+1)) = [1/(k r)] [1/(k (r-s))] [1/(s+1)] k
+        coeff = (s_fun * (s_fun - r_fun + 1) * (r_fun + 1)
+                 * inv_kr * inv_krs * inv_s1 * k)
+        total = inv_kr * Fraction(1, f.prod_nu0) + coeff * at_r(1)
+        for e in divisors(k):
+            if e == 1:
+                continue
+            total = total - (s_fun * inv_s1 * Fraction(jordan_totient(2, e), k)
+                             * at_r(e))
+        return total
+
+    if div_mk and div_m:
+        total = (inv_kr * Fraction(1, f.prod_nu0)
+                 + inv_krs * at_r(l)
+                 - (r_fun + 1) * inv_kr * at_r(1))
+        for e in divisors(k):
+            if e == 1:
+                continue
+            total = total - Fraction(jordan_totient(2, e), k) * at_r(e)
+        return total
+
+    if div_mk:
+        total = (inv_kr * Fraction(1, f.prod_nu0)
+                 - (r_fun + 1) * inv_kr * at_r(1))
+        for e in divisors(k):
+            if e == 1:
+                continue
+            total = total - Fraction(jordan_totient(2, e), k) * at_r(e)
+        return total
+
+    fm = frak_m(k, l, m + k)
+    total = inv_krs * at_r(l) if div_m else RatFun.zero()
+    for e in divisors(k):
+        total = total - (Fraction(jordan_totient(2, e), k) * at_r(lcm(e, fm)))
     return total
 
 

@@ -24,10 +24,14 @@ def int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def peval(p: Sequence, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def scaled_value(p: Sequence[int], num: int, den: int) -> int:
+    """den^n p(num/den) for an integer polynomial p of degree n, by Horner's
+    rule in integers."""
+    acc = 0
+    power = 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * num + c * power
+        power *= den
     return acc
 
 
@@ -43,9 +47,8 @@ def rational_root(p: Sequence) -> Fraction | None:
     for num in int_divisors(abs(a0)):
         for den in int_divisors(abs(lead)):
             for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if not peval(ints, cand):
-                    return cand
+                if not scaled_value(ints, sign * num, den):
+                    return Fraction(sign * num, den)
     return None
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import time
 
 import pytest
 
@@ -311,6 +313,32 @@ MALFORMED = [
     ("cyclotomic-exponent", LYS, FIXTURES / "lys_xyz_k1.json",
      ["points", 0, "delta", "cyclotomic", "1"], None,
      "'cyclotomic'['1'] must be an integer, got null"),
+    # ids are JSON strings, and nested graphs, germs and surfaces objects
+    ("vertex-id", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["vertices", 1, "id"], ["E2"],
+     "'vertices'[1]: 'id' must be a JSON string, got list"),
+    ("arrow-id", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["arrows", 0, "id"], 1, "'arrows'[0]: 'id' must be a JSON string, got int"),
+    ("arrow-attached_to", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["arrows", 0, "attached_to"], {"a": 1},
+     "'arrows'[0]: 'attached_to' must be a JSON string, got dict"),
+    ("edge-end", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["edges", 2, 1], 3, "'edges'[2][1] must be a JSON string, got int"),
+    ("edge-ends", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["edges", 0], ["E1", "E3", "E4"], "'edges'[0] must have two ends"),
+    ("component-id", STRATA_CMD, STRATA, ["components", 0, "id"], None,
+     "'components'[0]: 'id' must be a JSON string, got NoneType"),
+    ("stratum-I", STRATA_CMD, STRATA, ["strata", 1, "I"], "E1",
+     "'strata'[1]: 'I' must be a JSON array, got str"),
+    ("stratum-I-item", STRATA_CMD, STRATA, ["strata", 1, "I", 0], [],
+     "'strata'[1]: 'I'[0] must be a JSON string, got list"),
+    ("germ", ["check", "monodromy", "--in", "IN"], FIXTURES / "cusp3_susp.json",
+     ["germ"], [1], "'germ' must be a JSON object, got list"),
+    ("germ-graph", ["check", "monodromy", "--in", "IN"],
+     FIXTURES / "cusp3_susp.json", ["germ", "graph"], 5,
+     "'graph' must be a JSON object, got int"),
+    ("point-graph", LYS, FIXTURES / "lys_kashiwara_Ib.json",
+     ["points", 0, "graph"], [], "'graph' must be a JSON object, got list"),
 ]
 
 
@@ -376,3 +404,76 @@ def test_cli_matches_recorded_output(capsys, monkeypatch, label):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+# seeded CLI fuzz: every fixture (each Kashiwara fibre as a graph) and the
+# strata file, one field replaced by a bad value or deleted per run
+FUZZ_VALUES = [None, 0, -1, "x", [], {}, 5, [5], {"a": 1}, True, 1.5, "1"]
+FUZZ_RUNS_PER_INPUT = 25
+FUZZ_BUDGET_S = 30
+CHECK = ["check", "monodromy", "--in", "IN"]
+HOLOMORPHY = ["check", "holomorphy", "--in", "IN", "--lmax", "12"]
+FUZZ_COMMANDS = {
+    "graph": [GRAPH + ["--ell", "2"], ["acampo", "--in", "IN"], CHECK],
+    "profile": [["suspend", "--in", "IN", "--k", "6", "--m", "1", "--nuz",
+                 "2", "--ell", "1,2,3,6"],
+                ["--strict"] + SUSPEND[:-1] + ["1,2,4"]],
+    "suspension": [CHECK, HOLOMORPHY],
+    "lys": [LYS[:-1] + ["1,2"], ["charpoly", "--in", "IN"], CHECK,
+            HOLOMORPHY],
+    "strata": [STRATA_CMD + ["--ell", "2"]],
+}
+
+
+def _fuzz_inputs():
+    for path in sorted(FIXTURES.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "fibers" in obj:
+            for fibre, graph in obj["fibers"].items():
+                yield f"{path.name}:{fibre}", graph, "graph"
+        else:
+            kind = ("graph" if "vertices" in obj else
+                    "profile" if "entries" in obj else
+                    "suspension" if "germ" in obj else "lys")
+            yield path.name, obj, kind
+    yield STRATA.name, json.loads(STRATA.read_text()), "strata"
+
+
+def _json_paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def test_fuzzed_inputs_exit_cleanly(capsys, tmp_path):
+    # every run exits 0, 1, 2 or 3, an error with one line on stderr; an
+    # exception escaping main would be a traceback for a CLI user
+    rng = random.Random(59)
+    f = tmp_path / "fuzz.json"
+    start = time.perf_counter()
+    runs = 0
+    for name, obj, kind in _fuzz_inputs():
+        paths = list(_json_paths(obj))
+        for _ in range(FUZZ_RUNS_PER_INPUT):
+            data = json.loads(json.dumps(obj))
+            path = rng.choice(paths)
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            if rng.random() < 0.1:
+                del parent[path[-1]]
+                value = "deleted"
+            else:
+                value = parent[path[-1]] = rng.choice(FUZZ_VALUES)
+            f.write_text(json.dumps(data))
+            for argv in FUZZ_COMMANDS[kind]:
+                argv = [str(f) if a == "IN" else a for a in argv]
+                code, _, err = run_cli(capsys, *argv)
+                runs += 1
+                assert code in (0, 1, 2, 3), (name, path, value, argv)
+                if code in (1, 3):
+                    assert err.count("\n") == 1, (name, path, value, err)
+    assert runs > 1000
+    assert time.perf_counter() - start < FUZZ_BUDGET_S

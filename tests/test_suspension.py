@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import load_fixture
 from graphgen import random_graph
-from closed_forms import k2_twisted, suspend_F
-from topzeta.arith import divisor_closure, divisors
+from closed_forms import k2_twisted, suspend_F, suspend_G_dispatch
+from topzeta.arith import divisor_closure, divisors, lcm_all
 from topzeta.binomial import BULLETS, BinomialGerm, w_top, w_top_twisted
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
@@ -208,15 +210,22 @@ def test_cross_consistency_random_profiles():
 
 def test_stratification_assembly(triple_cusp_graph, a3_graph, cusp_graph):
     # suspend_G must equal the stratum-by-stratum sum of binomial cone terms
-    for graph in (triple_cusp_graph, a3_graph, cusp_graph):
+    rng = random.Random(41)
+    graphs = [triple_cusp_graph, a3_graph, cusp_graph]
+    graphs += [random_graph(rng, rng.randint(1, 4)) for _ in range(4)]
+    for graph in graphs:
         prof = profile_from_graph(graph)
         res = strata_of_graph(graph)
-        for m, k, nu_z in ((0, 2, 1), (1, 2, 3), (3, 4, 2), (2, 1, 3)):
-            for l in (1, 2, 3, 5, 6, 9, 10, 18):
+        by_id = {c.id: c for c in res.components}
+        cases = [(0, 2, 1), (1, 2, 3), (3, 4, 2), (2, 1, 3)]
+        cases += [(rng.randint(0, 4), rng.randint(1, 6), rng.randint(1, 3))
+                  for _ in range(3)]
+        for m, k, nu_z in cases:
+            for l in (1, 2, 3, 4, 5, 6, 9, 10, 12, 18):
                 direct = suspend_G(prof, m, k, nu_z, l)
                 assembled = RatFun.zero()
                 for stratum in res.strata:
-                    comps = [res.component(cid) for cid in stratum.I]
+                    comps = [by_id[cid] for cid in stratum.I]
                     germ = BinomialGerm(m, k, tuple(c.N for c in comps),
                                         tuple(c.nu for c in comps), nu_z)
                     for bullet in BULLETS:
@@ -226,6 +235,27 @@ def test_stratification_assembly(triple_cusp_graph, a3_graph, cusp_graph):
                             term = w_top_twisted(germ, bullet, l)
                         assembled = assembled + stratum.chi * term
                 assert assembled == direct, (graph, m, k, nu_z, l)
+
+
+def test_suspend_G_matches_five_case_dispatch(x5y6_profile):
+    # the cone sum against the paper's case-by-case statement, for every
+    # m <= 3, k <= 6, nu_z <= 2 and every l <= 2 lcm(support)
+    rng = random.Random(43)
+    lvp = profile_from_json(load_fixture("lvp_profile.json"))
+    profiles = [x5y6_profile, lvp]
+    profiles += [profile_from_graph(random_graph(rng, rng.randint(1, 4)))
+                 for _ in range(4)]
+    start = time.perf_counter()
+    for prof in profiles:
+        l_top = 2 * lcm_all(prof.support())
+        for m in range(4):
+            for k in range(1, 7):
+                for nu_z in (1, 2):
+                    for l in range(1, l_top + 1):
+                        assert suspend_G(prof, m, k, nu_z, l) == \
+                            suspend_G_dispatch(prof, m, k, nu_z, l), \
+                            (m, k, nu_z, l)
+    assert time.perf_counter() - start < 3.0
 
 
 def test_suspend_profile_wrapper(x5y6_profile):
