@@ -417,10 +417,11 @@ FUZZ_COMMANDS = {
     "graph": [GRAPH + ["--ell", "2"], ["acampo", "--in", "IN"], CHECK],
     "profile": [["suspend", "--in", "IN", "--k", "6", "--m", "1", "--nuz",
                  "2", "--ell", "1,2,3,6"],
-                ["--strict"] + SUSPEND[:-1] + ["1,2,4"]],
+                ["--strict", "suspend", "--in", "IN", "--k", "2", "--ell",
+                 "1,2,4"]],
     "suspension": [CHECK, HOLOMORPHY],
-    "lys": [LYS[:-1] + ["1,2"], ["charpoly", "--in", "IN"], CHECK,
-            HOLOMORPHY],
+    "lys": [["lys", "--in", "IN", "--ell", "1,2"], ["charpoly", "--in", "IN"],
+            CHECK, HOLOMORPHY],
     "strata": [STRATA_CMD + ["--ell", "2"]],
 }
 
