@@ -30,9 +30,8 @@ def check_curve(g, label: str) -> bool:
     res = strata_of_graph(g)
     _, delta = acampo(g)
     mon = check_monodromy(ztop_from_strata(res, 1), delta * ONE_BRACKET)
-    l_max = min(2 * max(delta.root_orders(), default=1), 120)
     hol = check_holomorphy(lambda l: ztop_from_strata(res, l),
-                           delta.root_orders(), l_max)
+                           delta.root_orders())
     ok = mon.passed and hol.passed
     print(f"  {label:34s} monodromy={'PASS' if mon.passed else 'FAIL'} "
           f"holomorphy={'PASS' if hol.passed else 'FAIL'}")
@@ -44,8 +43,7 @@ def check_suspension(g, k: int, label: str) -> bool:
     delta_f, orders = suspend_orders(germ, k)
     mon = check_monodromy(suspend_G(germ.zeta, 0, k, 1, 1),
                           delta_f * ONE_BRACKET)
-    hol = check_holomorphy(lambda l: suspend_G(germ.zeta, 0, k, 1, l), orders,
-                           min(2 * max(orders, default=1), 120))
+    hol = check_holomorphy(lambda l: suspend_G(germ.zeta, 0, k, 1, l), orders)
     ok = mon.passed and hol.passed
     print(f"  {label:34s} monodromy={'PASS' if mon.passed else 'FAIL'} "
           f"holomorphy={'PASS' if hol.passed else 'FAIL'}")
@@ -77,8 +75,7 @@ def main() -> int:
             json.loads((FIXTURES / f"{name}.json").read_text()))
         mon = check_monodromy(lys_ztop(surface, 1), lys_charpoly(surface)[1])
         orders = lys_orders(surface)
-        hol = check_holomorphy(lambda l: lys_ztop(surface, l), orders,
-                               min(2 * max(orders, default=1), 120))
+        hol = check_holomorphy(lambda l: lys_ztop(surface, l), orders)
         ok &= mon.passed and hol.passed
         print(f"  {name:34s} monodromy={'PASS' if mon.passed else 'FAIL'} "
               f"holomorphy={'PASS' if hol.passed else 'FAIL'}")

@@ -10,11 +10,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .errors import ValidationError
+
 
 def _check_pos(*values: int) -> None:
     for v in values:
         if v < 1:
-            raise ValueError(f"expected a positive integer, got {v}")
+            raise ValidationError(f"expected a positive integer, got {v}")
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Batch command line over JSON inputs.
 
 Subcommands: zeta graph|strata, acampo, suspend, lys, sis, charpoly,
-check monodromy|holomorphy, fbad.  Exit codes: 0 success, 1 input or
-validation error, 2 conjecture check FAIL, 3 internal consistency error.
+check monodromy|holomorphy, fbad.  Exit codes: 0 success, 1 bad input
+or usage, 2 conjecture check FAIL, 3 internal error.
 """
 from __future__ import annotations
 
@@ -12,18 +12,22 @@ import sys
 
 from . import checks, lys as lys_mod, resolution, suspension
 from .cyclo import CycloProduct, cyclo_str, cyclo_to_json
-from .errors import ConsistencyError, ValidationError, json_check, \
-    json_number
-from .ratfun import FactorizationError, RatFun, render_latex, render_text
+from .errors import ValidationError, json_check, json_field
+from .ratfun import RatFun, render_latex, render_text
 
 
 def _read_json(path: str) -> dict:
-    data = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return json_check(json.loads(data), dict, "input")
-
-
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    try:
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fp:
+                obj = json.load(fp)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, huge ints, depth
+        raise ValidationError(f"unreadable JSON input: {exc}") from exc
+    return json_check(obj, dict, "input")
 
 
 def _render(f: RatFun, fmt: str):
@@ -44,18 +48,16 @@ def _render_cyclo(h: CycloProduct, fmt: str):
     return cyclo_str(h)
 
 
-def _parse_ells(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad --ell list {text!r}") from exc
+def int_list(text: str) -> list[int]:
+    """The argparse type of --ell and --orders: comma-separated integers."""
+    return [int(x) for x in text.split(",") if x.strip()]
 
 
 def _print(args, payload, text_lines):
     if args.quiet:
         return
     if args.format == "json":
-        print(_emit_json(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -86,8 +88,8 @@ def _load_subject(obj: dict):
                 delta.root_orders(),
                 lambda l: resolution.ztop_from_strata(res, l))
     if kind == "suspension":
-        k = json_number(obj["k"], "'k'")
-        germ_obj = json_check(obj["germ"], dict, "'germ'")
+        k = json_field(obj, "k")
+        germ_obj = json_field(obj, "germ", dict)
         if "graph" in germ_obj or "vertices" in germ_obj:
             germ = suspension.summary_from_graph(
                 resolution.graph_from_json(germ_obj.get("graph", germ_obj)))
@@ -132,10 +134,9 @@ def _cmd_acampo(args) -> int:
 
 def _cmd_suspend(args) -> int:
     profile = suspension.profile_from_json(_read_json(args.infile))
-    ells = _parse_ells(args.ell)
     results = [(l, suspension.suspend_G(profile, args.m, args.k, args.nuz, l,
                                         strict=args.strict))
-               for l in ells]
+               for l in args.ell]
     payload = {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]}
     if len(results) == 1 and not args.matrix:
         lines = [_render(results[0][1], args.format)]
@@ -155,10 +156,9 @@ def _cmd_suspend(args) -> int:
 
 def _cmd_lys(args, sis: bool) -> int:
     surface = lys_mod.lys_from_json(_read_json(args.infile))
-    ells = _parse_ells(args.ell)
     if sis and surface.k != 1:
         raise ValidationError(f"sis needs k = 1, got k = {surface.k}")
-    results = [(l, lys_mod.lys_ztop(surface, l)) for l in ells]
+    results = [(l, lys_mod.lys_ztop(surface, l)) for l in args.ell]
     _print(args, {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]},
            [f"Z^({l}) = {_render(z, args.format)}" for l, z in results])
     return 0
@@ -190,14 +190,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fbad(args) -> int:
-    orders = frozenset(_parse_ells(args.orders))
+    orders = frozenset(args.orders)
     bad = sorted(suspension.fbad_set(orders))
     _print(args, {"fbad": bad}, [",".join(map(str, bad))])
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: they raise instead of exiting 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topzeta",
         description="Exact topological zeta functions, monodromy zeta "
                     "functions, and conjecture checks for suspensions and "
@@ -224,19 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_susp.add_argument("--k", type=int, required=True)
     p_susp.add_argument("--m", type=int, default=0)
     p_susp.add_argument("--nuz", type=int, default=1)
-    p_susp.add_argument("--ell", required=True)
+    p_susp.add_argument("--ell", type=int_list, required=True)
     p_susp.add_argument("--matrix", action="store_true")
     p_susp.set_defaults(fn=_cmd_suspend)
 
     p_lys = sub.add_parser("lys", help="Le-Yomdin surface zeta functions")
     p_lys.add_argument("--in", dest="infile", required=True)
-    p_lys.add_argument("--ell", required=True)
+    p_lys.add_argument("--ell", type=int_list, required=True)
     p_lys.set_defaults(fn=lambda a: _cmd_lys(a, sis=False))
 
     p_sis = sub.add_parser("sis", help="superisolated surfaces: lys restricted "
                                        "to k = 1")
     p_sis.add_argument("--in", dest="infile", required=True)
-    p_sis.add_argument("--ell", required=True)
+    p_sis.add_argument("--ell", type=int_list, required=True)
     p_sis.set_defaults(fn=lambda a: _cmd_lys(a, sis=True))
 
     p_char = sub.add_parser("charpoly", help="Le-Yomdin characteristic polynomial")
@@ -250,24 +257,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=_cmd_check)
 
     p_fbad = sub.add_parser("fbad", help="f-bad integers of an order set")
-    p_fbad.add_argument("--orders", required=True)
+    p_fbad.add_argument("--orders", type=int_list, required=True)
     p_fbad.set_defaults(fn=_cmd_fbad)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ConsistencyError as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return 3
-    except (ValidationError, FactorizationError, ValueError, KeyError,
-            OSError, json.JSONDecodeError, ArithmeticError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # ConsistencyError, or a fault in topzeta
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

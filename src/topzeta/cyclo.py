@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .arith import divisors, euler_phi
-from .errors import json_array, json_check, json_number
+from .errors import ValidationError, json_array, json_check, json_number
 
 OrderSet = frozenset
 
@@ -25,7 +25,7 @@ class CycloProduct:
     def from_factors(factors: dict[int, int]) -> "CycloProduct":
         for d in factors:
             if d < 1:
-                raise ValueError(f"cyclotomic index must be >= 1, got {d}")
+                raise ValidationError(f"cyclotomic index must be >= 1, got {d}")
         return CycloProduct(tuple(sorted((d, e) for d, e in factors.items() if e)))
 
     @property
@@ -47,7 +47,7 @@ class CycloProduct:
         acc: dict[int, int] = {}
         for m, n in brackets:
             if m < 1:
-                raise ValueError(f"bracket exponent must be >= 1, got {m}")
+                raise ValidationError(f"bracket exponent must be >= 1, got {m}")
             for d in divisors(m):
                 acc[d] = acc.get(d, 0) + n
         return CycloProduct.from_factors(acc)
@@ -119,7 +119,7 @@ class CycloProduct:
         Root multisets are bilinear under this join, the k points are
         [k] - [1] in brackets, and [a] x [b] = gcd(a, b) [lcm(a, b)]."""
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValidationError("k must be >= 1")
         if not self.is_polynomial():
             raise ValueError("Thom-Sebastiani tensor needs a polynomial input")
         brackets = []
@@ -142,11 +142,14 @@ def cyclo_from_json(obj: dict) -> CycloProduct:
              json_number(e, f"'cyclotomic'[{d!r}]") for d, e in
              json_check(obj["cyclotomic"], dict, "'cyclotomic'").items()})
     if "brackets" in obj:
+        pairs = json_array(obj, "brackets", list)
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValidationError("each of 'brackets' must be a pair [m, n]")
         return CycloProduct.from_brackets(
             [(json_number(m, f"'brackets'[{i}]"),
               json_number(n, f"'brackets'[{i}]"))
-             for i, (m, n) in enumerate(json_array(obj, "brackets", list))])
-    raise ValueError("expected a 'cyclotomic' or 'brackets' key")
+             for i, (m, n) in enumerate(pairs)])
+    raise ValidationError("expected a 'cyclotomic' or 'brackets' key")
 
 
 def cyclo_str(h: CycloProduct) -> str:

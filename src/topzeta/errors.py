@@ -3,19 +3,31 @@ import json
 
 
 class ValidationError(ValueError):
-    """A structural invariant of the input data fails."""
+    """Bad input; the CLI exits 1 on it, as on an unreadable file."""
 
 
 class ConsistencyError(ArithmeticError):
     """An internal cross-check (two computation paths) disagrees."""
 
 
-def json_array(obj: dict, key: str, of: type = dict,
-               required: bool = True) -> list:
+def json_field(obj: dict, key: str, kind: type = int, record: str = ""):
+    """The required field obj[key] of a record, read as kind: int or
+    Fraction by json_number, list, dict or str by json_check."""
+    prefix = f"{record}: " if record else ""
+    if key not in obj:
+        raise ValidationError(f"{prefix}missing field {key!r}")
+    if kind in _KINDS:
+        return json_check(obj[key], kind, f"{prefix}{key!r}")
+    return json_number(obj[key], f"{prefix}{key!r}", kind)
+
+
+def json_array(obj: dict, key: str, of: type = dict, required: bool = True,
+               record: str = "") -> list:
     """obj[key] checked to be a JSON array whose items are of type `of`
     (objects by default); an absent optional field reads as []."""
-    return json_items(obj[key] if required else obj.get(key, []), of,
-                      repr(key))
+    items = json_field(obj, key, list, record) if required \
+        else obj.get(key, [])
+    return json_items(items, of, f"{record}: {key!r}" if record else repr(key))
 
 
 def json_items(items, of: type, what: str) -> list:

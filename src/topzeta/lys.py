@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arith import divisor_closure, frak_n
 from .cyclo import CycloProduct, OrderSet
 from .errors import ConsistencyError, ValidationError, json_array, \
-    json_check, json_number
+    json_check, json_field
 from .ratfun import PoleError, RatFun
 from .resolution import graph_from_json
 from .suspension import GermSummary, summary_from_graph, \
@@ -36,18 +36,21 @@ class LysSurface:
         if self.n < 1 or self.m < 1 or self.k < 1:
             raise ValidationError("need n, m, k >= 1")
         if self.n == 2:
-            total = self.chi_complement + self.chi_curve_smooth + len(self.points)
-            if total != 3:
+            # a plane curve of degree m: chi(C) = 3m - m^2 + sum_p mu_p
+            chi_c = 3 * self.m - self.m ** 2 \
+                + sum(q.delta.degree() for q in self.points)
+            expected = (3 - chi_c, chi_c - len(self.points))
+            if (self.chi_complement, self.chi_curve_smooth) != expected:
                 raise ValidationError(
-                    f"chi(P^2) accounting fails: {self.chi_complement} + "
-                    f"{self.chi_curve_smooth} + {len(self.points)} != 3")
+                    f"(chi_complement, chi_curve_smooth) = ({self.chi_complement}"
+                    f", {self.chi_curve_smooth}), expected {expected}")
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     """Z_top^(l)(F, s): global strata plus one suspension term per singular
     point of the tangent cone."""
     if l < 1:
-        raise ValueError("l must be >= 1")
+        raise ValidationError("l must be >= 1")
     krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
     total = RatFun.zero()
     if S.m % l == 0:
@@ -156,7 +159,7 @@ def lys_to_json(S: LysSurface) -> dict:
             "points": [summary_to_json(q) for q in S.points]}
 
 
-def lys_from_json(obj: dict, validate: bool = True) -> LysSurface:
+def lys_from_json(obj: dict) -> LysSurface:
     json_check(obj, dict, "'lys'")
     points = []
     for i, p in enumerate(json_array(obj, "points", required=False)):
@@ -164,8 +167,8 @@ def lys_from_json(obj: dict, validate: bool = True) -> LysSurface:
         if "graph" in p:
             points.append(summary_from_graph(graph_from_json(p["graph"]), name))
         else:
-            points.append(summary_from_json(p, validate))
+            points.append(summary_from_json(p))
     n, m, k, chi_complement, chi_curve_smooth = [
-        json_number(obj[key], repr(key)) for key in
+        json_field(obj, key) for key in
         ("n", "m", "k", "chi_complement", "chi_curve_smooth")]
     return LysSurface(n, m, k, chi_complement, chi_curve_smooth, points)

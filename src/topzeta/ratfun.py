@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
-from .errors import ConsistencyError, json_check, json_number
+from .errors import ConsistencyError, ValidationError, json_field, \
+    json_number
 
 Scalar = Union[int, Fraction]
 
@@ -186,7 +187,7 @@ class PoleError(ArithmeticError):
     """Evaluation or residue requested at an unsuitable pole."""
 
 
-class FactorizationError(ArithmeticError):
+class FactorizationError(ValidationError):
     """Denominator has an irreducible non-linear factor over Q."""
 
 
@@ -226,7 +227,7 @@ class RatFun:
         n, n_scale = _integer_poly(num)
         d, d_scale = _integer_poly(den)
         if not d:
-            raise ZeroDivisionError("zero denominator")
+            raise ValidationError("zero denominator")
         if not n:
             return _ZERO
         unit, forms = _factor(d)
@@ -457,7 +458,7 @@ class RatFun:
     @staticmethod
     def from_json(obj: dict) -> "RatFun":
         num, den = [[json_number(c, f"{key!r}[{i}]", Fraction) for i, c in
-                     enumerate(json_check(obj[key], list, repr(key)))]
+                     enumerate(json_field(obj, key, list))]
                     for key in ("num", "den")]
         return RatFun.from_polys(num, den)
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .arith import gauss_jordan
 from .cyclo import CycloProduct
-from .errors import ValidationError, json_array, json_check, json_items, \
-    json_number
+from .errors import ValidationError, json_array, json_check, json_field, \
+    json_items, json_number
 from .ratfun import RatFun
 
 
@@ -76,7 +76,7 @@ class StratifiedResolution:
 def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
     """Z_top^(l); l = 1 imposes no divisibility condition."""
     if l < 1:
-        raise ValueError("l must be >= 1")
+        raise ValidationError("l must be >= 1")
     by_id = {c.id: c for c in res.components}
     total = RatFun.zero()
     for st in res.strata:
@@ -326,34 +326,33 @@ def graph_to_json(g: CurveResolutionGraph) -> dict:
 
 def graph_from_json(obj: dict) -> CurveResolutionGraph:
     json_check(obj, dict, "'graph'")
-    vertices = [Vertex(json_check(d["id"], str, f"'vertices'[{i}]: 'id'"),
+    vertices = [Vertex(json_field(d, "id", str, f"'vertices'[{i}]"),
                        _positive(d, "N"), _positive(d, "nu"),
                        None if d.get("self_intersection") is None
                        else _self_intersection(d))
                 for i, d in enumerate(json_array(obj, "vertices"))]
     return CurveResolutionGraph(vertices, _arrows(obj), _edges(obj),
-                                _prod_nu0(obj))
+                                prod_nu0_from_json(obj))
 
 
 def shape_from_json(obj: dict) -> GraphShape:
     """Graph with N/nu absent, for solve_multiplicities input."""
     vertices = json_array(obj, "vertices")
-    ids = [json_check(d["id"], str, f"'vertices'[{i}]: 'id'")
+    ids = [json_field(d, "id", str, f"'vertices'[{i}]")
            for i, d in enumerate(vertices)]
     selfint = {vid: _self_intersection(d) for vid, d in zip(ids, vertices)}
-    return GraphShape(ids, selfint, _arrows(obj), _edges(obj), _prod_nu0(obj))
+    return GraphShape(ids, selfint, _arrows(obj), _edges(obj),
+                      prod_nu0_from_json(obj))
 
 
 def _self_intersection(d: dict) -> int:
-    return json_number(d["self_intersection"],
-                       f"vertex {d.get('id')}: 'self_intersection'")
+    return json_field(d, "self_intersection", record=f"vertex {d.get('id')}")
 
 
 def _arrows(obj: dict) -> list[Arrow]:
-    return [Arrow(aid := json_check(d["id"], str, f"'arrows'[{i}]: 'id'"),
-                  json_number(d["mult"], f"arrow {aid}: 'mult'"),
-                  json_check(d["attached_to"], str,
-                             f"'arrows'[{i}]: 'attached_to'"))
+    return [Arrow(aid := json_field(d, "id", str, f"'arrows'[{i}]"),
+                  json_field(d, "mult", record=f"arrow {aid}"),
+                  json_field(d, "attached_to", str, f"'arrows'[{i}]"))
             for i, d in enumerate(json_array(obj, "arrows", required=False))]
 
 
@@ -365,14 +364,16 @@ def _edges(obj: dict) -> list[tuple]:
     return [(u, v) for u, v in edges]
 
 
-def _prod_nu0(obj: dict) -> int:
-    return json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
+def prod_nu0_from_json(obj: dict) -> int:
+    """The optional positive 'prod_nu0' of a graph, strata or profile."""
+    value = json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
+    if value < 1:
+        raise ValidationError(f"'prod_nu0' must be >= 1, got {value}")
+    return value
 
 
 def _positive(d: dict, key: str) -> int:
-    if key not in d:
-        raise ValidationError(f"vertex {d.get('id')}: missing field {key!r}")
-    value = json_number(d[key], f"vertex {d.get('id')}: {key!r}")
+    value = json_field(d, key, record=f"vertex {d.get('id')}")
     if value < 1:
         raise ValidationError(f"vertex {d.get('id')}: non-positive {key} = {value}")
     return value
@@ -387,12 +388,12 @@ def strata_to_json(res: StratifiedResolution) -> dict:
 
 
 def strata_from_json(obj: dict) -> StratifiedResolution:
-    comps = [Component(cid := json_check(d["id"], str,
-                                         f"'components'[{i}]: 'id'"),
-                       json_number(d["N"], f"component {cid}: 'N'"),
-                       json_number(d["nu"], f"component {cid}: 'nu'"))
+    comps = [Component(cid := json_field(d, "id", str, f"'components'[{i}]"),
+                       json_field(d, "N", record=f"component {cid}"),
+                       json_field(d, "nu", record=f"component {cid}"))
              for i, d in enumerate(json_array(obj, "components"))]
-    strata = [Stratum(frozenset(json_items(d["I"], str, f"'strata'[{i}]: 'I'")),
-                      json_number(d["chi"], f"'strata'[{i}]: 'chi'"))
+    strata = [Stratum(frozenset(json_array(d, "I", str,
+                                           record=f"'strata'[{i}]")),
+                      json_field(d, "chi", record=f"'strata'[{i}]"))
               for i, d in enumerate(json_array(obj, "strata"))]
-    return StratifiedResolution(comps, strata, _prod_nu0(obj))
+    return StratifiedResolution(comps, strata, prod_nu0_from_json(obj))

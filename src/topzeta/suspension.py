@@ -20,14 +20,13 @@ from math import lcm
 
 from .arith import divisor_closure, divisors, frak_m, jordan_totient
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
-from .errors import ValidationError, json_array, json_check, \
-    json_number
+from .errors import ValidationError, json_array, json_field
 from .ratfun import RatFun
-from .resolution import CurveResolutionGraph, acampo, strata_of_graph, \
-    ztop_from_strata
+from .resolution import CurveResolutionGraph, acampo, prod_nu0_from_json, \
+    strata_of_graph, ztop_from_strata
 
 
-class MissingEntryError(KeyError):
+class MissingEntryError(ValidationError):
     """Strict mode: a required twisted entry is not stored."""
 
 
@@ -55,6 +54,8 @@ class ZetaProfile:
                         f"support not divisor-closed: entry {l} is nonzero "
                         f"but divisor {d} is absent")
         if self.validate:
+            if Fraction(0) in self.entries[1].pol_plus():
+                raise ValidationError("Z(f, s) has a pole at s = 0")
             val = self.entries[1].evaluate(0)
             if val != Fraction(1, self.prod_nu0):
                 raise ValidationError(
@@ -87,14 +88,14 @@ class GermSummary:
             raise ValidationError(f"germ {self.name!r}: delta is not a polynomial")
 
 
-def profile_from_graph(g: CurveResolutionGraph, validate: bool = True) -> ZetaProfile:
+def profile_from_graph(g: CurveResolutionGraph) -> ZetaProfile:
     """ZetaProfile of a curve germ from its dual resolution graph; entries
     are computed for every divisor of every multiplicity (all other twists
     are identically zero)."""
     res = strata_of_graph(g)
     support = divisor_closure(c.N for c in res.components)
     entries = {l: ztop_from_strata(res, l) for l in sorted(support)}
-    return ZetaProfile(entries, g.prod_nu0, validate=validate)
+    return ZetaProfile(entries, g.prod_nu0)
 
 
 def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
@@ -121,7 +122,7 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
     for l >= 2 (rho* vanishes).  Entries are read in that order, so strict
     mode names the first missing one."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
-        raise ValueError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
+        raise ValidationError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
 
     def at_r(z: RatFun) -> RatFun:
         return z.substitute_affine(Fraction(m + k, k), Fraction(nu_z, k))
@@ -197,22 +198,11 @@ def suspend_matrix(f: ZetaProfile, k: int):
 # eigenvalue orders under suspension
 
 
-def suspend_orders(f: GermSummary, k: int, m: int = 0) -> tuple[CycloProduct, OrderSet]:
+def suspend_orders(f: GermSummary, k: int) -> tuple[CycloProduct, OrderSet]:
     """Characteristic polynomial of z^k + f via Thom-Sebastiani and its root
-    orders.  Only defined for m = 0; z^m-twisted germs go through the
-    Le-Yomdin assembly instead."""
-    if m != 0:
-        raise ValueError("suspend_orders is only defined for m = 0")
+    orders; z^m-twisted germs go through the Le-Yomdin assembly instead."""
     delta_f = f.delta.thom_sebastiani_tensor(k)
     return delta_f, delta_f.root_orders()
-
-
-def is_bad_eigenvalue(d: int, orders_f: OrderSet) -> bool:
-    """Denef-Veys badness of an eigenvalue order d of f."""
-    if d not in orders_f:
-        raise ValueError(f"{d} is not an eigenvalue order of the germ")
-    closure = divisor_closure(orders_f)
-    return d % 4 == 2 and 2 * d not in closure and (d % 2 or d // 2 not in orders_f)
 
 
 def fbad_set(orders_f: OrderSet) -> OrderSet:
@@ -235,13 +225,12 @@ def profile_to_json(f: ZetaProfile) -> dict:
                         for l in sorted(f.entries)]}
 
 
-def profile_from_json(obj: dict, validate: bool = True) -> ZetaProfile:
-    entries = {json_number(e["ell"], f"'entries'[{i}]: 'ell'"):
+def profile_from_json(obj: dict) -> ZetaProfile:
+    entries = {json_field(e, "ell", record=f"'entries'[{i}]"):
                RatFun.from_json(e)
                for i, e in enumerate(json_array(obj, "entries"))}
-    prod_nu0 = json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
-    return ZetaProfile(entries, prod_nu0,
-                       validate=validate and obj.get("validate", True))
+    return ZetaProfile(entries, prod_nu0_from_json(obj),
+                       validate=obj.get("validate", True))
 
 
 def summary_to_json(g: GermSummary) -> dict:
@@ -252,7 +241,7 @@ def summary_to_json(g: GermSummary) -> dict:
     return out
 
 
-def summary_from_json(obj: dict, validate: bool = True) -> GermSummary:
-    delta = json_check(obj["delta"], dict, "'delta'")
-    return GermSummary(profile_from_json(obj, validate), cyclo_from_json(delta),
+def summary_from_json(obj: dict) -> GermSummary:
+    delta = json_field(obj, "delta", dict)
+    return GermSummary(profile_from_json(obj), cyclo_from_json(delta),
                        obj.get("name", ""))

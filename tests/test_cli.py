@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import time
 
 import pytest
@@ -129,7 +130,7 @@ def test_check_fail_exit_code(capsys, tmp_path):
     # tacnode zeta data paired with a node characteristic polynomial: the
     # transferred pole -9/10 has no matching eigenvalue
     bad = {"kind": "lys", "n": 2, "m": 3, "k": 2,
-           "chi_complement": 0, "chi_curve_smooth": 2,
+           "chi_complement": 2, "chi_curve_smooth": 0,
            "points": [
                {"name": "q1", "prod_nu0": 1,
                 "delta": {"cyclotomic": {"1": 1}},
@@ -230,10 +231,16 @@ def test_check_holomorphy_lmax_lower_bound_accepted(capsys):
     assert code == 0 and out.startswith("holomorphy: PASS")
 
 
+DELETE = object()
+
+
 def _set(obj, path, value):
     for key in path[:-1]:
         obj = obj[key]
-    obj[path[-1]] = value
+    if value is DELETE:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
 
 
 STRATA = ROOT / "perfbench" / "data" / "triple_cusp_strata.json"
@@ -339,6 +346,37 @@ MALFORMED = [
      "'graph' must be a JSON object, got int"),
     ("point-graph", LYS, FIXTURES / "lys_kashiwara_Ib.json",
      ["points", 0, "graph"], [], "'graph' must be a JSON object, got list"),
+    # a missing required field names its record, where it has one
+    ("vertex-id-missing", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["vertices", 0, "id"], DELETE, "'vertices'[0]: missing field 'id'"),
+    ("arrow-mult-missing", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["arrows", 0, "mult"], DELETE, "arrow A1: missing field 'mult'"),
+    ("stratum-chi-missing", STRATA_CMD, STRATA, ["strata", 0, "chi"], DELETE,
+     "'strata'[0]: missing field 'chi'"),
+    ("num-missing", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 0, "num"], DELETE, "missing field 'num'"),
+    ("delta-missing", LYS, FIXTURES / "lys_xyz_k1.json",
+     ["points", 0, "delta"], DELETE, "missing field 'delta'"),
+    ("lys-n-missing", LYS, FIXTURES / "lys_xyz_k1.json", ["n"], DELETE,
+     "missing field 'n'"),
+    ("suspension-germ-missing", ["check", "monodromy", "--in", "IN"],
+     FIXTURES / "cusp3_susp.json", ["germ"], DELETE, "missing field 'germ'"),
+    # values that used to fail inside the arithmetic
+    ("profile-prod_nu0-zero", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["prod_nu0"], 0, "'prod_nu0' must be >= 1, got 0"),
+    ("graph-prod_nu0-zero", GRAPH, FIXTURES / "triple_cusp_graph.json",
+     ["prod_nu0"], 0, "'prod_nu0' must be >= 1, got 0"),
+    ("strata-prod_nu0-negative", STRATA_CMD, STRATA, ["prod_nu0"], -2,
+     "'prod_nu0' must be >= 1, got -2"),
+    ("den-zero", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 1, "den"], ["0", "0/5"], "zero denominator"),
+    ("entry-1-pole-at-0", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 0, "den"], ["0", "1"], "Z(f, s) has a pole at s = 0"),
+    ("delta-no-key", LYS, FIXTURES / "lys_xyz_k1.json",
+     ["points", 0, "delta"], {}, "expected a 'cyclotomic' or 'brackets' key"),
+    ("brackets-pair", LYS, FIXTURES / "lys_xyz_k1.json",
+     ["points", 0, "delta"], {"brackets": [[1, 1, 1]]},
+     "each of 'brackets' must be a pair [m, n]"),
 ]
 
 
@@ -449,8 +487,9 @@ def _json_paths(obj, prefix=()):
 
 
 def test_fuzzed_inputs_exit_cleanly(capsys, tmp_path):
-    # every run exits 0, 1, 2 or 3, an error with one line on stderr; an
-    # exception escaping main would be a traceback for a CLI user
+    # every run exits 0, 1 or 2, an error with one line on stderr that is
+    # more than a bare quoted key; exit 3 would mean a fault in topzeta, and
+    # an exception escaping main a traceback for a CLI user
     rng = random.Random(59)
     f = tmp_path / "fuzz.json"
     start = time.perf_counter()
@@ -473,8 +512,68 @@ def test_fuzzed_inputs_exit_cleanly(capsys, tmp_path):
                 argv = [str(f) if a == "IN" else a for a in argv]
                 code, _, err = run_cli(capsys, *argv)
                 runs += 1
-                assert code in (0, 1, 2, 3), (name, path, value, argv)
-                if code in (1, 3):
+                assert code in (0, 1, 2), (name, path, value, argv, err)
+                if code == 1:
                     assert err.count("\n") == 1, (name, path, value, err)
+                    assert not re.fullmatch(r"error: '[^']*'\n", err), \
+                        (name, path, value, err)
     assert runs > 1000
     assert time.perf_counter() - start < FUZZ_BUDGET_S
+
+
+def test_lys_euler_characteristics_checked(capsys, tmp_path):
+    # both Euler characteristics follow from chi(C) = 3m - m^2 + sum mu_p;
+    # their sum alone would still be 3 here
+    obj = json.loads((FIXTURES / "lys_kashiwara_Ib.json").read_text())
+    obj["chi_complement"], obj["chi_curve_smooth"] = -2, 4
+    f = tmp_path / "lys.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "lys", "--in", str(f), "--ell", "1")
+    assert code == 1 and not out
+    assert err == ("error: (chi_complement, chi_curve_smooth) = (-2, 4), "
+                   "expected (-1, 3)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "graph"],
+    ["zeta", "graph", "--in", str(FIXTURES / "cusp_graph.json"), "--ell", "x"],
+    ["fbad", "--orders", "1,x"],
+    ["bogus"],
+], ids=["missing-in", "ell-not-int", "orders-not-ints", "unknown-subcommand"])
+def test_usage_error_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: topzeta") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [
+    b'\xff{"vertices": []}',
+    b'{"prod_nu0": ' + b"7" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["bad-utf8", "over-long-integer", "deep-nesting"])
+def test_unreadable_json_exit_code(capsys, tmp_path, data):
+    f = tmp_path / "bad.json"
+    f.write_bytes(data)
+    code, out, err = run_cli(capsys, "zeta", "graph", "--in", str(f))
+    assert code == 1 and not out
+    assert err.startswith("error: unreadable JSON input: ") and \
+        err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: topzeta")
+
+
+def test_internal_fault_exit_code(capsys, monkeypatch):
+    # a KeyError from inside the library is a fault, not bad input
+    def broken(*args, **kwargs):
+        raise KeyError("N")
+
+    monkeypatch.setattr("topzeta.resolution.strata_of_graph", broken)
+    code, out, err = run_cli(capsys, "zeta", "graph", "--in",
+                             str(FIXTURES / "triple_cusp_graph.json"))
+    assert code == 3 and not out
+    assert err == "internal error: KeyError: 'N'\n"

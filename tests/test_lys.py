@@ -140,7 +140,7 @@ def test_residue_refusals(a3_graph):
         residue_lct(xyz_surface(2))  # m = 3
     # germ with -3/m a pole: m = 4 with an A3 point (pole -3/4 of Z(f_q))
     germ = summary_from_graph(a3_graph, "A3")
-    S = LysSurface(2, 4, 2, 0, 2, [germ])
+    S = LysSurface(2, 4, 2, 4, -2, [germ])
     assert F(3, 4) in germ.zeta.pol_plus()
     with pytest.raises(PoleError):
         residue_lct(S)
