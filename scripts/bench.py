@@ -1,10 +1,10 @@
-"""Time the binomial, suspension and strata layers and the criterion-5 motivic
-grid; write BENCH_*.json.
+"""Time the binomial, suspension, strata and Le-Yomdin layers, the holomorphy
+check and the criterion-5 motivic grid; write BENCH_*.json.
 
 Usage:
-    python3 scripts/bench.py --label after --out BENCH_5.json
+    python3 scripts/bench.py --label after --out BENCH_7.json
     PYTHONPATH=../parent/src python3 scripts/bench.py --label before \
-        --out BENCH_5.json
+        --out BENCH_7.json
 
 topzeta is imported from PYTHONPATH when it is set there, else from this
 checkout's src/, so pointing PYTHONPATH at another checkout's src/ measures
@@ -18,8 +18,13 @@ others.  Each row holds:
     microseconds per (k, N) key of cone_multiplicities with the cone
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
-    ztop_from_strata on each curve fixture (l = 1..12); each the median
-    of REPEATS timings;
+    ztop_from_strata on each curve fixture (l = 1..12); microseconds per
+    twist of lys_ztop on LYS_SURFACES at the zero twists up to the default
+    l_max and at the nonzero twists of the order closure, per zero twist
+    of suspend_G (the same profiles, l <= 2 (m+k) lcm(support)) and of
+    ztop_from_strata (l <= 2 lcm(N)), and milliseconds per check_holomorphy
+    at the default l_max on HOLOMORPHY_SURFACE; each the median of REPEATS
+    timings;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
     cleared cone cache, GRID_REPEATS times, in seconds;
@@ -38,11 +43,13 @@ import random
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from topzeta import binomial, resolution, suspension  # noqa: E402
+from topzeta import arith, binomial, checks, lys, resolution, \
+    suspension  # noqa: E402
 
 REPEATS = 5
 GRID_REPEATS = 3
@@ -52,6 +59,8 @@ CURVES = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
 SUSPEND_K = 6
 L_LADDER = (1, 2, 3, 5, 6, 10, 27, 30, 54, 97)
 CALLS_PER_TWIST = 200
+LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
+HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 
 
 def grid_shapes(q_values=(1, 2, 3)) -> list[tuple]:
@@ -109,23 +118,70 @@ def layer_rows() -> dict:
     return rows
 
 
+def load(name: str) -> dict:
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def twist_rows() -> dict:
     """suspend_G and ztop_from_strata, microseconds per call."""
     rows = {}
     for name in ("x5y6", "lvp"):
-        prof = suspension.profile_from_json(json.loads(
-            (FIXTURES / f"{name}_profile.json").read_text(encoding="utf-8")))
+        prof = suspension.profile_from_json(load(f"{name}_profile"))
         for m in (0, 2):
             for l in L_LADDER:
                 rows[f"suspend_G_us|{name},m={m},l={l}"] = per_case_us(
                     suspension.suspend_G,
                     [(prof, m, SUSPEND_K, 1, l)] * CALLS_PER_TWIST)
     for name in CURVES:
-        res = resolution.strata_of_graph(resolution.graph_from_json(json.loads(
-            (FIXTURES / f"{name}.json").read_text(encoding="utf-8"))))
+        res = resolution.strata_of_graph(resolution.graph_from_json(load(name)))
         rows[f"ztop_from_strata_us|{name}"] = per_case_us(
             resolution.ztop_from_strata,
             [(res, l) for l in range(1, 13)] * (CALLS_PER_TWIST // 12))
+    return rows
+
+
+def zero_twist_rows() -> dict:
+    """Microseconds per twist at zero and at nonzero twists, and one whole
+    holomorphy check; a zero twist is an l whose function is zero."""
+    rows = {}
+
+    def split(fn, ells):
+        zero = [l for l in ells if fn(l).is_zero()]
+        return zero, sorted(set(ells) - set(zero))
+
+    for name in LYS_SURFACES:
+        surface = lys.lys_from_json(load(name))
+        closure = lys.lys_orders(surface)
+        zero, _ = split(partial(lys.lys_ztop, surface),
+                        range(2, checks.default_l_max(closure) + 1))
+        _, nonzero = split(partial(lys.lys_ztop, surface), sorted(closure))
+        for kind, ells in (("zero", zero), ("nonzero", nonzero)):
+            rows[f"lys_ztop_us|{name},{kind},twists={len(ells)}"] = \
+                per_case_us(lys.lys_ztop, [(surface, l) for l in ells])
+    for name in ("x5y6", "lvp"):
+        prof = suspension.profile_from_json(load(f"{name}_profile"))
+        for m in (0, 2):
+            l_top = 2 * (m + SUSPEND_K) * arith.lcm_all(prof.support())
+            zero, _ = split(partial(suspension.suspend_G, prof, m, SUSPEND_K,
+                                    1), range(1, l_top + 1))
+            rows[f"suspend_G_zero_us|{name},m={m},twists={len(zero)}"] = \
+                per_case_us(suspension.suspend_G,
+                            [(prof, m, SUSPEND_K, 1, l) for l in zero])
+    for name in CURVES:
+        res = resolution.strata_of_graph(resolution.graph_from_json(load(name)))
+        l_top = 2 * arith.lcm_all(c.N for c in res.components)
+        zero, _ = split(partial(resolution.ztop_from_strata, res),
+                        range(1, l_top + 1))
+        rows[f"ztop_from_strata_zero_us|{name},twists={len(zero)}"] = \
+            per_case_us(resolution.ztop_from_strata,
+                        [(res, l) for l in zero])
+    surface = lys.lys_from_json(load(HOLOMORPHY_SURFACE))
+    closure = lys.lys_orders(surface)
+    twists = sum(1 for l in range(2, checks.default_l_max(closure) + 1)
+                 if l not in closure)
+    rows[f"check_holomorphy_ms|{HOLOMORPHY_SURFACE},twists={twists}"] = \
+        per_case_us(checks.check_holomorphy,
+                    [(partial(lys.lys_ztop, surface), closure)]) / 1e3
     return rows
 
 
@@ -169,7 +225,7 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(),
                     "platform": platform.platform(),
                     "nproc": os.cpu_count()},
-        "layers": {**layer_rows(), **twist_rows()},
+        "layers": {**layer_rows(), **twist_rows(), **zero_twist_rows()},
         "end_to_end": {"criterion5_grid_s": statistics.median(grid),
                        "criterion5_grid_samples_s": grid,
                        "criterion5_grid_cases": 637_920},

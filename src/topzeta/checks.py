@@ -22,7 +22,7 @@ from .ratfun import RatFun
 L_MAX_CAP = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckItem:
     """One checked twist ell (holomorphy) or pole (monodromy, ell None);
     the order of a pole is its denominator."""
@@ -108,6 +108,6 @@ def check_holomorphy(zeta_family: Callable[[int], RatFun], orders: OrderSet,
         if l in closure:
             continue
         z = zeta_family(l)
-        items.append(CheckItem(l, z.is_zero(),
-                               "" if z.is_zero() else f"Z^({l}) = {z}"))
+        zero = z.is_zero()
+        items.append(CheckItem(l, zero, "" if zero else f"Z^({l}) = {z}"))
     return Report("holomorphy", tuple(items))

@@ -12,7 +12,7 @@ class ConsistencyError(ArithmeticError):
 
 def json_field(obj: dict, key: str, kind: type = int, record: str = ""):
     """The required field obj[key] of a record, read as kind: int or
-    Fraction by json_number, list, dict or str by json_check."""
+    Fraction by json_number, list, dict, str or bool by json_check."""
     prefix = f"{record}: " if record else ""
     if key not in obj:
         raise ValidationError(f"{prefix}missing field {key!r}")
@@ -38,12 +38,13 @@ def json_items(items, of: type, what: str) -> list:
     return items
 
 
-_KINDS = {list: "a JSON array", dict: "a JSON object", str: "a JSON string"}
+_KINDS = {list: "a JSON array", dict: "a JSON object", str: "a JSON string",
+          bool: "a JSON boolean"}
 
 
 def json_check(value, kind: type, what: str):
     """Raise ValidationError unless value is a JSON array (kind = list),
-    object (dict) or string (str)."""
+    object (dict), string (str) or boolean (bool)."""
     if not isinstance(value, kind):
         raise ValidationError(
             f"{what} must be {_KINDS[kind]}, got {type(value).__name__}")

@@ -250,12 +250,18 @@ class RatFun:
                     raise ZeroDivisionError("zero linear factor")
                 scale *= a
                 continue
-            unit, form = _form(a, b)
-            scale *= unit
+            g = gcd(a, b) if b > 0 else -gcd(a, b)    # _form, inlined
+            scale *= g
+            form = (a // g, b // g)
             forms[form] = forms.get(form, 0) + 1
-        return RatFun._canonical(
-            tuple([scalar.numerator * c for c in num]), scale, forms,
-            list(forms) if len(num) > 1 else ())
+        if len(num) > 1:
+            return RatFun._canonical(
+                tuple([scalar.numerator * c for c in num]), scale, forms,
+                list(forms))
+        # a constant numerator cancels no form: only the content remains
+        top = scalar.numerator * num[0]
+        g = gcd(scale, top) if scale > 0 else -gcd(scale, top)
+        return RatFun((top // g,), scale // g, tuple(sorted(forms.items())))
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":
@@ -347,8 +353,11 @@ class RatFun:
         forms = dict(self.forms)
         for f, m in o.forms:
             forms[f] = forms.get(f, 0) + m
-        # a form of one factor can only cancel against the other numerator
-        cancel = {f for f, _ in self.forms} ^ {f for f, _ in o.forms}
+        # a form of one factor can only cancel against the other numerator,
+        # and a constant numerator cancels nothing
+        cancel = {f for f, _ in self.forms} if len(o.num) > 1 else set()
+        if len(self.num) > 1:
+            cancel ^= {f for f, _ in o.forms}
         return RatFun._canonical(pmul(self.num, o.num), self.scale * o.scale,
                                  forms, cancel)
 

@@ -77,6 +77,8 @@ def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
     """Z_top^(l); l = 1 imposes no divisibility condition."""
     if l < 1:
         raise ValidationError("l must be >= 1")
+    if all(c.N % l for c in res.components):
+        return RatFun.zero()
     by_id = {c.id: c for c in res.components}
     total = RatFun.zero()
     for st in res.strata:
@@ -396,4 +398,6 @@ def strata_from_json(obj: dict) -> StratifiedResolution:
                                            record=f"'strata'[{i}]")),
                       json_field(d, "chi", record=f"'strata'[{i}]"))
               for i, d in enumerate(json_array(obj, "strata"))]
-    return StratifiedResolution(comps, strata, prod_nu0_from_json(obj))
+    res = StratifiedResolution(comps, strata, prod_nu0_from_json(obj))
+    res.check_normalization()
+    return res

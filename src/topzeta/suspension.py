@@ -120,7 +120,8 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
 
     with w_1 = s/(s+1) = 1 - 1/(s+1) (rho* adds the -1/(s+1)) and w_l = 1
     for l >= 2 (rho* vanishes).  Entries are read in that order, so strict
-    mode names the first missing one."""
+    mode names the first missing one; a zero term costs only its gate and
+    its entry reads."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
         raise ValidationError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
 
@@ -128,9 +129,8 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
         return z.substitute_affine(Fraction(m + k, k), Fraction(nu_z, k))
 
     total = RatFun.zero()
-    if m % l == 0:
-        total = at_r(f.entry(l, strict)) \
-            * RatFun.scaled_inv_product(1, [(nu_z, m)])
+    if m % l == 0 and not (z := f.entry(l, strict)).is_zero():
+        total = at_r(z) * RatFun.scaled_inv_product(1, [(nu_z, m)])
     if (m + k) % l == 0:
         total += (Fraction(1, f.prod_nu0) - at_r(f.entry(1, strict))) \
             * RatFun.scaled_inv_product(1, [(nu_z, m + k)])
@@ -140,6 +140,8 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
         z = f.entry(lcm(e, fm), strict)
         if not z.is_zero():
             rho += z * Fraction(jordan_totient(2, e), k)
+    if rho.is_zero():
+        return total
     rho = at_r(rho)
     if l == 1:
         rho = rho * RatFun.scaled_inv_product(1, [(1, 1)], (0, 1))
@@ -229,8 +231,9 @@ def profile_from_json(obj: dict) -> ZetaProfile:
     entries = {json_field(e, "ell", record=f"'entries'[{i}]"):
                RatFun.from_json(e)
                for i, e in enumerate(json_array(obj, "entries"))}
-    return ZetaProfile(entries, prod_nu0_from_json(obj),
-                       validate=obj.get("validate", True))
+    validate = json_field(obj, "validate", bool) if "validate" in obj \
+        else True
+    return ZetaProfile(entries, prod_nu0_from_json(obj), validate)
 
 
 def summary_to_json(g: GermSummary) -> dict:

@@ -377,6 +377,16 @@ MALFORMED = [
     ("brackets-pair", LYS, FIXTURES / "lys_xyz_k1.json",
      ["points", 0, "delta"], {"brackets": [[1, 1, 1]]},
      "each of 'brackets' must be a pair [m, n]"),
+    # a stratification is checked at ingest, as one derived from a graph is
+    ("strata-normalization", STRATA_CMD, STRATA, ["strata", 0, "chi"], 5,
+     "normalization fails: sum chi/prod nu = 3, expected 1/1"),
+    # "validate" is a JSON boolean: a string, null or 0 is not read as one
+    ("validate-string", SUSPEND, FIXTURES / "lvp_profile.json", ["validate"],
+     "false", "'validate' must be a JSON boolean, got str"),
+    ("validate-null", SUSPEND, FIXTURES / "lvp_profile.json", ["validate"],
+     None, "'validate' must be a JSON boolean, got NoneType"),
+    ("validate-zero", SUSPEND, FIXTURES / "lvp_profile.json", ["validate"],
+     0, "'validate' must be a JSON boolean, got int"),
 ]
 
 

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 from math import gcd
@@ -118,13 +119,17 @@ def test_canonical_idempotence(f):
                              [F(c) for c in dense_form["den"]]) == f
 
 
-@given(ratfuns)
-def test_canonical_form_invariants(f):
+def assert_canonical(f):
     assert f.scale > 0 and gcd(f.scale, *f.num) == 1
     assert list(f.forms) == sorted(f.forms)
     for (a, b), mult in f.forms:
         assert b > 0 and gcd(a, b) == 1 and mult >= 1
         assert sum(c * F(-a, b) ** i for i, c in enumerate(f.num)) != 0
+
+
+@given(ratfuns)
+def test_canonical_form_invariants(f):
+    assert_canonical(f)
 
 
 def _dense(f):
@@ -166,6 +171,59 @@ def test_scaled_inv_product_agrees_with_generic_path(scalar, factors):
     for a, b in factors:
         slow = slow * RatFun.inv_linear(b, a)
     assert direct == slow
+
+
+# forms shared between numerators and denominators, so that products cancel;
+# no root of one has denominator 11, so POINTS are never poles
+FORM_POOL = [(1, 1), (1, 2), (2, 3), (-1, 1), (0, 1), (5, 3), (3, -2), (4, 0)]
+POINTS = [F(n, 11) for n in range(-10, 11) if n]
+
+
+def _peval(p, x):
+    value = F(0)
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _random_factor(rng):
+    """A constant, a constant over linear forms, or a numerator made of
+    pool forms over linear forms."""
+    scalar = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    den = [rng.choice(FORM_POOL) for _ in range(rng.randint(0, 3))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return RatFun.const(scalar)
+    if kind == 1:
+        return RatFun.scaled_inv_product(scalar, den)
+    num = [rng.choice(FORM_POOL) for _ in range(rng.randint(1, 3))]
+    return RatFun.from_polys(expand(scalar, num), expand(1, den))
+
+
+def test_products_stay_canonical():
+    # a * b and scaled_inv_product: canonical, and equal to the
+    # cross-multiplied dense form at 20 rational points
+    rng = random.Random(83)
+    for _ in range(600):
+        f, g = _random_factor(rng), _random_factor(rng)
+        product = f * g
+        assert_canonical(product)
+        (fn, fd), (gn, gd) = _dense(f), _dense(g)
+        for x in POINTS:
+            assert product.evaluate(x) == \
+                _peval(pmul(fn, gn), x) / _peval(pmul(fd, gd), x), (f, g)
+    for _ in range(600):
+        scalar = rng.choice([rng.randint(-9, 9),
+                             F(rng.randint(-9, 9), rng.randint(1, 6))])
+        factors = [rng.choice(FORM_POOL) for _ in range(rng.randint(0, 4))]
+        num = rng.choice([(1,), (rng.choice([-1, 1]) * rng.randint(1, 9),),
+                          linear_product(rng.choice(FORM_POOL)
+                                         for _ in range(rng.randint(1, 3)))])
+        f = RatFun.scaled_inv_product(scalar, factors, num)
+        assert_canonical(f)
+        for x in POINTS:
+            assert f.evaluate(x) == scalar * _peval(num, x) / _peval(
+                linear_product(factors), x), (scalar, factors, num)
 
 
 @given(st.integers(-30, 30).filter(bool), st.lists(linear_forms, max_size=6))

@@ -1,0 +1,157 @@
+"""A twist whose terms are all zero costs only its gates: suspend_G,
+ztop_from_strata and lys_ztop exit early on zero terms.  Each test holds
+every exit to an oracle that takes none, for every l <= 2 lcm, and keeps
+to a stated budget."""
+import dataclasses
+import json
+import random
+import time
+from math import lcm
+
+import pytest
+
+from conftest import FIXTURES, load_fixture
+from graphgen import random_graph
+from closed_forms import suspend_G_dispatch
+from topzeta.arith import divisor_closure, divisors, frak_m, lcm_all
+from topzeta.lys import lys_from_json, lys_orders, lys_ztop
+from topzeta.ratfun import RatFun
+from topzeta.resolution import graph_from_json, strata_of_graph, \
+    ztop_from_strata
+from topzeta.suspension import MissingEntryError, ZetaProfile, \
+    profile_from_graph, profile_from_json, suspend_G
+
+BUDGET_S = 4.0
+LYS_FIXTURES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL", "lys_tacnode_k2",
+                "lys_xyz_k1", "lys_xyz_k2")
+
+
+def expected_reads(m: int, k: int, l: int) -> list[int]:
+    """The entries suspend_G reads, in order: entry l when l | m (sigma+),
+    entry 1 when l | m+k (sigma-), then lcm(e, m(k, l, m+k)) for each
+    e | k (rho)."""
+    fm = frak_m(k, l, m + k)
+    return [l] * (m % l == 0) + [1] * ((m + k) % l == 0) \
+        + [lcm(e, fm) for e in divisors(k)]
+
+
+def test_suspend_G_fast_paths_match_dispatch(monkeypatch):
+    # the value against the five-case dispatch, and the entry reads (what
+    # --strict and a tracer of ZetaProfile.entry see) against the formula's
+    # order, zero twists included
+    rng = random.Random(71)
+    profiles = [profile_from_json(load_fixture(name)) for name in
+                ("x5y6_profile.json", "lvp_profile.json")]
+    profiles += [profile_from_graph(random_graph(rng, rng.randint(1, 4)))
+                 for _ in range(6)]
+    reads = []
+    entry = ZetaProfile.entry
+
+    def recording_entry(self, l, strict=False):
+        reads.append(l)
+        return entry(self, l, strict)
+
+    monkeypatch.setattr(ZetaProfile, "entry", recording_entry)
+    start = time.perf_counter()
+    cases = 0
+    for prof in profiles:
+        for m in range(4):
+            k, nu_z = rng.randint(1, 8), rng.randint(1, 3)
+            # every nonzero twist divides (m+k) lcm(support(f))
+            l_top = 2 * (m + k) * lcm_all(prof.support())
+            for l in range(1, l_top + 1):
+                reads.clear()
+                z = suspend_G(prof, m, k, nu_z, l)
+                assert reads == expected_reads(m, k, l), (m, k, l)
+                assert z == suspend_G_dispatch(prof, m, k, nu_z, l), \
+                    (m, k, nu_z, l)
+                cases += 1
+    assert cases > 2000
+    assert time.perf_counter() - start < BUDGET_S
+
+
+def test_suspend_G_strict_names_first_missing_entry():
+    # a profile storing only part of its support: strict mode names the
+    # first entry in read order that is not stored
+    full = profile_from_json(load_fixture("x5y6_profile.json"))
+    stored = divisor_closure([6, 10])
+    partial = ZetaProfile({l: full.entries[l] for l in stored})
+    for m in range(4):
+        for k in range(1, 7):
+            for l in range(1, 61):
+                missing = [e for e in expected_reads(m, k, l)
+                           if e not in stored]
+                if not missing:
+                    assert suspend_G(partial, m, k, 1, l, strict=True) == \
+                        suspend_G(partial, m, k, 1, l)
+                    continue
+                with pytest.raises(MissingEntryError) as info:
+                    suspend_G(partial, m, k, 1, l, strict=True)
+                assert str(info.value) == \
+                    f"no stored entry for ell = {missing[0]}"
+
+
+def strata_oracle(res, l: int) -> RatFun:
+    """sum over strata with l | N_i for all i in I of
+    chi / prod (N_i s + nu_i), one scaled_inv_product per stratum."""
+    comps = {c.id: c for c in res.components}
+    total = RatFun.zero()
+    for st in res.strata:
+        if all(comps[i].N % l == 0 for i in st.I):
+            total += RatFun.scaled_inv_product(
+                st.chi, [(comps[i].nu, comps[i].N) for i in st.I])
+    return total
+
+
+def test_ztop_from_strata_fast_path_matches_sum():
+    # curve fixtures, Kashiwara fibres and seeded random graphs with
+    # lcm(N) <= 1,680 (the sextic G and degree-10 C5 fibres, 85,680 and
+    # 148,200, would take the budget)
+    rng = random.Random(73)
+    graphs = [graph_from_json(load_fixture(f"{name}.json")) for name in
+              ("a3_graph", "cusp_graph", "triple_cusp_graph",
+               "two_cusp_graph")]
+    for pencil in ("kashiwara_quartic", "kashiwara_sextic",
+                   "kashiwara_degree10"):
+        graphs += [graph_from_json(g) for g in
+                   load_fixture(f"{pencil}.json")["fibers"].values()]
+    graphs += [random_graph(rng, rng.randint(1, 5)) for _ in range(30)]
+    start = time.perf_counter()
+    subjects = 0
+    for g in graphs:
+        res = strata_of_graph(g)
+        l_top = 2 * lcm_all(c.N for c in res.components)
+        if l_top > 2 * 1680:
+            continue
+        subjects += 1
+        for l in range(1, l_top + 1):
+            assert ztop_from_strata(res, l) == strata_oracle(res, l), l
+    assert subjects >= 30
+    assert time.perf_counter() - start < BUDGET_S
+
+
+def test_lys_ztop_matches_point_terms():
+    # every Le-Yomdin fixture at k = 1..4: the two global terms, built here
+    # from dense polynomials, plus one suspend_G term per point, for every
+    # l <= 2 lcm of the order closure
+    start = time.perf_counter()
+    twists = 0
+    for name in LYS_FIXTURES:
+        surface = lys_from_json(json.loads(
+            (FIXTURES / f"{name}.json").read_text()))
+        for k in range(1, 5):
+            S = dataclasses.replace(surface, k=k)
+            krs = [S.n + 1, S.m]                   # m s + n + 1
+            for l in range(1, 2 * lcm_all(lys_orders(S)) + 1):
+                expected = RatFun.zero()
+                if S.m % l == 0:
+                    expected += RatFun.from_polys([S.chi_complement], krs)
+                if l == 1:
+                    expected += RatFun.from_polys(
+                        [S.chi_curve_smooth], [S.n + 1, S.n + 1 + S.m, S.m])
+                for q in S.points:
+                    expected += suspend_G(q.zeta, S.m, S.k, S.n + 1, l)
+                assert lys_ztop(S, l) == expected, (name, k, l)
+                twists += 1
+    assert twists > 80_000
+    assert time.perf_counter() - start < BUDGET_S
