@@ -2,8 +2,7 @@
 Le-Yomdin surface singularities, with monodromy and holomorphy
 conjecture checks."""
 
-from .binomial import BinomialGerm, euler_specialize, motivic_w, w_top, \
-    w_top_twisted
+from .binomial import BinomialGerm, euler_specialize, motivic_w, w_top
 from .checks import check_holomorphy, check_monodromy
 from .cyclo import CycloProduct
 from .errors import ConsistencyError, ValidationError

@@ -52,22 +52,6 @@ def mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    _check_pos(n)
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-@lru_cache(maxsize=None)
 def jordan_totient(m: int, n: int) -> int:
     """J_m(n) = sum_{d|n} mu(d) (n/d)^m; J_1 is Euler's totient."""
     _check_pos(m, n)

@@ -9,16 +9,15 @@ terms.  This module computes:
   * the cone data (primitive rays, multiplicities, fundamental-domain
     point sets D_C, enumerated from their coordinates in O(|D_C|) and
     counted against the closed-form multiplicities);
-  * the divisibility weights N(bullet) gating the twisted terms;
   * the topological terms w_top in closed form, in the variable
     r = ((m+k)s + nu_z)/k;
-  * a symbolic motivic layer (MotExpr) mirroring the generating-function
-    expressions term by term, whose Euler specialization must reproduce
-    w_top exactly - the package's main internal oracle.  Units are kept
-    factored as (L - 1)^order * cofactor(L), so the specialization reads
-    the order and cofactor(1) without dividing; the P factors keep their
-    domain and pairing vectors, and their exponents are computed only
-    when asked for.
+  * a symbolic motivic layer (a tuple of MotTerms per cone) mirroring the
+    generating-function expressions term by term, whose Euler
+    specialization must reproduce w_top exactly - the package's main
+    internal oracle.  Units are kept factored as (L - 1)^order *
+    cofactor(L), so the specialization reads the order and cofactor(1)
+    without dividing; the P factors keep their domain and pairing
+    vectors, and their exponents are computed only when asked for.
 """
 from __future__ import annotations
 
@@ -82,26 +81,13 @@ class ConeData:
     d_rho: tuple[tuple[int, ...], ...]
 
 
-def rho_rays(k: int, N: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Primitive integral rays of rho: v_i = (k e_i + N_i e_z)/gcd(k, N_i)."""
-    q = len(N)
-    rays = []
-    for i, n_i in enumerate(N):
-        ki = gcd(k, n_i)
-        v = [0] * (q + 1)
-        v[i] = k // ki
-        v[q] = n_i // ki
-        rays.append(tuple(v))
-    return tuple(rays)
-
-
 @lru_cache(maxsize=None)
 def _cone_data_cached(k: int, N: tuple[int, ...]) -> ConeData:
     """D_C = {sum lambda_i a_i : lambda_i in (0, 1]} over the rays a_i of C,
-    read off coordinates: the rays v_i fix x_i = lambda_i k/k_i in 1..k/k_i,
-    and with S = sum x_i N_i the last coordinate is S/k + lambda_z, so
-    D_sigma+ is {(x, floor(S/k) + 1)} and D_rho is {(x, S/k) : k | S};
-    both come out sorted."""
+    read off coordinates: the rays v_i = (k e_i + N_i e_z)/k_i of rho fix
+    x_i = lambda_i k/k_i in 1..k/k_i, and with S = sum x_i N_i the last
+    coordinate is S/k + lambda_z, so D_sigma+ is {(x, floor(S/k) + 1)} and
+    D_rho is {(x, S/k) : k | S}; both come out sorted."""
     k_j = [gcd(k, x) for x in N]
     n_q = 0
     for x in N:
@@ -131,22 +117,6 @@ def cone_multiplicities(g: BinomialGerm) -> ConeData:
     if g.q > ENUMERATION_MAX_Q:
         raise ValueError(f"enumeration bound exceeded: q = {g.q}")
     return _cone_data_cached(g.k, g.N)
-
-
-# ---------------------------------------------------------------------------
-# divisibility weights
-
-
-def n_bullet(g: BinomialGerm, bullet: str) -> int:
-    """gcd of ord(g ° phi) over arcs with order vector interior to the cone:
-    gcd(n_q, m) on sigma+, m+k on sigma-, (m+k) n_q / e_q on rho."""
-    if bullet == SIGMA_PLUS:
-        return gcd(g.n_q, g.m)   # gcd(n, 0) = n covers m = 0
-    if bullet == SIGMA_MINUS:
-        return g.m + g.k
-    if bullet == RHO:
-        return (g.m + g.k) * g.n_q // g.e_q
-    raise ValueError(f"no divisibility weight for bullet {bullet!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +150,6 @@ def w_top(g: BinomialGerm, bullet: str) -> RatFun:
         quot = pdiv_linear(num, (g.nu_z, g.m + g.k))
         return RatFun.scaled_inv_product(Fraction(1, prod_nu), fs, quot)
     raise ValueError(f"unknown bullet {bullet!r}")
-
-
-def w_top_twisted(g: BinomialGerm, bullet: str, l: int) -> RatFun:
-    """l-twisted term: w_top if l | N(bullet), else 0; rho* is always 0."""
-    if l < 2:
-        raise ValueError("twisted terms need l >= 2")
-    if bullet == RHO_STAR:
-        return RatFun.zero()
-    if n_bullet(g, bullet) % l == 0:
-        return w_top(g, bullet)
-    return RatFun.zero()
-
-
-def ztop_binomial(g: BinomialGerm, l: int = 1) -> RatFun:
-    """Full (twisted) local zeta function of the binomial germ."""
-    if l == 1:
-        return sum((w_top(g, b) for b in BULLETS), RatFun.zero())
-    return sum((w_top_twisted(g, b, l) for b in BULLETS), RatFun.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +196,8 @@ class MotTerm:
         out.sort()
         return tuple(out)
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.domain)
 
-
-@dataclass(frozen=True)
-class MotExpr:
-    terms: tuple[MotTerm, ...]
-
-
-def motivic_w(g: BinomialGerm, bullet: str) -> MotExpr:
+def motivic_w(g: BinomialGerm, bullet: str) -> tuple[MotTerm, ...]:
     """The generating-function expression of the given cone term, kept
     symbolic: units (L - 1)^order * cofactor(L), fundamental domains with
     their pairings for the P factors, and geometric atoms
@@ -272,8 +215,8 @@ def motivic_w(g: BinomialGerm, bullet: str) -> MotExpr:
     k_tilde_atom = (g.nu_z, g.m + g.k)
 
     if bullet == SIGMA_PLUS:
-        return MotExpr((MotTerm(q + 1, (1,), (k_atom, *h_atoms),
-                                cones.d_sigma_plus, nu_full, n_full),))
+        return (MotTerm(q + 1, (1,), (k_atom, *h_atoms),
+                        cones.d_sigma_plus, nu_full, n_full),)
 
     if bullet == SIGMA_MINUS:
         term1 = MotTerm(q + 1, (1,),
@@ -281,22 +224,21 @@ def motivic_w(g: BinomialGerm, bullet: str) -> MotExpr:
         term2 = MotTerm(q + 1, (-1,), (k_tilde_atom, *h_atoms),
                         cones.d_sigma_plus, nu_full, mk_ez)
         term3 = MotTerm(q + 1, (-1,), h_atoms, cones.d_rho, nu_full, mk_ez)
-        return MotExpr((term1, term2, term3))
+        return term1, term2, term3
 
     if bullet == RHO:
         # (L - 1 - e_q) (L - 1)^q
-        return MotExpr((MotTerm(q, (-1 - g.e_q, 1), h_atoms,
-                                cones.d_rho, nu_full, n_full),))
+        return (MotTerm(q, (-1 - g.e_q, 1), h_atoms,
+                        cones.d_rho, nu_full, n_full),)
 
     if bullet == RHO_STAR:
-        return MotExpr((MotTerm(q + 1, (g.e_q,), ((1, 1), *h_atoms),
-                                cones.d_rho, nu_full, n_full,
-                                monomials=((1, 1),)),))
+        return (MotTerm(q + 1, (g.e_q,), ((1, 1), *h_atoms),
+                        cones.d_rho, nu_full, n_full, monomials=((1, 1),)),)
 
     raise ValueError(f"unknown bullet {bullet!r}")
 
 
-def euler_specialize(expr: MotExpr) -> RatFun:
+def euler_specialize(terms: tuple[MotTerm, ...]) -> RatFun:
     """Euler-characteristic specialization at T = L^-s, L -> 1.
 
     Each (L - 1) unit paired with an atom 1/(1 - L^-(a+bs)) contributes
@@ -306,7 +248,7 @@ def euler_specialize(expr: MotExpr) -> RatFun:
     order would be a genuine pole at L = 1 and raises.
     """
     total = RatFun.zero()
-    for term in expr.terms:
+    for term in terms:
         n_atoms = len(term.atoms)
         if term.order > n_atoms:
             continue

@@ -7,19 +7,86 @@ Phi_b dividing (tau - 1) Delta.
 
 check_holomorphy: for every l > 1 outside the divisor closure of the
 eigenvalue orders, the l-twisted zeta function must vanish identically.
+
+A Subject is what both checks read off one germ: a curve germ, a
+suspension z^k + f, or a Le-Yomdin surface.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .arith import divisor_closure, lcm_all
 from .cyclo import CycloProduct, OrderSet
-from .errors import ValidationError
+from .errors import ValidationError, json_field
+from .lys import LysSurface, lys_charpoly, lys_from_json, lys_orders, lys_ztop
 from .ratfun import RatFun
+from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
+    strata_of_graph, ztop_from_strata
+from .suspension import GermSummary, summary_from_graph, summary_from_json, \
+    suspend_G, suspend_orders
 
 L_MAX_CAP = 10_000
+_TAU_MINUS_1 = CycloProduct.from_brackets([(1, 1)])
+
+
+@dataclass(frozen=True)
+class Subject:
+    """One checked germ: its twist family l -> Z^(l), (tau - 1) Delta, and
+    its eigenvalue orders."""
+    zeta: Callable[[int], RatFun]
+    delta_tilde: CycloProduct
+    orders: OrderSet
+
+
+def curve_subject(g: CurveResolutionGraph) -> Subject:
+    res = strata_of_graph(g)
+    _, delta = acampo(g)
+    return Subject(partial(ztop_from_strata, res), delta * _TAU_MINUS_1,
+                   delta.root_orders())
+
+
+def suspension_subject(germ: GermSummary, k: int) -> Subject:
+    """z^k + f, with the form dx dz (m = 0, nu_z = 1)."""
+    delta_f, orders = suspend_orders(germ, k)
+    return Subject(partial(suspend_G, germ.zeta, 0, k, 1),
+                   delta_f * _TAU_MINUS_1, orders)
+
+
+def lys_subject(S: LysSurface) -> Subject:
+    _, delta_tilde = lys_charpoly(S)
+    return Subject(partial(lys_ztop, S), delta_tilde, lys_orders(S))
+
+
+def subject_from_json(obj: dict) -> Subject:
+    """A curve germ, a suspension or a Le-Yomdin surface; "kind" is
+    inferred from the keys when absent."""
+    kind = obj.get("kind")
+    if kind is None:
+        if "vertices" in obj:
+            kind = "curve"
+        elif "germ" in obj:
+            kind = "suspension"
+        elif "points" in obj or "chi_complement" in obj:
+            kind = "lys"
+        else:
+            raise ValidationError("cannot infer subject kind")
+    if kind == "curve":
+        return curve_subject(graph_from_json(obj.get("graph", obj)))
+    if kind == "suspension":
+        k = json_field(obj, "k")
+        germ_obj = json_field(obj, "germ", dict)
+        if "graph" in germ_obj or "vertices" in germ_obj:
+            germ = summary_from_graph(
+                graph_from_json(germ_obj.get("graph", germ_obj)))
+        else:
+            germ = summary_from_json(germ_obj)
+        return suspension_subject(germ, k)
+    if kind == "lys":
+        return lys_subject(lys_from_json(obj.get("lys", obj)))
+    raise ValidationError(f"unknown subject kind {kind!r}")
 
 
 @dataclass(frozen=True, slots=True)

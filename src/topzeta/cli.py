@@ -12,7 +12,7 @@ import sys
 
 from . import checks, lys as lys_mod, resolution, suspension
 from .cyclo import CycloProduct, cyclo_str, cyclo_to_json
-from .errors import ValidationError, json_check, json_field
+from .errors import ValidationError, json_check
 from .ratfun import RatFun, render_latex, render_text
 
 
@@ -61,51 +61,6 @@ def _print(args, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
-
-
-# -- subject loading for `check` ---------------------------------------------
-
-
-def _load_subject(obj: dict):
-    """Returns (zeta1, delta_tilde, orders, family) for a curve germ, a
-    suspension, or a Le-Yomdin surface fixture."""
-    kind = obj.get("kind")
-    if kind is None:
-        if "vertices" in obj:
-            kind = "curve"
-        elif "germ" in obj:
-            kind = "suspension"
-        elif "points" in obj or "chi_complement" in obj:
-            kind = "lys"
-        else:
-            raise ValidationError("cannot infer subject kind")
-    if kind == "curve":
-        g = resolution.graph_from_json(obj.get("graph", obj))
-        res = resolution.strata_of_graph(g)
-        _, delta = resolution.acampo(g)
-        delta_tilde = delta * CycloProduct.from_brackets([(1, 1)])
-        return (resolution.ztop_from_strata(res, 1), delta_tilde,
-                delta.root_orders(),
-                lambda l: resolution.ztop_from_strata(res, l))
-    if kind == "suspension":
-        k = json_field(obj, "k")
-        germ_obj = json_field(obj, "germ", dict)
-        if "graph" in germ_obj or "vertices" in germ_obj:
-            germ = suspension.summary_from_graph(
-                resolution.graph_from_json(germ_obj.get("graph", germ_obj)))
-        else:
-            germ = suspension.summary_from_json(germ_obj)
-        delta_f, orders = suspension.suspend_orders(germ, k)
-        delta_tilde = delta_f * CycloProduct.from_brackets([(1, 1)])
-        return (suspension.suspend_G(germ.zeta, 0, k, 1, 1), delta_tilde,
-                orders, lambda l: suspension.suspend_G(germ.zeta, 0, k, 1, l))
-    if kind == "lys":
-        surface = lys_mod.lys_from_json(obj.get("lys", obj))
-        _, delta_tilde = lys_mod.lys_charpoly(surface)
-        return (lys_mod.lys_ztop(surface, 1), delta_tilde,
-                lys_mod.lys_orders(surface),
-                lambda l: lys_mod.lys_ztop(surface, l))
-    raise ValidationError(f"unknown subject kind {kind!r}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -175,11 +130,12 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    zeta1, delta_tilde, orders, family = _load_subject(_read_json(args.infile))
+    subject = checks.subject_from_json(_read_json(args.infile))
     if args.conjecture == "monodromy":
-        report = checks.check_monodromy(zeta1, delta_tilde)
+        report = checks.check_monodromy(subject.zeta(1), subject.delta_tilde)
     else:
-        report = checks.check_holomorphy(family, orders, args.lmax)
+        report = checks.check_holomorphy(subject.zeta, subject.orders,
+                                         args.lmax)
     verdict = "PASS" if report.passed else "FAIL"
     lines = [f"{report.conjecture}: {verdict}"]
     for item in report.items:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import divisors, euler_phi
+from .arith import divisors, jordan_totient
 from .errors import ValidationError, json_array, json_check, json_number
 
 OrderSet = frozenset
@@ -108,7 +108,7 @@ class CycloProduct:
 
     def degree(self) -> int:
         """Total degree sum e_d * phi(d); negative exponents subtract."""
-        return sum(e * euler_phi(d) for d, e in self.items)
+        return sum(e * jordan_totient(1, d) for d, e in self.items)
 
     # -- Thom-Sebastiani -------------------------------------------------------
 

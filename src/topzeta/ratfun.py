@@ -200,13 +200,19 @@ class RatFun:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _canonical(num, scale: int, forms: dict, cancel=()) -> "RatFun":
-        """num / (scale * prod form^mult) in canonical form.  num is an
-        integer polynomial, scale a nonzero integer and the forms primitive
-        with b > 0; only the forms in cancel may share a root with num."""
+    def _canonical(num, scale: int, forms: dict, cancel=None) -> "RatFun":
+        """num / (scale * prod form^mult) in canonical form.  num is a
+        trimmed integer polynomial, scale a nonzero integer and the forms
+        primitive with b > 0; only the forms in cancel (default: all of
+        them) may share a root with num, and a constant num shares none."""
         if not num:
             return _ZERO
-        for form in cancel:
+        if len(num) == 1:
+            # a constant cancels no form: only the content remains
+            g = gcd(scale, num[0]) if scale > 0 else -gcd(scale, num[0])
+            return RatFun((num[0] // g,), scale // g,
+                          tuple(sorted(forms.items())))
+        for form in list(forms) if cancel is None else cancel:
             mult = forms[form]
             while mult and (quot := _div_form(num, form)) is not None:
                 num, mult = quot, mult - 1
@@ -232,7 +238,7 @@ class RatFun:
             return _ZERO
         unit, forms = _factor(d)
         return RatFun._canonical(tuple([c * d_scale for c in n]),
-                                 unit * n_scale, forms, list(forms))
+                                 unit * n_scale, forms)
 
     @staticmethod
     def scaled_inv_product(scalar: Scalar, factors, num=(1,)) -> "RatFun":
@@ -240,6 +246,8 @@ class RatFun:
         and an integer polynomial num."""
         if not isinstance(scalar, int):
             scalar = Fraction(scalar)
+        if num and not num[-1]:
+            num = _trim(list(num))
         if not scalar or not num:
             return _ZERO
         scale = scalar.denominator
@@ -254,14 +262,10 @@ class RatFun:
             scale *= g
             form = (a // g, b // g)
             forms[form] = forms.get(form, 0) + 1
-        if len(num) > 1:
-            return RatFun._canonical(
-                tuple([scalar.numerator * c for c in num]), scale, forms,
-                list(forms))
-        # a constant numerator cancels no form: only the content remains
-        top = scalar.numerator * num[0]
-        g = gcd(scale, top) if scale > 0 else -gcd(scale, top)
-        return RatFun((top // g,), scale // g, tuple(sorted(forms.items())))
+        top = scalar.numerator
+        # a constant skips the comprehension: this is the hot case
+        num = (top * num[0],) if len(num) == 1 else tuple([top * c for c in num])
+        return RatFun._canonical(num, scale, forms)
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":
@@ -420,7 +424,7 @@ class RatFun:
             num = tuple([c * big_q ** excess for c in num])
         else:
             scale *= big_q ** -excess
-        return RatFun._canonical(num, scale, forms)
+        return RatFun._canonical(num, scale, forms, ())
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)

@@ -6,9 +6,8 @@ Z^(l) = sum_{I : l | N_i} chi(E_I°) / prod (N_i s + nu_i).
 
 CurveResolutionGraph is the dual graph of a plane-curve resolution:
 exceptional vertices, arrows for strict-transform branches, and edges.
-From it we derive strata, A'Campo's monodromy zeta function, the solved
-multiplicities (N, nu) from self-intersections, and the E^(n) component
-classification.
+From it we derive strata, A'Campo's monodromy zeta function and the
+solved multiplicities (N, nu) from self-intersections.
 """
 from __future__ import annotations
 
@@ -270,45 +269,6 @@ def solve_multiplicities(shape: GraphShape) -> CurveResolutionGraph:
 
 
 # ---------------------------------------------------------------------------
-# E^(n) components
-
-
-@dataclass(frozen=True)
-class EnComponent:
-    strata: tuple[frozenset[str], ...]
-    kind: str  # "type1" | "type2" | "other"
-
-
-def e_n_components(g: CurveResolutionGraph, n: int) -> list[EnComponent]:
-    """Connected components of E^(n), the union of exceptional strata all of
-    whose divisors have multiplicity divisible by n, each tagged:
-
-    - "type1": a single open stratum of a valence-2 vertex;
-    - "type2": E_0° u E_1° u {E_0 n E_1} with valences 3 and 1;
-    - "other": anything else (e.g. an isolated branching-vertex stratum).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    good = sorted(v.id for v in g.vertices if v.N % n == 0)
-    out = []
-    for comp in _components(good, g.edges):
-        strata: list[frozenset[str]] = [frozenset([vid]) for vid in sorted(comp)]
-        strata += [frozenset([u, v]) for u, v in g.edges
-                   if u in comp and v in comp]
-        out.append(EnComponent(tuple(strata), _classify(g, comp)))
-    return out
-
-
-def _classify(g: CurveResolutionGraph, comp: set[str]) -> str:
-    valences = sorted(g.valence(vid) for vid in comp)
-    if len(comp) == 1 and valences == [2]:
-        return "type1"
-    if len(comp) == 2 and valences == [1, 3]:
-        return "type2"
-    return "other"
-
-
-# ---------------------------------------------------------------------------
 # JSON
 
 
@@ -335,16 +295,6 @@ def graph_from_json(obj: dict) -> CurveResolutionGraph:
                 for i, d in enumerate(json_array(obj, "vertices"))]
     return CurveResolutionGraph(vertices, _arrows(obj), _edges(obj),
                                 prod_nu0_from_json(obj))
-
-
-def shape_from_json(obj: dict) -> GraphShape:
-    """Graph with N/nu absent, for solve_multiplicities input."""
-    vertices = json_array(obj, "vertices")
-    ids = [json_field(d, "id", str, f"'vertices'[{i}]")
-           for i, d in enumerate(vertices)]
-    selfint = {vid: _self_intersection(d) for vid, d in zip(ids, vertices)}
-    return GraphShape(ids, selfint, _arrows(obj), _edges(obj),
-                      prod_nu0_from_json(obj))
 
 
 def _self_intersection(d: dict) -> int:

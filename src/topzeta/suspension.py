@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import divisor_closure, divisors, frak_m, jordan_totient
+from .arith import divisor_closure, divisors, frak_m, jordan_totient, \
+    lcm_all
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
 from .errors import ValidationError, json_array, json_field
 from .ratfun import RatFun
@@ -110,8 +111,9 @@ def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
 def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
               strict: bool = False) -> RatFun:
     """Z_top^(l)(G, omega_{d+1}, s) for G = z^m (z^k + f) and the form
-    x^nu0 z^nu_z dx/x dz/z: one term per cone of z^m (z^k + x^N), gated as
-    in binomial.n_bullet (the entries of f carry the n_q part), in
+    x^nu0 z^nu_z dx/x dz/z: one term per cone of z^m (z^k + x^N), gated by
+    the cone's divisibility weight (gcd(n_q, m) on sigma+, m+k on sigma-,
+    (m+k) n_q/e_q on rho; the entries of f carry the n_q part), in
     r = ((m+k)s + nu_z)/k:
 
         [l | m]   Z^(l)(f)(r) / (k (r - s))                     sigma+
@@ -148,13 +150,16 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
     return total - rho
 
 
-def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int, ells,
+def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int,
                     strict: bool = False) -> ZetaProfile:
-    """Whole-profile wrapper: computes the requested twists plus the divisor
-    closure they need, so the result is itself a valid ZetaProfile and can
-    be suspended again."""
-    wanted = divisor_closure(list(ells) + [1])
-    entries = {l: suspend_G(f, m, k, nu_z, l, strict) for l in sorted(wanted)}
+    """The whole profile of G = z^m (z^k + f): every twist l dividing
+    (m+k) lcm(support(f)), outside of which Z^(l)(G) vanishes (sigma+ needs
+    l | m and entry l nonzero, sigma- needs l | m+k, and rho reads entries
+    lcm(e, m(k, l, m+k)), nonzero only if m(k, l, m+k) divides some s in
+    the support, which forces l | (m+k) s).  So the result is complete and
+    can be suspended again."""
+    bound = (m + k) * lcm_all(f.support())
+    entries = {l: suspend_G(f, m, k, nu_z, l, strict) for l in divisors(bound)}
     return ZetaProfile(entries, nu_z * f.prod_nu0)
 
 
@@ -228,9 +233,12 @@ def profile_to_json(f: ZetaProfile) -> dict:
 
 
 def profile_from_json(obj: dict) -> ZetaProfile:
-    entries = {json_field(e, "ell", record=f"'entries'[{i}]"):
-               RatFun.from_json(e)
-               for i, e in enumerate(json_array(obj, "entries"))}
+    entries: dict[int, RatFun] = {}
+    for i, e in enumerate(json_array(obj, "entries")):
+        l = json_field(e, "ell", record=f"'entries'[{i}]")
+        if l in entries:
+            raise ValidationError(f"'entries'[{i}]: duplicate ell = {l}")
+        entries[l] = RatFun.from_json(e)
     validate = json_field(obj, "validate", bool) if "validate" in obj \
         else True
     return ZetaProfile(entries, prod_nu0_from_json(obj), validate)

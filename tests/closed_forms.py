@@ -4,25 +4,75 @@ The library computes every suspension and Le-Yomdin zeta function through
 the general formulas (suspension.suspend_G, lys.lys_ztop) and the
 Thom-Sebastiani eigenvalue transfer in bracket form, and it enumerates
 the fundamental domains of the binomial cones from their coordinates.
-The paper's special cases below (the five-case statement of the
-generalized suspension z^m (z^k + f), the plain suspension z^k + f, the
-k = 2 split, the superisolated k = 1 surfaces), the residue-class walk
-over the root multiset and the box walk that solves for every integer
-point of a cone's bounding box are independent derivations of the same
-quantities; the tests compare them with the production path.
+The paper's special cases below (the four gated cone terms of the binomial
+germ z^m (z^k + x^N), the five-case statement of the generalized
+suspension z^m (z^k + f), the plain suspension z^k + f, the k = 2 split,
+the superisolated k = 1 surfaces), the residue-class walk over the root
+multiset and the box walk that solves for every integer point of a cone's
+bounding box are independent derivations of the same quantities; the
+tests compare them with the production path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from topzeta.arith import divisors, euler_phi, frak_m, gauss_jordan, \
-    jordan_totient, lcm_all
+from topzeta.arith import divisors, frak_m, gauss_jordan, jordan_totient, \
+    lcm_all
+from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, \
+    SIGMA_PLUS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ConsistencyError, ValidationError
 from topzeta.lys import LysSurface
 from topzeta.ratfun import RatFun
 from topzeta.suspension import GermSummary, ZetaProfile
+
+
+# ---------------------------------------------------------------------------
+# the binomial germ z^m (z^k + x^N), cone by cone
+
+
+def rho_rays(k: int, N: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Primitive integral rays of rho: v_i = (k e_i + N_i e_z)/gcd(k, N_i)."""
+    q = len(N)
+    rays = []
+    for i, n_i in enumerate(N):
+        ki = gcd(k, n_i)
+        v = [0] * (q + 1)
+        v[i] = k // ki
+        v[q] = n_i // ki
+        rays.append(tuple(v))
+    return tuple(rays)
+
+
+def n_bullet(g: BinomialGerm, bullet: str) -> int:
+    """gcd of ord(g ° phi) over arcs with order vector interior to the cone:
+    gcd(n_q, m) on sigma+, m+k on sigma-, (m+k) n_q / e_q on rho."""
+    if bullet == SIGMA_PLUS:
+        return gcd(g.n_q, g.m)   # gcd(n, 0) = n covers m = 0
+    if bullet == SIGMA_MINUS:
+        return g.m + g.k
+    if bullet == RHO:
+        return (g.m + g.k) * g.n_q // g.e_q
+    raise ValueError(f"no divisibility weight for bullet {bullet!r}")
+
+
+def w_top_twisted(g: BinomialGerm, bullet: str, l: int) -> RatFun:
+    """l-twisted term: w_top if l | N(bullet), else 0; rho* is always 0."""
+    if l < 2:
+        raise ValueError("twisted terms need l >= 2")
+    if bullet == RHO_STAR:
+        return RatFun.zero()
+    if n_bullet(g, bullet) % l == 0:
+        return w_top(g, bullet)
+    return RatFun.zero()
+
+
+def ztop_binomial(g: BinomialGerm, l: int = 1) -> RatFun:
+    """Full (twisted) local zeta function of the binomial germ."""
+    if l == 1:
+        return sum((w_top(g, b) for b in BULLETS), RatFun.zero())
+    return sum((w_top_twisted(g, b, l) for b in BULLETS), RatFun.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +303,7 @@ def _refactor_counts(counts: dict[int, int], L: int) -> CycloProduct:
     factors = {}
     for d, residues in by_order.items():
         mults = set(residues.values())
-        if len(mults) != 1 or len(residues) != euler_phi(d):
+        if len(mults) != 1 or len(residues) != jordan_totient(1, d):
             raise ConsistencyError(
                 f"root multiset is not Galois-stable at order {d}")
         factors[d] = mults.pop()

@@ -39,3 +39,47 @@ def random_graph(rng: random.Random, n_blowups: int | None = None,
     shape = GraphShape(sorted(verts), {v: -e for v, e in verts.items()},
                        arrows, edges)
     return solve_multiplicities(shape)
+
+
+def brieskorn_pham_graph(a: int, b: int) -> CurveResolutionGraph:
+    """The minimal embedded resolution graph of x^a + y^b, a, b >= 2.
+
+    Blow-ups follow the Euclidean algorithm on (a, b).  At each centre the
+    curve reads x^a + y^b in coordinates whose axes {x = 0} and {y = 0} lie
+    on the exceptional curves on_x and on_y (None for an axis that lies on
+    none).  For a < b the chart y -> y, x -> x y leaves x^a + y^(b-a), the
+    new curve E as {y = 0} and on_x as {x = 0}, and the symmetric chart
+    serves a > b.  A smooth curve x + y^c (or x^c + y) is done once it
+    meets only the exceptional curve it crosses transversally; at a = b
+    the gcd(a, b) branches leave the last curve E transversally, one arrow
+    each.  Every centre lowers the self-intersection of the curves through
+    it by one."""
+    e: dict[str, int] = {}            # vertex -> e, self-intersection -e
+    edges: list[tuple[str, str]] = []
+    on_x = on_y = None
+    while True:
+        if a == 1 and on_x is None:
+            arrows = [Arrow("A1", 1, on_y)]
+            break
+        if b == 1 and on_y is None:
+            arrows = [Arrow("A1", 1, on_x)]
+            break
+        new = f"E{len(e) + 1}"
+        e[new] = 1
+        through = [v for v in (on_x, on_y) if v is not None]
+        for v in through:
+            e[v] += 1
+            edges.append((v, new))
+        if len(through) == 2:
+            edges.remove((on_x, on_y) if (on_x, on_y) in edges
+                         else (on_y, on_x))
+        if a == b:
+            arrows = [Arrow(f"A{i + 1}", 1, new) for i in range(a)]
+            break
+        if a < b:
+            b, on_y = b - a, new
+        else:
+            a, on_x = a - b, new
+    shape = GraphShape(sorted(e), {v: -n for v, n in e.items()}, arrows,
+                       edges)
+    return solve_multiplicities(shape)

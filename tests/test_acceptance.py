@@ -17,7 +17,8 @@ from graphgen import random_graph
 from topzeta.arith import divisor_closure, divisors, frak_m, jordan_totient
 from topzeta.binomial import BULLETS, BinomialGerm, euler_specialize, \
     motivic_w, w_top
-from topzeta.checks import check_holomorphy, check_monodromy
+from topzeta.checks import Subject, check_holomorphy, check_monodromy, \
+    curve_subject, lys_subject, suspension_subject
 from topzeta.cyclo import CycloProduct
 from topzeta.lys import LysSurface, lys_candidate_poles, lys_charpoly, \
     lys_from_json, lys_orders, lys_ztop
@@ -27,9 +28,6 @@ from topzeta.resolution import acampo, graph_from_json, strata_of_graph, \
 from topzeta.suspension import ZetaProfile, fbad_set, profile_from_graph, \
     profile_from_json, summary_from_graph, suspend_G, suspend_matrix, \
     suspend_orders
-
-ONE_BRACKET = CycloProduct.from_brackets([(1, 1)])
-
 
 @contextmanager
 def criterion(number: int, name: str):
@@ -229,34 +227,22 @@ def test_criterion_08_structural_theorems():
                             for l1 in divisors(ell))
 
 
+def _conjectures_hold(subject: Subject) -> bool:
+    l_max = min(2 * max(subject.orders, default=1), 80)
+    return check_monodromy(subject.zeta(1), subject.delta_tilde).passed \
+        and check_holomorphy(subject.zeta, subject.orders, l_max).passed
+
+
 def test_criterion_09_conjecture_suites():
     with criterion(9, "monodromy and holomorphy checks on all fixtures"):
         for g in _curve_fixture_graphs():
-            res = strata_of_graph(g)
-            _, delta = acampo(g)
-            mon = check_monodromy(ztop_from_strata(res, 1),
-                                  delta * ONE_BRACKET)
-            hol = check_holomorphy(lambda l: ztop_from_strata(res, l),
-                                   delta.root_orders(),
-                                   min(2 * max(delta.root_orders(), default=1),
-                                       80))
-            assert mon.passed and hol.passed
+            assert _conjectures_hold(curve_subject(g))
         for g in _curve_fixture_graphs()[:4]:
             germ = summary_from_graph(g)
             for k in (2, 3):
-                delta_f, orders = suspend_orders(germ, k)
-                mon = check_monodromy(suspend_G(germ.zeta, 0, k, 1, 1),
-                                      delta_f * ONE_BRACKET)
-                hol = check_holomorphy(
-                    lambda l: suspend_G(germ.zeta, 0, k, 1, l), orders,
-                    min(2 * max(orders), 80))
-                assert mon.passed and hol.passed
+                assert _conjectures_hold(suspension_subject(germ, k))
         for S in _lys_fixtures():
-            mon = check_monodromy(lys_ztop(S, 1), lys_charpoly(S)[1])
-            orders = lys_orders(S)
-            hol = check_holomorphy(lambda l: lys_ztop(S, l), orders,
-                                   min(2 * max(orders), 80))
-            assert mon.passed and hol.passed
+            assert _conjectures_hold(lys_subject(S))
 
 
 def test_criterion_10_kashiwara_tables():

@@ -5,10 +5,11 @@ from math import gcd, prod
 
 import pytest
 
-from closed_forms import _enumerate_domain
+from closed_forms import _enumerate_domain, n_bullet, rho_rays, \
+    w_top_twisted, ztop_binomial
 from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, SIGMA_PLUS, \
-    BinomialGerm, MotExpr, MotTerm, cone_multiplicities, euler_specialize, \
-    motivic_w, n_bullet, rho_rays, w_top, w_top_twisted, ztop_binomial
+    BinomialGerm, MotTerm, cone_multiplicities, euler_specialize, motivic_w, \
+    w_top
 from topzeta.errors import ConsistencyError
 from topzeta.ratfun import RatFun
 
@@ -138,17 +139,16 @@ def test_w_top_twisted_gates():
 
 def test_motivic_structure():
     g = BinomialGerm(2, 4, (2, 6), (1, 2), 3)
-    rho_star = motivic_w(g, RHO_STAR)
-    term = rho_star.terms[0]
+    (term,) = motivic_w(g, RHO_STAR)
     assert (1, 1) in term.atoms and term.monomials == ((1, 1),)
     # e_q (L-1)^{q+1}: the unit vanishes at L = 1
     assert term.order == g.q + 1 and term.cofactor == (g.e_q,)
-    assert motivic_w(g, SIGMA_MINUS).terms[0].p_exponents == ((0, 0),)
-    assert len(motivic_w(g, SIGMA_MINUS).terms) == 3
+    assert motivic_w(g, SIGMA_MINUS)[0].p_exponents == ((0, 0),)
+    assert len(motivic_w(g, SIGMA_MINUS)) == 3
     trivial = BinomialGerm(1, 1, (1,), (1,), 1)
     for bullet in BULLETS:
-        for term in motivic_w(trivial, bullet).terms:
-            assert term.cardinality == 1
+        for term in motivic_w(trivial, bullet):
+            assert len(term.domain) == 1
 
 
 def _eager_pairing(points, nu_vec, weight_vec):
@@ -185,36 +185,36 @@ def test_p_exponents_match_eager_pairing():
             RHO_STAR: [_eager_pairing(d_rho, nu_full, n_full)],
         }
         for bullet in BULLETS:
-            terms = motivic_w(g, bullet).terms
+            terms = motivic_w(g, bullet)
             assert [t.p_exponents for t in terms] == expected[bullet], \
                 (g, bullet)
-            assert [t.cardinality for t in terms] == \
+            assert [len(t.domain) for t in terms] == \
                 [len(e) for e in expected[bullet]]
 
 
 def test_euler_examples():
     # chi(K) = 1/(nu_z + m s)
-    k_factor = MotExpr((MotTerm(order=1, cofactor=(1,), atoms=((3, 2),)),))
-    assert k_factor.terms[0].p_exponents == ((0, 0),)
+    k_factor = (MotTerm(order=1, cofactor=(1,), atoms=((3, 2),)),)
+    assert k_factor[0].p_exponents == ((0, 0),)
     assert euler_specialize(k_factor) == RatFun.inv_linear(2, 3)
     # chi of an H-type factor equals k_j/(k (N_j r + nu_j))
     g = BinomialGerm(1, 4, (6,), (1,), 2)
     k_j = gcd(4, 6)
     atom = ((4 * 1 + 2 * 6) // k_j, (1 + 4) * 6 // k_j)
-    h_factor = MotExpr((MotTerm(order=1, cofactor=(1,), atoms=(atom,)),))
+    h_factor = (MotTerm(order=1, cofactor=(1,), atoms=(atom,)),)
     # k (N r + nu) = 30 s + 16 here, so k_j/(k(Nr+nu)) = 2/(30s+16)
     assert euler_specialize(h_factor) == RatFun.from_polys([2], [16, 30])
-    assert euler_specialize(MotExpr(())).is_zero()
+    assert euler_specialize(()).is_zero()
 
 
 def test_euler_unpaired_units_vanish():
-    dead = MotExpr((MotTerm(order=2, cofactor=(1,),
-                            atoms=((1, 1),)),))  # (L-1)^2 but one atom
+    dead = (MotTerm(order=2, cofactor=(1,),
+                    atoms=((1, 1),)),)  # (L-1)^2 but one atom
     assert euler_specialize(dead).is_zero()
 
 
 def test_euler_underpaired_unit_raises():
-    bad = MotExpr((MotTerm(order=0, cofactor=(1,), atoms=((1, 1),)),))
+    bad = (MotTerm(order=0, cofactor=(1,), atoms=((1, 1),)),)
     with pytest.raises(ConsistencyError):
         euler_specialize(bad)
 

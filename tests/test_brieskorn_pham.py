@@ -1,0 +1,59 @@
+"""Brieskorn-Pham curves x^a + y^b as an end-to-end oracle.
+
+The resolution graph comes from the Euclidean algorithm on (a, b) alone,
+and the closed forms that check it do not read a graph: Z^(l) of
+z^b + x^a from the binomial cone terms, and Delta from Brieskorn's
+eigenvalues (Milnor-Orlik, Topology 9, 1970).  For curves both
+conjectures are theorems (Veys, Math. Ann. 295, 1993).
+"""
+import time
+from math import lcm
+
+from closed_forms import ztop_binomial
+from graphgen import brieskorn_pham_graph
+from topzeta.binomial import BinomialGerm
+from topzeta.checks import check_holomorphy, check_monodromy, curve_subject
+from topzeta.cyclo import CycloProduct
+from topzeta.resolution import acampo, strata_of_graph, ztop_from_strata
+
+EXPONENTS = range(2, 13)
+
+
+def test_zeta_functions_match_binomial_closed_form():
+    start = time.perf_counter()
+    for a in EXPONENTS:
+        for b in EXPONENTS:
+            res = strata_of_graph(brieskorn_pham_graph(a, b))
+            germ = BinomialGerm(0, b, (a,), (1,), 1)
+            for l in range(1, 2 * lcm(a, b) + 1):
+                assert ztop_from_strata(res, l) == ztop_binomial(germ, l), \
+                    (a, b, l)
+    assert time.perf_counter() - start < 4.0
+
+
+def test_cusp_fixture_in_both_orders(cusp_graph):
+    res = strata_of_graph(cusp_graph)
+    for a, b in ((2, 3), (3, 2)):
+        germ = BinomialGerm(0, b, (a,), (1,), 1)
+        for l in range(1, 13):
+            assert ztop_from_strata(res, l) == ztop_binomial(germ, l), (a, l)
+
+
+def test_monodromy_matches_brieskorn():
+    for a in EXPONENTS:
+        for b in EXPONENTS:
+            _, delta = acampo(brieskorn_pham_graph(a, b))
+            assert delta == CycloProduct.from_brackets(
+                [(a, 1), (1, -1)]).thom_sebastiani_tensor(b), (a, b)
+    _, cusp = acampo(brieskorn_pham_graph(2, 3))
+    assert cusp == CycloProduct.from_factors({6: 1})
+
+
+def test_conjectures_hold():
+    start = time.perf_counter()
+    for a in EXPONENTS:
+        for b in EXPONENTS:
+            subject = curve_subject(brieskorn_pham_graph(a, b))
+            assert check_monodromy(subject.zeta(1), subject.delta_tilde).passed
+            assert check_holomorphy(subject.zeta, subject.orders).passed
+    assert time.perf_counter() - start < 4.0

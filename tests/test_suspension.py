@@ -6,14 +6,15 @@ import pytest
 
 from conftest import load_fixture
 from graphgen import random_graph
-from closed_forms import k2_twisted, suspend_F, suspend_G_dispatch
+from closed_forms import k2_twisted, suspend_F, suspend_G_dispatch, \
+    w_top_twisted
 from topzeta.arith import divisor_closure, divisors, lcm_all
-from topzeta.binomial import BULLETS, BinomialGerm, w_top, w_top_twisted
+from topzeta.binomial import BULLETS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import candidate_a
 from topzeta.ratfun import RatFun
-from topzeta.resolution import strata_of_graph
+from topzeta.resolution import graph_from_json, strata_of_graph
 from topzeta.suspension import GermSummary, MissingEntryError, ZetaProfile, \
     fbad_set, profile_from_graph, profile_from_json, \
     profile_to_json, summary_from_graph, suspend_G, suspend_matrix, \
@@ -256,15 +257,37 @@ def test_suspend_G_matches_five_case_dispatch(x5y6_profile):
     assert time.perf_counter() - start < 3.0
 
 
-def test_suspend_profile_wrapper(x5y6_profile):
-    out = suspend_profile(x5y6_profile, 0, 10, 1, [1, 3, 5, 10, 15, 30])
-    assert out.prod_nu0 == 1
-    assert out.entry(1).evaluate(0) == 1
-    for l in out.entries:
-        assert out.entry(l) == suspend_F(x5y6_profile, 10, l)
-    # iterated suspension is well defined on the closed support
-    again = suspend_profile(out, 0, 2, 1, [1, 2])
-    assert again.entry(1).evaluate(0) == 1
+def _nonzero(profile: ZetaProfile) -> dict:
+    return {l: z for l, z in profile.entries.items() if not z.is_zero()}
+
+
+def test_suspend_profile_order_symmetry(x5y6_profile):
+    # z1^k1 + z2^k2 + f is symmetric in (k1, k2) (Thom-Sebastiani), an
+    # oracle independent of the cone terms: suspending in either order must
+    # give the same profile, which fails if a profile drops a nonzero entry
+    one = suspend_profile(x5y6_profile, 0, 10, 1)
+    assert one.support() == {1, 3, 5, 6, 10, 15, 30}
+    for l in one.entries:
+        assert one.entry(l) == suspend_F(x5y6_profile, 10, l)
+    rng = random.Random(53)
+    profiles = [profile_from_graph(graph_from_json(load_fixture(f"{name}.json")))
+                for name in ("triple_cusp_graph", "two_cusp_graph",
+                             "a3_graph", "cusp_graph")]
+    profiles += [profile_from_graph(random_graph(rng, rng.randint(1, 4)))
+                 for _ in range(4)]
+    start = time.perf_counter()
+    for f in profiles:
+        for k1, k2 in ((3, 2), (4, 6), (2, 2), (3, 5)):
+            first = suspend_profile(f, 0, k1, 1)
+            # every twist outside the stored divisors is zero
+            bound = k1 * lcm_all(f.support())
+            assert set(first.entries) == set(divisors(bound))
+            assert all(suspend_G(f, 0, k1, 1, l).is_zero()
+                       for l in range(1, 2 * bound + 1) if bound % l)
+            assert _nonzero(suspend_profile(first, 0, k2, 1)) == \
+                _nonzero(suspend_profile(suspend_profile(f, 0, k2, 1),
+                                         0, k1, 1)), (k1, k2)
+    assert time.perf_counter() - start < 4.0
 
 
 def test_profile_json_roundtrip(x5y6_profile):
