@@ -13,42 +13,50 @@ from math import gcd, lcm
 from .errors import ValidationError
 
 
+# trial division stays under 10^6 steps up to this bound
+TRIAL_DIVISION_BOUND = 10 ** 12
+
+
 def _check_pos(*values: int) -> None:
     for v in values:
         if v < 1:
             raise ValidationError(f"expected a positive integer, got {v}")
 
 
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of 1 <= n <= 10^12, by trial division."""
+    _check_pos(n)
+    if n > TRIAL_DIVISION_BOUND:
+        raise ValidationError(
+            "integer above 10^12: too large to factor by trial division")
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, strictly increasing."""
-    _check_pos(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    """All positive divisors of n, strictly increasing; n <= 10^12."""
+    out = [1]
+    for p, e in _factorize(n):
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    _check_pos(n)
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = _factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 @lru_cache(maxsize=None)

@@ -25,11 +25,14 @@ from .lys import LysSurface, lys_charpoly, lys_from_json, lys_orders, lys_ztop
 from .ratfun import RatFun
 from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
     strata_of_graph, ztop_from_strata
-from .suspension import GermSummary, summary_from_graph, summary_from_json, \
-    suspend_G, suspend_orders
+from .suspension import GermSummary, summary_from_json, suspend_G, \
+    suspend_orders
 
 L_MAX_CAP = 10_000
 _TAU_MINUS_1 = CycloProduct.from_brackets([(1, 1)])
+# a subject without "kind" has the kind of the first of these keys it holds
+_KIND_KEYS = (("vertices", "curve"), ("germ", "suspension"),
+              ("points", "lys"), ("chi_complement", "lys"))
 
 
 @dataclass(frozen=True)
@@ -65,25 +68,15 @@ def subject_from_json(obj: dict) -> Subject:
     inferred from the keys when absent."""
     kind = obj.get("kind")
     if kind is None:
-        if "vertices" in obj:
-            kind = "curve"
-        elif "germ" in obj:
-            kind = "suspension"
-        elif "points" in obj or "chi_complement" in obj:
-            kind = "lys"
-        else:
+        kind = next((named for key, named in _KIND_KEYS if key in obj), None)
+        if kind is None:
             raise ValidationError("cannot infer subject kind")
     if kind == "curve":
         return curve_subject(graph_from_json(obj.get("graph", obj)))
     if kind == "suspension":
         k = json_field(obj, "k")
-        germ_obj = json_field(obj, "germ", dict)
-        if "graph" in germ_obj or "vertices" in germ_obj:
-            germ = summary_from_graph(
-                graph_from_json(germ_obj.get("graph", germ_obj)))
-        else:
-            germ = summary_from_json(germ_obj)
-        return suspension_subject(germ, k)
+        return suspension_subject(
+            summary_from_json(json_field(obj, "germ", dict)), k)
     if kind == "lys":
         return lys_subject(lys_from_json(obj.get("lys", obj)))
     raise ValidationError(f"unknown subject kind {kind!r}")

@@ -49,8 +49,11 @@ def _render_cyclo(h: CycloProduct, fmt: str):
 
 
 def int_list(text: str) -> list[int]:
-    """The argparse type of --ell and --orders: comma-separated integers."""
-    return [int(x) for x in text.split(",") if x.strip()]
+    """The type of --ell and --orders: one or more comma-separated integers."""
+    values = [int(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _print(args, payload, text_lines):
@@ -89,8 +92,7 @@ def _cmd_acampo(args) -> int:
 
 def _cmd_suspend(args) -> int:
     profile = suspension.profile_from_json(_read_json(args.infile))
-    results = [(l, suspension.suspend_G(profile, args.m, args.k, args.nuz, l,
-                                        strict=args.strict))
+    results = [(l, suspension.suspend_G(profile, args.m, args.k, args.nuz, l))
                for l in args.ell]
     payload = {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]}
     if len(results) == 1 and not args.matrix:
@@ -167,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Le-Yomdin surface singularities.")
     parser.add_argument("--format", choices=("text", "json", "latex"),
                         default="text")
-    parser.add_argument("--strict", action="store_true",
-                        help="missing twisted entries are an error instead of 0")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

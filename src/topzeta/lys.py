@@ -18,9 +18,8 @@ from .cyclo import CycloProduct, OrderSet
 from .errors import ConsistencyError, ValidationError, json_array, \
     json_check, json_field
 from .ratfun import PoleError, RatFun
-from .resolution import graph_from_json
-from .suspension import GermSummary, summary_from_graph, \
-    summary_from_json, summary_to_json, suspend_G
+from .suspension import GermSummary, summary_from_json, summary_to_json, \
+    suspend_G
 
 
 @dataclass
@@ -161,13 +160,8 @@ def lys_to_json(S: LysSurface) -> dict:
 
 def lys_from_json(obj: dict) -> LysSurface:
     json_check(obj, dict, "'lys'")
-    points = []
-    for i, p in enumerate(json_array(obj, "points", required=False)):
-        name = p.get("name", f"q{i + 1}")
-        if "graph" in p:
-            points.append(summary_from_graph(graph_from_json(p["graph"]), name))
-        else:
-            points.append(summary_from_json(p))
+    points = [summary_from_json(p, f"q{i + 1}") for i, p in
+              enumerate(json_array(obj, "points", required=False))]
     n, m, k, chi_complement, chi_curve_smooth = [
         json_field(obj, key) for key in
         ("n", "m", "k", "chi_complement", "chi_curve_smooth")]

@@ -23,19 +23,16 @@ from .arith import divisor_closure, divisors, frak_m, jordan_totient, \
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
 from .errors import ValidationError, json_array, json_field
 from .ratfun import RatFun
-from .resolution import CurveResolutionGraph, acampo, prod_nu0_from_json, \
-    strata_of_graph, ztop_from_strata
-
-
-class MissingEntryError(ValidationError):
-    """Strict mode: a required twisted entry is not stored."""
+from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
+    prod_nu0_from_json, strata_of_graph, ztop_from_strata
 
 
 @dataclass
 class ZetaProfile:
     """Family ell -> Z_top^(ell) describing one germ; absent entries are the
-    zero function.  prod_nu0 is the volume-form normalization: the ell = 1
-    entry must evaluate to 1/prod_nu0 at s = 0."""
+    zero function, and a nonzero entry must come with all its divisors.
+    prod_nu0 is the volume-form normalization: the ell = 1 entry must
+    evaluate to 1/prod_nu0 at s = 0."""
     entries: dict[int, RatFun]
     prod_nu0: int = 1
     validate: bool = True
@@ -62,12 +59,8 @@ class ZetaProfile:
                 raise ValidationError(
                     f"Z(f, 0) = {val}, expected 1/{self.prod_nu0}")
 
-    def entry(self, l: int, strict: bool = False) -> RatFun:
-        if l in self.entries:
-            return self.entries[l]
-        if strict:
-            raise MissingEntryError(f"no stored entry for ell = {l}")
-        return RatFun.zero()
+    def entry(self, l: int) -> RatFun:
+        return self.entries[l] if l in self.entries else RatFun.zero()
 
     def support(self) -> frozenset[int]:
         return frozenset(l for l, z in self.entries.items() if not z.is_zero())
@@ -108,8 +101,7 @@ def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
 # generalized suspension G = z^m (z^k + f)
 
 
-def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
-              strict: bool = False) -> RatFun:
+def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
     """Z_top^(l)(G, omega_{d+1}, s) for G = z^m (z^k + f) and the form
     x^nu0 z^nu_z dx/x dz/z: one term per cone of z^m (z^k + x^N), gated by
     the cone's divisibility weight (gcd(n_q, m) on sigma+, m+k on sigma-,
@@ -121,9 +113,8 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
       - w_l(s) sum_{e | k} J_2(e)/k Z^(lcm(e, m(k,l,m+k)))(f)(r)  rho, rho*
 
     with w_1 = s/(s+1) = 1 - 1/(s+1) (rho* adds the -1/(s+1)) and w_l = 1
-    for l >= 2 (rho* vanishes).  Entries are read in that order, so strict
-    mode names the first missing one; a zero term costs only its gate and
-    its entry reads."""
+    for l >= 2 (rho* vanishes).  A zero term costs only its gate and its
+    entry reads."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
         raise ValidationError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
 
@@ -131,15 +122,15 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
         return z.substitute_affine(Fraction(m + k, k), Fraction(nu_z, k))
 
     total = RatFun.zero()
-    if m % l == 0 and not (z := f.entry(l, strict)).is_zero():
+    if m % l == 0 and not (z := f.entry(l)).is_zero():
         total = at_r(z) * RatFun.scaled_inv_product(1, [(nu_z, m)])
     if (m + k) % l == 0:
-        total += (Fraction(1, f.prod_nu0) - at_r(f.entry(1, strict))) \
+        total += (Fraction(1, f.prod_nu0) - at_r(f.entry(1))) \
             * RatFun.scaled_inv_product(1, [(nu_z, m + k)])
     fm = frak_m(k, l, m + k)
     rho = RatFun.zero()
     for e in divisors(k):
-        z = f.entry(lcm(e, fm), strict)
+        z = f.entry(lcm(e, fm))
         if not z.is_zero():
             rho += z * Fraction(jordan_totient(2, e), k)
     if rho.is_zero():
@@ -150,8 +141,7 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
     return total - rho
 
 
-def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int,
-                    strict: bool = False) -> ZetaProfile:
+def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int) -> ZetaProfile:
     """The whole profile of G = z^m (z^k + f): every twist l dividing
     (m+k) lcm(support(f)), outside of which Z^(l)(G) vanishes (sigma+ needs
     l | m and entry l nonzero, sigma- needs l | m+k, and rho reads entries
@@ -159,7 +149,7 @@ def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int,
     the support, which forces l | (m+k) s).  So the result is complete and
     can be suspended again."""
     bound = (m + k) * lcm_all(f.support())
-    entries = {l: suspend_G(f, m, k, nu_z, l, strict) for l in divisors(bound)}
+    entries = {l: suspend_G(f, m, k, nu_z, l) for l in divisors(bound)}
     return ZetaProfile(entries, nu_z * f.prod_nu0)
 
 
@@ -252,7 +242,12 @@ def summary_to_json(g: GermSummary) -> dict:
     return out
 
 
-def summary_from_json(obj: dict) -> GermSummary:
+def summary_from_json(obj: dict, name: str = "") -> GermSummary:
+    """A germ from its resolution graph (inline or under "graph") or from a
+    profile with "delta"; named by "name", or else by the given name."""
+    if "name" in obj:
+        name = json_field(obj, "name", str)
+    if "graph" in obj or "vertices" in obj:
+        return summary_from_graph(graph_from_json(obj.get("graph", obj)), name)
     delta = json_field(obj, "delta", dict)
-    return GermSummary(profile_from_json(obj), cyclo_from_json(delta),
-                       obj.get("name", ""))
+    return GermSummary(profile_from_json(obj), cyclo_from_json(delta), name)

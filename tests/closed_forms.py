@@ -79,7 +79,7 @@ def ztop_binomial(g: BinomialGerm, l: int = 1) -> RatFun:
 # plain suspension F = z^k + f
 
 
-def suspend_F(f: ZetaProfile, k: int, l: int, strict: bool = False) -> RatFun:
+def suspend_F(f: ZetaProfile, k: int, l: int) -> RatFun:
     """Z_top^(l)(F, s) for F = z^k + f (volume form with nu_z = 1); the
     three-case closed form in t = s + 1/k.  Must agree with
     suspend_G(f, 0, k, 1, l), which the test suite enforces."""
@@ -88,7 +88,7 @@ def suspend_F(f: ZetaProfile, k: int, l: int, strict: bool = False) -> RatFun:
     shift = Fraction(1, k)
 
     def at_t(e: int) -> RatFun:
-        return f.entry(e, strict).substitute_affine(1, shift)
+        return f.entry(e).substitute_affine(1, shift)
 
     inv_kt = RatFun.inv_linear(k, 1)                  # 1/(k t)
     t_fun = RatFun.linear(1, shift)
@@ -127,8 +127,8 @@ def suspend_F(f: ZetaProfile, k: int, l: int, strict: bool = False) -> RatFun:
 # generalized suspension G = z^m (z^k + f), case by case
 
 
-def suspend_G_dispatch(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
-                       strict: bool = False) -> RatFun:
+def suspend_G_dispatch(f: ZetaProfile, m: int, k: int, nu_z: int,
+                       l: int) -> RatFun:
     """Z_top^(l)(G, omega_{d+1}, s) for G = z^m (z^k + f) and the form
     x^nu0 z^nu_z dx/x dz/z, as the paper states it: a five-case dispatch
     on l = 1, l | m and l | m+k, in r = ((m+k)s + nu_z)/k.  Must agree
@@ -139,7 +139,7 @@ def suspend_G_dispatch(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
     b = Fraction(nu_z, k)
 
     def at_r(e: int) -> RatFun:
-        return f.entry(e, strict).substitute_affine(a, b)
+        return f.entry(e).substitute_affine(a, b)
 
     inv_kr = RatFun.inv_linear(m + k, nu_z)          # 1/(k r)
     inv_krs = RatFun.inv_linear(m, nu_z)             # 1/(k (r - s))
@@ -192,7 +192,7 @@ def suspend_G_dispatch(f: ZetaProfile, m: int, k: int, nu_z: int, l: int,
 # k = 2 twisted specialization
 
 
-def k2_twisted(f: ZetaProfile, l: int, strict: bool = False) -> RatFun:
+def k2_twisted(f: ZetaProfile, l: int) -> RatFun:
     """Z_top^(l)(z^2 + f, s) via the four-way split on l = 2^a l2, t = s + 1/2.
 
     The odd-l case follows the general suspension theorem
@@ -204,7 +204,7 @@ def k2_twisted(f: ZetaProfile, l: int, strict: bool = False) -> RatFun:
     half = Fraction(1, 2)
 
     def at_t(e: int) -> RatFun:
-        return f.entry(e, strict).substitute_affine(1, half)
+        return f.entry(e).substitute_affine(1, half)
 
     if l % 2 == 1:
         return half * at_t(l) - Fraction(3, 2) * at_t(2 * l)

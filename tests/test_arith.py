@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topzeta.arith import divisor_closure, divisors, frak_m, frak_n, \
-    jordan_totient, mobius
+from topzeta.arith import TRIAL_DIVISION_BOUND, divisor_closure, \
+    divisors, frak_m, frak_n, jordan_totient, mobius
+from topzeta.errors import ValidationError
 
 
 def test_divisors_examples():
@@ -14,6 +15,8 @@ def test_divisors_examples():
     # trial-division oracle
     assert divisors(84) == tuple(d for d in range(1, 85) if 84 % d == 0)
     assert divisors(84) == (1, 2, 3, 4, 6, 7, 12, 14, 21, 28, 42, 84)
+    for n in range(1, 1001):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_divisors_rejects_nonpositive():
@@ -21,11 +24,27 @@ def test_divisors_rejects_nonpositive():
         divisors(0)
 
 
+def test_trial_division_bound():
+    # trial division is exponential in the digits of its input, so both
+    # functions that factor stop at the bound instead of running for hours
+    assert TRIAL_DIVISION_BOUND == 10 ** 12
+    assert len(divisors(10 ** 12)) == 169
+    assert mobius(10 ** 12 - 11) == -1  # the largest prime below 10^12
+    for n in (10 ** 12 + 1, 10 ** 20):
+        with pytest.raises(ValidationError, match="trial division"):
+            divisors(n)
+        with pytest.raises(ValidationError, match="trial division"):
+            mobius(n)
+
+
 def test_mobius_examples():
     assert mobius(1) == 1
     assert mobius(6) == 1
     assert mobius(12) == 0
     assert mobius(30) == -1
+    # sum_{d|n} mu(d) = [n = 1]
+    for n in range(1, 1001):
+        assert sum(mobius(d) for d in divisors(n)) == (n == 1)
 
 
 def test_jordan_examples():

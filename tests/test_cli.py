@@ -183,13 +183,6 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code2 == 1
 
 
-def test_strict_mode_exit_code(capsys):
-    code, _, err = run_cli(capsys, "--strict", "suspend", "--in",
-                           str(FIXTURES / "lvp_profile.json"),
-                           "--k", "84", "--ell", "7")
-    assert code == 1 and "ell = 7" in err
-
-
 def test_stdin_input(capsys, monkeypatch):
     payload = (FIXTURES / "triple_cusp_graph.json").read_text()
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
@@ -346,6 +339,8 @@ MALFORMED = [
      "'graph' must be a JSON object, got int"),
     ("point-graph", LYS, FIXTURES / "lys_kashiwara_Ib.json",
      ["points", 0, "graph"], [], "'graph' must be a JSON object, got list"),
+    ("point-name", LYS, FIXTURES / "lys_xyz_k1.json", ["points", 0, "name"],
+     5, "'name' must be a JSON string, got int"),
     # a missing required field names its record, where it has one
     ("vertex-id-missing", GRAPH, FIXTURES / "triple_cusp_graph.json",
      ["vertices", 0, "id"], DELETE, "'vertices'[0]: missing field 'id'"),
@@ -390,6 +385,13 @@ MALFORMED = [
     # a second entry for one ell is refused, not read over the first
     ("entry-ell-duplicate", SUSPEND, FIXTURES / "x5y6_profile.json",
      ["entries", 1, "ell"], 3, "'entries'[2]: duplicate ell = 3"),
+    # integers whose divisors trial division would take hours to list
+    ("cyclotomic-index-huge", LYS, FIXTURES / "lys_xyz_k1.json",
+     ["points", 0, "delta", "cyclotomic"], {str(10 ** 13): 1},
+     "integer above 10^12: too large to factor by trial division"),
+    ("suspension-k-huge", ["check", "monodromy", "--in", "IN"],
+     FIXTURES / "cusp3_susp.json", ["k"], 10 ** 13,
+     "integer above 10^12: too large to factor by trial division"),
 ]
 
 
@@ -468,8 +470,7 @@ FUZZ_COMMANDS = {
     "graph": [GRAPH + ["--ell", "2"], ["acampo", "--in", "IN"], CHECK],
     "profile": [["suspend", "--in", "IN", "--k", "6", "--m", "1", "--nuz",
                  "2", "--ell", "1,2,3,6"],
-                ["--strict", "suspend", "--in", "IN", "--k", "2", "--ell",
-                 "1,2,4"]],
+                ["suspend", "--in", "IN", "--k", "2", "--ell", "1,2,4"]],
     "suspension": [CHECK, HOLOMORPHY],
     "lys": [["lys", "--in", "IN", "--ell", "1,2"], ["charpoly", "--in", "IN"],
             CHECK, HOLOMORPHY],
@@ -534,6 +535,45 @@ def test_fuzzed_inputs_exit_cleanly(capsys, tmp_path):
     assert time.perf_counter() - start < FUZZ_BUDGET_S
 
 
+def test_lys_point_graph_inline(capsys, tmp_path):
+    # a Le-Yomdin point reads its graph inline as well as under "graph", as
+    # a suspension germ does
+    fixture = FIXTURES / "lys_kashiwara_Ib.json"
+    obj = json.loads(fixture.read_text())
+    for point in obj["points"]:
+        point.update(point.pop("graph"))
+    f = tmp_path / "inline.json"
+    f.write_text(json.dumps(obj))
+    for argv in (["lys", "--ell", "1,2"], ["check", "monodromy"]):
+        given = run_cli(capsys, *argv, "--in", str(fixture))
+        assert given[0] == 0
+        assert run_cli(capsys, *argv, "--in", str(f)) == given
+
+
+def test_lys_point_named_by_position(capsys, tmp_path):
+    # a point without "name" is named q<i> in profile form too
+    obj = json.loads((FIXTURES / "lys_xyz_k1.json").read_text())
+    del obj["points"][0]["name"]
+    obj["points"][0]["delta"] = {"cyclotomic": {"1": -1}}
+    f = tmp_path / "lys.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "lys", "--in", str(f), "--ell", "1")
+    assert code == 1 and not out
+    assert err == "error: germ 'q1': delta is not a polynomial\n"
+
+
+@pytest.mark.parametrize("order", ["10000000000000", str(10 ** 16 + 61)])
+def test_large_orders_exit_quickly(capsys, order):
+    # orders above 10^12 are refused before any trial division, which would
+    # take 10^8 steps on the prime 10^16 + 61
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fbad", "--orders", order)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err == "error: integer above 10^12: too large to factor by " \
+        "trial division\n"
+
+
 def test_lys_euler_characteristics_checked(capsys, tmp_path):
     # both Euler characteristics follow from chi(C) = 3m - m^2 + sum mu_p;
     # their sum alone would still be 3 here
@@ -551,8 +591,16 @@ def test_lys_euler_characteristics_checked(capsys, tmp_path):
     ["zeta", "graph"],
     ["zeta", "graph", "--in", str(FIXTURES / "cusp_graph.json"), "--ell", "x"],
     ["fbad", "--orders", "1,x"],
+    ["suspend", "--in", str(FIXTURES / "x5y6_profile.json"), "--k", "10",
+     "--ell", ","],
+    ["lys", "--in", str(FIXTURES / "lys_xyz_k1.json"), "--ell", ""],
+    ["fbad", "--orders", ","],
+    ["--strict", "suspend", "--in", str(FIXTURES / "x5y6_profile.json"),
+     "--k", "7", "--ell", "1"],
     ["bogus"],
-], ids=["missing-in", "ell-not-int", "orders-not-ints", "unknown-subcommand"])
+], ids=["missing-in", "ell-not-int", "orders-not-ints", "ell-empty",
+        "lys-ell-empty", "orders-empty", "strict-retired",
+        "unknown-subcommand"])
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and not out

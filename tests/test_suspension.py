@@ -15,10 +15,10 @@ from topzeta.errors import ValidationError
 from topzeta.lys import candidate_a
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_of_graph
-from topzeta.suspension import GermSummary, MissingEntryError, ZetaProfile, \
-    fbad_set, profile_from_graph, profile_from_json, \
-    profile_to_json, summary_from_graph, suspend_G, suspend_matrix, \
-    suspend_orders, suspend_profile
+from topzeta.suspension import GermSummary, ZetaProfile, fbad_set, \
+    profile_from_graph, profile_from_json, profile_to_json, \
+    summary_from_graph, suspend_G, suspend_matrix, suspend_orders, \
+    suspend_profile
 
 
 def test_profile_invariants():
@@ -31,8 +31,6 @@ def test_profile_invariants():
                      4: RatFun.inv_linear(1, 1)})
     prof = ZetaProfile({1: RatFun.from_polys([1], [1, 1])})
     assert prof.entry(7).is_zero()
-    with pytest.raises(MissingEntryError):
-        prof.entry(7, strict=True)
 
 
 def test_x5y6_rows(x5y6_profile):
@@ -297,9 +295,15 @@ def test_profile_json_roundtrip(x5y6_profile):
     assert again.entries == x5y6_profile.entries
 
 
-def test_strict_mode(x5y6_profile):
-    entries = {l: x5y6_profile.entries[l] for l in (1, 2, 3, 5, 6, 10, 15, 30)}
-    partial = ZetaProfile(entries)
-    with pytest.raises(MissingEntryError):
-        suspend_G(partial, 0, 10, 1, 7, strict=True)
-    assert suspend_G(partial, 0, 10, 1, 7).is_zero()
+def test_absent_entries_read_as_zero(x5y6_profile):
+    # x5y6 stores its whole support, the divisors of 30; suspend_G reads
+    # entries beyond it (z^7 + f at l = 1 reads entry 7) and must see the
+    # same zero there as in a profile that stores those zeros
+    padded = ZetaProfile({**{l: RatFun.zero() for l in range(1, 721)},
+                          **x5y6_profile.entries})
+    for k in range(1, 13):
+        for l in range(1, 61):
+            assert suspend_G(x5y6_profile, 0, k, 1, l) == \
+                suspend_G(padded, 0, k, 1, l), (k, l)
+    assert str(suspend_G(x5y6_profile, 0, 7, 1, 1)) == \
+        "(90*s + 107)/((210*s + 107)*(s + 1))"

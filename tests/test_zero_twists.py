@@ -8,18 +8,16 @@ import random
 import time
 from math import lcm
 
-import pytest
-
 from conftest import FIXTURES, load_fixture
 from graphgen import random_graph
 from closed_forms import suspend_G_dispatch
-from topzeta.arith import divisor_closure, divisors, frak_m, lcm_all
+from topzeta.arith import divisors, frak_m, lcm_all
 from topzeta.lys import lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_of_graph, \
     ztop_from_strata
-from topzeta.suspension import MissingEntryError, ZetaProfile, \
-    profile_from_graph, profile_from_json, suspend_G
+from topzeta.suspension import ZetaProfile, profile_from_graph, \
+    profile_from_json, suspend_G
 
 BUDGET_S = 4.0
 LYS_FIXTURES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL", "lys_tacnode_k2",
@@ -36,9 +34,9 @@ def expected_reads(m: int, k: int, l: int) -> list[int]:
 
 
 def test_suspend_G_fast_paths_match_dispatch(monkeypatch):
-    # the value against the five-case dispatch, and the entry reads (what
-    # --strict and a tracer of ZetaProfile.entry see) against the formula's
-    # order, zero twists included
+    # the value against the five-case dispatch, and the entry reads (what a
+    # tracer of ZetaProfile.entry sees) against the formula's order, zero
+    # twists included
     rng = random.Random(71)
     profiles = [profile_from_json(load_fixture(name)) for name in
                 ("x5y6_profile.json", "lvp_profile.json")]
@@ -47,9 +45,9 @@ def test_suspend_G_fast_paths_match_dispatch(monkeypatch):
     reads = []
     entry = ZetaProfile.entry
 
-    def recording_entry(self, l, strict=False):
+    def recording_entry(self, l):
         reads.append(l)
-        return entry(self, l, strict)
+        return entry(self, l)
 
     monkeypatch.setattr(ZetaProfile, "entry", recording_entry)
     start = time.perf_counter()
@@ -68,27 +66,6 @@ def test_suspend_G_fast_paths_match_dispatch(monkeypatch):
                 cases += 1
     assert cases > 2000
     assert time.perf_counter() - start < BUDGET_S
-
-
-def test_suspend_G_strict_names_first_missing_entry():
-    # a profile storing only part of its support: strict mode names the
-    # first entry in read order that is not stored
-    full = profile_from_json(load_fixture("x5y6_profile.json"))
-    stored = divisor_closure([6, 10])
-    partial = ZetaProfile({l: full.entries[l] for l in stored})
-    for m in range(4):
-        for k in range(1, 7):
-            for l in range(1, 61):
-                missing = [e for e in expected_reads(m, k, l)
-                           if e not in stored]
-                if not missing:
-                    assert suspend_G(partial, m, k, 1, l, strict=True) == \
-                        suspend_G(partial, m, k, 1, l)
-                    continue
-                with pytest.raises(MissingEntryError) as info:
-                    suspend_G(partial, m, k, 1, l, strict=True)
-                assert str(info.value) == \
-                    f"no stored entry for ell = {missing[0]}"
 
 
 def strata_oracle(res, l: int) -> RatFun:
