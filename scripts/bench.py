@@ -2,15 +2,18 @@
 check and the criterion-5 motivic grid; write BENCH_*.json.
 
 Usage:
-    python3 scripts/bench.py --label after --out BENCH_7.json
-    PYTHONPATH=../parent/src python3 scripts/bench.py --label before \
-        --out BENCH_7.json
+    python3 scripts/bench.py --compare ../parent/src --out BENCH_10.json
 
-topzeta is imported from PYTHONPATH when it is set there, else from this
-checkout's src/, so pointing PYTHONPATH at another checkout's src/ measures
-that checkout with the same script (a before row).
-A row replaces the row of the same label in the output file and keeps the
-others.  Each row holds:
+--compare PARENT_SRC measures two trees in the same rounds: each round runs
+every row group (layers, twists, zero_twists, grid) in a child process for
+PARENT_SRC and for this checkout's src/, back to back, the parent first in
+odd rounds and second in even ones.  It writes a "before" and an "after"
+row, each value the median over the rounds, so host drift falls on both
+rows alike instead of reading as a change between them.  Comparing a tree
+with itself (--compare src) shows the noise floor.
+
+The two rows replace the before and after rows of the output file and
+keep the others.  Each row holds:
 
   * machine: Python version, platform and CPU count;
   * layers: microseconds per case of w_top, motivic_w and euler_specialize
@@ -23,12 +26,13 @@ others.  Each row holds:
     l_max and at the nonzero twists of the order closure, per zero twist
     of suspend_G (the same profiles, l <= 2 (m+k) lcm(support)) and of
     ztop_from_strata (l <= 2 lcm(N)), and milliseconds per check_holomorphy
-    at the default l_max on HOLOMORPHY_SURFACE; each the median of REPEATS
-    timings;
+    at the default l_max on HOLOMORPHY_SURFACE; each the median over the
+    rounds of a median of REPEATS timings;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
-    cleared cone cache, GRID_REPEATS times, in seconds;
-  * src_lines: the line count of the imported topzeta package.
+    cleared cone cache, once per round, in seconds;
+  * src_lines: the line count of the measured topzeta package;
+  * rounds: the number of rounds.
 
 Standard library only; timings use time.perf_counter.
 """
@@ -41,18 +45,20 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from functools import partial
 from pathlib import Path
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.append(str(SRC))
 
 from topzeta import arith, binomial, checks, lys, resolution, \
     suspension  # noqa: E402
 
 REPEATS = 5
-GRID_REPEATS = 3
+ROUNDS = 5
 SHAPES_PER_Q = 12
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CURVES = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
@@ -206,38 +212,78 @@ def grid_seconds() -> float:
     return elapsed
 
 
-def src_lines() -> int:
-    package = Path(binomial.__file__).parent
+GROUPS = {"layers": layer_rows, "twists": twist_rows,
+          "zero_twists": zero_twist_rows,
+          "grid": lambda: {"criterion5_grid_s": grid_seconds()}}
+
+
+def src_lines(package: Path) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines())
                for p in sorted(package.glob("*.py")))
 
 
+def run_group(src: Path, group: str) -> dict:
+    """One row group measured in a child process importing topzeta from
+    src."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--group", group],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        check=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def compare_rows(parent: Path, rounds: int) -> list[dict]:
+    """A before (parent) and an after (this checkout) row from the same
+    rounds, in alternating order; each value is the median over rounds."""
+    trees = {"before": parent, "after": SRC}
+    samples: dict[str, dict[str, list]] = {"before": {}, "after": {}}
+    for r in range(rounds):
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for group in GROUPS:
+            for label in order:
+                for key, value in run_group(trees[label], group).items():
+                    samples[label].setdefault(key, []).append(value)
+    rows = []
+    for label, values in samples.items():
+        grid = values.pop("criterion5_grid_s")
+        rows.append({
+            "label": label,
+            "machine": {"python": platform.python_version(),
+                        "platform": platform.platform(),
+                        "nproc": os.cpu_count()},
+            "layers": {key: statistics.median(v) for key, v in values.items()},
+            "end_to_end": {"criterion5_grid_s": statistics.median(grid),
+                           "criterion5_grid_samples_s": grid,
+                           "criterion5_grid_cases": 637_920},
+            "src_lines": src_lines(trees[label] / "topzeta"),
+            "rounds": rounds,
+        })
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--label", required=True,
-                        help="row name, e.g. before or after")
-    parser.add_argument("--out", required=True, help="BENCH_*.json to update")
+    parser.add_argument("--compare", metavar="PARENT_SRC", type=Path,
+                        help="src/ of the parent tree")
+    parser.add_argument("--rounds", type=int, default=ROUNDS)
+    parser.add_argument("--out", help="BENCH_*.json to update")
+    parser.add_argument("--group", choices=GROUPS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.group:
+        print(json.dumps(GROUPS[args.group]()))
+        return 0
+    if not args.compare or not args.out:
+        parser.error("--compare and --out are required")
 
-    grid = [grid_seconds() for _ in range(GRID_REPEATS)]
-    row = {
-        "label": args.label,
-        "machine": {"python": platform.python_version(),
-                    "platform": platform.platform(),
-                    "nproc": os.cpu_count()},
-        "layers": {**layer_rows(), **twist_rows(), **zero_twist_rows()},
-        "end_to_end": {"criterion5_grid_s": statistics.median(grid),
-                       "criterion5_grid_samples_s": grid,
-                       "criterion5_grid_cases": 637_920},
-        "src_lines": src_lines(),
-    }
+    new_rows = compare_rows(args.compare.resolve(), args.rounds)
     out = Path(args.out)
     rows = json.loads(out.read_text(encoding="utf-8"))["rows"] \
         if out.exists() else []
-    rows = [r for r in rows if r["label"] != args.label] + [row]
+    rows = [r for r in rows if r["label"] not in ("before", "after")] \
+        + new_rows
     out.write_text(json.dumps({"rows": rows}, indent=2) + "\n",
                    encoding="utf-8")
-    json.dump(row, sys.stdout, indent=2)
+    json.dump(new_rows, sys.stdout, indent=2)
     print()
     return 0
 

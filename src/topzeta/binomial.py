@@ -247,7 +247,7 @@ def euler_specialize(terms: tuple[MotTerm, ...]) -> RatFun:
     number of atoms vanish by additivity.  A unit vanishing to *lower*
     order would be a genuine pole at L = 1 and raises.
     """
-    total = RatFun.zero()
+    paired = []
     for term in terms:
         n_atoms = len(term.atoms)
         if term.order > n_atoms:
@@ -256,6 +256,5 @@ def euler_specialize(terms: tuple[MotTerm, ...]) -> RatFun:
             raise ConsistencyError(
                 f"term has {n_atoms} atoms but unit vanishes to order "
                 f"{term.order}")
-        scalar = sum(term.cofactor) * len(term.domain)
-        total = total + RatFun.scaled_inv_product(scalar, term.atoms)
-    return total
+        paired.append((sum(term.cofactor) * len(term.domain), term.atoms))
+    return RatFun.sum_inv_products(paired)

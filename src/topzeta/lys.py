@@ -51,13 +51,16 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     if l < 1:
         raise ValidationError("l must be >= 1")
     krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
-    total = RatFun.zero()
+    terms = []
     if S.m % l == 0:
-        total = RatFun.scaled_inv_product(S.chi_complement, [krs])
+        terms.append((S.chi_complement, [krs]))
     if l == 1:
-        total += RatFun.scaled_inv_product(S.chi_curve_smooth, [krs, (1, 1)])
+        terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
+    total = RatFun.sum_inv_products(terms) if terms else RatFun.zero()
     for point in S.points:
-        total += suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
+        z = suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
+        if not z.is_zero():
+            total += z
     return total
 
 

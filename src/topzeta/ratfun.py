@@ -101,6 +101,25 @@ def _form(a: int, b: int) -> tuple[int, tuple[int, int]]:
     return g, (a // g, b // g)
 
 
+def _normalize(factors) -> tuple[int, dict[tuple[int, int], int]]:
+    """(unit, forms) with prod (a_i + b_i s) = unit * prod form^mult: each
+    factor with b != 0 becomes a primitive form (_form, inlined), and a
+    constant factor goes into the unit."""
+    unit = 1
+    forms: dict[tuple[int, int], int] = {}
+    for a, b in factors:
+        if not b:
+            if not a:
+                raise ZeroDivisionError("zero linear factor")
+            unit *= a
+            continue
+        g = gcd(a, b) if b > 0 else -gcd(a, b)
+        unit *= g
+        form = (a // g, b // g)
+        forms[form] = forms.get(form, 0) + 1
+    return unit, forms
+
+
 def _integer_poly(coeffs: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
     """(p, d) with coeffs = p / d, p an integer polynomial."""
     cs = [Fraction(c) for c in coeffs]
@@ -250,22 +269,50 @@ class RatFun:
             num = _trim(list(num))
         if not scalar or not num:
             return _ZERO
-        scale = scalar.denominator
-        forms: dict[tuple[int, int], int] = {}
-        for a, b in factors:
-            if not b:
-                if not a:
-                    raise ZeroDivisionError("zero linear factor")
-                scale *= a
-                continue
-            g = gcd(a, b) if b > 0 else -gcd(a, b)    # _form, inlined
-            scale *= g
-            form = (a // g, b // g)
-            forms[form] = forms.get(form, 0) + 1
+        unit, forms = _normalize(factors)
         top = scalar.numerator
         # a constant skips the comprehension: this is the hot case
         num = (top * num[0],) if len(num) == 1 else tuple([top * c for c in num])
-        return RatFun._canonical(num, scale, forms)
+        return RatFun._canonical(num, unit * scalar.denominator, forms)
+
+    @staticmethod
+    def sum_inv_products(terms) -> "RatFun":
+        """sum of scalar_i / prod_j (a_ij + b_ij s) over (scalar_i, factors_i)
+        pairs, added over one common denominator and canonicalized once.  A
+        form can only cancel where two or more terms hold it to the top
+        power: every other term's numerator keeps a factor of it."""
+        parts = []
+        for scalar, factors in terms:
+            if scalar:
+                if not isinstance(scalar, int):
+                    scalar = Fraction(scalar)
+                unit, forms = _normalize(factors)
+                parts.append((scalar.numerator, unit * scalar.denominator,
+                              forms))
+        if len(parts) < 2:
+            if not parts:
+                return _ZERO
+            num, den, forms = parts[0]
+            return RatFun._canonical((num,), den, forms)
+        top: dict[tuple[int, int], int] = {}
+        holders: dict[tuple[int, int], int] = {}
+        scale = 1
+        for _, den, forms in parts:
+            scale = lcm(scale, den)
+            for form, mult in forms.items():
+                if mult > top.get(form, 0):
+                    top[form], holders[form] = mult, 1
+                elif mult == top[form]:
+                    holders[form] += 1
+        acc = [0] * (sum(top.values()) + 1)
+        for num, den, forms in parts:
+            k = num * (scale // den)
+            extra = linear_product(form for form, mult in top.items()
+                                   for _ in range(mult - forms.get(form, 0)))
+            for i, c in enumerate(extra):
+                acc[i] += k * c
+        return RatFun._canonical(
+            _trim(acc), scale, top, [f for f, n in holders.items() if n > 1])
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":

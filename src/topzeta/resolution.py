@@ -79,13 +79,12 @@ def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
     if all(c.N % l for c in res.components):
         return RatFun.zero()
     by_id = {c.id: c for c in res.components}
-    total = RatFun.zero()
+    terms = []
     for st in res.strata:
         comps = [by_id[cid] for cid in st.I]
         if all(c.N % l == 0 for c in comps):
-            total += RatFun.scaled_inv_product(
-                st.chi, [(c.nu, c.N) for c in comps])
-    return total
+            terms.append((st.chi, [(c.nu, c.N) for c in comps]))
+    return RatFun.sum_inv_products(terms)
 
 
 # ---------------------------------------------------------------------------

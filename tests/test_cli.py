@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FIXTURES
 from topzeta.cli import main
+from topzeta.suspension import MATRIX_DIVISOR_BOUND
 
 
 ROOT = FIXTURES.parent
@@ -572,6 +573,20 @@ def test_large_orders_exit_quickly(capsys, order):
     assert code == 1 and not out
     assert err == "error: integer above 10^12: too large to factor by " \
         "trial division\n"
+
+
+@pytest.mark.parametrize("k,d", [(963_761_198_400, 6720), (21_621_600, 576)])
+def test_suspend_matrix_divisor_bound(capsys, k, d):
+    # --matrix builds d(k)^2 entries, so a k with more than
+    # MATRIX_DIVISOR_BOUND divisors is refused before any is built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "suspend", "--in",
+                             str(FIXTURES / "x5y6_profile.json"), "--k",
+                             str(k), "--ell", "1", "--matrix")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and not out
+    assert err == f"error: k = {k} has d(k) = {d} divisors; the matrix " \
+        f"form allows at most {MATRIX_DIVISOR_BOUND}\n"
 
 
 def test_lys_euler_characteristics_checked(capsys, tmp_path):

@@ -230,6 +230,63 @@ def test_products_stay_canonical():
     assert RatFun.scaled_inv_product(1, [], (1, 0)) == RatFun.const(1)
 
 
+# pairs (a, b) for a + b s: shared forms, non-primitive and negative-slope
+# spellings of them, and b = 0 constants
+KERNEL_FACTORS = [(1, 1), (2, 2), (1, 2), (-2, -4), (2, 3), (-1, 1), (0, 1),
+                  (0, -3), (3, -6), (4, 0), (-3, 0)]
+
+
+def _kernel_terms(rng):
+    """Random (scalar, factors) terms plus partial-fraction blocks
+    D/(f1 f2) - b2/f2 + b1/f1 = 0 with D = b2 a1 - b1 a2 over a common
+    cofactor, so that whole forms cancel from the sum or the sum is zero."""
+    def scalar():
+        return rng.choice([rng.randint(-9, 9),
+                           F(rng.randint(-9, 9), rng.randint(1, 6))])
+
+    def factors(n):
+        return [rng.choice(KERNEL_FACTORS) for _ in range(n)]
+
+    terms = [(scalar(), factors(rng.randint(0, 4)))
+             for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(0, 2)):
+        (a1, b1), (a2, b2) = rng.sample([f for f in KERNEL_FACTORS if f[1]], 2)
+        if b2 * a1 == b1 * a2:
+            continue
+        c, common = scalar(), factors(rng.randint(0, 2))
+        terms += [(c * (b2 * a1 - b1 * a2), [(a1, b1), (a2, b2)] + common),
+                  (-c * b2, [(a2, b2)] + common), (c * b1, [(a1, b1)] + common)]
+    if terms and rng.random() < 0.2:
+        terms.append((-terms[0][0], terms[0][1][::-1]))
+    rng.shuffle(terms)
+    return terms
+
+
+def test_sum_inv_products_matches_sequential_sum():
+    # the one-denominator kernel against term-by-term addition: equal and
+    # canonical, with forms that cancel and sums that vanish covered
+    rng = random.Random(89)
+    cancelled = zeros = 0
+    for _ in range(2000):
+        terms = _kernel_terms(rng)
+        total = RatFun.sum_inv_products(terms)
+        assert_canonical(total)
+        sequential = RatFun.zero()
+        forms = set()
+        for scalar, factors in terms:
+            term = RatFun.scaled_inv_product(scalar, factors)
+            sequential = sequential + term
+            forms |= {f for f, _ in term.forms}
+        assert total == sequential, terms
+        zeros += total.is_zero()
+        cancelled += bool(forms - {f for f, _ in total.forms})
+    assert zeros > 250 and cancelled > 800, (zeros, cancelled)
+    assert RatFun.sum_inv_products([]) == RatFun.zero()
+    assert RatFun.sum_inv_products(iter([(0, [(1, 1)])])) == RatFun.zero()
+    with pytest.raises(ZeroDivisionError):
+        RatFun.sum_inv_products([(1, [(0, 0)]), (1, [])])
+
+
 @given(st.integers(-30, 30).filter(bool), st.lists(linear_forms, max_size=6))
 def test_ingest_factorization_matches_oracle(scalar, factors):
     den = expand(scalar, factors)

@@ -8,6 +8,8 @@ import random
 import time
 from math import lcm
 
+import pytest
+
 from conftest import FIXTURES, load_fixture
 from graphgen import random_graph
 from closed_forms import suspend_G_dispatch
@@ -24,10 +26,13 @@ LYS_FIXTURES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL", "lys_tacnode_k2",
                 "lys_xyz_k1", "lys_xyz_k2")
 
 
-def expected_reads(m: int, k: int, l: int) -> list[int]:
-    """The entries suspend_G reads, in order: entry l when l | m (sigma+),
-    entry 1 when l | m+k (sigma-), then lcm(e, m(k, l, m+k)) for each
-    e | k (rho)."""
+def expected_reads(m: int, k: int, l: int, bound: int) -> list[int]:
+    """The entries suspend_G reads, in order: none when l does not divide
+    bound = (m+k) lcm(support(f)) (the support gate), else entry l when
+    l | m (sigma+), entry 1 when l | m+k (sigma-), then
+    lcm(e, m(k, l, m+k)) for each e | k (rho)."""
+    if bound % l:
+        return []
     fm = frak_m(k, l, m + k)
     return [l] * (m % l == 0) + [1] * ((m + k) % l == 0) \
         + [lcm(e, fm) for e in divisors(k)]
@@ -56,16 +61,67 @@ def test_suspend_G_fast_paths_match_dispatch(monkeypatch):
         for m in range(4):
             k, nu_z = rng.randint(1, 8), rng.randint(1, 3)
             # every nonzero twist divides (m+k) lcm(support(f))
-            l_top = 2 * (m + k) * lcm_all(prof.support())
-            for l in range(1, l_top + 1):
+            bound = (m + k) * lcm_all(prof.support())
+            for l in range(1, 2 * bound + 1):
                 reads.clear()
                 z = suspend_G(prof, m, k, nu_z, l)
-                assert reads == expected_reads(m, k, l), (m, k, l)
+                assert reads == expected_reads(m, k, l, bound), (m, k, l)
                 assert z == suspend_G_dispatch(prof, m, k, nu_z, l), \
                     (m, k, nu_z, l)
                 cases += 1
     assert cases > 2000
     assert time.perf_counter() - start < BUDGET_S
+
+
+def test_suspend_G_gate_far_twists(monkeypatch):
+    # seeded graphgen profiles at l up to 10^6 outside the bound
+    # (m+k) lcm(support(f)): primes, multiples of the bound and other
+    # non-divisors; each is zero, equals the dispatch and reads no entry
+    rng = random.Random(79)
+    primes = [p for p in range(2, 2000) if all(p % q for q in range(2, p))]
+    reads = []
+    entry = ZetaProfile.entry
+
+    def recording_entry(self, l):
+        reads.append(l)
+        return entry(self, l)
+
+    cases = 0
+    for _ in range(12):
+        prof = profile_from_graph(random_graph(rng, rng.randint(1, 4)))
+        assert prof.support_lcm == lcm_all(prof.support())
+        m, k, nu_z = rng.randint(0, 3), rng.randint(1, 8), rng.randint(1, 3)
+        bound = (m + k) * prof.support_lcm
+        ells = [p for p in rng.sample(primes, 20) if bound % p]
+        ells += [bound * rng.randint(2, 10**6 // bound) for _ in range(10)]
+        ells += [l for l in (rng.randint(2, 10**6) for _ in range(30))
+                 if bound % l]
+        for l in ells:
+            assert bound % l and l <= 10**6
+            z = suspend_G_dispatch(prof, m, k, nu_z, l)
+            assert z.is_zero(), (m, k, l)
+            with monkeypatch.context() as patch:
+                patch.setattr(ZetaProfile, "entry", recording_entry)
+                assert suspend_G(prof, m, k, nu_z, l) == z, (m, k, nu_z, l)
+            assert not reads, (m, k, l)
+            cases += 1
+    assert cases > 500
+
+
+def test_zeta_profile_is_immutable():
+    prof = profile_from_json(load_fixture("x5y6_profile.json"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.prod_nu0 = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.support_lcm = 1
+    with pytest.raises(TypeError):
+        prof.entries[7] = RatFun.zero()
+    assert prof.support_lcm == lcm_all(prof.support()) == 30
+    # the profile keeps a copy of the dict it was given
+    raw = dict(prof.entries)
+    copy = ZetaProfile(raw, prof.prod_nu0)
+    raw.clear()
+    assert copy == prof and copy.support_lcm == 30
 
 
 def strata_oracle(res, l: int) -> RatFun:
