@@ -58,7 +58,7 @@ from topzeta import arith, binomial, checks, lys, resolution, \
     suspension  # noqa: E402
 
 REPEATS = 5
-ROUNDS = 5
+ROUNDS = 9
 SHAPES_PER_Q = 12
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CURVES = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
@@ -232,12 +232,13 @@ def run_group(src: Path, group: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def compare_rows(parent: Path, rounds: int) -> list[dict]:
+def compare_rows(parent: Path) -> list[dict]:
     """A before (parent) and an after (this checkout) row from the same
-    rounds, in alternating order; each value is the median over rounds."""
+    ROUNDS rounds, in alternating order; each value is the median over
+    the rounds."""
     trees = {"before": parent, "after": SRC}
     samples: dict[str, dict[str, list]] = {"before": {}, "after": {}}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for group in GROUPS:
             for label in order:
@@ -256,7 +257,7 @@ def compare_rows(parent: Path, rounds: int) -> list[dict]:
                            "criterion5_grid_samples_s": grid,
                            "criterion5_grid_cases": 637_920},
             "src_lines": src_lines(trees[label] / "topzeta"),
-            "rounds": rounds,
+            "rounds": ROUNDS,
         })
     return rows
 
@@ -265,7 +266,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--compare", metavar="PARENT_SRC", type=Path,
                         help="src/ of the parent tree")
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--out", help="BENCH_*.json to update")
     parser.add_argument("--group", choices=GROUPS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     if not args.compare or not args.out:
         parser.error("--compare and --out are required")
 
-    new_rows = compare_rows(args.compare.resolve(), args.rounds)
+    new_rows = compare_rows(args.compare.resolve())
     out = Path(args.out)
     rows = json.loads(out.read_text(encoding="utf-8"))["rows"] \
         if out.exists() else []

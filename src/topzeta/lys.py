@@ -56,11 +56,9 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
         terms.append((S.chi_complement, [krs]))
     if l == 1:
         terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
-    total = RatFun.sum_inv_products(terms) if terms else RatFun.zero()
+    total = RatFun.sum_inv_products(terms)
     for point in S.points:
-        z = suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
-        if not z.is_zero():
-            total += z
+        total += suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
     return total
 
 

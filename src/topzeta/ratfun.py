@@ -290,6 +290,7 @@ class RatFun:
                 parts.append((scalar.numerator, unit * scalar.denominator,
                               forms))
         if len(parts) < 2:
+            # a zero twist sums no term, many others one: no common denominator
             if not parts:
                 return _ZERO
             num, den, forms = parts[0]
