@@ -1,22 +1,25 @@
-"""Time the binomial, suspension, strata and Le-Yomdin layers, the holomorphy
-check and the criterion-5 motivic grid; write BENCH_*.json.
+"""Time RatFun addition, the binomial, suspension, strata and Le-Yomdin
+layers, the holomorphy check and the criterion-5 motivic grid; write
+BENCH_*.json.
 
 Usage:
-    python3 scripts/bench.py --compare ../parent/src --out BENCH_10.json
+    python3 scripts/bench.py --compare ../parent/src --out BENCH_11.json
 
 --compare PARENT_SRC measures two trees in the same rounds: each round runs
-every row group (layers, twists, zero_twists, grid) in a child process for
-PARENT_SRC and for this checkout's src/, back to back, the parent first in
-odd rounds and second in even ones.  It writes a "before" and an "after"
-row, each value the median over the rounds, so host drift falls on both
-rows alike instead of reading as a change between them.  Comparing a tree
-with itself (--compare src) shows the noise floor.
+every row group (ratfun, layers, twists, zero_twists, grid) in a child
+process for PARENT_SRC and for this checkout's src/, back to back, the
+parent first in odd rounds and second in even ones.  It writes a "before"
+and an "after" row, each value the median over the rounds, so host drift
+falls on both rows alike instead of reading as a change between them.
+Comparing a tree with itself (--compare src) shows the noise floor.
 
 The two rows replace the before and after rows of the output file and
 keep the others.  Each row holds:
 
   * machine: Python version, platform and CPU count;
-  * layers: microseconds per case of w_top, motivic_w and euler_specialize
+  * layers: microseconds per sum of two terms over n shared forms, for
+    each n of SHARED_FORMS, of RatFun a + b and of RatFun.sum_inv_products;
+    microseconds per case of w_top, motivic_w and euler_specialize
     on a fixed sample of the grid's shapes at q = 1, 2, 3 (cone cache warm),
     microseconds per (k, N) key of cone_multiplicities with the cone
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import platform
 import random
@@ -54,7 +58,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.append(str(SRC))
 
-from topzeta import arith, binomial, checks, lys, resolution, \
+from topzeta import arith, binomial, checks, lys, ratfun, resolution, \
     suspension  # noqa: E402
 
 REPEATS = 5
@@ -67,6 +71,7 @@ L_LADDER = (1, 2, 3, 5, 6, 10, 27, 30, 54, 97)
 CALLS_PER_TWIST = 200
 LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
+SHARED_FORMS = (1, 2, 4, 8, 16)
 
 
 def grid_shapes(q_values=(1, 2, 3)) -> list[tuple]:
@@ -95,6 +100,23 @@ def per_case_us(fn, cases) -> float:
             fn(*case)
         samples.append((time.perf_counter() - start) / len(cases) * 1e6)
     return statistics.median(samples)
+
+
+def ratfun_rows() -> dict:
+    """RatFun addition, microseconds per sum of the two terms
+    1/((s + 1) ... (s + n) (2s + 1)) and 3/((s + 1) ... (s + n) (3s + 1)):
+    the n shared forms are held at equal power, so each is tried for
+    cancellation."""
+    rows = {}
+    for n in SHARED_FORMS:
+        shared = [(i, 1) for i in range(1, n + 1)]
+        terms = [(1, shared + [(1, 2)]), (3, shared + [(1, 3)])]
+        a, b = [ratfun.RatFun.scaled_inv_product(c, f) for c, f in terms]
+        rows[f"ratfun_add_us|shared={n}"] = per_case_us(
+            operator.add, [(a, b)] * CALLS_PER_TWIST)
+        rows[f"sum_inv_products_us|shared={n}"] = per_case_us(
+            ratfun.RatFun.sum_inv_products, [(terms,)] * CALLS_PER_TWIST)
+    return rows
 
 
 def layer_rows() -> dict:
@@ -212,7 +234,7 @@ def grid_seconds() -> float:
     return elapsed
 
 
-GROUPS = {"layers": layer_rows, "twists": twist_rows,
+GROUPS = {"ratfun": ratfun_rows, "layers": layer_rows, "twists": twist_rows,
           "zero_twists": zero_twist_rows,
           "grid": lambda: {"criterion5_grid_s": grid_seconds()}}
 

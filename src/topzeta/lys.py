@@ -98,20 +98,6 @@ def lys_orders(S: LysSurface) -> OrderSet:
     return formula
 
 
-def candidate_a(rho0: Fraction, nu: int, m: int, k: int) -> Fraction:
-    """(k rho0 + nu)/(m + k), the pole-transfer map."""
-    return (k * Fraction(rho0) + nu) / Fraction(m + k)
-
-
-def lys_candidate_poles(S: LysSurface) -> frozenset[Fraction]:
-    """{1, (n+1)/m} plus the transfer of every local pole."""
-    out = {Fraction(1), Fraction(S.n + 1, S.m)}
-    for q in S.points:
-        for rho0 in q.zeta.pol_plus():
-            out.add(candidate_a(rho0, S.n + 1, S.m, S.k))
-    return frozenset(out)
-
-
 def is_bad_divisor(S: LysSurface) -> bool:
     """deg C > 3, chi(P^2 \\ C) <= 0, and -3/m a pole of no local zeta."""
     if S.n != 2:

@@ -276,44 +276,56 @@ class RatFun:
         return RatFun._canonical(num, unit * scalar.denominator, forms)
 
     @staticmethod
+    def _sum(parts) -> "RatFun":
+        """sum of num_i / (den_i * prod forms_i) over (num, den, forms) parts:
+        num_i a nonzero integer polynomial with no root of its own forms,
+        den_i a nonzero integer and forms_i a dict of primitive forms, added
+        over one common denominator and canonicalized once.  A form can only
+        cancel where two or more parts hold it to the top power: over the
+        common denominator each part's numerator is num_i times the forms it
+        lacks, so at the form's root every part below the top vanishes and a
+        sole part at the top does not."""
+        # a zero twist sums no part, many others one: no common denominator
+        if len(parts) < 2:
+            return RatFun._canonical(*parts[0], ()) if parts else _ZERO
+        top: dict[tuple[int, int], int] = {}
+        holders: dict[tuple[int, int], int] = {}
+        scale = width = 1
+        for num, den, forms in parts:
+            scale = lcm(scale, den)
+            if len(num) > width:
+                width = len(num)
+            for form, mult in forms.items():
+                if mult > top.get(form, 0):
+                    top[form], holders[form] = mult, 1
+                elif mult == top[form]:
+                    holders[form] += 1
+        acc = [0] * (sum(top.values()) + width)
+        for num, den, forms in parts:
+            k = scale // den
+            extra = linear_product(form for form, mult in top.items()
+                                   for _ in range(mult - forms.get(form, 0)))
+            # a constant numerator is one pass over extra: the hot case
+            for j, cn in enumerate(num):
+                kc = k * cn
+                for i, c in enumerate(extra, j):
+                    acc[i] += kc * c
+        return RatFun._canonical(
+            _trim(acc), scale, top, [f for f, n in holders.items() if n > 1])
+
+    @staticmethod
     def sum_inv_products(terms) -> "RatFun":
         """sum of scalar_i / prod_j (a_ij + b_ij s) over (scalar_i, factors_i)
-        pairs, added over one common denominator and canonicalized once.  A
-        form can only cancel where two or more terms hold it to the top
-        power: every other term's numerator keeps a factor of it."""
+        pairs, added by _sum."""
         parts = []
         for scalar, factors in terms:
             if scalar:
                 if not isinstance(scalar, int):
                     scalar = Fraction(scalar)
                 unit, forms = _normalize(factors)
-                parts.append((scalar.numerator, unit * scalar.denominator,
+                parts.append(((scalar.numerator,), unit * scalar.denominator,
                               forms))
-        if len(parts) < 2:
-            # a zero twist sums no term, many others one: no common denominator
-            if not parts:
-                return _ZERO
-            num, den, forms = parts[0]
-            return RatFun._canonical((num,), den, forms)
-        top: dict[tuple[int, int], int] = {}
-        holders: dict[tuple[int, int], int] = {}
-        scale = 1
-        for _, den, forms in parts:
-            scale = lcm(scale, den)
-            for form, mult in forms.items():
-                if mult > top.get(form, 0):
-                    top[form], holders[form] = mult, 1
-                elif mult == top[form]:
-                    holders[form] += 1
-        acc = [0] * (sum(top.values()) + 1)
-        for num, den, forms in parts:
-            k = num * (scale // den)
-            extra = linear_product(form for form, mult in top.items()
-                                   for _ in range(mult - forms.get(form, 0)))
-            for i, c in enumerate(extra):
-                acc[i] += k * c
-        return RatFun._canonical(
-            _trim(acc), scale, top, [f for f, n in holders.items() if n > 1])
+        return RatFun._sum(parts)
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":
@@ -356,14 +368,6 @@ class RatFun:
             return RatFun.const(x)
         return NotImplemented  # type: ignore[return-value]
 
-    def _lift(self, scale: int, forms: dict) -> tuple[int, ...]:
-        """Numerator over the common denominator scale * prod forms."""
-        k = scale // self.scale
-        mine = dict(self.forms)
-        extra = linear_product(f for f, m in forms.items()
-                               for _ in range(m - mine.get(f, 0)))
-        return pmul(tuple([k * c for c in self.num]), extra)
-
     def __add__(self, other):
         o = RatFun._coerce(other)
         if o is NotImplemented:
@@ -372,15 +376,8 @@ class RatFun:
             return self
         if not self.num:
             return o
-        forms = dict(self.forms)
-        for f, m in o.forms:
-            if m > forms.get(f, 0):
-                forms[f] = m
-        scale = lcm(self.scale, o.scale)
-        num = padd(self._lift(scale, forms), o._lift(scale, forms))
-        # a form can only cancel where both summands have it to the top power
-        cancel = set(self.forms) & set(o.forms)
-        return RatFun._canonical(num, scale, forms, [f for f, _ in cancel])
+        return RatFun._sum([(self.num, self.scale, dict(self.forms)),
+                            (o.num, o.scale, dict(o.forms))])
 
     __radd__ = __add__
 

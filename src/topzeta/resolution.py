@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arith import gauss_jordan
 from .cyclo import CycloProduct
@@ -56,16 +57,10 @@ class StratifiedResolution:
         for c in self.components:
             if c.N < 1 or c.nu < 1:
                 raise ValidationError(f"component {c.id}: N and nu must be >= 1")
-
-    def check_normalization(self) -> None:
-        """sum chi / prod nu_i over strata must equal 1 / prod_nu0."""
+        # normalization: sum chi / prod nu_i over strata is 1 / prod_nu0
         nu = {c.id: c.nu for c in self.components}
-        total = Fraction(0)
-        for st in self.strata:
-            prod = 1
-            for cid in st.I:
-                prod *= nu[cid]
-            total += Fraction(st.chi, prod)
+        total = sum((Fraction(st.chi, prod([nu[cid] for cid in st.I]))
+                     for st in self.strata), Fraction(0))
         if total != Fraction(1, self.prod_nu0):
             raise ValidationError(
                 f"normalization fails: sum chi/prod nu = {total}, "
@@ -128,7 +123,7 @@ class CurveResolutionGraph:
         if len(_components([v.id for v in self.vertices], self.edges)) != 1:
             raise ValidationError("exceptional graph is not connected")
         if all(v.self_intersection is not None for v in self.vertices):
-            self.check_projection_formula()
+            self.check_numerical_data()
 
     def neighbors(self, vid: str) -> list[str]:
         return [v if u == vid else u for u, v in self.edges if vid in (u, v)]
@@ -139,20 +134,28 @@ class CurveResolutionGraph:
     def valence(self, vid: str) -> int:
         return len(self.neighbors(vid)) + len(self.arrows_at(vid))
 
-    def check_projection_formula(self) -> None:
-        """Total transform meets each exceptional E_i with intersection 0:
-        sum of neighbor multiplicities (arrows weighted by mult) = e_i N_i."""
-        big_n = {v.id: v.N for v in self.vertices}
+    def check_numerical_data(self) -> None:
+        """At each exceptional E_i (a rational curve, E_i^2 = -e_i), the
+        total transform meets E_i with intersection 0 and adjunction holds:
+        sum_{j~i} N_j + arrow mults = e_i N_i (projection formula) and
+        sum_{j~i} (nu_j - 1) = e_i nu_i - 2, where arrows add nu - 1 = 0."""
+        by_id = {v.id: v for v in self.vertices}
         for v in self.vertices:
             if v.self_intersection is None:
                 continue
             e = -v.self_intersection
-            total = sum(big_n[w] for w in self.neighbors(v.id))
+            near = [by_id[w] for w in self.neighbors(v.id)]
+            total = sum(w.N for w in near)
             total += sum(a.mult for a in self.arrows_at(v.id))
             if total != e * v.N:
                 raise ValidationError(
                     f"projection formula fails at {v.id}: "
                     f"{total} != {e} * {v.N}")
+            canonical = sum(w.nu - 1 for w in near)
+            if canonical != e * v.nu - 2:
+                raise ValidationError(
+                    f"adjunction fails at {v.id}: sum of nu - 1 over its "
+                    f"neighbours is {canonical} != {e} * {v.nu} - 2")
 
 
 def _components(ids, edges) -> list[set[str]]:
@@ -190,9 +193,7 @@ def strata_of_graph(g: CurveResolutionGraph) -> StratifiedResolution:
     strata = [Stratum(frozenset([v.id]), 2 - g.valence(v.id)) for v in g.vertices]
     strata += [Stratum(frozenset([u, v]), 1) for u, v in g.edges]
     strata += [Stratum(frozenset([a.attached_to, a.id]), 1) for a in g.arrows]
-    res = StratifiedResolution(comps, strata, g.prod_nu0)
-    res.check_normalization()
-    return res
+    return StratifiedResolution(comps, strata, g.prod_nu0)
 
 
 def acampo(g: CurveResolutionGraph) -> tuple[CycloProduct, CycloProduct]:
@@ -347,6 +348,4 @@ def strata_from_json(obj: dict) -> StratifiedResolution:
                                            record=f"'strata'[{i}]")),
                       json_field(d, "chi", record=f"'strata'[{i}]"))
               for i, d in enumerate(json_array(obj, "strata"))]
-    res = StratifiedResolution(comps, strata, prod_nu0_from_json(obj))
-    res.check_normalization()
-    return res
+    return StratifiedResolution(comps, strata, prod_nu0_from_json(obj))

@@ -7,10 +7,11 @@ the fundamental domains of the binomial cones from their coordinates.
 The paper's special cases below (the four gated cone terms of the binomial
 germ z^m (z^k + x^N), the five-case statement of the generalized
 suspension z^m (z^k + f), the plain suspension z^k + f, the k = 2 split,
-the superisolated k = 1 surfaces), the residue-class walk over the root
-multiset and the box walk that solves for every integer point of a cone's
-bounding box are independent derivations of the same quantities; the
-tests compare them with the production path.
+the superisolated k = 1 surfaces), the Le-Yomdin pole candidates, the
+residue-class walk over the root multiset and the box walk that solves
+for every integer point of a cone's bounding box are independent
+derivations of the same quantities; the tests compare them with the
+production path.
 """
 from __future__ import annotations
 
@@ -260,6 +261,24 @@ def sis_ztop(S: LysSurface, l: int = 1) -> RatFun:
     for q in S.points:
         total = total - at_t(q, l // gcd(l, m + 1))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Le-Yomdin pole candidates
+
+
+def candidate_a(rho0: Fraction, nu: int, m: int, k: int) -> Fraction:
+    """(k rho0 + nu)/(m + k), the pole-transfer map."""
+    return (k * Fraction(rho0) + nu) / Fraction(m + k)
+
+
+def lys_candidate_poles(S: LysSurface) -> frozenset[Fraction]:
+    """{1, (n+1)/m} plus the transfer of every local pole."""
+    out = {Fraction(1), Fraction(S.n + 1, S.m)}
+    for q in S.points:
+        for rho0 in q.zeta.pol_plus():
+            out.add(candidate_a(rho0, S.n + 1, S.m, S.k))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

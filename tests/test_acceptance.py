@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from closed_forms import lys_candidate_poles
 from conftest import load_fixture
 from graphgen import random_graph
 from topzeta.arith import divisor_closure, divisors, frak_m, jordan_totient
@@ -20,8 +21,8 @@ from topzeta.binomial import BULLETS, BinomialGerm, euler_specialize, \
 from topzeta.checks import Subject, check_holomorphy, check_monodromy, \
     curve_subject, lys_subject, suspension_subject
 from topzeta.cyclo import CycloProduct
-from topzeta.lys import LysSurface, lys_candidate_poles, lys_charpoly, \
-    lys_from_json, lys_orders, lys_ztop
+from topzeta.lys import LysSurface, lys_charpoly, lys_from_json, lys_orders, \
+    lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import acampo, graph_from_json, strata_of_graph, \
     ztop_from_strata
@@ -86,7 +87,7 @@ def test_criterion_04_low_degree_lys():
         nodesum = GermSummary(node, CycloProduct.from_factors({1: 1}))
         one = RatFun.from_polys([1, 1], [1])
         a3 = graph_from_json(load_fixture("a3_graph.json"))
-        a3.check_projection_formula()
+        a3.check_numerical_data()
         germ = summary_from_graph(a3)
         assert germ.zeta.entry(1) == RatFun.from_polys([3, 1], [3, 7, 4])
         assert germ.delta.factors == {1: 1, 4: 1}
@@ -253,5 +254,5 @@ def test_criterion_10_kashiwara_tables():
             assert fixture["fibers"]
             for fiber, graph_json in fixture["fibers"].items():
                 g = graph_from_json(graph_json)
-                g.check_projection_formula()  # at every vertex
-                strata_of_graph(g).check_normalization()
+                g.check_numerical_data()  # at every vertex
+                strata_of_graph(g)  # checks the normalization

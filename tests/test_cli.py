@@ -1,13 +1,17 @@
 import io
+import itertools
 import json
 import random
 import re
 import time
+from fractions import Fraction as F
 
 import pytest
 
 from conftest import FIXTURES
 from topzeta.cli import main
+from topzeta.errors import ValidationError
+from topzeta.resolution import graph_from_json
 from topzeta.suspension import MATRIX_DIVISOR_BOUND
 
 
@@ -411,7 +415,72 @@ def test_malformed_nested_json_exit_code(capsys, tmp_path, argv, fixture,
     assert err == f"error: {message}\n"
 
 
-INTEGER_FIELDS = {"N", "nu", "mult", "self_intersection", "prod_nu0", "chi",
+CURVE_FIXTURES = ("a3_graph", "cusp_graph", "triple_cusp_graph",
+                  "two_cusp_graph")
+
+
+def _normalization(graph, nu):
+    """sum chi / prod nu over the strata of a graph given as JSON, with the
+    arrows at nu = 1."""
+    valence = {v: 0 for v in nu}
+    for u, v in graph["edges"]:
+        valence[u] += 1
+        valence[v] += 1
+    for a in graph["arrows"]:
+        valence[a["attached_to"]] += 1
+    return (sum(F(2 - valence[v], nu[v]) for v in nu)
+            + sum(F(1, nu[u] * nu[v]) for u, v in graph["edges"])
+            + sum(F(1, nu[a["attached_to"]]) for a in graph["arrows"]))
+
+
+def _nu_edits():
+    """(name, graph JSON, normalized) for every edit that sets nu at two
+    vertices of a curve fixture to other values in 1..12; normalized says
+    whether sum chi / prod nu = 1 still holds."""
+    for name in CURVE_FIXTURES:
+        graph = json.loads((FIXTURES / f"{name}.json").read_text())
+        ids = [v["id"] for v in graph["vertices"]]
+        for i, j in itertools.combinations(range(len(ids)), 2):
+            for pair in itertools.product(range(1, 13), repeat=2):
+                edit = json.loads(json.dumps(graph))
+                vertices = edit["vertices"]
+                if (vertices[i]["nu"], vertices[j]["nu"]) == pair:
+                    continue
+                vertices[i]["nu"], vertices[j]["nu"] = pair
+                nu = {v["id"]: v["nu"] for v in vertices}
+                yield name, edit, _normalization(edit, nu) == 1
+
+
+def test_cusp_nu_edit_exit_code(capsys, tmp_path):
+    # the normalization holds for nu(E1) = 3, nu(E2) = 2; adjunction does not
+    obj = json.loads((FIXTURES / "cusp_graph.json").read_text())
+    obj["vertices"][0]["nu"], obj["vertices"][1]["nu"] = 3, 2
+    f = tmp_path / "cusp.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "zeta", "graph", "--in", str(f))
+    assert code == 1 and not out
+    assert err == ("error: adjunction fails at E1: sum of nu - 1 over its "
+                   "neighbours is 4 != 3 * 3 - 2\n")
+
+
+def test_nu_edits_exit_code(capsys, tmp_path):
+    # every two-vertex nu edit is rejected at ingest, and the 82 that keep
+    # the normalization exit 1 through the CLI as well
+    normalized = 0
+    for name, edit, keeps_normalization in _nu_edits():
+        with pytest.raises(ValidationError, match="adjunction fails at E"):
+            graph_from_json(edit)
+        if keeps_normalization:
+            normalized += 1
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(edit))
+            code, out, err = run_cli(capsys, "zeta", "graph", "--in", str(f))
+            assert code == 1 and not out, edit
+            assert err.startswith("error: adjunction fails at E"), err
+    assert normalized == 82
+
+
+INTEGER_FIELDS ={"N", "nu", "mult", "self_intersection", "prod_nu0", "chi",
                   "ell", "k", "n", "m", "chi_complement", "chi_curve_smooth"}
 
 

@@ -2,13 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from closed_forms import sis_ztop
+from closed_forms import candidate_a, lys_candidate_poles, sis_ztop
 from conftest import load_fixture
 from topzeta.arith import divisor_closure
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
-from topzeta.lys import LysSurface, candidate_a, is_bad_divisor, lys_charpoly, \
-    lys_from_json, lys_orders, lys_to_json, lys_ztop, residue_lct
+from topzeta.lys import LysSurface, is_bad_divisor, lys_charpoly, lys_from_json, \
+    lys_orders, lys_to_json, lys_ztop, residue_lct
 from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph
 
@@ -98,7 +98,6 @@ def test_lys_orders_matches_charpoly_closure(a3_graph):
 
 
 def test_candidate_poles(a3_graph):
-    from topzeta.lys import lys_candidate_poles
     S = xyz_surface(4)
     assert lys_ztop(S, 1).pol_plus() <= lys_candidate_poles(S)
     T = tacnode_surface(3, a3_graph)

@@ -1,10 +1,11 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratroots import roots_by_search
@@ -20,10 +21,11 @@ linear_forms = st.tuples(st.integers(-9, 9), st.integers(-9, 9).filter(bool))
 
 
 def expand(scalar, factors):
-    """scalar * prod (a + b s), expanded without the package's helpers."""
-    out = [F(scalar)]
+    """scalar * prod (a + b s), expanded without the package's helpers; the
+    coefficients are integers for an integer scalar."""
+    out = [scalar]
     for a, b in factors:
-        nxt = [F(0)] * (len(out) + 1)
+        nxt = [0] * (len(out) + 1)
         for i, c in enumerate(out):
             nxt[i] += a * c
             nxt[i + 1] += b * c
@@ -151,11 +153,17 @@ def test_substitute_affine_roundtrip(f, a, b):
     assert g.substitute_affine(F(1, a), F(-b, a)) == f
 
 
+# the two branches of the cancellation rule: summands that hold s + 1 at
+# equal power, where 1/(s (s+1)) + 1/(s+1) = 1/s cancels it, and at unequal
+# power, where s/(s+1)^2 - 1/(s+1) = -1/(s+1)^2 cannot
+@example(RatFun.from_polys([1], [0, 1, 1]), RatFun.inv_linear(1, 1), 2)
+@example(RatFun.from_polys([0, 1], [1, 2, 1]), -RatFun.inv_linear(1, 1), 2)
 @given(ratfuns, ratfuns, st.integers(-5, 5))
 def test_evaluate_respects_ring_ops(f, g, x):
     poles = {p for p, _ in f.poles_with_multiplicity() + g.poles_with_multiplicity()}
     if x in poles:
         return
+    assert_canonical(f + g)
     assert (f + g).evaluate(x) == f.evaluate(x) + g.evaluate(x)
     assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
     assert (f - g).evaluate(x) == f.evaluate(x) - g.evaluate(x)
@@ -262,22 +270,36 @@ def _kernel_terms(rng):
     return terms
 
 
-def test_sum_inv_products_matches_sequential_sum():
-    # the one-denominator kernel against term-by-term addition: equal and
-    # canonical, with forms that cancel and sums that vanish covered
+def _dense_sum(terms):
+    """sum scalar_i / prod factors_i as one dense fraction over a common
+    multiple of the denominators: the factors as spelled, each to its
+    largest count in one term, times the scalars' common denominator."""
+    common = Counter()
+    for _, factors in terms:
+        common |= Counter(factors)
+    d = lcm(1, *(F(scalar).denominator for scalar, _ in terms))
+    num = [0]
+    for scalar, factors in terms:
+        lifted = expand(int(scalar * d), (common - Counter(factors)).elements())
+        num = [(num[i] if i < len(num) else 0)
+               + (lifted[i] if i < len(lifted) else 0)
+               for i in range(max(len(num), len(lifted)))]
+    return num, expand(d, common.elements())
+
+
+def test_sum_inv_products_matches_dense_sum():
+    # the one-denominator kernel against the cross-multiplied dense sum,
+    # factored by from_polys: equal and canonical, with forms that cancel
+    # and sums that vanish covered
     rng = random.Random(89)
     cancelled = zeros = 0
     for _ in range(2000):
         terms = _kernel_terms(rng)
         total = RatFun.sum_inv_products(terms)
         assert_canonical(total)
-        sequential = RatFun.zero()
-        forms = set()
-        for scalar, factors in terms:
-            term = RatFun.scaled_inv_product(scalar, factors)
-            sequential = sequential + term
-            forms |= {f for f, _ in term.forms}
-        assert total == sequential, terms
+        assert total == RatFun.from_polys(*_dense_sum(terms)), terms
+        forms = {f for scalar, factors in terms
+                 for f, _ in RatFun.scaled_inv_product(scalar, factors).forms}
         zeros += total.is_zero()
         cancelled += bool(forms - {f for f, _ in total.forms})
     assert zeros > 250 and cancelled > 800, (zeros, cancelled)

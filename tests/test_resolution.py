@@ -49,11 +49,10 @@ def test_ztop_twisted_examples(triple_cusp_graph):
 
 def test_normalization_validation():
     comps = [Component("E1", 2, 2)]
-    good = StratifiedResolution(comps, [Stratum(frozenset(["E1"]), 2)], 1)
-    good.check_normalization()
-    bad = StratifiedResolution(comps, [Stratum(frozenset(["E1"]), 2)], 3)
-    with pytest.raises(ValidationError):
-        bad.check_normalization()
+    StratifiedResolution(comps, [Stratum(frozenset(["E1"]), 2)], 1)
+    # every construction checks sum chi / prod nu = 1 / prod_nu0
+    with pytest.raises(ValidationError, match="normalization fails"):
+        StratifiedResolution(comps, [Stratum(frozenset(["E1"]), 2)], 3)
 
 
 def test_validation_errors():
@@ -201,7 +200,7 @@ def test_kashiwara_tables_ingest():
         fixture = load_fixture(f"{name}.json")
         for fiber, gj in fixture["fibers"].items():
             g = graph_from_json(gj)
-            g.check_projection_formula()
+            g.check_numerical_data()
             res = strata_of_graph(g)
             assert ztop_from_strata(res, 1).evaluate(0) == 1
 

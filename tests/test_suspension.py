@@ -6,13 +6,12 @@ import pytest
 
 from conftest import load_fixture
 from graphgen import random_graph
-from closed_forms import k2_twisted, suspend_F, suspend_G_dispatch, \
-    w_top_twisted
+from closed_forms import candidate_a, k2_twisted, suspend_F, \
+    suspend_G_dispatch, w_top_twisted
 from topzeta.arith import divisor_closure, divisors, lcm_all
 from topzeta.binomial import BULLETS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
-from topzeta.lys import candidate_a
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_of_graph
 from topzeta.suspension import GermSummary, ZetaProfile, fbad_set, \
