@@ -30,7 +30,7 @@ def main() -> int:
         z = suspend_G(profile, 0, k, 1, ell)
         if not z.is_zero():
             print(f"  Z^({ell})(F)  = {render_text(z)}")
-    _, b_matrix, holds = suspend_matrix(profile, k)
+    b_matrix, holds = suspend_matrix(profile, k)
     print(f"\nJordan weights J_2 on divisors {list(divisors(k))}: "
           f"{[jordan_totient(2, d) for d in divisors(k)]}")
     print("matrix B = k Id - J:")

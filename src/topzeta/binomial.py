@@ -21,7 +21,7 @@ terms.  This module computes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -48,10 +48,10 @@ class BinomialGerm:
     nu: tuple[int, ...]
     nu_z: int
     # derived, memoized at construction
-    q: int = 0
-    n_q: int = 0
-    e_q: int = 0
-    k_j: tuple[int, ...] = ()
+    q: int = field(init=False)
+    n_q: int = field(init=False)
+    e_q: int = field(init=False)
+    k_j: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if self.m < 0 or self.k < 1 or self.nu_z < 1:
@@ -60,9 +60,7 @@ class BinomialGerm:
             raise ValueError("N and nu must have equal positive length")
         if any(x < 1 for x in self.N) or any(x < 1 for x in self.nu):
             raise ValueError("N_j and nu_j must be >= 1")
-        n_q = 0
-        for x in self.N:
-            n_q = gcd(n_q, x)
+        n_q = gcd(*self.N)
         object.__setattr__(self, "q", len(self.N))
         object.__setattr__(self, "n_q", n_q)
         object.__setattr__(self, "e_q", gcd(self.k, n_q))
@@ -75,8 +73,6 @@ class BinomialGerm:
 
 @dataclass(frozen=True)
 class ConeData:
-    mult_sigma_plus: int
-    mult_rho: int
     d_sigma_plus: tuple[tuple[int, ...], ...]
     d_rho: tuple[tuple[int, ...], ...]
 
@@ -89,11 +85,8 @@ def _cone_data_cached(k: int, N: tuple[int, ...]) -> ConeData:
     coordinate is S/k + lambda_z, so D_sigma+ is {(x, floor(S/k) + 1)} and
     D_rho is {(x, S/k) : k | S}; both come out sorted."""
     k_j = [gcd(k, x) for x in N]
-    n_q = 0
-    for x in N:
-        n_q = gcd(n_q, x)
     mult_sigma = k ** len(N) // prod(k_j)
-    mult_rho = k ** (len(N) - 1) * gcd(k, n_q) // prod(k_j)
+    mult_rho = k ** (len(N) - 1) * gcd(k, *N) // prod(k_j)
     d_sigma = []
     d_rho = []
     for x in product(*[range(1, k // kj + 1) for kj in k_j]):
@@ -107,13 +100,13 @@ def _cone_data_cached(k: int, N: tuple[int, ...]) -> ConeData:
     if len(d_rho) != mult_rho:
         raise ConsistencyError(
             f"|D_rho| = {len(d_rho)} != closed form {mult_rho}")
-    return ConeData(mult_sigma, mult_rho, tuple(d_sigma), tuple(d_rho))
+    return ConeData(tuple(d_sigma), tuple(d_rho))
 
 
 def cone_multiplicities(g: BinomialGerm) -> ConeData:
-    """Multiplicities of sigma+ and rho with their fundamental domains;
-    the enumerated cardinalities are checked against the closed forms
-    k^q/prod k_j and k^{q-1} e_q/prod k_j."""
+    """The fundamental domains of sigma+ and rho; their sizes, the cone
+    multiplicities, are checked against the closed forms k^q/prod k_j and
+    k^{q-1} e_q/prod k_j."""
     if g.q > ENUMERATION_MAX_Q:
         raise ValueError(f"enumeration bound exceeded: q = {g.q}")
     return _cone_data_cached(g.k, g.N)

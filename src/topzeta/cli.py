@@ -100,7 +100,7 @@ def _cmd_suspend(args) -> int:
     else:
         lines = [f"Z^({l}) = {_render(z, args.format)}" for l, z in results]
     if args.matrix:
-        _, b_matrix, holds = suspension.suspend_matrix(profile, args.k)
+        b_matrix, holds = suspension.suspend_matrix(profile, args.k)
         payload["matrix"] = {"B": b_matrix, "identity_holds": holds}
         lines.append(f"B = {b_matrix}")
         lines.append(f"identity_holds = {holds}")

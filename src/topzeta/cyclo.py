@@ -70,19 +70,14 @@ class CycloProduct:
 
     # -- algebra ---------------------------------------------------------------
 
-    def mul_div(self, other: "CycloProduct", sign: int = 1) -> "CycloProduct":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    def __mul__(self, other: "CycloProduct") -> "CycloProduct":
         acc = self.factors
         for d, e in other.items:
-            acc[d] = acc.get(d, 0) + sign * e
+            acc[d] = acc.get(d, 0) + e
         return CycloProduct.from_factors(acc)
 
-    def __mul__(self, other: "CycloProduct") -> "CycloProduct":
-        return self.mul_div(other, 1)
-
     def __truediv__(self, other: "CycloProduct") -> "CycloProduct":
-        return self.mul_div(other, -1)
+        return self * CycloProduct(tuple([(d, -e) for d, e in other.items]))
 
     def power_transform(self, k: int) -> "CycloProduct":
         """h^(k): brackets (tau^m - 1)^n -> (tau^(m/gcd(m,k)) - 1)^(n*gcd(m,k))."""

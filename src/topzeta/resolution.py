@@ -217,55 +217,44 @@ def acampo(g: CurveResolutionGraph) -> tuple[CycloProduct, CycloProduct]:
 # solving (N, nu) from self-intersections
 
 
-@dataclass
-class GraphShape:
-    """A dual graph with self-intersections and arrow multiplicities but
-    without (or ignoring) the numerical data N, nu."""
-    vertex_ids: list[str]
-    self_intersections: dict[str, int]
-    arrows: list[Arrow]
-    edges: list[tuple[str, str]]
-    prod_nu0: int = 1
-
-
-def solve_multiplicities(shape: GraphShape) -> CurveResolutionGraph:
-    """Fill in N and nu from self-intersections and arrow multiplicities.
+def solve_multiplicities(self_intersections: dict[str, int],
+                         arrows: list[Arrow], edges: list[tuple[str, str]],
+                         prod_nu0: int = 1) -> CurveResolutionGraph:
+    """The graph on the vertices of self_intersections, in its order, with
+    N and nu filled in from self-intersections and arrow multiplicities.
 
     N solves the projection formula sum_{j~i} N_j + arrows_i = e_i N_i;
     nu - 1 solves the adjunction system M (nu - 1) = (e_i - 2) with M the
     intersection matrix (arrows contribute nu - 1 = 0).  Both right-hand
     sides go through one elimination.
     """
-    ids = shape.vertex_ids
-    if set(shape.self_intersections) != set(ids):
-        raise ValidationError("solve_multiplicities needs every self-intersection")
-    index = {vid: i for i, vid in enumerate(ids)}
-    n = len(ids)
+    index = {vid: i for i, vid in enumerate(self_intersections)}
+    for u, v in edges:
+        if u not in index or v not in index or u == v:
+            raise ValidationError(f"bad edge ({u}, {v})")
+    n = len(index)
     m = [[Fraction(0)] * n for _ in range(n)]
-    for vid in ids:
-        m[index[vid]][index[vid]] = Fraction(shape.self_intersections[vid])
-    for u, v in shape.edges:
+    for u, v in edges:
         m[index[u]][index[v]] += 1
         m[index[v]][index[u]] += 1
-    for vid in ids:
-        arrow_load = sum(a.mult for a in shape.arrows if a.attached_to == vid)
-        m[index[vid]] += [Fraction(-arrow_load),
-                          Fraction(-shape.self_intersections[vid] - 2)]
+    for vid, i in index.items():
+        e = self_intersections[vid]
+        arrow_load = sum(a.mult for a in arrows if a.attached_to == vid)
+        m[i][i] = Fraction(e)
+        m[i] += [Fraction(-arrow_load), Fraction(-e - 2)]
     if not gauss_jordan(m, n):
         raise ValidationError("singular intersection matrix")
     big_n = [row[n] for row in m]
-    nu_minus_1 = [row[n + 1] for row in m]
-    for name, vals in (("N", big_n), ("nu", [x + 1 for x in nu_minus_1])):
-        for vid, val in zip(ids, vals):
+    nu = [row[n + 1] + 1 for row in m]
+    for name, vals in (("N", big_n), ("nu", nu)):
+        for vid, val in zip(index, vals):
             if val.denominator != 1:
                 raise ValidationError(f"non-integer {name} at {vid}: {val}")
             if val < 1:
                 raise ValidationError(f"non-positive {name} at {vid}: {val}")
-    solved = [Vertex(vid, int(big_n[i]), int(nu_minus_1[i] + 1),
-                     shape.self_intersections[vid])
-              for i, vid in enumerate(ids)]
-    return CurveResolutionGraph(solved, list(shape.arrows), list(shape.edges),
-                                shape.prod_nu0)
+    solved = [Vertex(vid, int(big_n[i]), int(nu[i]), self_intersections[vid])
+              for vid, i in index.items()]
+    return CurveResolutionGraph(solved, list(arrows), list(edges), prod_nu0)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def suspend_matrix(f: ZetaProfile, k: int):
     k ZF(s) = (1/t) A + B Zf(t), verified against suspend_G outputs for
     F = z^k + f.
 
-    Returns (A, B, identity_holds); refuses k with more than
+    Returns (B, identity_holds); refuses k with more than
     MATRIX_DIVISOR_BOUND divisors."""
     ds = list(divisors(k))
     if len(ds) > MATRIX_DIVISOR_BOUND:
@@ -217,7 +217,7 @@ def suspend_matrix(f: ZetaProfile, k: int):
             rhs = rhs + b_matrix[i][j] * zf[j]
         if lhs != rhs:
             holds = False
-    return a_vec, b_matrix, holds
+    return b_matrix, holds
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +247,7 @@ def fbad_set(orders_f: OrderSet) -> OrderSet:
 
 def profile_to_json(f: ZetaProfile) -> dict:
     return {"prod_nu0": f.prod_nu0,
+            **({} if f.validate else {"validate": False}),
             "entries": [{"ell": l, **f.entries[l].to_json()}
                         for l in sorted(f.entries)]}
 

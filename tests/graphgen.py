@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from topzeta.resolution import Arrow, CurveResolutionGraph, GraphShape, \
+from topzeta.resolution import Arrow, CurveResolutionGraph, \
     solve_multiplicities
 
 
@@ -36,9 +36,8 @@ def random_graph(rng: random.Random, n_blowups: int | None = None,
         n_arrows = rng.randint(1, 3)
     arrows = [Arrow(f"A{i + 1}", 1, rng.choice(sorted(verts)))
               for i in range(n_arrows)]
-    shape = GraphShape(sorted(verts), {v: -e for v, e in verts.items()},
-                       arrows, edges)
-    return solve_multiplicities(shape)
+    return solve_multiplicities({v: -verts[v] for v in sorted(verts)},
+                                arrows, edges)
 
 
 def brieskorn_pham_graph(a: int, b: int) -> CurveResolutionGraph:
@@ -80,6 +79,4 @@ def brieskorn_pham_graph(a: int, b: int) -> CurveResolutionGraph:
             b, on_y = b - a, new
         else:
             a, on_x = a - b, new
-    shape = GraphShape(sorted(e), {v: -n for v, n in e.items()}, arrows,
-                       edges)
-    return solve_multiplicities(shape)
+    return solve_multiplicities({v: -e[v] for v in sorted(e)}, arrows, edges)

@@ -55,7 +55,7 @@ def test_criterion_01_suspension_of_x5y6():
         for ell in range(1, 31):
             assert suspend_G(prof, 0, 10, 1, ell) == \
                 rows.get(ell, RatFun.zero()), ell
-        _, b_matrix, holds = suspend_matrix(prof, 10)
+        b_matrix, holds = suspend_matrix(prof, 10)
         assert b_matrix == [[9, -3, -24, -72], [-1, 7, -24, -72],
                             [-1, -3, -14, -72], [-1, -3, -24, -62]]
         assert holds

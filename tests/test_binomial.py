@@ -32,11 +32,14 @@ def _box_walk_domains(k, N):
 
 def test_cone_multiplicities_examples():
     unimod = cone_multiplicities(BinomialGerm(0, 2, (2,), (1,), 1))
-    assert unimod.mult_rho == 1 and len(unimod.d_rho) == 1
+    assert len(unimod.d_rho) == 1
     two = cone_multiplicities(BinomialGerm(0, 2, (3,), (1,), 1))
-    assert two.mult_sigma_plus == 2 and len(two.d_sigma_plus) == 2
-    assert cone_multiplicities(BinomialGerm(0, 10, (4, 6), (1, 1), 1)) \
-        .mult_sigma_plus == 25
+    assert len(two.d_sigma_plus) == 2
+    assert len(cone_multiplicities(BinomialGerm(0, 10, (4, 6), (1, 1), 1))
+               .d_sigma_plus) == 25
+    # q, n_q, e_q and k_j are derived from N and k, never passed in
+    with pytest.raises(TypeError):
+        BinomialGerm(0, 2, (2,), (1,), 1, q=5)
 
 
 def test_domains_match_box_walk_on_grid():

@@ -10,7 +10,7 @@ from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.ratfun import RatFun
 from topzeta.resolution import Arrow, Component, CurveResolutionGraph, \
-    GraphShape, StratifiedResolution, Stratum, Vertex, _components, acampo, \
+    StratifiedResolution, Stratum, Vertex, _components, acampo, \
     graph_from_json, graph_to_json, solve_multiplicities, strata_from_json, \
     strata_of_graph, strata_to_json, ztop_from_strata
 
@@ -90,30 +90,31 @@ def test_acampo_rejects_non_reduced_arrows():
 
 
 def test_solve_multiplicities_examples(triple_cusp_graph):
-    shape = GraphShape(
-        ["E1", "E2", "E3", "E4"],
+    solved = solve_multiplicities(
         {"E1": -3, "E2": -2, "E3": -2, "E4": -1},
         [Arrow(f"A{i}", 1, "E4") for i in (1, 2, 3)],
         [("E1", "E3"), ("E2", "E3"), ("E3", "E4")])
-    solved = solve_multiplicities(shape)
     assert [(v.N, v.nu) for v in solved.vertices] == \
         [(v.N, v.nu) for v in triple_cusp_graph.vertices]
 
-    single = solve_multiplicities(GraphShape(
-        ["E1"], {"E1": -1}, [Arrow("A1", 1, "E1")], []))
+    single = solve_multiplicities({"E1": -1}, [Arrow("A1", 1, "E1")], [])
     assert (single.vertices[0].N, single.vertices[0].nu) == (1, 2)
 
-    a3 = solve_multiplicities(GraphShape(
-        ["E1", "E2"], {"E1": -2, "E2": -1},
-        [Arrow("A1", 1, "E2"), Arrow("A2", 1, "E2")], [("E1", "E2")]))
+    a3 = solve_multiplicities(
+        {"E1": -2, "E2": -1},
+        [Arrow("A1", 1, "E2"), Arrow("A2", 1, "E2")], [("E1", "E2")])
     assert [(v.N, v.nu) for v in a3.vertices] == [(2, 2), (4, 3)]
 
 
 def test_solve_multiplicities_rejects_singular():
-    with pytest.raises(ValidationError):
-        solve_multiplicities(GraphShape(
-            ["E1", "E2"], {"E1": -1, "E2": -1},
-            [Arrow("A1", 1, "E1")], [("E1", "E2")]))
+    for edges, message in (
+            ([("E1", "E2")], "singular intersection matrix"),
+            ([("E1", "E9")], "bad edge (E1, E9)"),
+            ([("E1", "E2"), ("E1", "E1")], "bad edge (E1, E1)")):
+        with pytest.raises(ValidationError) as err:
+            solve_multiplicities({"E1": -1, "E2": -1},
+                                 [Arrow("A1", 1, "E1")], edges)
+        assert str(err.value) == message, edges
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,9 @@ def test_e_n_components_partition_random_graphs():
 
 def test_e_n_type1():
     # bamboo with a middle valence-2 vertex isolated in E^(4)
-    g = solve_multiplicities(GraphShape(
-        ["E1", "E2", "E3"], {"E1": -2, "E2": -2, "E3": -1},
-        [Arrow("A1", 1, "E3")], [("E1", "E2"), ("E2", "E3")]))
+    g = solve_multiplicities(
+        {"E1": -2, "E2": -2, "E3": -1},
+        [Arrow("A1", 1, "E3")], [("E1", "E2"), ("E2", "E3")])
     mults = {v.id: v.N for v in g.vertices}
     assert mults == {"E1": 1, "E2": 2, "E3": 3}
     comps = e_n_components(g, 2)

@@ -1,7 +1,10 @@
 """Source-level checks on the package."""
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "topzeta"
 
@@ -56,3 +59,17 @@ def test_untested_callers_find_their_api():
             if attr is not None and not hasattr(mod, attr):
                 missing.append(f"{caller}: {module}.{attr}")
     assert not missing, missing
+
+
+def test_cli_import_loads_every_module():
+    # the benchmark's tracer wraps only the topzeta modules already in
+    # sys.modules after `import topzeta.cli`; a module that import leaves
+    # out would drop out of the traced layers without any error
+    modules = sorted(f"topzeta.{p.stem}" for p in SRC.glob("*.py")
+                     if p.stem != "__init__")
+    probe = ("import sys, topzeta.cli; "
+             f"print([m for m in {modules!r} if m not in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -48,7 +48,7 @@ def test_x5y6_rows(x5y6_profile):
 
 
 def test_x5y6_matrix(x5y6_profile):
-    _, b_matrix, holds = suspend_matrix(x5y6_profile, 10)
+    b_matrix, holds = suspend_matrix(x5y6_profile, 10)
     assert b_matrix == [[9, -3, -24, -72], [-1, 7, -24, -72],
                         [-1, -3, -14, -72], [-1, -3, -24, -62]]
     assert holds
@@ -56,7 +56,7 @@ def test_x5y6_matrix(x5y6_profile):
 
 def test_matrix_prime_k(x5y6_profile):
     for p in (2, 3, 5):
-        _, b_matrix, holds = suspend_matrix(x5y6_profile, p)
+        b_matrix, holds = suspend_matrix(x5y6_profile, p)
         assert b_matrix == [[p - 1, -(p * p - 1)], [-1, p - (p * p - 1)]]
         assert holds
 
@@ -287,11 +287,16 @@ def test_suspend_profile_order_symmetry(x5y6_profile):
     assert time.perf_counter() - start < 4.0
 
 
-def test_profile_json_roundtrip(x5y6_profile):
-    as_json = profile_to_json(x5y6_profile)
-    again = profile_from_json(as_json)
-    assert profile_to_json(again) == as_json
-    assert again.entries == x5y6_profile.entries
+def test_profile_json_roundtrip():
+    # lvp_profile.json is built with "validate": false; writing it must
+    # keep that key, or reading it back fails the Z(f, 0) check
+    for name in ("x5y6_profile.json", "lvp_profile.json"):
+        profile = profile_from_json(load_fixture(name))
+        as_json = profile_to_json(profile)
+        again = profile_from_json(as_json)
+        assert profile_to_json(again) == as_json, name
+        assert again.entries == profile.entries, name
+        assert again.validate == profile.validate, name
 
 
 def test_absent_entries_read_as_zero(x5y6_profile):
