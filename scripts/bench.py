@@ -3,7 +3,7 @@ layers, the holomorphy check and the criterion-5 motivic grid; write
 BENCH_*.json.
 
 Usage:
-    python3 scripts/bench.py --compare ../parent/src --out BENCH_11.json
+    python3 scripts/bench.py --compare ../parent/src --out BENCH_N.json
 
 --compare PARENT_SRC measures two trees in the same rounds: each round runs
 every row group (ratfun, layers, twists, zero_twists, grid) in a child

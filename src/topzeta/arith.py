@@ -1,8 +1,8 @@
 """Number-theoretic primitives used by the zeta-function formulas.
 
-Divisors, Mobius, Jordan totients, the two gadgets m(k,l,q) and
-n(n,m,k) that control which twists of a germ feed a given twist of its
-suspension or Le-Yomdin blow-up, and Gauss-Jordan elimination over Q.
+Divisors, Mobius, Jordan totients, the gadget m(k,l,q) that controls
+which twists of a germ feed a given twist of its suspension or
+Le-Yomdin blow-up, and Gauss-Jordan elimination over Q.
 """
 from __future__ import annotations
 
@@ -83,12 +83,6 @@ def frak_m(k: int, l: int, q: int) -> int:
         if g_next == g:
             return l1 * g
         g = g_next
-
-
-def frak_n(n: int, m: int, k: int) -> int:
-    """(m+k) * n / gcd(n,k); transfers eigenvalue orders through a blow-up."""
-    _check_pos(n, m, k)
-    return (m + k) * n // gcd(n, k)
 
 
 def divisor_closure(values) -> frozenset[int]:

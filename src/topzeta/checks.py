@@ -8,8 +8,9 @@ Phi_b dividing (tau - 1) Delta.
 check_holomorphy: for every l > 1 outside the divisor closure of the
 eigenvalue orders, the l-twisted zeta function must vanish identically.
 
-A Subject is what both checks read off one germ: a curve germ, a
-suspension z^k + f, or a Le-Yomdin surface.
+A Subject is what both checks read off one germ (a curve germ, a
+suspension z^k + f, or a Le-Yomdin surface): its twist family and
+(tau - 1) Delta, whose root orders give the eigenvalue orders.
 """
 from __future__ import annotations
 
@@ -21,12 +22,12 @@ from typing import Callable
 from .arith import divisor_closure, lcm_all
 from .cyclo import CycloProduct, OrderSet
 from .errors import ValidationError, json_field
-from .lys import LysSurface, lys_charpoly, lys_from_json, lys_orders, lys_ztop
+from .lys import LysSurface, lys_charpoly, lys_from_json, lys_ztop, \
+    require_surface
 from .ratfun import RatFun
 from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
     strata_of_graph, ztop_from_strata
-from .suspension import GermSummary, summary_from_json, suspend_G, \
-    suspend_orders
+from .suspension import GermSummary, summary_from_json, suspend_G
 
 L_MAX_CAP = 10_000
 _TAU_MINUS_1 = CycloProduct.from_brackets([(1, 1)])
@@ -37,30 +38,33 @@ _KIND_KEYS = (("vertices", "curve"), ("germ", "suspension"),
 
 @dataclass(frozen=True)
 class Subject:
-    """One checked germ: its twist family l -> Z^(l), (tau - 1) Delta, and
-    its eigenvalue orders."""
+    """One checked germ: its twist family l -> Z^(l) and (tau - 1) Delta."""
     zeta: Callable[[int], RatFun]
     delta_tilde: CycloProduct
-    orders: OrderSet
+
+    @property
+    def orders(self) -> OrderSet:
+        """The root orders of (tau - 1) Delta.  They differ from the
+        eigenvalue orders at most in 1, which check_holomorphy skips."""
+        return self.delta_tilde.root_orders()
 
 
 def curve_subject(g: CurveResolutionGraph) -> Subject:
     res = strata_of_graph(g)
     _, delta = acampo(g)
-    return Subject(partial(ztop_from_strata, res), delta * _TAU_MINUS_1,
-                   delta.root_orders())
+    return Subject(partial(ztop_from_strata, res), delta * _TAU_MINUS_1)
 
 
 def suspension_subject(germ: GermSummary, k: int) -> Subject:
     """z^k + f, with the form dx dz (m = 0, nu_z = 1)."""
-    delta_f, orders = suspend_orders(germ, k)
     return Subject(partial(suspend_G, germ.zeta, 0, k, 1),
-                   delta_f * _TAU_MINUS_1, orders)
+                   germ.delta.thom_sebastiani_tensor(k) * _TAU_MINUS_1)
 
 
 def lys_subject(S: LysSurface) -> Subject:
     _, delta_tilde = lys_charpoly(S)
-    return Subject(partial(lys_ztop, S), delta_tilde, lys_orders(S))
+    require_surface(S, "order description is a surface statement")
+    return Subject(partial(lys_ztop, S), delta_tilde)
 
 
 def subject_from_json(obj: dict) -> Subject:

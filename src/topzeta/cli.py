@@ -91,6 +91,9 @@ def _cmd_acampo(args) -> int:
 
 
 def _cmd_suspend(args) -> int:
+    if args.matrix and (args.m, args.nuz) != (0, 1):
+        raise ValidationError("--matrix is the matrix form of z^k + f; "
+                              "it needs --m 0 and --nuz 1")
     profile = suspension.profile_from_json(_read_json(args.infile))
     results = [(l, suspension.suspend_G(profile, args.m, args.k, args.nuz, l))
                for l in args.ell]
@@ -132,6 +135,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.conjecture == "monodromy" and args.lmax is not None:
+        raise ValidationError("--lmax applies to check holomorphy only")
     subject = checks.subject_from_json(_read_json(args.infile))
     if args.conjecture == "monodromy":
         report = checks.check_monodromy(subject.zeta(1), subject.delta_tilde)

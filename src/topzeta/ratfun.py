@@ -528,21 +528,15 @@ _ZERO = RatFun((), 1, ())
 # canonical text / latex rendering
 
 
-def _coeff_str(c) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else \
-        f"{c.numerator}/{c.denominator}"
-
-
 def _monomial_str(c, deg: int, star: str = "*") -> str:
     if deg == 0:
-        return _coeff_str(c)
+        return str(c)
     var = "s" if deg == 1 else f"s^{deg}"
     if c == 1:
         return var
     if c == -1:
         return f"-{var}"
-    return f"{_coeff_str(c)}{star}{var}"
+    return f"{c}{star}{var}"
 
 
 def _poly_str(p, star: str = "*") -> str:

@@ -7,25 +7,25 @@ the fundamental domains of the binomial cones from their coordinates.
 The paper's special cases below (the four gated cone terms of the binomial
 germ z^m (z^k + x^N), the five-case statement of the generalized
 suspension z^m (z^k + f), the plain suspension z^k + f, the k = 2 split,
-the superisolated k = 1 surfaces), the Le-Yomdin pole candidates, the
-residue-class walk over the root multiset and the box walk that solves
-for every integer point of a cone's bounding box are independent
-derivations of the same quantities; the tests compare them with the
-production path.
+the superisolated k = 1 surfaces), the Le-Yomdin pole candidates,
+eigenvalue orders and residue at -3/m, the residue-class walk over the
+root multiset and the box walk that solves for every integer point of a
+cone's bounding box are independent derivations of the same quantities;
+the tests compare them with the production path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from topzeta.arith import divisors, frak_m, gauss_jordan, jordan_totient, \
-    lcm_all
+from topzeta.arith import divisor_closure, divisors, frak_m, gauss_jordan, \
+    jordan_totient, lcm_all
 from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, \
     SIGMA_PLUS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ConsistencyError, ValidationError
 from topzeta.lys import LysSurface
-from topzeta.ratfun import RatFun
+from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile
 
 
@@ -279,6 +279,40 @@ def lys_candidate_poles(S: LysSurface) -> frozenset[Fraction]:
         for rho0 in q.zeta.pol_plus():
             out.add(candidate_a(rho0, S.n + 1, S.m, S.k))
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Le-Yomdin eigenvalue orders and the residue at the lct candidate
+
+
+def frak_n(n: int, m: int, k: int) -> int:
+    """(m+k) * n / gcd(n,k); transfers eigenvalue orders through a blow-up."""
+    if min(n, m, k) < 1:
+        raise ValidationError(f"expected positive integers, got {(n, m, k)}")
+    return (m + k) * n // gcd(n, k)
+
+
+def lys_orders_formula(S: LysSurface) -> frozenset[int]:
+    """Divisor closure of {m when chi(P^2 \\ C) != 0} together with
+    n(n_0, m, k) for each local eigenvalue order n_0."""
+    gens = {S.m} if S.chi_complement != 0 else set()
+    for q in S.points:
+        gens |= {frak_n(n0, S.m, S.k) for n0 in q.delta.root_orders()}
+    return divisor_closure(gens)
+
+
+def residue_lct_formula(S: LysSurface) -> Fraction:
+    """(1/m) R(C_m) with R = chi(P^2 \\ C) + m/(m-3) chi(C \\ Sing)
+    + sum_q Z(f_q, -3/m): the residue of Z_top(F, s) at -3/m when that is
+    a pole of no local zeta.  PoleError at m = 3 or at a local pole."""
+    if S.m == 3:
+        raise PoleError("m = 3: the middle term of R degenerates")
+    lct = Fraction(3, S.m)
+    r_val = (Fraction(S.chi_complement)
+             + Fraction(S.m, S.m - 3) * S.chi_curve_smooth
+             + sum((q.zeta.entry(1).evaluate(-lct) for q in S.points),
+                   Fraction(0)))
+    return r_val / S.m
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from closed_forms import lys_candidate_poles
+from closed_forms import lys_candidate_poles, lys_orders_formula
 from conftest import load_fixture
 from graphgen import random_graph
 from topzeta.arith import divisor_closure, divisors, frak_m, jordan_totient
@@ -204,8 +204,7 @@ def test_criterion_08_structural_theorems():
             assert fbad_set(orders_f) == \
                 divisor_closure(orders_f) - divisor_closure(orders_sus)
         for S in _lys_fixtures():
-            assert lys_orders(S) == \
-                divisor_closure(lys_charpoly(S)[0].root_orders())
+            assert lys_orders(S) == lys_orders_formula(S)
             z1 = lys_ztop(S, 1)
             assert z1.pol_plus() <= lys_candidate_poles(S)
             if F(S.n + 1, S.m + S.k) != 1:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from closed_forms import frak_n
 from topzeta.arith import TRIAL_DIVISION_BOUND, divisor_closure, \
-    divisors, frak_m, frak_n, jordan_totient, mobius
+    divisors, frak_m, jordan_totient, mobius
 from topzeta.errors import ValidationError
 
 

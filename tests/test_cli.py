@@ -229,6 +229,34 @@ def test_check_holomorphy_lmax_lower_bound_accepted(capsys):
     assert code == 0 and out.startswith("holomorphy: PASS")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["suspend", "--in", str(FIXTURES / "x5y6_profile.json"), "--k", "2",
+      "--m", "3", "--nuz", "2", "--ell", "1", "--matrix"],
+     "--matrix is the matrix form of z^k + f; it needs --m 0 and --nuz 1"),
+    (["suspend", "--in", str(FIXTURES / "x5y6_profile.json"), "--k", "2",
+      "--nuz", "2", "--ell", "1", "--matrix"],
+     "--matrix is the matrix form of z^k + f; it needs --m 0 and --nuz 1"),
+    (["check", "monodromy", "--in", str(FIXTURES / "lys_kashiwara_Ib.json"),
+      "--lmax", "5"], "--lmax applies to check holomorphy only"),
+], ids=["matrix-m", "matrix-nuz", "monodromy-lmax"])
+def test_flags_that_would_be_ignored_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("conjecture", ["monodromy", "holomorphy"])
+def test_check_refuses_non_surface_lys(capsys, tmp_path, conjecture):
+    # the eigenvalue-order description is a statement about surfaces
+    obj = json.loads((FIXTURES / "lys_xyz_k1.json").read_text())
+    obj["n"] = 3
+    f = tmp_path / "lys_n3.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "check", conjecture, "--in", str(f))
+    assert code == 1 and not out
+    assert err == "error: order description is a surface statement (n = 2)\n"
+
+
 DELETE = object()
 
 

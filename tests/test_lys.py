@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from closed_forms import candidate_a, lys_candidate_poles, sis_ztop
+from closed_forms import candidate_a, lys_candidate_poles, \
+    lys_orders_formula, residue_lct_formula, sis_ztop
 from conftest import load_fixture
+from graphgen import random_graph
 from topzeta.arith import divisor_closure
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
@@ -87,14 +90,61 @@ def test_lys_orders(a3_graph):
     assert lys_orders(tacnode_surface(1, a3_graph)) == divisor_closure([16])
     smooth = LysSurface(2, 4, 2, 7, -4, [])
     assert lys_orders(smooth) == divisor_closure([4])
+    # a line as tangent cone: F is smooth, Delta = 1, no eigenvalues
+    assert lys_orders(LysSurface(2, 1, 1, 1, 2, [])) == frozenset()
 
 
 def test_lys_orders_matches_charpoly_closure(a3_graph):
+    # lys_orders is the closure of Delta's root orders; the paper's
+    # generators m and n(n_0, m, k) must give the same set
     for S in (xyz_surface(3), tacnode_surface(2, a3_graph),
               lys_from_json(load_fixture("lys_kashiwara_Ib.json")),
               lys_from_json(load_fixture("lys_kashiwara_IbL.json"))):
-        delta, _ = lys_charpoly(S)
-        assert lys_orders(S) == divisor_closure(delta.root_orders())
+        assert lys_orders(S) == lys_orders_formula(S)
+
+
+def _random_surface(rng: random.Random) -> LysSurface:
+    """A formal surface: random local germs on a tangent cone of degree m,
+    with the Euler characteristics the accounting asks for."""
+    m, k = rng.randint(2, 9), rng.randint(1, 6)
+    points = [summary_from_graph(random_graph(rng), f"q{i + 1}")
+              for i in range(rng.randint(0, 3))]
+    chi_c = 3 * m - m ** 2 + sum(q.delta.degree() for q in points)
+    return LysSurface(2, m, k, 3 - chi_c, chi_c - len(points), points)
+
+
+def _or_pole_error(fn, S):
+    try:
+        return fn(S)
+    except PoleError:
+        return PoleError
+
+
+def test_orders_and_residue_match_closed_forms():
+    # the lys-survey population (every fixture at k = 1..24), the smooth
+    # quartic cone and seeded random surfaces
+    surfaces = [LysSurface(2, 4, 2, 7, -4, [])]
+    for name in ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
+                 "lys_kashiwara_Ib", "lys_kashiwara_IbL"):
+        base = lys_from_json(load_fixture(f"{name}.json"))
+        surfaces += [LysSurface(2, base.m, k, base.chi_complement,
+                                base.chi_curve_smooth, base.points)
+                     for k in range(1, 25)]
+    rng = random.Random(13)
+    fixed = len(surfaces)
+    surfaces += [_random_surface(rng) for _ in range(500)]
+    checked = 0
+    for i, S in enumerate(surfaces):
+        try:
+            orders = lys_orders(S)
+        except ValidationError:  # (tau - 1) Delta is not a polynomial
+            assert i >= fixed
+            continue
+        checked += 1
+        assert orders == lys_orders_formula(S)
+        assert _or_pole_error(residue_lct, S) == \
+            _or_pole_error(residue_lct_formula, S)
+    assert checked >= fixed + 300
 
 
 def test_candidate_poles(a3_graph):
@@ -114,8 +164,7 @@ def test_candidate_a_examples():
 def test_residue_smooth_cone():
     # smooth quartic cone: chi(P^2 \ C) = 7, chi(C) = -4
     S = LysSurface(2, 4, 2, 7, -4, [])
-    r = residue_lct(S)
-    assert r == lys_ztop(S, 1).residue_at(F(-3, 4))
+    assert residue_lct(S) == residue_lct_formula(S) == F(7 - 16, 4)
     assert is_bad_divisor(S) is False
 
 
