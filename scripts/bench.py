@@ -1,14 +1,15 @@
-"""Time RatFun addition, the binomial, suspension, strata and Le-Yomdin
-layers, the holomorphy check and the criterion-5 motivic grid; write
-BENCH_*.json.
+"""Time the import of the CLI, value-type construction, RatFun addition,
+the binomial, suspension, strata and Le-Yomdin layers, the holomorphy check
+and the criterion-5 motivic grid; write BENCH_*.json.
 
 Usage:
     python3 scripts/bench.py --compare ../parent/src --out BENCH_N.json
 
 --compare PARENT_SRC measures two trees in the same rounds: each round runs
-every row group (ratfun, layers, twists, zero_twists, grid) in a child
-process for PARENT_SRC and for this checkout's src/, back to back, the
-parent first in odd rounds and second in even ones.  It writes a "before"
+every row group (cli_import, construct, ratfun, layers, twists,
+zero_twists, grid) in a child process for PARENT_SRC and for this
+checkout's src/, back to back, the parent first in odd rounds and second
+in even ones.  It writes a "before"
 and an "after" row, each value the median over the rounds, so host drift
 falls on both rows alike instead of reading as a change between them.
 Comparing a tree with itself (--compare src) shows the noise floor.
@@ -17,10 +18,13 @@ The two rows replace the before and after rows of the output file and
 keep the others.  Each row holds:
 
   * machine: Python version, platform and CPU count;
-  * layers: microseconds per sum of two terms over n shared forms, for
-    each n of SHARED_FORMS, of RatFun a + b and of RatFun.sum_inv_products;
-    microseconds per case of w_top, motivic_w and euler_specialize
-    on a fixed sample of the grid's shapes at q = 1, 2, 3 (cone cache warm),
+  * layers: microseconds per construction of RatFun, MotTerm,
+    BinomialGerm and CheckItem from fields taken from the grid and the
+    holomorphy check; microseconds per sum of two terms over n shared
+    forms, for each n of SHARED_FORMS, of RatFun a + b and of
+    RatFun.sum_inv_products; microseconds per case of w_top, motivic_w
+    and euler_specialize on a fixed sample of the grid's shapes at
+    q = 1, 2, 3 (cone cache warm),
     microseconds per (k, N) key of cone_multiplicities with the cone
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
@@ -33,7 +37,11 @@ keep the others.  Each row holds:
     rounds of a median of REPEATS timings;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
-    cleared cone cache, once per round, in seconds;
+    cleared cone cache, once per round, in seconds; and the milliseconds
+    to `import topzeta.cli` in a fresh interpreter, the median of
+    IMPORT_SPAWNS interpreters per round (it includes compiling the
+    sources wherever the interpreter writes no bytecode cache, as under
+    PYTHONDONTWRITEBYTECODE);
   * src_lines: the line count of the measured topzeta package;
   * rounds: the number of rounds.
 
@@ -72,6 +80,8 @@ CALLS_PER_TWIST = 200
 LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 SHARED_FORMS = (1, 2, 4, 8, 16)
+CONSTRUCTIONS = 2000
+IMPORT_SPAWNS = 5
 
 
 def grid_shapes(q_values=(1, 2, 3)) -> list[tuple]:
@@ -100,6 +110,36 @@ def per_case_us(fn, cases) -> float:
             fn(*case)
         samples.append((time.perf_counter() - start) / len(cases) * 1e6)
     return statistics.median(samples)
+
+
+def cli_import_ms() -> float:
+    """Median over IMPORT_SPAWNS fresh interpreters, which import topzeta
+    from this process's PYTHONPATH, of the milliseconds to import
+    topzeta.cli."""
+    probe = ("import time; t = time.perf_counter(); import topzeta.cli; "
+             "print((time.perf_counter() - t) * 1e3)")
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", probe], check=True,
+                             stdout=subprocess.PIPE, text=True).stdout)
+        for _ in range(IMPORT_SPAWNS))
+
+
+def construct_rows() -> dict:
+    """Microseconds per construction of the value types built in the inner
+    loops: RatFun and MotTerm (grid terms), BinomialGerm (grid germs) and
+    CheckItem (one per holomorphy twist)."""
+    g = binomial.BinomialGerm(2, 4, (2, 6), (1, 2), 3)
+    term = binomial.motivic_w(g, binomial.RHO)[0]
+    f = ratfun.RatFun.inv_linear(1, 1) + ratfun.RatFun.inv_linear(2, 3)
+    cases = {"RatFun": (ratfun.RatFun, (f.num, f.scale, f.forms)),
+             "MotTerm": (binomial.MotTerm, (
+                 term.order, term.cofactor, term.atoms, term.domain,
+                 term.nu_vec, term.weights, term.monomials)),
+             "BinomialGerm": (binomial.BinomialGerm,
+                              (g.m, g.k, g.N, g.nu, g.nu_z)),
+             "CheckItem": (checks.CheckItem, (7, True, ""))}
+    return {f"construct_us|{name}": per_case_us(cls, [args] * CONSTRUCTIONS)
+            for name, (cls, args) in cases.items()}
 
 
 def ratfun_rows() -> dict:
@@ -234,7 +274,9 @@ def grid_seconds() -> float:
     return elapsed
 
 
-GROUPS = {"ratfun": ratfun_rows, "layers": layer_rows, "twists": twist_rows,
+GROUPS = {"cli_import": lambda: {"cli_import_ms": cli_import_ms()},
+          "construct": construct_rows, "ratfun": ratfun_rows,
+          "layers": layer_rows, "twists": twist_rows,
           "zero_twists": zero_twist_rows,
           "grid": lambda: {"criterion5_grid_s": grid_seconds()}}
 
@@ -269,6 +311,7 @@ def compare_rows(parent: Path) -> list[dict]:
     rows = []
     for label, values in samples.items():
         grid = values.pop("criterion5_grid_s")
+        imports = values.pop("cli_import_ms")
         rows.append({
             "label": label,
             "machine": {"python": platform.python_version(),
@@ -277,7 +320,9 @@ def compare_rows(parent: Path) -> list[dict]:
             "layers": {key: statistics.median(v) for key, v in values.items()},
             "end_to_end": {"criterion5_grid_s": statistics.median(grid),
                            "criterion5_grid_samples_s": grid,
-                           "criterion5_grid_cases": 637_920},
+                           "criterion5_grid_cases": 637_920,
+                           "cli_import_ms": statistics.median(imports),
+                           "cli_import_samples_ms": imports},
             "src_lines": src_lines(trees[label] / "topzeta"),
             "rounds": ROUNDS,
         })

@@ -21,14 +21,14 @@ terms.  This module computes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, checked
 from .ratfun import RatFun, linear_product, pdiv_linear
 
 SIGMA_PLUS = "sigma+"
@@ -40,39 +40,36 @@ BULLETS = (SIGMA_PLUS, SIGMA_MINUS, RHO, RHO_STAR)
 ENUMERATION_MAX_Q = 6
 
 
-@dataclass(frozen=True)
-class BinomialGerm:
+@checked
+class BinomialGerm(NamedTuple):
     m: int                 # may be 0 (plain suspension)
     k: int
     N: tuple[int, ...]
     nu: tuple[int, ...]
     nu_z: int
-    # derived, memoized at construction
-    q: int = field(init=False)
-    n_q: int = field(init=False)
-    e_q: int = field(init=False)
-    k_j: tuple[int, ...] = field(init=False)
+    # derived, computed at construction
+    q: int
+    n_q: int
+    e_q: int
+    k_j: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.m < 0 or self.k < 1 or self.nu_z < 1:
+    def _new(cls, m, k, N, nu, nu_z):
+        if m < 0 or k < 1 or nu_z < 1:
             raise ValueError("need m >= 0, k >= 1, nu_z >= 1")
-        if len(self.N) != len(self.nu) or not self.N:
+        if len(N) != len(nu) or not N:
             raise ValueError("N and nu must have equal positive length")
-        if any(x < 1 for x in self.N) or any(x < 1 for x in self.nu):
+        if any(x < 1 for x in N) or any(x < 1 for x in nu):
             raise ValueError("N_j and nu_j must be >= 1")
-        n_q = gcd(*self.N)
-        object.__setattr__(self, "q", len(self.N))
-        object.__setattr__(self, "n_q", n_q)
-        object.__setattr__(self, "e_q", gcd(self.k, n_q))
-        object.__setattr__(self, "k_j", tuple(gcd(self.k, x) for x in self.N))
+        n_q = gcd(*N)
+        return tuple.__new__(cls, (m, k, N, nu, nu_z, len(N), n_q, gcd(k, n_q),
+                                   tuple([gcd(k, x) for x in N])))
 
 
 # ---------------------------------------------------------------------------
 # cone data
 
 
-@dataclass(frozen=True)
-class ConeData:
+class ConeData(NamedTuple):
     d_sigma_plus: tuple[tuple[int, ...], ...]
     d_rho: tuple[tuple[int, ...], ...]
 
@@ -149,8 +146,8 @@ def w_top(g: BinomialGerm, bullet: str) -> RatFun:
 # motivic layer
 
 
-@dataclass(frozen=True)
-class MotTerm:
+@checked
+class MotTerm(NamedTuple):
     """(L - 1)^order * cofactor(L) * prod bare monomials L^-a T^b
     * sum_{(a,b) in p_exponents} L^-a T^b * prod_{(a,b) in atoms}
     1/(1 - L^-a T^b).
@@ -165,16 +162,19 @@ class MotTerm:
     order: int
     cofactor: tuple[int, ...]
     atoms: tuple[tuple[int, int], ...]
-    domain: tuple[tuple[int, ...], ...] = ((),)
-    nu_vec: tuple[int, ...] = ()
-    weights: tuple[int, ...] = ()
-    monomials: tuple[tuple[int, int], ...] = ()
+    domain: tuple[tuple[int, ...], ...]
+    nu_vec: tuple[int, ...]
+    weights: tuple[int, ...]
+    monomials: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if not sum(self.cofactor):
+    def _new(cls, order, cofactor, atoms, domain=((),), nu_vec=(), weights=(),
+             monomials=()):
+        if not sum(cofactor):
             raise ValueError("unit cofactor vanishes at L = 1")
-        if (0, 0) in self.atoms:
+        if (0, 0) in atoms:
             raise ValueError("atom with (a, b) = (0, 0)")
+        return tuple.__new__(cls, (order, cofactor, atoms, domain, nu_vec,
+                                   weights, monomials))
 
     @property
     def p_exponents(self) -> tuple[tuple[int, int], ...]:

@@ -14,10 +14,9 @@ suspension z^k + f, or a Le-Yomdin surface): its twist family and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import divisor_closure, lcm_all
 from .cyclo import CycloProduct, OrderSet
@@ -36,8 +35,7 @@ _KIND_KEYS = (("vertices", "curve"), ("germ", "suspension"),
               ("points", "lys"), ("chi_complement", "lys"))
 
 
-@dataclass(frozen=True)
-class Subject:
+class Subject(NamedTuple):
     """One checked germ: its twist family l -> Z^(l) and (tau - 1) Delta."""
     zeta: Callable[[int], RatFun]
     delta_tilde: CycloProduct
@@ -86,8 +84,7 @@ def subject_from_json(obj: dict) -> Subject:
     raise ValidationError(f"unknown subject kind {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     """One checked twist ell (holomorphy) or pole (monodromy, ell None);
     the order of a pole is its denominator."""
     ell: int | None
@@ -113,8 +110,7 @@ class CheckItem:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     conjecture: str
     items: tuple[CheckItem, ...]
 

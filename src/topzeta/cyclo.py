@@ -8,8 +8,8 @@ finite-order automorphism) and the variable substitution tau -> tau^p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import divisors, jordan_totient
 from .errors import ValidationError, json_array, json_check, json_number
@@ -17,8 +17,7 @@ from .errors import ValidationError, json_array, json_check, json_number
 OrderSet = frozenset
 
 
-@dataclass(frozen=True)
-class CycloProduct:
+class CycloProduct(NamedTuple):
     items: tuple[tuple[int, int], ...]  # sorted (d, e_d), e_d != 0
 
     @staticmethod
@@ -78,6 +77,12 @@ class CycloProduct:
 
     def __truediv__(self, other: "CycloProduct") -> "CycloProduct":
         return self * CycloProduct(tuple([(d, -e) for d, e in other.items]))
+
+    def _not_a_tuple(self, other):
+        """As a tuple, c + c would concatenate and n * c repeat."""
+        return NotImplemented
+
+    __add__ = __rmul__ = _not_a_tuple
 
     def power_transform(self, k: int) -> "CycloProduct":
         """h^(k): brackets (tau^m - 1)^n -> (tau^(m/gcd(m,k)) - 1)^(n*gcd(m,k))."""

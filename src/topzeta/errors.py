@@ -1,4 +1,5 @@
-"""Shared exception types, and the JSON field checks that raise them."""
+"""Shared exception types, the JSON field checks that raise them, and the
+constructor hook of the value types that check their fields."""
 import json
 
 
@@ -8,6 +9,15 @@ class ValidationError(ValueError):
 
 class ConsistencyError(ArithmeticError):
     """An internal cross-check (two computation paths) disagrees."""
+
+
+def checked(cls):
+    """Class decorator: cls._new becomes the constructor of the NamedTuple
+    cls, whose body may not define __new__.  _new checks the fields,
+    computes the derived ones and returns tuple.__new__(cls, fields); the
+    defaults are its own.  _make and _replace skip it: nothing calls them."""
+    cls.__new__ = cls._new
+    return cls
 
 
 def json_field(obj: dict, key: str, kind: type = int, record: str = ""):

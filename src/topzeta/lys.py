@@ -12,38 +12,41 @@ the paper's closed forms for both are test oracles (tests/closed_forms.py).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import divisor_closure
 from .cyclo import CycloProduct, OrderSet
-from .errors import ValidationError, json_array, json_check, json_field
+from .errors import ValidationError, checked, json_array, json_check, \
+    json_field
 from .ratfun import PoleError, RatFun
 from .suspension import GermSummary, summary_from_json, summary_to_json, \
     suspend_G
 
 
-@dataclass
-class LysSurface:
+@checked
+class LysSurface(NamedTuple):
     n: int                     # ambient projective dimension (2 for surfaces)
     m: int                     # degree of the tangent cone C_m
     k: int
     chi_complement: int        # chi(P^n \ C)
     chi_curve_smooth: int      # chi(C \ Sing C)
-    points: list[GermSummary] = field(default_factory=list)
+    points: Sequence[GermSummary]
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.k < 1:
+    def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
+        if n < 1 or m < 1 or k < 1:
             raise ValidationError("need n, m, k >= 1")
-        if self.n == 2:
+        if n == 2:
             # a plane curve of degree m: chi(C) = 3m - m^2 + sum_p mu_p
-            chi_c = 3 * self.m - self.m ** 2 \
-                + sum(q.delta.degree() for q in self.points)
-            expected = (3 - chi_c, chi_c - len(self.points))
-            if (self.chi_complement, self.chi_curve_smooth) != expected:
+            chi_c = 3 * m - m ** 2 + sum(q.delta.degree() for q in points)
+            expected = (3 - chi_c, chi_c - len(points))
+            if (chi_complement, chi_curve_smooth) != expected:
                 raise ValidationError(
-                    f"(chi_complement, chi_curve_smooth) = ({self.chi_complement}"
-                    f", {self.chi_curve_smooth}), expected {expected}")
+                    f"(chi_complement, chi_curve_smooth) = ({chi_complement}"
+                    f", {chi_curve_smooth}), expected {expected}")
+        return tuple.__new__(cls, (n, m, k, chi_complement, chi_curve_smooth,
+                                   points))
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
@@ -103,7 +106,9 @@ def residue_lct(S: LysSurface) -> Fraction:
     is at most a simple pole: m != 3 and -3/m a pole of no local zeta."""
     require_surface(S, "residue formula is a surface statement")
     if S.m == 3:
-        raise PoleError("m = 3: the middle term of R degenerates")
+        raise PoleError("m = 3: the candidate -3/m = -1 is also the root of "
+                        "s + 1, which other terms carry, so the pole need "
+                        "not be simple")
     lct = Fraction(3, S.m)
     for q in S.points:
         if lct in q.zeta.pol_plus():

@@ -13,10 +13,9 @@ a polynomial) is factored once, in polynomial time, or rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ConsistencyError, ValidationError, json_field, \
     json_number
@@ -210,8 +209,7 @@ class FactorizationError(ValidationError):
     """Denominator has an irreducible non-linear factor over Q."""
 
 
-@dataclass(frozen=True)
-class RatFun:
+class RatFun(NamedTuple):
     num: tuple[int, ...]
     scale: int
     forms: tuple[tuple[tuple[int, int], int], ...]   # ((a, b), mult)
@@ -359,6 +357,10 @@ class RatFun:
         return not self.num
 
     # -- ring operations ----------------------------------------------------
+
+    # the canonical form makes tuple equality exact; held in the class body
+    # so that perfbench's tracer, which wraps vars(RatFun), sees it
+    __eq__ = tuple.__eq__
 
     @staticmethod
     def _coerce(x) -> "RatFun":

@@ -11,42 +11,40 @@ solved multiplicities (N, nu) from self-intersections.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .arith import gauss_jordan
 from .cyclo import CycloProduct
-from .errors import ValidationError, json_array, json_check, json_field, \
-    json_items, json_number
+from .errors import ValidationError, checked, json_array, json_check, \
+    json_field, json_items, json_number
 from .ratfun import RatFun
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     N: int
     nu: int
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     I: frozenset[str]
     chi: int
 
 
-@dataclass
-class StratifiedResolution:
+@checked
+class StratifiedResolution(NamedTuple):
     components: list[Component]
     strata: list[Stratum]
-    prod_nu0: int = 1
+    prod_nu0: int
 
-    def __post_init__(self):
-        ids = {c.id for c in self.components}
-        if len(ids) != len(self.components):
+    def _new(cls, components, strata, prod_nu0=1):
+        ids = {c.id for c in components}
+        if len(ids) != len(components):
             raise ValidationError("duplicate component ids")
         seen = set()
-        for st in self.strata:
+        for st in strata:
             if not st.I:
                 raise ValidationError("empty stratum index set")
             if not st.I <= ids:
@@ -54,17 +52,18 @@ class StratifiedResolution:
             if st.I in seen:
                 raise ValidationError(f"duplicate stratum {sorted(st.I)}")
             seen.add(st.I)
-        for c in self.components:
+        for c in components:
             if c.N < 1 or c.nu < 1:
                 raise ValidationError(f"component {c.id}: N and nu must be >= 1")
         # normalization: sum chi / prod nu_i over strata is 1 / prod_nu0
-        nu = {c.id: c.nu for c in self.components}
+        nu = {c.id: c.nu for c in components}
         total = sum((Fraction(st.chi, prod([nu[cid] for cid in st.I]))
-                     for st in self.strata), Fraction(0))
-        if total != Fraction(1, self.prod_nu0):
+                     for st in strata), Fraction(0))
+        if total != Fraction(1, prod_nu0):
             raise ValidationError(
                 f"normalization fails: sum chi/prod nu = {total}, "
-                f"expected 1/{self.prod_nu0}")
+                f"expected 1/{prod_nu0}")
+        return tuple.__new__(cls, (components, strata, prod_nu0))
 
 
 def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
@@ -86,44 +85,44 @@ def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
 # curve dual graphs
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     N: int
     nu: int
     self_intersection: int | None = None
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     mult: int
     attached_to: str
 
 
-@dataclass
-class CurveResolutionGraph:
+@checked
+class CurveResolutionGraph(NamedTuple):
     vertices: list[Vertex]
     arrows: list[Arrow]
     edges: list[tuple[str, str]]
-    prod_nu0: int = 1
+    prod_nu0: int
 
-    def __post_init__(self):
-        ids = {v.id for v in self.vertices}
-        if len(ids) != len(self.vertices):
+    def _new(cls, vertices, arrows, edges, prod_nu0=1):
+        ids = {v.id for v in vertices}
+        if len(ids) != len(vertices):
             raise ValidationError("duplicate vertex ids")
-        for a in self.arrows:
+        for a in arrows:
             if a.attached_to not in ids:
                 raise ValidationError(f"arrow {a.id} attached to unknown vertex")
             if a.mult < 1:
                 raise ValidationError(f"arrow {a.id}: mult must be >= 1")
-        for u, v in self.edges:
+        for u, v in edges:
             if u not in ids or v not in ids or u == v:
                 raise ValidationError(f"bad edge ({u}, {v})")
-        if len(_components([v.id for v in self.vertices], self.edges)) != 1:
+        if len(_components([v.id for v in vertices], edges)) != 1:
             raise ValidationError("exceptional graph is not connected")
-        if all(v.self_intersection is not None for v in self.vertices):
+        self = tuple.__new__(cls, (vertices, arrows, edges, prod_nu0))
+        if all(v.self_intersection is not None for v in vertices):
             self.check_numerical_data()
+        return self
 
     def neighbors(self, vid: str) -> list[str]:
         return [v if u == vid else u for u, v in self.edges if vid in (u, v)]

@@ -15,15 +15,15 @@ that controls which orders disappear under suspension by two points.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arith import divisor_closure, divisors, frak_m, jordan_totient, \
     lcm_all
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
-from .errors import ValidationError, json_array, json_field
+from .errors import ValidationError, checked, json_array, json_field
 from .ratfun import RatFun
 from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
     prod_nu0_from_json, strata_of_graph, ztop_from_strata
@@ -31,8 +31,8 @@ from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
 _ZERO = RatFun.zero()
 
 
-@dataclass(frozen=True)
-class ZetaProfile:
+@checked
+class ZetaProfile(NamedTuple):
     """Family ell -> Z_top^(ell) describing one germ; absent entries are the
     zero function, and a nonzero entry must come with all its divisors.
     prod_nu0 is the volume-form normalization: the ell = 1 entry must
@@ -43,34 +43,33 @@ class ZetaProfile:
     a nonzero entry; 1 for an empty support), is computed once here and
     never goes stale."""
     entries: Mapping[int, RatFun]
-    prod_nu0: int = 1
-    validate: bool = True
-    support_lcm: int = field(init=False, repr=False, compare=False)
+    prod_nu0: int
+    validate: bool
+    support_lcm: int       # derived
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           MappingProxyType(dict(self.entries)))
-        for l in self.entries:
+    def _new(cls, entries, prod_nu0=1, validate=True):
+        entries = MappingProxyType(dict(entries))
+        for l in entries:
             if l < 1:
                 raise ValidationError(f"twist index must be >= 1, got {l}")
-        if 1 not in self.entries:
+        if 1 not in entries:
             raise ValidationError("profile must store the ell = 1 entry")
-        for l, z in self.entries.items():
-            if z.is_zero():
-                continue
+        support = [l for l, z in entries.items() if not z.is_zero()]
+        for l in support:
             for d in divisors(l):
-                if d not in self.entries:
+                if d not in entries:
                     raise ValidationError(
                         f"support not divisor-closed: entry {l} is nonzero "
                         f"but divisor {d} is absent")
-        if self.validate:
-            if Fraction(0) in self.entries[1].pol_plus():
+        if validate:
+            if Fraction(0) in entries[1].pol_plus():
                 raise ValidationError("Z(f, s) has a pole at s = 0")
-            val = self.entries[1].evaluate(0)
-            if val != Fraction(1, self.prod_nu0):
+            val = entries[1].evaluate(0)
+            if val != Fraction(1, prod_nu0):
                 raise ValidationError(
-                    f"Z(f, 0) = {val}, expected 1/{self.prod_nu0}")
-        object.__setattr__(self, "support_lcm", lcm_all(self.support()))
+                    f"Z(f, 0) = {val}, expected 1/{prod_nu0}")
+        return tuple.__new__(cls, (entries, prod_nu0, validate,
+                                   lcm_all(support)))
 
     def entry(self, l: int) -> RatFun:
         return self.entries.get(l, _ZERO)
@@ -82,17 +81,18 @@ class ZetaProfile:
         return self.entries[1].pol_plus()
 
 
-@dataclass
-class GermSummary:
+@checked
+class GermSummary(NamedTuple):
     """A germ as consumed by the Le-Yomdin assembly: zeta family plus the
     characteristic polynomial of its monodromy."""
     zeta: ZetaProfile
     delta: CycloProduct
-    name: str = ""
+    name: str
 
-    def __post_init__(self):
-        if not self.delta.is_polynomial():
-            raise ValidationError(f"germ {self.name!r}: delta is not a polynomial")
+    def _new(cls, zeta, delta, name=""):
+        if not delta.is_polynomial():
+            raise ValidationError(f"germ {name!r}: delta is not a polynomial")
+        return tuple.__new__(cls, (zeta, delta, name))
 
 
 def profile_from_graph(g: CurveResolutionGraph) -> ZetaProfile:

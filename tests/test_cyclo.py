@@ -41,6 +41,17 @@ def test_mul_div():
     assert expand_poly(p) != expand_poly(q)
 
 
+def test_no_tuple_arithmetic():
+    # a product is a tuple, but + would concatenate and n * repeat it
+    c = CycloProduct.from_brackets([(6, 1), (4, 2)])
+    with pytest.raises(TypeError):
+        c + c
+    with pytest.raises(TypeError):
+        2 * c
+    with pytest.raises(TypeError):
+        c + (1,)
+
+
 def test_bracket_roundtrip_examples():
     h = CycloProduct.from_factors({1: 2, 3: 1, 7: 2, 18: 1, 21: 2})
     assert CycloProduct.from_brackets(h.to_brackets()) == h

@@ -184,7 +184,8 @@ def test_residue_kashiwara_IbL():
 
 
 def test_residue_refusals(a3_graph):
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=r"m = 3: the candidate -3/m = -1 "
+                       r"is also the root of s \+ 1"):
         residue_lct(xyz_surface(2))  # m = 3
     # germ with -3/m a pole: m = 4 with an A3 point (pole -3/4 of Z(f_q))
     germ = summary_from_graph(a3_graph, "A3")

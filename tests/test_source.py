@@ -67,9 +67,12 @@ def test_cli_import_loads_every_module():
     # out would drop out of the traced layers without any error
     modules = sorted(f"topzeta.{p.stem}" for p in SRC.glob("*.py")
                      if p.stem != "__init__")
+    # and, since every CLI process pays for it, loads neither dataclasses
+    # nor inspect (about 30 ms of import between them)
     probe = ("import sys, topzeta.cli; "
-             f"print([m for m in {modules!r} if m not in sys.modules])")
+             f"print([m for m in {modules!r} if m not in sys.modules], "
+             "[m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[] []"

@@ -2,9 +2,9 @@
 ztop_from_strata and lys_ztop exit early on zero terms.  Each test holds
 every exit to an oracle that takes none, for every l <= 2 lcm, and keeps
 to a stated budget."""
-import dataclasses
 import json
 import random
+import sys
 import time
 from math import lcm
 
@@ -14,12 +14,15 @@ from conftest import FIXTURES, load_fixture
 from graphgen import random_graph
 from closed_forms import suspend_G_dispatch
 from topzeta.arith import divisors, frak_m, lcm_all
-from topzeta.lys import lys_from_json, lys_orders, lys_ztop
+from topzeta.binomial import SIGMA_PLUS, BinomialGerm, cone_multiplicities, \
+    motivic_w
+from topzeta.checks import check_monodromy, curve_subject
+from topzeta.lys import LysSurface, lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_of_graph, \
     ztop_from_strata
 from topzeta.suspension import ZetaProfile, profile_from_graph, \
-    profile_from_json, suspend_G
+    profile_from_json, summary_from_graph, suspend_G
 
 BUDGET_S = 4.0
 LYS_FIXTURES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL", "lys_tacnode_k2",
@@ -110,9 +113,9 @@ def test_suspend_G_gate_far_twists(monkeypatch):
 
 def test_zeta_profile_is_immutable():
     prof = profile_from_json(load_fixture("x5y6_profile.json"))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         prof.prod_nu0 = 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         prof.support_lcm = 1
     with pytest.raises(TypeError):
         prof.entries[7] = RatFun.zero()
@@ -122,6 +125,49 @@ def test_zeta_profile_is_immutable():
     copy = ZetaProfile(raw, prof.prod_nu0)
     raw.clear()
     assert copy == prof and copy.support_lcm == 30
+
+
+VALUE_TYPES = ("RatFun", "CycloProduct", "BinomialGerm", "ConeData",
+               "MotTerm", "ZetaProfile", "GermSummary", "LysSurface",
+               "Component", "Stratum", "StratifiedResolution", "Vertex",
+               "Arrow", "CurveResolutionGraph", "Subject", "CheckItem",
+               "Report")
+
+
+@pytest.fixture(scope="module")
+def values() -> dict:
+    """One instance of each value type of the package, by class name."""
+    graph = graph_from_json(load_fixture("a3_graph.json"))
+    res = strata_of_graph(graph)
+    subject = curve_subject(graph)
+    report = check_monodromy(subject.zeta(1), subject.delta_tilde)
+    germ = BinomialGerm(0, 2, (3,), (1,), 1)
+    out = {type(v).__name__: v for v in (
+        RatFun.inv_linear(1, 1), subject.delta_tilde, germ,
+        cone_multiplicities(germ), motivic_w(germ, SIGMA_PLUS)[0],
+        profile_from_json(load_fixture("x5y6_profile.json")),
+        summary_from_graph(graph, "A3"),
+        lys_from_json(load_fixture("lys_xyz_k1.json")), res,
+        res.components[0], res.strata[0], graph, graph.vertices[0],
+        graph.arrows[0], subject, report, report.items[0])}
+    # every tuple class of the package is listed
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("topzeta.")]
+    declared = {c.__name__ for m in modules for c in vars(m).values()
+                if isinstance(c, type) and issubclass(c, tuple)
+                and c.__module__ == m.__name__}
+    assert declared == set(out) == set(VALUE_TYPES)
+    return out
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable(values, name):
+    value = values[name]
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = None
 
 
 def strata_oracle(res, l: int) -> RatFun:
@@ -173,7 +219,8 @@ def test_lys_ztop_matches_point_terms():
         surface = lys_from_json(json.loads(
             (FIXTURES / f"{name}.json").read_text()))
         for k in range(1, 5):
-            S = dataclasses.replace(surface, k=k)
+            S = LysSurface(surface.n, surface.m, k, surface.chi_complement,
+                           surface.chi_curve_smooth, surface.points)
             krs = [S.n + 1, S.m]                   # m s + n + 1
             for l in range(1, 2 * lcm_all(lys_orders(S)) + 1):
                 expected = RatFun.zero()
