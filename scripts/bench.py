@@ -22,7 +22,9 @@ keep the others.  Each row holds:
     BinomialGerm and CheckItem from fields taken from the grid and the
     holomorphy check; microseconds per sum of two terms over n shared
     forms, for each n of SHARED_FORMS, of RatFun a + b and of
-    RatFun.sum_inv_products; microseconds per case of w_top, motivic_w
+    RatFun.sum_inv_products; microseconds per RatFun.sum of n canonical
+    terms, for each n of SUM_TERMS (a tree without RatFun.sum is timed on
+    the left fold of +); microseconds per case of w_top, motivic_w
     and euler_specialize on a fixed sample of the grid's shapes at
     q = 1, 2, 3 (cone cache warm),
     microseconds per (k, N) key of cone_multiplicities with the cone
@@ -60,7 +62,7 @@ import statistics
 import subprocess
 import sys
 import time
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -80,6 +82,7 @@ CALLS_PER_TWIST = 200
 LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 SHARED_FORMS = (1, 2, 4, 8, 16)
+SUM_TERMS = (2, 4, 8, 16)
 CONSTRUCTIONS = 2000
 IMPORT_SPAWNS = 5
 
@@ -146,7 +149,7 @@ def ratfun_rows() -> dict:
     """RatFun addition, microseconds per sum of the two terms
     1/((s + 1) ... (s + n) (2s + 1)) and 3/((s + 1) ... (s + n) (3s + 1)):
     the n shared forms are held at equal power, so each is tried for
-    cancellation."""
+    cancellation; and per RatFun.sum of n terms."""
     rows = {}
     for n in SHARED_FORMS:
         shared = [(i, 1) for i in range(1, n + 1)]
@@ -156,6 +159,14 @@ def ratfun_rows() -> dict:
             operator.add, [(a, b)] * CALLS_PER_TWIST)
         rows[f"sum_inv_products_us|shared={n}"] = per_case_us(
             ratfun.RatFun.sum_inv_products, [(terms,)] * CALLS_PER_TWIST)
+    # n terms (i + 1)/((s + 1)^(1 + i % 2) ((i + 1) s + 1)), as suspend_G's
+    # cone terms: one form shared at unequal powers, one of their own
+    total = getattr(ratfun.RatFun, "sum", partial(reduce, operator.add))
+    for n in SUM_TERMS:
+        terms = [ratfun.RatFun.scaled_inv_product(
+            i + 1, [(1, 1)] * (1 + i % 2) + [(1, i + 1)]) for i in range(n)]
+        rows[f"ratfun_sum_us|terms={n}"] = per_case_us(
+            total, [(terms,)] * CALLS_PER_TWIST)
     return rows
 
 

@@ -4,11 +4,12 @@ A germ F = f_m + f_{m+k} + ... with projectivized tangent cone C_m whose
 singular points avoid V(f_{m+k}) blows down to a stratification of the
 exceptional P^n, so its zeta functions assemble from the global strata and
 one generalized-suspension term per singular point of C_m, in the shift
-r = (1 + n + (m+k)s)/k.  The characteristic polynomial assembles as
-(tau^m - 1)^chi(P^2 \\ C) / (tau - 1) * prod_q Delta_q^(k)(tau^{m+k}).
-Superisolated surfaces (k = 1) go through the same assembly.  The
-eigenvalue orders are read off Delta and the residue at -3/m off Z_top;
-the paper's closed forms for both are test oracles (tests/closed_forms.py).
+r = (1 + n + (m+k)s)/k; a twist adds the strata terms and every point's
+cone terms once, over one common denominator.  The characteristic
+polynomial assembles as (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
+prod_q Delta_q^(k)(tau^{m+k}), also for superisolated surfaces (k = 1).
+Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
+paper's closed forms for both are test oracles (tests/closed_forms.py).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import ValidationError, checked, json_array, json_check, \
     json_field
 from .ratfun import PoleError, RatFun
 from .suspension import GermSummary, summary_from_json, summary_to_json, \
-    suspend_G
+    suspend_terms
 
 
 @checked
@@ -50,20 +51,19 @@ class LysSurface(NamedTuple):
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
-    """Z_top^(l)(F, s): global strata plus one suspension term per singular
-    point of the tangent cone."""
+    """Z_top^(l)(F, s): the global strata terms and every singular point's
+    suspension terms (suspend_terms), added once by RatFun.sum."""
     if l < 1:
         raise ValidationError("l must be >= 1")
     krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
-    terms = []
-    if S.m % l == 0:
-        terms.append((S.chi_complement, [krs]))
+    terms = [RatFun.scaled_inv_product(S.chi_complement, [krs])] \
+        if S.m % l == 0 else []
     if l == 1:
-        terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
-    total = RatFun.sum_inv_products(terms)
+        terms.append(RatFun.scaled_inv_product(S.chi_curve_smooth,
+                                               [krs, (1, 1)]))
     for point in S.points:
-        total += suspend_G(point.zeta, S.m, S.k, S.n + 1, l)
-    return total
+        terms += suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)
+    return RatFun.sum(terms)
 
 
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:

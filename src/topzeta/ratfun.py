@@ -312,6 +312,15 @@ class RatFun(NamedTuple):
             _trim(acc), scale, top, [f for f, n in holders.items() if n > 1])
 
     @staticmethod
+    def sum(terms) -> "RatFun":
+        """sum of canonical RatFuns, added by _sum; zero terms are skipped.
+        A canonical numerator has no root of its own forms, as _sum needs."""
+        terms = [f for f in terms if f.num]
+        if len(terms) > 1:
+            return RatFun._sum([(f.num, f.scale, dict(f.forms)) for f in terms])
+        return terms[0] if terms else _ZERO
+
+    @staticmethod
     def sum_inv_products(terms) -> "RatFun":
         """sum of scalar_i / prod_j (a_ij + b_ij s) over (scalar_i, factors_i)
         pairs, added by _sum."""
@@ -374,12 +383,7 @@ class RatFun(NamedTuple):
         o = RatFun._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not o.num:
-            return self
-        if not self.num:
-            return o
-        return RatFun._sum([(self.num, self.scale, dict(self.forms)),
-                            (o.num, o.scale, dict(o.forms))])
+        return RatFun.sum((self, o))
 
     __radd__ = __add__
 

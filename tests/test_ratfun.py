@@ -309,6 +309,55 @@ def test_sum_inv_products_matches_dense_sum():
         RatFun.sum_inv_products([(1, [(0, 0)]), (1, [])])
 
 
+def _sum_terms(rng):
+    """Canonical terms for RatFun.sum: the kernel's terms (blocks that
+    cancel, forms repeated within a term and so shared at unequal powers),
+    terms with numerators made of pool forms, and zero terms."""
+    terms = [RatFun.scaled_inv_product(c, f) for c, f in _kernel_terms(rng)]
+    terms += [_random_factor(rng) for _ in range(rng.randint(0, 2))]
+    terms += [RatFun.zero()] * rng.randint(0, 1)
+    rng.shuffle(terms)
+    return terms
+
+
+def test_sum_matches_left_fold():
+    # RatFun.sum against the left fold of + and the pointwise sum: equal,
+    # canonical and independent of the order of the terms, over sums that
+    # cancel to zero, forms shared at unequal multiplicities, a single
+    # term, no term and zero terms
+    rng = random.Random(97)
+    seen = Counter()
+    start = time.perf_counter()
+    for i in range(1500):
+        terms = _sum_terms(rng) if i % 50 else []
+        total = RatFun.sum(terms)
+        assert_canonical(total)
+        fold = RatFun.zero()
+        for t in terms:
+            fold = fold + t
+        assert total == fold, terms
+        assert RatFun.sum(rng.sample(terms, len(terms))) == total
+        assert RatFun.sum(reversed(terms)) == total      # any iterable
+        for x in POINTS[::5]:
+            assert total.evaluate(x) == sum(t.evaluate(x) for t in terms)
+        nonzero = [t for t in terms if not t.is_zero()]
+        powers: dict = {}
+        for t in nonzero:
+            for form, mult in t.forms:
+                powers.setdefault(form, set()).add(mult)
+        seen["no term"] += not terms
+        seen["single"] += len(nonzero) == 1
+        seen["zero terms"] += len(nonzero) < len(terms)
+        seen["cancel to zero"] += len(nonzero) > 1 and total.is_zero()
+        seen["unequal powers"] += any(len(p) > 1 for p in powers.values())
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+    assert time.perf_counter() - start < 10.0
+    one = RatFun.inv_linear(1, 1)
+    assert RatFun.sum([]) == RatFun.zero() == RatFun.sum([RatFun.zero()])
+    assert RatFun.sum([one]) == one == RatFun.sum([RatFun.zero(), one])
+    assert RatFun.sum([one * one, one, -(one * one)]) == one
+
+
 @given(st.integers(-30, 30).filter(bool), st.lists(linear_forms, max_size=6))
 def test_ingest_factorization_matches_oracle(scalar, factors):
     den = expand(scalar, factors)

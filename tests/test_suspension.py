@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -12,12 +13,15 @@ from topzeta.arith import divisor_closure, divisors, lcm_all
 from topzeta.binomial import BULLETS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
+from topzeta.lys import LysSurface, lys_from_json, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_of_graph
 from topzeta.suspension import GermSummary, ZetaProfile, fbad_set, \
     profile_from_graph, profile_from_json, profile_to_json, \
     summary_from_graph, suspend_G, suspend_matrix, suspend_orders, \
     suspend_profile
+
+SUBSTITUTION_BUDGET_S = 2.0
 
 
 def test_profile_invariants():
@@ -311,3 +315,52 @@ def test_absent_entries_read_as_zero(x5y6_profile):
                 suspend_G(padded, 0, k, 1, l), (k, l)
     assert str(suspend_G(x5y6_profile, 0, 7, 1, 1)) == \
         "(90*s + 107)/((210*s + 107)*(s + 1))"
+
+
+def test_each_entry_substituted_once_per_twist(monkeypatch):
+    # at every nonzero twist, suspend_G and lys_ztop substitute r into no
+    # more functions than the distinct nonzero entries they read: Z^(1) is
+    # not substituted once per cone, nor the rho entries again as a sum
+    profiles = [profile_from_json(load_fixture(f"{name}_profile.json"))
+                for name in ("x5y6", "lvp")]
+    profiles += [profile_from_graph(graph_from_json(load_fixture(
+        f"{name}.json"))) for name in ("a3_graph", "cusp_graph",
+                                       "triple_cusp_graph", "two_cusp_graph")]
+    cases = [partial(suspend_G, prof, m, k, nu_z, l)
+             for prof in profiles for m in range(3) for k in (1, 2, 3, 6)
+             for nu_z in (1, 3) for l in divisors((m + k) * prof.support_lcm)]
+    for name in ("lys_kashiwara_Ib", "lys_kashiwara_IbL", "lys_tacnode_k2",
+                 "lys_xyz_k1", "lys_xyz_k2"):
+        S = lys_from_json(load_fixture(f"{name}.json"))
+        for k in (1, 2, 3):
+            S = LysSurface(S.n, S.m, k, S.chi_complement,
+                           S.chi_curve_smooth, S.points)
+            # every nonzero twist divides m or some (m+k) lcm(support_q)
+            bound = lcm_all([S.m] + [(S.m + k) * q.zeta.support_lcm
+                                     for q in S.points])
+            cases += [partial(lys_ztop, S, l) for l in divisors(bound)]
+    reads, calls = set(), [0]
+    entry, substitute = ZetaProfile.entry, RatFun.substitute_affine
+
+    def recording_entry(self, l):
+        z = entry(self, l)
+        if not z.is_zero():
+            reads.add((id(self), l))
+        return z
+
+    def counting_substitute(self, a, b):
+        calls[0] += 1
+        return substitute(self, a, b)
+
+    monkeypatch.setattr(ZetaProfile, "entry", recording_entry)
+    monkeypatch.setattr(RatFun, "substitute_affine", counting_substitute)
+    start = time.perf_counter()
+    nonzero = 0
+    for case in cases:
+        reads.clear()
+        calls[0] = 0
+        if not case().is_zero():
+            nonzero += 1
+            assert calls[0] <= len(reads), (case.func.__name__, case.args[1:])
+    assert nonzero > 1000, nonzero
+    assert time.perf_counter() - start < SUBSTITUTION_BUDGET_S
