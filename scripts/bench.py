@@ -1,13 +1,13 @@
 """Time the import of the CLI, value-type construction, RatFun addition,
-the binomial, suspension, strata and Le-Yomdin layers, the holomorphy check
-and the criterion-5 motivic grid; write BENCH_*.json.
+the binomial, suspension, strata and Le-Yomdin layers, the holomorphy check,
+Z^(1) of large curves and the criterion-5 motivic grid; write BENCH_*.json.
 
 Usage:
     python3 scripts/bench.py --compare ../parent/src --out BENCH_N.json
 
 --compare PARENT_SRC measures two trees in the same rounds: each round runs
 every row group (cli_import, construct, ratfun, layers, twists,
-zero_twists, grid) in a child process for PARENT_SRC and for this
+zero_twists, curves, grid) in a child process for PARENT_SRC and for this
 checkout's src/, back to back, the parent first in odd rounds and second
 in even ones.  It writes a "before"
 and an "after" row, each value the median over the rounds, so host drift
@@ -31,12 +31,17 @@ keep the others.  Each row holds:
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
     ztop_from_strata on each curve fixture (l = 1..12); microseconds per
-    twist of lys_ztop on LYS_SURFACES at the zero twists up to the default
-    l_max and at the nonzero twists of the order closure, per zero twist
+    call of lys_charpoly on each Le-Yomdin fixture at k = 1..LYS_K_MAX;
+    microseconds per twist of lys_ztop on LYS_SURFACES at the zero twists
+    up to the default l_max and at the nonzero twists of the order closure,
+    per zero twist
     of suspend_G (the same profiles, l <= 2 (m+k) lcm(support)) and of
     ztop_from_strata (l <= 2 lcm(N)), and milliseconds per check_holomorphy
-    at the default l_max on HOLOMORPHY_SURFACE; each the median over the
-    rounds of a median of REPEATS timings;
+    at the default l_max on HOLOMORPHY_SURFACE; milliseconds per
+    ztop_from_strata(res, 1) on the resolution graph of x^(V-1) + y^V,
+    which has V vertices, for each V of CURVE_VERTICES (a large sum of
+    terms with forms of their own); each the median over the rounds of a
+    median of REPEATS timings;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
     cleared cone cache, once per round, in seconds; and the milliseconds
@@ -67,7 +72,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.append(str(SRC))
+sys.path.append(str(SRC.parent / "tests"))
 
+from graphgen import brieskorn_pham_graph  # noqa: E402
 from topzeta import arith, binomial, checks, lys, ratfun, resolution, \
     suspension  # noqa: E402
 
@@ -79,7 +86,11 @@ CURVES = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
 SUSPEND_K = 6
 L_LADDER = (1, 2, 3, 5, 6, 10, 27, 30, 54, 97)
 CALLS_PER_TWIST = 200
+LYS_FIXTURES = ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
+                "lys_kashiwara_Ib", "lys_kashiwara_IbL")
+LYS_K_MAX = 24
 LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
+CURVE_VERTICES = (31, 61, 101, 151)
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 SHARED_FORMS = (1, 2, 4, 8, 16)
 SUM_TERMS = (2, 4, 8, 16)
@@ -202,8 +213,15 @@ def load(name: str) -> dict:
 
 
 def twist_rows() -> dict:
-    """suspend_G and ztop_from_strata, microseconds per call."""
+    """suspend_G, ztop_from_strata and lys_charpoly, microseconds per
+    call."""
     rows = {}
+    for name in LYS_FIXTURES:
+        base = lys.lys_from_json(load(name))
+        rows[f"lys_charpoly_us|{name}"] = per_case_us(lys.lys_charpoly, [
+            (lys.LysSurface(base.n, base.m, k, base.chi_complement,
+                            base.chi_curve_smooth, base.points),)
+            for k in range(1, LYS_K_MAX + 1)])
     for name in ("x5y6", "lvp"):
         prof = suspension.profile_from_json(load(f"{name}_profile"))
         for m in (0, 2):
@@ -264,6 +282,18 @@ def zero_twist_rows() -> dict:
     return rows
 
 
+def curve_rows() -> dict:
+    """Z^(1) of large curves: milliseconds per ztop_from_strata on the
+    resolution graph of x^(V-1) + y^V, whose V vertices each give a
+    stratum term with a form of its own."""
+    rows = {}
+    for v in CURVE_VERTICES:
+        res = resolution.strata_of_graph(brieskorn_pham_graph(v - 1, v))
+        rows[f"curve_ztop_ms|V={v}"] = per_case_us(
+            resolution.ztop_from_strata, [(res, 1)]) / 1e3
+    return rows
+
+
 def grid_seconds() -> float:
     """One pass of the criterion-5 grid from a cleared cone cache."""
     binomial._cone_data_cached.cache_clear()
@@ -288,7 +318,7 @@ def grid_seconds() -> float:
 GROUPS = {"cli_import": lambda: {"cli_import_ms": cli_import_ms()},
           "construct": construct_rows, "ratfun": ratfun_rows,
           "layers": layer_rows, "twists": twist_rows,
-          "zero_twists": zero_twist_rows,
+          "zero_twists": zero_twist_rows, "curves": curve_rows,
           "grid": lambda: {"criterion5_grid_s": grid_seconds()}}
 
 

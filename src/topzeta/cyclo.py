@@ -2,13 +2,13 @@
 
 A CycloProduct stores prod_d Phi_d(tau)^{e_d} as the finite map d -> e_d.
 These carry monodromy zeta functions and characteristic polynomials; the
-two transforms needed for Le-Yomdin assembly are the k-th power transform
-h^(k) (characteristic polynomial of the k-th power of the underlying
-finite-order automorphism) and the variable substitution tau -> tau^p.
+Le-Yomdin assembly needs one bracket map, power_brackets: h^(k)(tau^p), the
+k-th power transform h^(k) (characteristic polynomial of the k-th power of
+the underlying finite-order automorphism) substituted at tau^p.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .arith import divisors, jordan_totient
@@ -84,19 +84,21 @@ class CycloProduct(NamedTuple):
 
     __add__ = __rmul__ = _not_a_tuple
 
+    def power_brackets(self, k: int, p: int) -> list[tuple[int, int]]:
+        """Brackets of h^(k)(tau^p): (tau^d - 1)^n -> (tau^(p*d/g) - 1)^(n*g)
+        with g = gcd(d, k); substituting tau^p maps brackets to brackets."""
+        if k < 1 or p < 1:
+            raise ValueError("k and p must be >= 1")
+        return [(p * d // (g := gcd(d, k)), n * g)
+                for d, n in self.to_brackets()]
+
     def power_transform(self, k: int) -> "CycloProduct":
-        """h^(k): brackets (tau^m - 1)^n -> (tau^(m/gcd(m,k)) - 1)^(n*gcd(m,k))."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return CycloProduct.from_brackets(
-            (m // gcd(m, k), n * gcd(m, k)) for m, n in self.to_brackets())
+        """h^(k), the k-th power transform."""
+        return CycloProduct.from_brackets(self.power_brackets(k, 1))
 
     def variable_power(self, p: int) -> "CycloProduct":
-        """h(tau^p): brackets (tau^m - 1)^n -> (tau^(p*m) - 1)^n."""
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        return CycloProduct.from_brackets(
-            (p * m, n) for m, n in self.to_brackets())
+        """h(tau^p)."""
+        return CycloProduct.from_brackets(self.power_brackets(1, p))
 
     # -- inspection ------------------------------------------------------------
 
@@ -114,18 +116,13 @@ class CycloProduct(NamedTuple):
 
     def thom_sebastiani_tensor(self, k: int) -> "CycloProduct":
         """Root multiset of the suspension by k points: {eta*zeta} over
-        eta^k = 1, eta != 1 and zeta a root of self.
-
-        Root multisets are bilinear under this join, the k points are
-        [k] - [1] in brackets, and [a] x [b] = gcd(a, b) [lcm(a, b)]."""
+        eta^k = 1, eta != 1 and zeta a root of self.  Over every eta^k = 1
+        these are the roots of h^(k)(tau^k); eta = 1 contributes self."""
         if k < 1:
             raise ValidationError("k must be >= 1")
         if not self.is_polynomial():
             raise ValueError("Thom-Sebastiani tensor needs a polynomial input")
-        brackets = []
-        for m, n in self.to_brackets():
-            brackets += [(lcm(m, k), n * gcd(m, k)), (m, -n)]
-        return CycloProduct.from_brackets(brackets)
+        return CycloProduct.from_brackets(self.power_brackets(k, k)) / self
 
 
 # -- serialization -----------------------------------------------------------

@@ -4,9 +4,8 @@ A germ F = f_m + f_{m+k} + ... with projectivized tangent cone C_m whose
 singular points avoid V(f_{m+k}) blows down to a stratification of the
 exceptional P^n, so its zeta functions assemble from the global strata and
 one generalized-suspension term per singular point of C_m, in the shift
-r = (1 + n + (m+k)s)/k; a twist adds the strata terms and every point's
-cone terms once, over one common denominator.  The characteristic
-polynomial assembles as (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
+r = (1 + n + (m+k)s)/k, as raw parts of one sum.  The characteristic
+polynomial is one bracket list, (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
 prod_q Delta_q^(k)(tau^{m+k}), also for superisolated surfaces (k = 1).
 Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
 paper's closed forms for both are test oracles (tests/closed_forms.py).
@@ -52,28 +51,28 @@ class LysSurface(NamedTuple):
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     """Z_top^(l)(F, s): the global strata terms and every singular point's
-    suspension terms (suspend_terms), added once by RatFun.sum."""
+    suspension terms (suspend_terms), as parts of one RatFun._sum."""
     if l < 1:
         raise ValidationError("l must be >= 1")
     krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
-    terms = [RatFun.scaled_inv_product(S.chi_complement, [krs])] \
-        if S.m % l == 0 else []
-    if l == 1:
-        terms.append(RatFun.scaled_inv_product(S.chi_curve_smooth,
-                                               [krs, (1, 1)]))
+    parts = [RatFun._part(S.chi_complement, [krs])] \
+        if S.m % l == 0 and S.chi_complement else []
+    if l == 1 and S.chi_curve_smooth:
+        parts.append(RatFun._part(S.chi_curve_smooth, [krs, (1, 1)]))
     for point in S.points:
-        terms += suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)
-    return RatFun.sum(terms)
+        parts += suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)
+    return RatFun._sum(parts)
 
 
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     """(Delta, Delta_tilde): the characteristic polynomial of the monodromy
-    and its (tau - 1) multiple, which must be an honest polynomial."""
-    delta = CycloProduct.from_brackets([(S.m, S.chi_complement), (1, -1)])
+    and its (tau - 1) multiple, which must be an honest polynomial; both
+    from one bracket list, (tau^m - 1)^chi and each Delta_q^(k)(tau^{m+k})."""
+    brackets = [(S.m, S.chi_complement)]
     for q in S.points:
-        local = q.delta.power_transform(S.k).variable_power(S.m + S.k)
-        delta = delta * local
-    delta_tilde = delta * CycloProduct.from_brackets([(1, 1)])
+        brackets += q.delta.power_brackets(S.k, S.m + S.k)
+    delta_tilde = CycloProduct.from_brackets(brackets)
+    delta = delta_tilde / CycloProduct.from_brackets([(1, 1)])
     if not delta_tilde.is_polynomial():
         raise ValidationError("(tau - 1) Delta is not a polynomial; "
                               "inconsistent Le-Yomdin input")

@@ -14,6 +14,7 @@ a polynomial) is factored once, in polynomial time, or rejected.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Union
 
@@ -100,23 +101,18 @@ def _form(a: int, b: int) -> tuple[int, tuple[int, int]]:
     return g, (a // g, b // g)
 
 
-def _normalize(factors) -> tuple[int, dict[tuple[int, int], int]]:
-    """(unit, forms) with prod (a_i + b_i s) = unit * prod form^mult: each
-    factor with b != 0 becomes a primitive form (_form, inlined), and a
-    constant factor goes into the unit."""
-    unit = 1
-    forms: dict[tuple[int, int], int] = {}
-    for a, b in factors:
-        if not b:
-            if not a:
-                raise ZeroDivisionError("zero linear factor")
-            unit *= a
-            continue
-        g = gcd(a, b) if b > 0 else -gcd(a, b)
-        unit *= g
-        form = (a // g, b // g)
-        forms[form] = forms.get(form, 0) + 1
-    return unit, forms
+def _cancel(num, forms: dict, cancel) -> tuple[int, ...]:
+    """num divided by each form in cancel as often as it divides, up to the
+    form's multiplicity in forms, which is reduced in place."""
+    for form in cancel:
+        mult = forms[form]
+        while mult and (quot := _div_form(num, form)) is not None:
+            num, mult = quot, mult - 1
+        if mult:
+            forms[form] = mult
+        else:
+            del forms[form]
+    return num
 
 
 def _integer_poly(coeffs: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
@@ -229,14 +225,7 @@ class RatFun(NamedTuple):
             g = gcd(scale, num[0]) if scale > 0 else -gcd(scale, num[0])
             return RatFun((num[0] // g,), scale // g,
                           tuple(sorted(forms.items())))
-        for form in list(forms) if cancel is None else cancel:
-            mult = forms[form]
-            while mult and (quot := _div_form(num, form)) is not None:
-                num, mult = quot, mult - 1
-            if mult:
-                forms[form] = mult
-            else:
-                del forms[form]
+        num = _cancel(num, forms, list(forms) if cancel is None else cancel)
         g = gcd(scale, *num)
         if scale < 0:
             g = -g
@@ -261,17 +250,46 @@ class RatFun(NamedTuple):
     def scaled_inv_product(scalar: Scalar, factors, num=(1,)) -> "RatFun":
         """scalar * num(s) / prod (a_i + b_i s) for integer pairs (a_i, b_i)
         and an integer polynomial num."""
-        if not isinstance(scalar, int):
-            scalar = Fraction(scalar)
         if num and not num[-1]:
             num = _trim(list(num))
         if not scalar or not num:
             return _ZERO
-        unit, forms = _normalize(factors)
+        return RatFun._canonical(*RatFun._part(scalar, factors, num), ())
+
+    @staticmethod
+    def _part(scalar: Scalar, factors, num=(1,), z=None):
+        """The _sum part (num, den, forms) of scalar * num(s) * z(s) /
+        prod (a_i + b_i s) for a nonzero int or Fraction scalar, num and z
+        nonzero, z canonical or None for 1.  Each a_i + b_i s is a unit
+        (into den) times a primitive form, or a constant when b_i = 0.  As
+        in __mul__, a new form can only cancel against num z.num and a form
+        of z only against num."""
+        den, new = scalar.denominator, {}
+        for a, b in factors:
+            if not b:
+                if not a:
+                    raise ZeroDivisionError("zero linear factor")
+                den *= a
+                continue
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            den *= g
+            form = (a // g, b // g)
+            new[form] = new.get(form, 0) + 1
+        forms, tried = new, ()
+        if z is not None:
+            if len(num) > 1:
+                tried = [f for f, _ in z.forms
+                         if f not in new and _div_form(num, f)]
+            forms = dict(z.forms)
+            for form, mult in new.items():
+                forms[form] = forms.get(form, 0) + mult
+            num, den = pmul(num, z.num), den * z.scale
         top = scalar.numerator
         # a constant skips the comprehension: this is the hot case
         num = (top * num[0],) if len(num) == 1 else tuple([top * c for c in num])
-        return RatFun._canonical(num, unit * scalar.denominator, forms)
+        if len(num) > 1:
+            num = _cancel(num, forms, [*new, *tried])
+        return num, den, forms
 
     @staticmethod
     def _sum(parts) -> "RatFun":
@@ -298,11 +316,22 @@ class RatFun(NamedTuple):
                     top[form], holders[form] = mult, 1
                 elif mult == top[form]:
                     holders[form] += 1
-        acc = [0] * (sum(top.values()) + width)
+        degree = sum(top.values())
+        acc, full = [0] * (degree + width), ()
         for num, den, forms in parts:
             k = scale // den
-            extra = linear_product(form for form, mult in top.items()
-                                   for _ in range(mult - forms.get(form, 0)))
+            # past two parts (each lacks at most what the other holds), a
+            # part holding fewer forms than it lacks divides the full product
+            if len(parts) > 2 and 2 * sum(forms.values()) < degree:
+                full = full or linear_product(
+                    form for form, mult in top.items() for _ in range(mult))
+                extra = reduce(pdiv_linear, (form for form, mult in
+                                             forms.items()
+                                             for _ in range(mult)), full)
+            else:
+                extra = linear_product(
+                    form for form, mult in top.items()
+                    for _ in range(mult - forms.get(form, 0)))
             # a constant numerator is one pass over extra: the hot case
             for j, cn in enumerate(num):
                 kc = k * cn
@@ -315,24 +344,14 @@ class RatFun(NamedTuple):
     def sum(terms) -> "RatFun":
         """sum of canonical RatFuns, added by _sum; zero terms are skipped.
         A canonical numerator has no root of its own forms, as _sum needs."""
-        terms = [f for f in terms if f.num]
-        if len(terms) > 1:
-            return RatFun._sum([(f.num, f.scale, dict(f.forms)) for f in terms])
-        return terms[0] if terms else _ZERO
+        return RatFun._sum([(f.num, f.scale, dict(f.forms))
+                            for f in terms if f.num])
 
     @staticmethod
     def sum_inv_products(terms) -> "RatFun":
-        """sum of scalar_i / prod_j (a_ij + b_ij s) over (scalar_i, factors_i)
-        pairs, added by _sum."""
-        parts = []
-        for scalar, factors in terms:
-            if scalar:
-                if not isinstance(scalar, int):
-                    scalar = Fraction(scalar)
-                unit, forms = _normalize(factors)
-                parts.append(((scalar.numerator,), unit * scalar.denominator,
-                              forms))
-        return RatFun._sum(parts)
+        """sum of scalar / prod (a + b s) over (scalar, factors) pairs."""
+        return RatFun._sum([RatFun._part(scalar, factors)
+                            for scalar, factors in terms if scalar])
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":

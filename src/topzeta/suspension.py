@@ -114,9 +114,9 @@ def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
 # generalized suspension G = z^m (z^k + f)
 
 
-def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list[RatFun]:
-    """suspend_G's cone terms, each canonical, with every nonzero entry of f
-    read substituted once; none outside the support gate."""
+def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list:
+    """suspend_G's nonzero cone terms as RatFun._sum parts, with every
+    nonzero entry read substituted once; none outside the support gate."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
         raise ValidationError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
     if (m + k) * f.support_lcm % l:
@@ -135,16 +135,17 @@ def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list[Rat
         return []
     a, b = Fraction(m + k, k), Fraction(nu_z, k)
     at_r = {j: z.substitute_affine(a, b) for j, z in read.items()}
-    terms = [at_r[l] * RatFun.scaled_inv_product(1, [(nu_z, m)])] \
+    part = RatFun._part
+    parts = [part(1, [(nu_z, m)], z=at_r[l])] \
         if m % l == 0 and l in at_r else []
     if minus:
         kr = [(nu_z, m + k)]
-        terms += [RatFun.scaled_inv_product(Fraction(1, f.prod_nu0), kr),
-                  at_r.get(1, _ZERO) * RatFun.scaled_inv_product(-1, kr)]
+        parts.append(part(Fraction(1, f.prod_nu0), kr))
+        if 1 in at_r:
+            parts.append(part(-1, kr, z=at_r[1]))
     w_l = ([(1, 1)], (0, 1)) if l == 1 else ((), (1,))   # s/(s + 1) or 1
-    terms += [at_r[j] * RatFun.scaled_inv_product(Fraction(-w, k), *w_l)
-              for j, w in rho.items()]
-    return terms
+    parts += [part(Fraction(-w, k), *w_l, z=at_r[j]) for j, w in rho.items()]
+    return parts
 
 
 def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
@@ -159,9 +160,9 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
       - w_l(s) sum_{e | k} J_2(e)/k Z^(lcm(e, m(k,l,m+k)))(f)(r)  rho, rho*
 
     with w_1 = s/(s+1) = 1 - 1/(s+1) (rho* adds the -1/(s+1)) and w_l = 1
-    for l >= 2 (rho* vanishes).  suspend_terms lists the terms, those of
-    rho with equal entries merged, and RatFun.sum adds them once, over
-    one common denominator, where k r cancels from sigma-.
+    for l >= 2 (rho* vanishes).  suspend_terms lists the terms as raw
+    parts, rho's with equal entries merged, and RatFun._sum adds them
+    over one common denominator, where k r cancels from sigma-.
 
     Support gate: the result is zero unless l divides
     (m+k) f.support_lcm, and then no entry is read.  Each term needs it:
@@ -170,8 +171,8 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
     is nonzero only for some s in the support that m(k,l,m+k) divides, and
     every such multiple M of m(k,l,m+k) has l gcd(k, M) | (m+k) M, so
     l | (m+k) s."""
-    terms = suspend_terms(f, m, k, nu_z, l)
-    return RatFun.sum(terms) if terms else _ZERO
+    parts = suspend_terms(f, m, k, nu_z, l)
+    return RatFun._sum(parts) if parts else _ZERO
 
 
 def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int) -> ZetaProfile:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from closed_forms import candidate_a, lys_candidate_poles, \
     lys_orders_formula, residue_lct_formula, sis_ztop
@@ -219,3 +221,46 @@ def test_json_roundtrip(a3_graph):
     assert lys_to_json(again) == as_json
     for l in (1, 2, 4, 5):
         assert lys_ztop(again, l) == lys_ztop(S, l)
+
+
+def _charpoly_oracle(S: LysSurface) -> CycloProduct:
+    """Delta as (tau^m - 1)^chi / (tau - 1) times each point's
+    power_transform(k).variable_power(m + k), one product at a time."""
+    delta = CycloProduct.from_brackets([(S.m, S.chi_complement), (1, -1)])
+    for q in S.points:
+        delta = delta * q.delta.power_transform(S.k).variable_power(S.m + S.k)
+    return delta
+
+
+def test_charpoly_matches_per_point_transforms():
+    # the one bracket pass against the per-point transforms: every
+    # Le-Yomdin fixture at k = 1..24
+    tau_minus_1 = CycloProduct.from_brackets([(1, 1)])
+    for name in ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
+                 "lys_kashiwara_Ib", "lys_kashiwara_IbL"):
+        base = lys_from_json(load_fixture(f"{name}.json"))
+        for k in range(1, 25):
+            S = LysSurface(base.n, base.m, k, base.chi_complement,
+                           base.chi_curve_smooth, base.points)
+            delta = _charpoly_oracle(S)
+            assert lys_charpoly(S) == (delta, delta * tau_minus_1), (name, k)
+
+
+@given(st.lists(st.dictionaries(st.integers(1, 30), st.integers(1, 2),
+                                max_size=4), max_size=3),
+       st.integers(1, 8), st.integers(1, 24))
+def test_charpoly_oracle_on_random_points(point_deltas, m, k):
+    # random point deltas, with the Euler characteristics the accounting
+    # asks for; a Delta_tilde that is not a polynomial is refused
+    points = [GermSummary(ZetaProfile({1: RatFun.one()}),
+                          CycloProduct.from_factors(factors), f"q{i + 1}")
+              for i, factors in enumerate(point_deltas)]
+    chi_c = 3 * m - m ** 2 + sum(q.delta.degree() for q in points)
+    S = LysSurface(2, m, k, 3 - chi_c, chi_c - len(points), points)
+    delta = _charpoly_oracle(S)
+    delta_tilde = delta * CycloProduct.from_brackets([(1, 1)])
+    if delta_tilde.is_polynomial():
+        assert lys_charpoly(S) == (delta, delta_tilde)
+    else:
+        with pytest.raises(ValidationError):
+            lys_charpoly(S)

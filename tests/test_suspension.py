@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import load_fixture
 from graphgen import random_graph
+from test_ratfun import assert_canonical, expand
 from closed_forms import candidate_a, k2_twisted, suspend_F, \
     suspend_G_dispatch, w_top_twisted
 from topzeta.arith import divisor_closure, divisors, lcm_all
@@ -19,7 +21,7 @@ from topzeta.resolution import graph_from_json, strata_of_graph
 from topzeta.suspension import GermSummary, ZetaProfile, fbad_set, \
     profile_from_graph, profile_from_json, profile_to_json, \
     summary_from_graph, suspend_G, suspend_matrix, suspend_orders, \
-    suspend_profile
+    suspend_profile, suspend_terms
 
 SUBSTITUTION_BUDGET_S = 2.0
 
@@ -364,3 +366,139 @@ def test_each_entry_substituted_once_per_twist(monkeypatch):
             assert calls[0] <= len(reads), (case.func.__name__, case.args[1:])
     assert nonzero > 1000, nonzero
     assert time.perf_counter() - start < SUBSTITUTION_BUDGET_S
+
+
+def _fixture_twists():
+    """suspend_G on the x5y6, lvp and curve-fixture profiles (m = 0..2,
+    k in {1, 2, 3, 6}, nu_z in {1, 3}) and lys_ztop on the Le-Yomdin
+    fixtures at k = 1..3, at every twist that can be nonzero."""
+    profiles = [profile_from_json(load_fixture(f"{name}_profile.json"))
+                for name in ("x5y6", "lvp")]
+    profiles += [profile_from_graph(graph_from_json(load_fixture(
+        f"{name}.json"))) for name in ("a3_graph", "cusp_graph",
+                                       "triple_cusp_graph", "two_cusp_graph")]
+    cases = [partial(suspend_G, prof, m, k, nu_z, l)
+             for prof in profiles for m in range(3) for k in (1, 2, 3, 6)
+             for nu_z in (1, 3) for l in divisors((m + k) * prof.support_lcm)]
+    for name in ("lys_kashiwara_Ib", "lys_kashiwara_IbL", "lys_tacnode_k2",
+                 "lys_xyz_k1", "lys_xyz_k2"):
+        base = lys_from_json(load_fixture(f"{name}.json"))
+        for k in (1, 2, 3):
+            S = LysSurface(base.n, base.m, k, base.chi_complement,
+                           base.chi_curve_smooth, base.points)
+            bound = lcm_all([S.m] + [(S.m + k) * q.zeta.support_lcm
+                                     for q in S.points])
+            cases += [partial(lys_ztop, S, l) for l in divisors(bound)]
+    return cases
+
+
+def test_one_canonicalization_per_twist(monkeypatch):
+    # a nonzero twist canonicalizes each substituted entry and the sum once,
+    # and no cone term or global term on its own
+    cases = _fixture_twists()
+    calls = Counter()
+    canonical, substitute = RatFun._canonical, RatFun.substitute_affine
+
+    def counting_canonical(*args):
+        calls["canonical"] += 1
+        return canonical(*args)
+
+    def counting_substitute(self, a, b):
+        calls["substitute"] += 1
+        return substitute(self, a, b)
+
+    monkeypatch.setattr(RatFun, "_canonical", staticmethod(counting_canonical))
+    monkeypatch.setattr(RatFun, "substitute_affine", counting_substitute)
+    start = time.perf_counter()
+    nonzero = 0
+    for case in cases:
+        calls.clear()
+        if not case().is_zero():
+            nonzero += 1
+            assert calls["canonical"] <= calls["substitute"] + 1, \
+                (case.func.__name__, case.args[1:], calls)
+    assert nonzero > 1000, nonzero
+    assert time.perf_counter() - start < SUBSTITUTION_BUDGET_S
+
+
+def _vanishing_profile(rng, roots, pole) -> ZetaProfile:
+    """An unvalidated profile over the divisors of a small L whose nonzero
+    entries have numerators vanishing at some of the given values of t,
+    and some a pole at the given one."""
+    entries = {}
+    for j in divisors(rng.choice((1, 2, 3, 4, 6))):
+        if j > 1 and rng.random() < 0.25:
+            entries[j] = RatFun.zero()
+            continue
+        zeros = [(-t.numerator, t.denominator)
+                 for t in rng.sample(roots, rng.randint(1, len(roots)))]
+        poles = [(rng.randint(1, 4), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))]
+        poles += [(-pole.numerator, pole.denominator)] * rng.randint(0, 1)
+        entries[j] = RatFun.from_polys(
+            expand(rng.choice((-1, 1)) * rng.randint(1, 5), zeros),
+            expand(1, poles))
+    return ZetaProfile(entries, rng.randint(1, 3), validate=False)
+
+
+def _special_roots(m: int, k: int, nu_z: int) -> list:
+    """The values of t = r(s) at the roots of the forms the cone terms
+    bring: nu_z + m s (sigma+), s + 1 (rho*) and k r (sigma-).  At s = 0,
+    the root of the numerator s of rho at l = 1, t is nu_z/k."""
+    return [F(0), F(nu_z - m - k, k)] + ([F(-nu_z, m)] if m else [])
+
+
+def _dense_part(part) -> RatFun:
+    num, den, forms = part
+    return RatFun.from_polys(num, expand(den, [form for form, mult in
+                                               forms.items()
+                                               for _ in range(mult)]))
+
+
+def test_parts_cancel_where_entries_vanish():
+    # profile entries whose numerators vanish where sigma+, rho* or sigma-
+    # bring a form, and with a pole where rho's numerator s vanishes at
+    # l = 1: every part's numerator keeps no root of its own forms,
+    # and suspend_G and lys_ztop stay canonical and equal the five-case
+    # dispatch and a RatFun.sum of canonical terms
+    rng = random.Random(101)
+    twists = lys_twists = 0
+    for _ in range(60):
+        m, k, nu_z = rng.randint(0, 3), rng.randint(1, 4), rng.randint(1, 4)
+        f = _vanishing_profile(rng, _special_roots(m, k, nu_z),
+                               F(nu_z, k))
+        for l in divisors((m + k) * f.support_lcm):
+            parts = suspend_terms(f, m, k, nu_z, l)
+            for num, _, forms in parts:
+                for a, b in forms:
+                    assert sum(c * F(-a, b) ** i
+                               for i, c in enumerate(num)) != 0
+            z = suspend_G(f, m, k, nu_z, l)
+            assert_canonical(z)
+            assert z == suspend_G_dispatch(f, m, k, nu_z, l), (m, k, nu_z, l)
+            assert z == RatFun.sum([_dense_part(p) for p in parts])
+            twists += 1
+    for _ in range(25):
+        m, k = rng.randint(1, 4), rng.randint(1, 4)
+        roots = _special_roots(m, k, 3)
+        points = [GermSummary(_vanishing_profile(rng, roots, F(3, k)),
+                              CycloProduct.from_brackets(
+                                  [(rng.randint(2, 4), 1), (1, -1)]),
+                              f"q{i + 1}")
+                  for i in range(rng.randint(1, 3))]
+        chi_c = 3 * m - m ** 2 + sum(q.delta.degree() for q in points)
+        S = LysSurface(2, m, k, 3 - chi_c, chi_c - len(points), points)
+        bound = lcm_all([m] + [(m + k) * q.zeta.support_lcm for q in points])
+        for l in divisors(bound):
+            terms = [suspend_G_dispatch(q.zeta, m, k, 3, l) for q in points]
+            if m % l == 0:
+                terms.append(RatFun.scaled_inv_product(S.chi_complement,
+                                                       [(3, m)]))
+            if l == 1:
+                terms.append(RatFun.scaled_inv_product(
+                    S.chi_curve_smooth, [(3, m), (1, 1)]))
+            z = lys_ztop(S, l)
+            assert_canonical(z)
+            assert z == RatFun.sum(terms), (m, k, l)
+            lys_twists += 1
+    assert twists > 200 and lys_twists > 100, (twists, lys_twists)
