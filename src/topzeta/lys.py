@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .arith import divisor_closure
@@ -27,12 +28,15 @@ from .suspension import GermSummary, summary_from_json, summary_to_json, \
 
 @checked
 class LysSurface(NamedTuple):
+    """support_lcm = lcm(m, (m+k) q.zeta.support_lcm over the points q) is
+    computed here; every l with a nonzero lys_ztop(S, l) divides it."""
     n: int                     # ambient projective dimension (2 for surfaces)
     m: int                     # degree of the tangent cone C_m
     k: int
     chi_complement: int        # chi(P^n \ C)
     chi_curve_smooth: int      # chi(C \ Sing C)
     points: Sequence[GermSummary]
+    support_lcm: int           # derived
 
     def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
         if n < 1 or m < 1 or k < 1:
@@ -45,15 +49,19 @@ class LysSurface(NamedTuple):
                 raise ValidationError(
                     f"(chi_complement, chi_curve_smooth) = ({chi_complement}"
                     f", {chi_curve_smooth}), expected {expected}")
-        return tuple.__new__(cls, (n, m, k, chi_complement, chi_curve_smooth,
-                                   points))
+        return tuple.__new__(cls, (
+            n, m, k, chi_complement, chi_curve_smooth, points,
+            lcm(m, *((m + k) * q.zeta.support_lcm for q in points))))
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     """Z_top^(l)(F, s): the global strata terms and every singular point's
-    suspension terms (suspend_terms), as parts of one RatFun._sum."""
+    suspension terms (suspend_terms), as parts of one RatFun._sum.  Zero,
+    before any part is built, when l does not divide S.support_lcm."""
     if l < 1:
         raise ValidationError("l must be >= 1")
+    if S.support_lcm % l:
+        return RatFun.zero()
     krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
     parts = [RatFun._part(S.chi_complement, [krs])] \
         if S.m % l == 0 and S.chi_complement else []

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from .arith import gauss_jordan
+from .arith import gauss_jordan, lcm_all
 from .cyclo import CycloProduct
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field, json_items, json_number
@@ -35,9 +35,12 @@ class Stratum(NamedTuple):
 
 @checked
 class StratifiedResolution(NamedTuple):
+    """Components (N, nu) and strata chi(E_I°); support_lcm = lcm(N_i) is
+    computed here, and every l with a nonzero Z^(l) divides it."""
     components: list[Component]
     strata: list[Stratum]
     prod_nu0: int
+    support_lcm: int       # derived
 
     def _new(cls, components, strata, prod_nu0=1):
         ids = {c.id for c in components}
@@ -63,14 +66,16 @@ class StratifiedResolution(NamedTuple):
             raise ValidationError(
                 f"normalization fails: sum chi/prod nu = {total}, "
                 f"expected 1/{prod_nu0}")
-        return tuple.__new__(cls, (components, strata, prod_nu0))
+        return tuple.__new__(cls, (components, strata, prod_nu0,
+                                   lcm_all(c.N for c in components)))
 
 
 def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
-    """Z_top^(l); l = 1 imposes no divisibility condition."""
+    """Z_top^(l); l = 1 imposes no divisibility condition.  Zero, at the
+    cost of one modulo, when l does not divide res.support_lcm."""
     if l < 1:
         raise ValidationError("l must be >= 1")
-    if all(c.N % l for c in res.components):
+    if res.support_lcm % l or all(c.N % l for c in res.components):
         return RatFun.zero()
     by_id = {c.id: c for c in res.components}
     terms = []

@@ -11,12 +11,16 @@ the superisolated k = 1 surfaces), the Le-Yomdin pole candidates,
 eigenvalue orders and residue at -3/m, the residue-class walk over the
 root multiset and the box walk that solves for every integer point of a
 cone's bounding box are independent derivations of the same quantities;
-the tests compare them with the production path.
+so is the Newton-polyhedron formula of Denef-Loeser for the Brieskorn-Pham
+suspensions z^m (z^k + x_1^a_1 + ... + x_{n-1}^a_{n-1}), which does not go
+through the transfer theorem at all.  The tests compare them with the
+production path.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 from topzeta.arith import divisor_closure, divisors, frak_m, gauss_jordan, \
     jordan_totient, lcm_all
@@ -419,3 +423,61 @@ def _enumerate_domain(rays: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...
 
     walk(0, [])
     return tuple(sorted(points))
+
+
+# ---------------------------------------------------------------------------
+# Newton polyhedron of a Brieskorn-Pham suspension
+
+
+def newton_bp_ztop(exponents: tuple[int, ...], m: int, nu_z: int,
+                   l: int) -> RatFun:
+    """Z_top^(l) of z^m (z^k + x_1^a_1 + ... + x_{n-1}^a_{n-1}) with the form
+    z^(nu_z - 1) dx dz, where exponents = (a_1, ..., a_{n-1}, k), from its
+    Newton polyhedron; the germ is Newton non-degenerate (Denef-Loeser,
+    J. AMS 5, 1992, Thm 5.3).
+
+    The vertices V_i = a_i e_i + m e_n (i < n) and V_n = (m+k) e_n span the
+    one compact facet, of primitive normal w = (L/a_1, ..., L/a_n) with
+    L = lcm(a_i).  The face on {V_i : i in S} has the simplicial dual cone
+    R_S = {w} + {e_j : j not in S}, of multiplicity gcd(w_i : i in S), on
+    which N(r) = min_i <r, V_i> and nu(r) = <r, (1, ..., 1, nu_z)>.  A cone
+    counts for the twist l when l divides gate_S, the gcd of N over the
+    lattice points of its span, which the basis {e_j : j not in S} plus
+    (w_i / gcd(w_i : i in S) on S, 0 elsewhere) generates.  A vertex cone
+    (|S| = 1) adds mult / prod (N s + nu); a face of dimension |S| - 1 >= 1
+    adds (-1)^{|S| - 1} vol_S times that, with vol_S = prod a_i / lcm(a_i)
+    over S, and times s/(s + 1) when l = 1."""
+    n = len(exponents)
+    vertices = [tuple(a * (i == j) + m * (j == n - 1) for j in range(n))
+                for i, a in enumerate(exponents)]      # V_n = (k + m) e_n
+    nu_vec = (1,) * (n - 1) + (nu_z,)
+    big_l = lcm_all(exponents)
+    w = tuple(big_l // a for a in exponents)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def form(r):
+        return dot(r, nu_vec), min(dot(r, v) for v in vertices)
+
+    total = RatFun.zero()
+    for size in range(1, n + 1):
+        for S in combinations(range(n), size):
+            mult = gcd(*(w[i] for i in S))
+            rest = [j for j in range(n) if j not in S]
+            u = [w[i] // mult if i in S else 0 for i in range(n)]
+            gate = gcd(dot(u, vertices[S[0]]),
+                       *(vertices[S[0]][j] for j in rest))
+            if gate % l:
+                continue
+            forms = [form(w)] + [form([int(i == j) for i in range(n)])
+                                 for j in rest]
+            if size == 1:
+                total += RatFun.scaled_inv_product(mult, forms)
+                continue
+            vol = prod(exponents[i] for i in S) \
+                // lcm_all(exponents[i] for i in S)
+            coef = (-1) ** (size - 1) * vol * mult
+            total += RatFun.scaled_inv_product(coef, forms + [(1, 1)], (0, 1)) \
+                if l == 1 else RatFun.scaled_inv_product(coef, forms)
+    return total
