@@ -24,9 +24,11 @@ keep the others.  Each row holds:
     forms, for each n of SHARED_FORMS, of RatFun a + b and of
     RatFun.sum_inv_products; microseconds per RatFun.sum of n canonical
     terms, for each n of SUM_TERMS (a tree without RatFun.sum is timed on
-    the left fold of +); microseconds per case of w_top, motivic_w
-    and euler_specialize on a fixed sample of the grid's shapes at
-    q = 1, 2, 3 (cone cache warm),
+    the left fold of +); microseconds per substitute_affine at
+    s -> (7s + 1)/6 of a function of numerator and denominator degree d,
+    for each d of SUBSTITUTE_DEGREES; microseconds per case of w_top,
+    motivic_w and euler_specialize on a fixed sample of the grid's shapes
+    at q = 1, 2, 3 (cone cache warm),
     microseconds per (k, N) key of cone_multiplicities with the cone
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
@@ -37,7 +39,9 @@ keep the others.  Each row holds:
     per zero twist
     of suspend_G (the same profiles, l <= 2 (m+k) lcm(support)) and of
     ztop_from_strata (l <= 2 lcm(N)), and milliseconds per check_holomorphy
-    at the default l_max on HOLOMORPHY_SURFACE; milliseconds per
+    at the default l_max on HOLOMORPHY_SURFACE and on each subject of
+    HOLOMORPHY_SUBJECTS (a curve and a suspension), 20 checks per timing;
+    milliseconds per
     ztop_from_strata(res, 1) on the resolution graph of x^(V-1) + y^V,
     which has V vertices, for each V of CURVE_VERTICES (a large sum of
     terms with forms of their own); each the median over the rounds of a
@@ -67,6 +71,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import partial, reduce
 from pathlib import Path
 
@@ -92,6 +97,8 @@ LYS_K_MAX = 24
 LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
 CURVE_VERTICES = (31, 61, 101, 151)
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
+HOLOMORPHY_SUBJECTS = ("triple_cusp_graph", "cusp3_susp")
+SUBSTITUTE_DEGREES = (1, 2, 4, 8, 16)
 SHARED_FORMS = (1, 2, 4, 8, 16)
 SUM_TERMS = (2, 4, 8, 16)
 CONSTRUCTIONS = 2000
@@ -178,6 +185,14 @@ def ratfun_rows() -> dict:
             i + 1, [(1, 1)] * (1 + i % 2) + [(1, i + 1)]) for i in range(n)]
         rows[f"ratfun_sum_us|terms={n}"] = per_case_us(
             total, [(terms,)] * CALLS_PER_TWIST)
+    # (1 + s + ... + s^d)/((2s + 1)(2s + 3) ... (2s + 2d - 1)) at suspend_G's
+    # r = ((m+k)s + nu_z)/k for m = 1, k = 6, nu_z = 1
+    for d in SUBSTITUTE_DEGREES:
+        f = ratfun.RatFun.scaled_inv_product(
+            1, [(2 * i + 1, 2) for i in range(d)], (1,) * (d + 1))
+        rows[f"substitute_affine_us|deg={d}"] = per_case_us(
+            f.substitute_affine,
+            [(Fraction(7, 6), Fraction(1, 6))] * CALLS_PER_TWIST)
     return rows
 
 
@@ -273,12 +288,17 @@ def zero_twist_rows() -> dict:
             per_case_us(resolution.ztop_from_strata,
                         [(res, l) for l in zero])
     surface = lys.lys_from_json(load(HOLOMORPHY_SURFACE))
-    closure = lys.lys_orders(surface)
-    twists = sum(1 for l in range(2, checks.default_l_max(closure) + 1)
-                 if l not in closure)
-    rows[f"check_holomorphy_ms|{HOLOMORPHY_SURFACE},twists={twists}"] = \
-        per_case_us(checks.check_holomorphy,
-                    [(partial(lys.lys_ztop, surface), closure)]) / 1e3
+    subjects = {HOLOMORPHY_SURFACE: (partial(lys.lys_ztop, surface),
+                                     lys.lys_orders(surface))}
+    for name in HOLOMORPHY_SUBJECTS:
+        subject = checks.subject_from_json(load(name))
+        subjects[name] = (subject.zeta, subject.orders)
+    for name, (family, orders) in subjects.items():
+        closure = arith.divisor_closure(orders)
+        twists = sum(1 for l in range(2, checks.default_l_max(orders) + 1)
+                     if l not in closure)
+        rows[f"check_holomorphy_ms|{name},twists={twists}"] = per_case_us(
+            checks.check_holomorphy, [(family, orders)] * 20) / 1e3
     return rows
 
 

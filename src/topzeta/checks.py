@@ -128,7 +128,7 @@ def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
     """For each pole -a/b (lowest terms) of zeta1: pass if b = 1 (eigenvalue
     1 at a smooth point) or Phi_b divides delta_tilde."""
     if not delta_tilde.is_polynomial():
-        raise ValueError("delta_tilde must be a polynomial")
+        raise ValidationError("delta_tilde must be a polynomial")
     items = []
     for pole, _mult in zeta1.poles_with_multiplicity():
         order = pole.denominator
@@ -146,28 +146,29 @@ def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
 
 
 def default_l_max(orders: OrderSet) -> int:
-    closure = divisor_closure(orders)
-    if not closure:
-        return 2
-    return min(2 * lcm_all(closure), L_MAX_CAP)
+    return _l_max(divisor_closure(orders))
+
+
+def _l_max(closure: OrderSet) -> int:
+    return min(2 * lcm_all(closure), L_MAX_CAP) if closure else 2
 
 
 def check_holomorphy(zeta_family: Callable[[int], RatFun], orders: OrderSet,
                      l_max: int | None = None) -> Report:
     """Every 1 < l <= l_max outside the order closure must give the zero
     function; l inside the closure is unconstrained and skipped.  A given
-    l_max must lie in [2, L_MAX_CAP]."""
+    l_max must lie in [2, L_MAX_CAP]; the default is default_l_max's, from
+    the one closure computed here.  A passing item is built as the checked
+    types' _new build theirs, by tuple.__new__, and equals
+    CheckItem(l, True)."""
     if l_max is not None and not 2 <= l_max <= L_MAX_CAP:
         raise ValidationError(
             f"l_max must be between 2 and {L_MAX_CAP}, got {l_max}")
     closure = divisor_closure(orders)
-    if l_max is None:
-        l_max = default_l_max(orders)
-    items = []
-    for l in range(2, l_max + 1):
-        if l in closure:
-            continue
-        z = zeta_family(l)
-        zero = z.is_zero()
-        items.append(CheckItem(l, zero, "" if zero else f"Z^({l}) = {z}"))
+    items, new = [], tuple.__new__
+    for l in range(2, (l_max or _l_max(closure)) + 1):
+        if l not in closure:
+            z = zeta_family(l)
+            items.append(CheckItem(l, False, f"Z^({l}) = {z}") if z.num
+                         else new(CheckItem, (l, True, "", None)))
     return Report("holomorphy", tuple(items))

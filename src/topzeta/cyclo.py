@@ -88,7 +88,7 @@ class CycloProduct(NamedTuple):
         """Brackets of h^(k)(tau^p): (tau^d - 1)^n -> (tau^(p*d/g) - 1)^(n*g)
         with g = gcd(d, k); substituting tau^p maps brackets to brackets."""
         if k < 1 or p < 1:
-            raise ValueError("k and p must be >= 1")
+            raise ValidationError("k and p must be >= 1")
         return [(p * d // (g := gcd(d, k)), n * g)
                 for d, n in self.to_brackets()]
 
@@ -121,7 +121,8 @@ class CycloProduct(NamedTuple):
         if k < 1:
             raise ValidationError("k must be >= 1")
         if not self.is_polynomial():
-            raise ValueError("Thom-Sebastiani tensor needs a polynomial input")
+            raise ValidationError(
+                "Thom-Sebastiani tensor needs a polynomial input")
         return CycloProduct.from_brackets(self.power_brackets(k, k)) / self
 
 

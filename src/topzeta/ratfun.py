@@ -14,7 +14,6 @@ a polynomial) is factored once, in polynomial time, or rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Union
 
@@ -35,12 +34,6 @@ def _trim(c: list) -> tuple:
     while c and not c[-1]:
         c.pop()
     return tuple(c)
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
 
 
 def pmul(a, b):
@@ -76,11 +69,12 @@ def _div_form(p, form: tuple[int, int]):
     q = [0] * n
     acc = p[n]
     for i in range(n - 1, -1, -1):
-        c, rem = divmod(acc, b)
-        if rem:
-            return None
-        q[i] = c
-        acc = p[i] - a * c
+        if b != 1:
+            if acc % b:
+                return None
+            acc //= b
+        q[i] = acc
+        acc = p[i] - a * acc
     return None if acc else tuple(q)
 
 
@@ -320,18 +314,29 @@ class RatFun(NamedTuple):
         acc, full = [0] * (degree + width), ()
         for num, den, forms in parts:
             k = scale // den
-            # past two parts (each lacks at most what the other holds), a
-            # part holding fewer forms than it lacks divides the full product
+            # each part's cofactor, the forms it lacks: past two parts (each
+            # lacks at most what the other holds), a part holding fewer
+            # forms than it lacks divides them out of the full product,
+            # exactly and top down, and any other multiplies them up
             if len(parts) > 2 and 2 * sum(forms.values()) < degree:
                 full = full or linear_product(
                     form for form, mult in top.items() for _ in range(mult))
-                extra = reduce(pdiv_linear, (form for form, mult in
-                                             forms.items()
-                                             for _ in range(mult)), full)
+                extra = list(full)
+                for (a, b), mult in forms.items():
+                    for _ in range(mult):
+                        c = 0
+                        for i in range(len(extra) - 1, 0, -1):
+                            extra[i] = c = (extra[i] - a * c) // b
+                        del extra[0]
             else:
-                extra = linear_product(
-                    form for form, mult in top.items()
-                    for _ in range(mult - forms.get(form, 0)))
+                extra = [1]
+                for form, mult in top.items():
+                    a, b = form
+                    for _ in range(mult - forms.get(form, 0)):
+                        extra.append(0)
+                        for i in range(len(extra) - 1, 0, -1):
+                            extra[i] = a * extra[i] + b * extra[i - 1]
+                        extra[0] *= a
             # a constant numerator is one pass over extra: the hot case
             for j, cn in enumerate(num):
                 kc = k * cn
@@ -468,33 +473,35 @@ class RatFun(NamedTuple):
         """f(a*s + b); a must be nonzero.  Writing a*s + b = L(s)/Q with L an
         integer linear polynomial and Q an integer, a form c0 + c1 t becomes
         (c0 Q + c1 L)/Q and the numerator Q^-deg times an integer polynomial."""
-        a, b = Fraction(a), Fraction(b)
         if not a:
-            raise ValueError("affine substitution needs a != 0")
+            raise ValidationError("affine substitution needs a != 0")
         if not self.num:
             return self
         big_q = a.denominator * b.denominator
-        lin = (b.numerator * a.denominator, a.numerator * b.denominator)
-        num: tuple = ()
-        power = 1
+        l0, l1 = b.numerator * a.denominator, a.numerator * b.denominator
+        # Horner in place: num <- num L + c Q^i, top coefficient first
+        num, power = [], 1
         for c in reversed(self.num):
-            num = padd(pmul(num, lin), (c * power,))
+            num.append(0)
+            for i in range(len(num) - 1, 0, -1):
+                num[i] = num[i] * l0 + num[i - 1] * l1
+            num[0] = num[0] * l0 + c * power
             power *= big_q
         scale = self.scale
         forms = {}
         den_degree = 0
         for (c0, c1), mult in self.forms:
-            unit, form = _form(c0 * big_q + c1 * lin[0], c1 * lin[1])
+            unit, form = _form(c0 * big_q + c1 * l0, c1 * l1)
             scale *= unit ** mult
             forms[form] = mult
             den_degree += mult
         # the powers of Q left over from numerator and forms
         excess = den_degree - (len(self.num) - 1)
         if excess > 0:
-            num = tuple([c * big_q ** excess for c in num])
+            num = [c * big_q ** excess for c in num]
         else:
             scale *= big_q ** -excess
-        return RatFun._canonical(num, scale, forms, ())
+        return RatFun._canonical(tuple(num), scale, forms, ())
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)

@@ -35,12 +35,16 @@ class Stratum(NamedTuple):
 
 @checked
 class StratifiedResolution(NamedTuple):
-    """Components (N, nu) and strata chi(E_I°); support_lcm = lcm(N_i) is
-    computed here, and every l with a nonzero Z^(l) divides it."""
+    """Components (N, nu) and strata chi(E_I°).  Two fields are derived
+    here, once: support_lcm = lcm(N_i), which every l with a nonzero Z^(l)
+    divides, and terms, the sum_inv_products terms of Z^(1): one
+    (chi, factors) per stratum with chi != 0, factors the pairs (nu_i, N_i)
+    over i in I."""
     components: list[Component]
     strata: list[Stratum]
     prod_nu0: int
     support_lcm: int       # derived
+    terms: list            # derived
 
     def _new(cls, components, strata, prod_nu0=1):
         ids = {c.id for c in components}
@@ -58,32 +62,31 @@ class StratifiedResolution(NamedTuple):
         for c in components:
             if c.N < 1 or c.nu < 1:
                 raise ValidationError(f"component {c.id}: N and nu must be >= 1")
+        by_id = {c.id: (c.nu, c.N) for c in components}
+        terms = [(st.chi, tuple([by_id[cid] for cid in st.I]))
+                 for st in strata if st.chi]
         # normalization: sum chi / prod nu_i over strata is 1 / prod_nu0
-        nu = {c.id: c.nu for c in components}
-        total = sum((Fraction(st.chi, prod([nu[cid] for cid in st.I]))
-                     for st in strata), Fraction(0))
+        total = sum((Fraction(chi, prod([nu for nu, _ in factors]))
+                     for chi, factors in terms), Fraction(0))
         if total != Fraction(1, prod_nu0):
             raise ValidationError(
                 f"normalization fails: sum chi/prod nu = {total}, "
                 f"expected 1/{prod_nu0}")
         return tuple.__new__(cls, (components, strata, prod_nu0,
-                                   lcm_all(c.N for c in components)))
+                                   lcm_all(c.N for c in components), terms))
 
 
 def ztop_from_strata(res: StratifiedResolution, l: int = 1) -> RatFun:
     """Z_top^(l); l = 1 imposes no divisibility condition.  Zero, at the
-    cost of one modulo, when l does not divide res.support_lcm."""
+    cost of one modulo, when l does not divide res.support_lcm or no N_i;
+    otherwise the stored res.terms with l | every N_i (all of them at
+    l = 1) go straight to sum_inv_products."""
     if l < 1:
         raise ValidationError("l must be >= 1")
     if res.support_lcm % l or all(c.N % l for c in res.components):
         return RatFun.zero()
-    by_id = {c.id: c for c in res.components}
-    terms = []
-    for st in res.strata:
-        comps = [by_id[cid] for cid in st.I]
-        if all(c.N % l == 0 for c in comps):
-            terms.append((st.chi, [(c.nu, c.N) for c in comps]))
-    return RatFun.sum_inv_products(terms)
+    return RatFun.sum_inv_products(res.terms if l == 1 else [
+        t for t in res.terms if all(n % l == 0 for _, n in t[1])])
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,15 @@ def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list:
     part = RatFun._part
     parts = [part(1, [(nu_z, m)], z=at_r[l])] \
         if m % l == 0 and l in at_r else []
+    # 1/prod_nu0 and rho's 1/k are constant factors (b = 0) of the parts
     if minus:
         kr = [(nu_z, m + k)]
-        parts.append(part(Fraction(1, f.prod_nu0), kr))
+        parts.append(part(1, [*kr, (f.prod_nu0, 0)]))
         if 1 in at_r:
             parts.append(part(-1, kr, z=at_r[1]))
-    w_l = ([(1, 1)], (0, 1)) if l == 1 else ((), (1,))   # s/(s + 1) or 1
-    parts += [part(Fraction(-w, k), *w_l, z=at_r[j]) for j, w in rho.items()]
+    # w_l / k: s/(k (s + 1)) or 1/k
+    w_l = ([(k, 0), (1, 1)], (0, 1)) if l == 1 else ([(k, 0)], (1,))
+    parts += [part(-w, *w_l, z=at_r[j]) for j, w in rho.items()]
     return parts
 
 

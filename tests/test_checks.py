@@ -4,8 +4,9 @@ import pytest
 
 from conftest import load_fixture
 from topzeta.arith import divisor_closure
-from topzeta.checks import check_holomorphy, check_monodromy, curve_subject, \
-    default_l_max, lys_subject, subject_from_json, suspension_subject
+from topzeta.checks import CheckItem, check_holomorphy, check_monodromy, \
+    curve_subject, default_l_max, lys_subject, subject_from_json, \
+    suspension_subject
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import lys_charpoly, lys_from_json, lys_orders, lys_ztop
@@ -44,6 +45,28 @@ def test_monodromy_negative_case():
 def test_monodromy_rejects_nonpolynomial():
     with pytest.raises(ValueError):
         check_monodromy(RatFun.one(), CycloProduct.from_factors({2: -1}))
+
+
+def test_monodromy_refuses_nonpolynomial_as_bad_input():
+    with pytest.raises(ValidationError) as exc:
+        check_monodromy(RatFun.one(), CycloProduct.from_factors({2: -1}))
+    assert type(exc.value) is ValidationError
+
+
+def test_holomorphy_passing_items_are_plain_check_items(triple_cusp_graph):
+    # a passing item is built by tuple.__new__ and must be the CheckItem
+    # the constructor builds, down to its type and its JSON
+    subjects = [curve_subject(triple_cusp_graph),
+                suspension_subject(summary_from_graph(triple_cusp_graph), 2),
+                lys_subject(lys_from_json(load_fixture("lys_xyz_k1.json")))]
+    for subject in subjects:
+        items = check_holomorphy(subject.zeta, subject.orders).items
+        assert items and all(item.ok for item in items)
+        for item in items:
+            assert type(item) is CheckItem
+            assert item == CheckItem(item.ell, True)
+            assert item.to_json() == CheckItem(item.ell, True).to_json() \
+                == {"ell": item.ell, "ok": True}
 
 
 def test_holomorphy_suspension(triple_cusp_graph):

@@ -9,6 +9,7 @@ from closed_forms import thom_sebastiani_walk
 from cycloexpand import expand_poly
 from topzeta.arith import divisor_closure, jordan_totient, lcm_all
 from topzeta.cyclo import CycloProduct
+from topzeta.errors import ValidationError
 
 brackets_strategy = st.lists(
     st.tuples(st.integers(1, 30), st.integers(-3, 3).filter(bool)),
@@ -194,6 +195,20 @@ def test_casesorder2_on_random_inputs():
         h = CycloProduct.from_factors(factors)
         tensored = h.thom_sebastiani_tensor(2)
         assert tensored.root_orders() == _orders_after_z2(h.root_orders())
+
+
+def test_power_brackets_refuses_bad_arguments_as_bad_input():
+    h = CycloProduct.from_brackets([(6, 1)])
+    for k, p in ((0, 1), (2, 0)):
+        with pytest.raises(ValidationError) as exc:
+            h.power_brackets(k, p)
+        assert type(exc.value) is ValidationError
+
+
+def test_thom_sebastiani_refuses_non_polynomial_as_bad_input():
+    with pytest.raises(ValidationError) as exc:
+        CycloProduct.from_factors({2: -1}).thom_sebastiani_tensor(2)
+    assert type(exc.value) is ValidationError
 
 
 def test_thom_sebastiani_matches_residue_walk():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratroots import roots_by_search
-from topzeta.errors import ConsistencyError
+from topzeta.errors import ConsistencyError, ValidationError
 from topzeta.ratfun import FactorizationError, PoleError, RatFun, \
     linear_product, pdiv_linear, pmul, render_latex, render_text
 
@@ -151,6 +151,47 @@ def test_equality_matches_cross_multiplication(f, g):
 def test_substitute_affine_roundtrip(f, a, b):
     g = f.substitute_affine(a, b)
     assert g.substitute_affine(F(1, a), F(-b, a)) == f
+
+
+def test_substitute_affine_refuses_zero_slope_as_bad_input():
+    with pytest.raises(ValidationError) as exc:
+        RatFun.inv_linear(1, 1).substitute_affine(F(0, 3), 1)
+    assert type(exc.value) is ValidationError
+
+
+# a and b drawn as n/d with d in 2..6 and both signs, so that the forward
+# substitution runs with Q = den(a) den(b) > 1 too, not only the way back
+fractions_2_6 = st.builds(F, st.integers(-30, 30).filter(bool),
+                          st.integers(2, 6))
+
+
+@given(ratfuns, fractions_2_6, fractions_2_6, st.integers(-5, 5))
+def test_substitute_affine_roundtrip_fractions(f, a, b, x):
+    g = f.substitute_affine(a, b)
+    assert_canonical(g)
+    assert g.substitute_affine(1 / a, -b / a) == f
+    try:
+        value = f.evaluate(a * x + b)
+    except PoleError:
+        return
+    assert g.evaluate(x) == value
+
+
+# the parts suspend_terms builds with a constant factor (b = 0) for the
+# 1/k or 1/prod_nu0 a Fraction scalar would carry: rho's at l = 1, with
+# w_1 = s/(s+1), and at l >= 2, and sigma-'s
+@given(ratfuns.filter(lambda z: z.num), st.integers(-9, 9).filter(bool),
+       st.integers(1, 12), linear_forms)
+def test_part_constant_factors_match_fraction_scalar(z, w, k, form):
+    def value(part):
+        return RatFun._sum([part])
+
+    assert value(RatFun._part(-w, [(k, 0), (1, 1)], (0, 1), z=z)) == \
+        value(RatFun._part(F(-w, k), [(1, 1)], (0, 1), z=z))
+    assert value(RatFun._part(-w, [(k, 0)], (1,), z=z)) == \
+        value(RatFun._part(F(-w, k), (), (1,), z=z))
+    assert value(RatFun._part(1, [form, (k, 0)])) == \
+        value(RatFun._part(F(1, k), [form]))
 
 
 # the two branches of the cancellation rule: summands that hold s + 1 at

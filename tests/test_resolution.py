@@ -55,6 +55,22 @@ def test_normalization_validation():
         StratifiedResolution(comps, [Stratum(frozenset(["E1"]), 2)], 3)
 
 
+def test_terms_are_derived_and_skip_zero_chi_strata():
+    comps = [Component("E1", 2, 3), Component("E2", 4, 6),
+             Component("E3", 6, 3)]
+    strata = [Stratum(frozenset(["E1"]), 1), Stratum(frozenset(["E2"]), 2),
+              Stratum(frozenset(["E3"]), 1),
+              Stratum(frozenset(["E1", "E2"]), 0)]
+    res = StratifiedResolution(comps, strata, 1)
+    assert res.terms == [(1, ((3, 2),)), (2, ((6, 4),)), (1, ((3, 6),))]
+    assert res.support_lcm == 12
+    # derived fields are no constructor arguments
+    with pytest.raises(TypeError):
+        StratifiedResolution(comps, strata, 1, 12, res.terms)
+    with pytest.raises(TypeError):
+        StratifiedResolution(comps, strata, 1, terms=res.terms)
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):  # disconnected
         CurveResolutionGraph([Vertex("E1", 1, 2, None), Vertex("E2", 1, 2, None)],

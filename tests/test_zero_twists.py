@@ -19,8 +19,8 @@ from topzeta.binomial import SIGMA_PLUS, BinomialGerm, cone_multiplicities, \
 from topzeta.checks import check_monodromy, curve_subject
 from topzeta.lys import LysSurface, lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
-from topzeta.resolution import graph_from_json, strata_of_graph, \
-    ztop_from_strata
+from topzeta.resolution import graph_from_json, strata_from_json, \
+    strata_of_graph, strata_to_json, ztop_from_strata
 from topzeta.suspension import ZetaProfile, profile_from_graph, \
     profile_from_json, summary_from_graph, suspend_G
 
@@ -206,6 +206,36 @@ def test_ztop_from_strata_fast_path_matches_sum():
         for l in range(1, l_top + 1):
             assert ztop_from_strata(res, l) == strata_oracle(res, l), l
     assert subjects >= 30
+    assert time.perf_counter() - start < BUDGET_S
+
+
+def test_ztop_from_strata_matches_sum_on_strata_json_with_zero_chi():
+    # stratifications read by strata_from_json that hold zero-chi strata,
+    # which leave no stored term: the curve fixtures, 20 seeded graphs and
+    # a stratification with a zero-chi point stratum, every l <= 2 lcm(N)
+    rng = random.Random(181)
+    graphs = [graph_from_json(load_fixture(f"{name}.json")) for name in
+              ("a3_graph", "cusp_graph", "triple_cusp_graph",
+               "two_cusp_graph")]
+    graphs += [random_graph(rng, rng.randint(2, 5)) for _ in range(20)]
+    inputs = [strata_to_json(strata_of_graph(g)) for g in graphs]
+    # the open strata give 1/3 + 2/6 + 1/3 = 1, and two point strata have
+    # chi = 0
+    inputs.append({
+        "components": [{"id": "E1", "N": 2, "nu": 3},
+                       {"id": "E2", "N": 4, "nu": 6},
+                       {"id": "E3", "N": 6, "nu": 3}],
+        "strata": [{"I": ["E1"], "chi": 1}, {"I": ["E2"], "chi": 2},
+                   {"I": ["E3"], "chi": 1}, {"I": ["E1", "E2"], "chi": 0},
+                   {"I": ["E2", "E3"], "chi": 0}]})
+    start = time.perf_counter()
+    zero_chi = 0
+    for obj in inputs:
+        res = strata_from_json(obj)
+        zero_chi += any(not st.chi for st in res.strata)
+        for l in range(1, min(2 * res.support_lcm, 5_000) + 1):
+            assert ztop_from_strata(res, l) == strata_oracle(res, l), (obj, l)
+    assert zero_chi >= 15
     assert time.perf_counter() - start < BUDGET_S
 
 
