@@ -22,7 +22,8 @@ keep the others.  Each row holds:
     BinomialGerm and CheckItem from fields taken from the grid and the
     holomorphy check; microseconds per sum of two terms over n shared
     forms, for each n of SHARED_FORMS, of RatFun a + b and of
-    RatFun.sum_inv_products; microseconds per RatFun.sum of n canonical
+    RatFun.sum_inv_products, and per product a * c that cancels the n
+    forms; microseconds per RatFun.sum of n canonical
     terms, for each n of SUM_TERMS (a tree without RatFun.sum is timed on
     the left fold of +); microseconds per substitute_affine at
     s -> (7s + 1)/6 of a function of numerator and denominator degree d,
@@ -165,9 +166,10 @@ def construct_rows() -> dict:
 
 def ratfun_rows() -> dict:
     """RatFun addition, microseconds per sum of the two terms
-    1/((s + 1) ... (s + n) (2s + 1)) and 3/((s + 1) ... (s + n) (3s + 1)):
+    a = 1/((s + 1) ... (s + n) (2s + 1)) and 3/((s + 1) ... (s + n) (3s + 1)):
     the n shared forms are held at equal power, so each is tried for
-    cancellation; and per RatFun.sum of n terms."""
+    cancellation; per product a * c with c = (s + 1) ... (s + n)/(3s + 1),
+    whose numerator cancels the n forms; and per RatFun.sum of n terms."""
     rows = {}
     for n in SHARED_FORMS:
         shared = [(i, 1) for i in range(1, n + 1)]
@@ -177,6 +179,10 @@ def ratfun_rows() -> dict:
             operator.add, [(a, b)] * CALLS_PER_TWIST)
         rows[f"sum_inv_products_us|shared={n}"] = per_case_us(
             ratfun.RatFun.sum_inv_products, [(terms,)] * CALLS_PER_TWIST)
+        c = ratfun.RatFun.scaled_inv_product(
+            1, [(1, 3)], ratfun.linear_product(shared))
+        rows[f"ratfun_mul_us|shared={n}"] = per_case_us(
+            operator.mul, [(a, c)] * CALLS_PER_TWIST)
     # n terms (i + 1)/((s + 1)^(1 + i % 2) ((i + 1) s + 1)), as suspend_G's
     # cone terms: one form shared at unequal powers, one of their own
     total = getattr(ratfun.RatFun, "sum", partial(reduce, operator.add))

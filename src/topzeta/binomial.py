@@ -28,7 +28,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ConsistencyError, checked
+from .errors import ConsistencyError, ValidationError, checked
 from .ratfun import RatFun, linear_product, pdiv_linear
 
 SIGMA_PLUS = "sigma+"
@@ -55,11 +55,11 @@ class BinomialGerm(NamedTuple):
 
     def _new(cls, m, k, N, nu, nu_z):
         if m < 0 or k < 1 or nu_z < 1:
-            raise ValueError("need m >= 0, k >= 1, nu_z >= 1")
+            raise ValidationError("need m >= 0, k >= 1, nu_z >= 1")
         if len(N) != len(nu) or not N:
-            raise ValueError("N and nu must have equal positive length")
+            raise ValidationError("N and nu must have equal positive length")
         if any(x < 1 for x in N) or any(x < 1 for x in nu):
-            raise ValueError("N_j and nu_j must be >= 1")
+            raise ValidationError("N_j and nu_j must be >= 1")
         n_q = gcd(*N)
         return tuple.__new__(cls, (m, k, N, nu, nu_z, len(N), n_q, gcd(k, n_q),
                                    tuple([gcd(k, x) for x in N])))
@@ -105,7 +105,7 @@ def cone_multiplicities(g: BinomialGerm) -> ConeData:
     multiplicities, are checked against the closed forms k^q/prod k_j and
     k^{q-1} e_q/prod k_j."""
     if g.q > ENUMERATION_MAX_Q:
-        raise ValueError(f"enumeration bound exceeded: q = {g.q}")
+        raise ValidationError(f"enumeration bound exceeded: q = {g.q}")
     return _cone_data_cached(g.k, g.N)
 
 
@@ -139,7 +139,7 @@ def w_top(g: BinomialGerm, bullet: str) -> RatFun:
         num[0] -= kq * prod_nu
         quot = pdiv_linear(num, (g.nu_z, g.m + g.k))
         return RatFun.scaled_inv_product(Fraction(1, prod_nu), fs, quot)
-    raise ValueError(f"unknown bullet {bullet!r}")
+    raise ValidationError(f"unknown bullet {bullet!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +170,9 @@ class MotTerm(NamedTuple):
     def _new(cls, order, cofactor, atoms, domain=((),), nu_vec=(), weights=(),
              monomials=()):
         if not sum(cofactor):
-            raise ValueError("unit cofactor vanishes at L = 1")
+            raise ValidationError("unit cofactor vanishes at L = 1")
         if (0, 0) in atoms:
-            raise ValueError("atom with (a, b) = (0, 0)")
+            raise ValidationError("atom with (a, b) = (0, 0)")
         return tuple.__new__(cls, (order, cofactor, atoms, domain, nu_vec,
                                    weights, monomials))
 
@@ -228,7 +228,7 @@ def motivic_w(g: BinomialGerm, bullet: str) -> tuple[MotTerm, ...]:
         return (MotTerm(q + 1, (g.e_q,), ((1, 1), *h_atoms),
                         cones.d_rho, nu_full, n_full, monomials=((1, 1),)),)
 
-    raise ValueError(f"unknown bullet {bullet!r}")
+    raise ValidationError(f"unknown bullet {bullet!r}")
 
 
 def euler_specialize(terms: tuple[MotTerm, ...]) -> RatFun:

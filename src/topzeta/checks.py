@@ -146,27 +146,24 @@ def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
 
 
 def default_l_max(orders: OrderSet) -> int:
-    return _l_max(divisor_closure(orders))
-
-
-def _l_max(closure: OrderSet) -> int:
-    return min(2 * lcm_all(closure), L_MAX_CAP) if closure else 2
+    """2 lcm(orders), the lcm of their divisor closure too, capped at
+    L_MAX_CAP; 2 when there are no orders (lcm_all of nothing is 1)."""
+    return min(2 * lcm_all(orders), L_MAX_CAP)
 
 
 def check_holomorphy(zeta_family: Callable[[int], RatFun], orders: OrderSet,
                      l_max: int | None = None) -> Report:
     """Every 1 < l <= l_max outside the order closure must give the zero
     function; l inside the closure is unconstrained and skipped.  A given
-    l_max must lie in [2, L_MAX_CAP]; the default is default_l_max's, from
-    the one closure computed here.  A passing item is built as the checked
-    types' _new build theirs, by tuple.__new__, and equals
-    CheckItem(l, True)."""
+    l_max must lie in [2, L_MAX_CAP]; the default is default_l_max's.  A
+    passing item is built as the checked types' _new build theirs, by
+    tuple.__new__, and equals CheckItem(l, True)."""
     if l_max is not None and not 2 <= l_max <= L_MAX_CAP:
         raise ValidationError(
             f"l_max must be between 2 and {L_MAX_CAP}, got {l_max}")
     closure = divisor_closure(orders)
     items, new = [], tuple.__new__
-    for l in range(2, (l_max or _l_max(closure)) + 1):
+    for l in range(2, (l_max or default_l_max(orders)) + 1):
         if l not in closure:
             z = zeta_family(l)
             items.append(CheckItem(l, False, f"Z^({l}) = {z}") if z.num

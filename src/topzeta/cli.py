@@ -30,21 +30,16 @@ def _read_json(path: str) -> dict:
     return json_check(obj, dict, "input")
 
 
-def _render(f: RatFun, fmt: str):
-    if fmt == "latex":
-        return render_latex(f)
-    if fmt == "json":
-        return f.to_json()
-    return render_text(f)
+def _render(f: RatFun, fmt: str) -> str:
+    """f as text or latex; JSON output prints the payload instead."""
+    return render_latex(f) if fmt == "latex" else render_text(f)
 
 
-def _render_cyclo(h: CycloProduct, fmt: str):
+def _render_cyclo(h: CycloProduct, fmt: str) -> str:
     if fmt == "latex":
         parts = [rf"\Phi_{{{d}}}" + (f"^{{{e}}}" if e != 1 else "")
                  for d, e in h.items]
         return " ".join(parts) if parts else "1"
-    if fmt == "json":
-        return cyclo_to_json(h)
     return cyclo_str(h)
 
 
@@ -102,16 +97,13 @@ def _cmd_suspend(args) -> int:
         lines = [_render(results[0][1], args.format)]
     else:
         lines = [f"Z^({l}) = {_render(z, args.format)}" for l, z in results]
+    holds = True
     if args.matrix:
         b_matrix, holds = suspension.suspend_matrix(profile, args.k)
         payload["matrix"] = {"B": b_matrix, "identity_holds": holds}
-        lines.append(f"B = {b_matrix}")
-        lines.append(f"identity_holds = {holds}")
-        if not holds:
-            _print(args, payload, lines)
-            return 3
+        lines += [f"B = {b_matrix}", f"identity_holds = {holds}"]
     _print(args, payload, lines)
-    return 0
+    return 0 if holds else 3
 
 
 def _cmd_lys(args, sis: bool) -> int:

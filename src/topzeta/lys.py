@@ -3,8 +3,8 @@
 A germ F = f_m + f_{m+k} + ... with projectivized tangent cone C_m whose
 singular points avoid V(f_{m+k}) blows down to a stratification of the
 exceptional P^n, so its zeta functions assemble from the global strata and
-one generalized-suspension term per singular point of C_m, in the shift
-r = (1 + n + (m+k)s)/k, as raw parts of one sum.  The characteristic
+the generalized-suspension terms of each singular point of C_m, in the
+shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products.  The characteristic
 polynomial is one bracket list, (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
 prod_q Delta_q^(k)(tau^{m+k}), also for superisolated surfaces (k = 1).
 Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
@@ -56,20 +56,19 @@ class LysSurface(NamedTuple):
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     """Z_top^(l)(F, s): the global strata terms and every singular point's
-    suspension terms (suspend_terms), as parts of one RatFun._sum.  Zero,
-    before any part is built, when l does not divide S.support_lcm."""
+    suspend_terms, added by one RatFun.sum_inv_products.  Zero, before any
+    term is built, when l does not divide S.support_lcm."""
     if l < 1:
         raise ValidationError("l must be >= 1")
     if S.support_lcm % l:
         return RatFun.zero()
     krs = (S.n + 1, S.m)                     # k (r - s) = m s + n + 1
-    parts = [RatFun._part(S.chi_complement, [krs])] \
-        if S.m % l == 0 and S.chi_complement else []
-    if l == 1 and S.chi_curve_smooth:
-        parts.append(RatFun._part(S.chi_curve_smooth, [krs, (1, 1)]))
+    terms = [(S.chi_complement, [krs])] if S.m % l == 0 else []
+    if l == 1:
+        terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
     for point in S.points:
-        parts += suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)
-    return RatFun._sum(parts)
+        terms += suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)
+    return RatFun.sum_inv_products(terms)
 
 
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:

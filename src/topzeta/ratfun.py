@@ -255,9 +255,9 @@ class RatFun(NamedTuple):
         """The _sum part (num, den, forms) of scalar * num(s) * z(s) /
         prod (a_i + b_i s) for a nonzero int or Fraction scalar, num and z
         nonzero, z canonical or None for 1.  Each a_i + b_i s is a unit
-        (into den) times a primitive form, or a constant when b_i = 0.  As
-        in __mul__, a new form can only cancel against num z.num and a form
-        of z only against num."""
+        (into den) times a primitive form, or a constant when b_i = 0.  A
+        new form can only cancel against num z.num and a form of z only
+        against num; products (__mul__) follow the same rule."""
         den, new = scalar.denominator, {}
         for a, b in factors:
             if not b:
@@ -354,9 +354,11 @@ class RatFun(NamedTuple):
 
     @staticmethod
     def sum_inv_products(terms) -> "RatFun":
-        """sum of scalar / prod (a + b s) over (scalar, factors) pairs."""
-        return RatFun._sum([RatFun._part(scalar, factors)
-                            for scalar, factors in terms if scalar])
+        """sum of scalar num(s) z(s) / prod (a + b s) over terms (scalar,
+        factors[, num[, z]]), num a nonzero trimmed integer polynomial, z
+        a nonzero canonical RatFun (both 1 by default); skips zero scalars."""
+        part = RatFun._part
+        return RatFun._sum([part(*t) for t in terms if t[0]])
 
     @staticmethod
     def const(c: Scalar) -> "RatFun":
@@ -429,16 +431,10 @@ class RatFun(NamedTuple):
             return NotImplemented
         if not self.num or not o.num:
             return _ZERO
-        forms = dict(self.forms)
-        for f, m in o.forms:
-            forms[f] = forms.get(f, 0) + m
-        # a form of one factor can only cancel against the other numerator,
-        # and a constant numerator cancels nothing
-        cancel = {f for f, _ in self.forms} if len(o.num) > 1 else set()
-        if len(self.num) > 1:
-            cancel ^= {f for f, _ in o.forms}
-        return RatFun._canonical(pmul(self.num, o.num), self.scale * o.scale,
-                                 forms, cancel)
+        # a constant numerator goes in the term: no form is tried against it
+        x, z = (self, o) if len(self.num) == 1 else (o, self)
+        return RatFun._canonical(*RatFun._part(Fraction(1, x.scale), [
+            f for f, m in x.forms for _ in range(m)], x.num, z), ())
 
     __rmul__ = __mul__
 

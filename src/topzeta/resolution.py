@@ -47,6 +47,7 @@ class StratifiedResolution(NamedTuple):
     terms: list            # derived
 
     def _new(cls, components, strata, prod_nu0=1):
+        check_prod_nu0(prod_nu0)
         ids = {c.id for c in components}
         if len(ids) != len(components):
             raise ValidationError("duplicate component ids")
@@ -114,6 +115,12 @@ class CurveResolutionGraph(NamedTuple):
     prod_nu0: int
 
     def _new(cls, vertices, arrows, edges, prod_nu0=1):
+        for v in vertices:
+            for key, value in (("N", v.N), ("nu", v.nu)):
+                if value < 1:
+                    raise ValidationError(
+                        f"vertex {v.id}: non-positive {key} = {value}")
+        check_prod_nu0(prod_nu0)
         ids = {v.id for v in vertices}
         if len(ids) != len(vertices):
             raise ValidationError("duplicate vertex ids")
@@ -284,8 +291,9 @@ def graph_to_json(g: CurveResolutionGraph) -> dict:
 
 def graph_from_json(obj: dict) -> CurveResolutionGraph:
     json_check(obj, dict, "'graph'")
-    vertices = [Vertex(json_field(d, "id", str, f"'vertices'[{i}]"),
-                       _positive(d, "N"), _positive(d, "nu"),
+    vertices = [Vertex(vid := json_field(d, "id", str, f"'vertices'[{i}]"),
+                       json_field(d, "N", record=f"vertex {vid}"),
+                       json_field(d, "nu", record=f"vertex {vid}"),
                        None if d.get("self_intersection") is None
                        else _self_intersection(d))
                 for i, d in enumerate(json_array(obj, "vertices"))]
@@ -313,18 +321,14 @@ def _edges(obj: dict) -> list[tuple]:
 
 
 def prod_nu0_from_json(obj: dict) -> int:
-    """The optional positive 'prod_nu0' of a graph, strata or profile."""
-    value = json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
+    """The optional 'prod_nu0' of a graph, strata or profile, unchecked."""
+    return json_number(obj.get("prod_nu0", 1), "'prod_nu0'")
+
+
+def check_prod_nu0(value: int) -> None:
+    """The range check of prod_nu0 in every value type that holds one."""
     if value < 1:
         raise ValidationError(f"'prod_nu0' must be >= 1, got {value}")
-    return value
-
-
-def _positive(d: dict, key: str) -> int:
-    value = json_field(d, key, record=f"vertex {d.get('id')}")
-    if value < 1:
-        raise ValidationError(f"vertex {d.get('id')}: non-positive {key} = {value}")
-    return value
 
 
 def strata_to_json(res: StratifiedResolution) -> dict:

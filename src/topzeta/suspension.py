@@ -25,8 +25,8 @@ from .arith import divisor_closure, divisors, frak_m, jordan_totient, \
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
 from .errors import ValidationError, checked, json_array, json_field
 from .ratfun import RatFun
-from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
-    prod_nu0_from_json, strata_of_graph, ztop_from_strata
+from .resolution import CurveResolutionGraph, acampo, check_prod_nu0, \
+    graph_from_json, prod_nu0_from_json, strata_of_graph, ztop_from_strata
 
 _ZERO = RatFun.zero()
 
@@ -48,6 +48,7 @@ class ZetaProfile(NamedTuple):
     support_lcm: int       # derived
 
     def _new(cls, entries, prod_nu0=1, validate=True):
+        check_prod_nu0(prod_nu0)
         entries = MappingProxyType(dict(entries))
         for l in entries:
             if l < 1:
@@ -115,7 +116,7 @@ def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
 
 
 def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list:
-    """suspend_G's nonzero cone terms as RatFun._sum parts, with every
+    """suspend_G's nonzero cone terms for RatFun.sum_inv_products, with each
     nonzero entry read substituted once; none outside the support gate."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
         raise ValidationError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
@@ -135,19 +136,18 @@ def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list:
         return []
     a, b = Fraction(m + k, k), Fraction(nu_z, k)
     at_r = {j: z.substitute_affine(a, b) for j, z in read.items()}
-    part = RatFun._part
-    parts = [part(1, [(nu_z, m)], z=at_r[l])] \
+    terms = [(1, [(nu_z, m)], (1,), at_r[l])] \
         if m % l == 0 and l in at_r else []
-    # 1/prod_nu0 and rho's 1/k are constant factors (b = 0) of the parts
+    # 1/prod_nu0 and rho's 1/k are constant factors (b = 0) of the terms
     if minus:
         kr = [(nu_z, m + k)]
-        parts.append(part(1, [*kr, (f.prod_nu0, 0)]))
+        terms.append((1, [*kr, (f.prod_nu0, 0)]))
         if 1 in at_r:
-            parts.append(part(-1, kr, z=at_r[1]))
+            terms.append((-1, kr, (1,), at_r[1]))
     # w_l / k: s/(k (s + 1)) or 1/k
     w_l = ([(k, 0), (1, 1)], (0, 1)) if l == 1 else ([(k, 0)], (1,))
-    parts += [part(-w, *w_l, z=at_r[j]) for j, w in rho.items()]
-    return parts
+    terms += [(-w, *w_l, at_r[j]) for j, w in rho.items()]
+    return terms
 
 
 def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
@@ -162,9 +162,9 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
       - w_l(s) sum_{e | k} J_2(e)/k Z^(lcm(e, m(k,l,m+k)))(f)(r)  rho, rho*
 
     with w_1 = s/(s+1) = 1 - 1/(s+1) (rho* adds the -1/(s+1)) and w_l = 1
-    for l >= 2 (rho* vanishes).  suspend_terms lists the terms as raw
-    parts, rho's with equal entries merged, and RatFun._sum adds them
-    over one common denominator, where k r cancels from sigma-.
+    for l >= 2 (rho* vanishes).  suspend_terms lists the terms, rho's with
+    equal entries merged, and RatFun.sum_inv_products adds them over one
+    common denominator, where k r cancels from sigma-.
 
     Support gate: the result is zero unless l divides
     (m+k) f.support_lcm, and then no entry is read.  Each term needs it:
@@ -173,8 +173,8 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
     is nonzero only for some s in the support that m(k,l,m+k) divides, and
     every such multiple M of m(k,l,m+k) has l gcd(k, M) | (m+k) M, so
     l | (m+k) s."""
-    parts = suspend_terms(f, m, k, nu_z, l)
-    return RatFun._sum(parts) if parts else _ZERO
+    terms = suspend_terms(f, m, k, nu_z, l)
+    return RatFun.sum_inv_products(terms) if terms else _ZERO
 
 
 def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int) -> ZetaProfile:

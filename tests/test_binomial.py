@@ -10,7 +10,7 @@ from closed_forms import _enumerate_domain, n_bullet, rho_rays, \
 from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, SIGMA_PLUS, \
     BinomialGerm, MotTerm, cone_multiplicities, euler_specialize, motivic_w, \
     w_top
-from topzeta.errors import ConsistencyError
+from topzeta.errors import ConsistencyError, ValidationError
 from topzeta.ratfun import RatFun
 
 
@@ -66,6 +66,25 @@ def test_domains_match_box_walk_random():
 def test_cone_enumeration_bound():
     with pytest.raises(ValueError):
         cone_multiplicities(BinomialGerm(0, 2, (1,) * 7, (1,) * 7, 1))
+
+
+def test_bad_arguments_raise_validation_error():
+    # every bad argument is the package's bad-input error, not a bare
+    # ValueError: the germ's fields, the enumeration bound, an unknown
+    # bullet, a unit vanishing at L = 1 and a (0, 0) atom
+    g = BinomialGerm(0, 2, (1,), (1,), 1)
+    cases = [lambda: BinomialGerm(0, 0, (1,), (1,), 1),
+             lambda: BinomialGerm(0, 1, (1, 2), (1,), 1),
+             lambda: BinomialGerm(0, 1, (0,), (1,), 1),
+             lambda: cone_multiplicities(
+                 BinomialGerm(0, 2, (1,) * 7, (1,) * 7, 1)),
+             lambda: w_top(g, "tau"), lambda: motivic_w(g, "tau"),
+             lambda: MotTerm(0, (1, -1), ((1, 1),)),
+             lambda: MotTerm(0, (1,), ((0, 0),))]
+    for case in cases:
+        with pytest.raises(ValidationError) as info:
+            case()
+        assert type(info.value) is ValidationError
 
 
 def _brute_n_bullet(g: BinomialGerm, bullet: str, box: int = 12) -> int:

@@ -177,21 +177,19 @@ def test_substitute_affine_roundtrip_fractions(f, a, b, x):
     assert g.evaluate(x) == value
 
 
-# the parts suspend_terms builds with a constant factor (b = 0) for the
+# the terms suspend_terms builds with a constant factor (b = 0) for the
 # 1/k or 1/prod_nu0 a Fraction scalar would carry: rho's at l = 1, with
 # w_1 = s/(s+1), and at l >= 2, and sigma-'s
 @given(ratfuns.filter(lambda z: z.num), st.integers(-9, 9).filter(bool),
        st.integers(1, 12), linear_forms)
 def test_part_constant_factors_match_fraction_scalar(z, w, k, form):
-    def value(part):
-        return RatFun._sum([part])
+    def value(*term):
+        return RatFun.sum_inv_products([term])
 
-    assert value(RatFun._part(-w, [(k, 0), (1, 1)], (0, 1), z=z)) == \
-        value(RatFun._part(F(-w, k), [(1, 1)], (0, 1), z=z))
-    assert value(RatFun._part(-w, [(k, 0)], (1,), z=z)) == \
-        value(RatFun._part(F(-w, k), (), (1,), z=z))
-    assert value(RatFun._part(1, [form, (k, 0)])) == \
-        value(RatFun._part(F(1, k), [form]))
+    assert value(-w, [(k, 0), (1, 1)], (0, 1), z) == \
+        value(F(-w, k), [(1, 1)], (0, 1), z)
+    assert value(-w, [(k, 0)], (1,), z) == value(F(-w, k), (), (1,), z)
+    assert value(1, [form, (k, 0)]) == value(F(1, k), [form])
 
 
 # the two branches of the cancellation rule: summands that hold s + 1 at
@@ -311,17 +309,59 @@ def _kernel_terms(rng):
     return terms
 
 
+# canonical z for (scalar, factors, num, z) terms: poles at s = 0, which a
+# numerator s cancels, and elsewhere, and none
+Z_POOL = [RatFun.from_polys([1], [0, 1]), RatFun.from_polys([1, 2], [0, 1, 1]),
+          RatFun.from_polys([3, 1], [0, 0, 2]), RatFun.inv_linear(2, 1),
+          RatFun.linear(1, 3)]
+
+
+def _numerator_terms(rng):
+    """Terms with a numerator s or s + 2, some with a z from Z_POOL, and
+    pairs c num z/F - c (3 num) z/(3 F) that cancel, spelled with a b = 0
+    factor; scalars may be zero."""
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        c = rng.randint(-3, 3)
+        factors = [rng.choice(KERNEL_FACTORS) for _ in range(rng.randint(0, 2))]
+        num = rng.choice([(0, 1), (2, 1)])
+        z = rng.choice(Z_POOL)
+        terms.append((c, factors, num, z) if rng.random() < 0.8
+                     else (c, factors, num))
+        if rng.random() < 0.5:
+            terms.append((-c, factors + [(3, 0)], tuple([3 * x for x in num]),
+                          *terms[-1][3:]))
+    return terms
+
+
+def _convolve(p, q):
+    """p q for dense polynomials, without the package's helpers."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def _dense_sum(terms):
-    """sum scalar_i / prod factors_i as one dense fraction over a common
-    multiple of the denominators: the factors as spelled, each to its
+    """sum scalar_i num_i z_i / prod factors_i over (scalar, factors[, num[,
+    z]]) terms as one dense fraction over a common multiple of the
+    denominators: the factors as spelled and the forms of z, each to its
     largest count in one term, times the scalars' common denominator."""
+    dense = []
+    for t in terms:
+        scalar, factors, num, z = (*t, *((1,), RatFun.one())[len(t) - 2:])
+        dense.append((F(scalar, z.scale), list(factors) + [
+            f for f, mult in z.forms for _ in range(mult)],
+            _convolve(num, z.num)))
     common = Counter()
-    for _, factors in terms:
+    for _, factors, _ in dense:
         common |= Counter(factors)
-    d = lcm(1, *(F(scalar).denominator for scalar, _ in terms))
+    d = lcm(1, *(scalar.denominator for scalar, _, _ in dense))
     num = [0]
-    for scalar, factors in terms:
-        lifted = expand(int(scalar * d), (common - Counter(factors)).elements())
+    for scalar, factors, top in dense:
+        lifted = _convolve(expand(int(scalar * d),
+                                  (common - Counter(factors)).elements()), top)
         num = [(num[i] if i < len(num) else 0)
                + (lifted[i] if i < len(lifted) else 0)
                for i in range(max(len(num), len(lifted)))]
@@ -331,19 +371,25 @@ def _dense_sum(terms):
 def test_sum_inv_products_matches_dense_sum():
     # the one-denominator kernel against the cross-multiplied dense sum,
     # factored by from_polys: equal and canonical, with forms that cancel
-    # and sums that vanish covered
+    # and sums that vanish covered, and in every other sum terms with a
+    # numerator and a canonical z (zero scalars and b = 0 factors included)
     rng = random.Random(89)
-    cancelled = zeros = 0
-    for _ in range(2000):
+    cancelled = zeros = with_z = 0
+    for i in range(2000):
         terms = _kernel_terms(rng)
+        if i % 2:
+            terms += _numerator_terms(rng)
+            rng.shuffle(terms)
+            with_z += any(len(t) == 4 and t[0] for t in terms)
         total = RatFun.sum_inv_products(terms)
         assert_canonical(total)
         assert total == RatFun.from_polys(*_dense_sum(terms)), terms
-        forms = {f for scalar, factors in terms
-                 for f, _ in RatFun.scaled_inv_product(scalar, factors).forms}
+        forms = {f for t in terms
+                 for f, _ in RatFun.sum_inv_products([t]).forms}
         zeros += total.is_zero()
         cancelled += bool(forms - {f for f, _ in total.forms})
-    assert zeros > 250 and cancelled > 800, (zeros, cancelled)
+    assert zeros > 250 and cancelled > 800 and with_z > 500, \
+        (zeros, cancelled, with_z)
     assert RatFun.sum_inv_products([]) == RatFun.zero()
     assert RatFun.sum_inv_products(iter([(0, [(1, 1)])])) == RatFun.zero()
     with pytest.raises(ZeroDivisionError):

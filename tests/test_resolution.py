@@ -244,6 +244,28 @@ def test_randomized_normalization_and_monodromy():
             assert order == 1 or tilde.exponent(order) >= 1  # Veys' theorem
 
 
+@pytest.mark.parametrize("prod_nu0", [0, -1])
+def test_library_refuses_prod_nu0_below_one(prod_nu0):
+    # the value types check the range themselves, with the JSON readers'
+    # message; a library caller used to get ZeroDivisionError or no error
+    message = f"'prod_nu0' must be >= 1, got {prod_nu0}"
+    with pytest.raises(ValidationError) as info:
+        StratifiedResolution([Component("E1", 2, 2)],
+                             [Stratum(frozenset(["E1"]), 2)], prod_nu0)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError) as info:
+        CurveResolutionGraph([Vertex("E1", 2, 2, None)], [], [], prod_nu0)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", ["N", "nu"])
+def test_library_refuses_vertex_below_one(key):
+    vertex = Vertex("E1", 2, 2, None)._replace(**{key: 0})
+    with pytest.raises(ValidationError) as info:
+        CurveResolutionGraph([vertex], [], [])
+    assert str(info.value) == f"vertex E1: non-positive {key} = 0"
+
+
 def test_json_roundtrips(triple_cusp_graph):
     as_json = graph_to_json(triple_cusp_graph)
     again = graph_from_json(as_json)

@@ -19,6 +19,22 @@ def test_no_assert_in_package():
     assert not offenders, offenders
 
 
+def test_ratfun_private_names_stay_in_ratfun():
+    # RatFun's sum kernel (_part, _sum) and canonical form (_canonical) have
+    # one owner: other modules hand terms to sum_inv_products instead
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ratfun.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and "RatFun" in (getattr(node.value, "id", None),
+                             getattr(node.value, "attr", None))]
+    assert not offenders, offenders
+
+
 # Callers of the package that tier-1 does not run: removing a name they read
 # would break them without failing any other test.
 UNTESTED_CALLERS = ["perfbench/workloads.py", "perfbench/capture.py",

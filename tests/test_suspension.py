@@ -38,6 +38,15 @@ def test_profile_invariants():
     assert prof.entry(7).is_zero()
 
 
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("prod_nu0", [0, -1])
+def test_profile_refuses_prod_nu0_below_one(prod_nu0, validate):
+    # with the JSON reader's message, also where no normalization is checked
+    with pytest.raises(ValidationError) as info:
+        ZetaProfile({1: RatFun.inv_linear(1, 1)}, prod_nu0, validate)
+    assert str(info.value) == f"'prod_nu0' must be >= 1, got {prod_nu0}"
+
+
 def test_x5y6_rows(x5y6_profile):
     prof = x5y6_profile
     u = [7, 15]
@@ -468,7 +477,8 @@ def test_parts_cancel_where_entries_vanish():
         f = _vanishing_profile(rng, _special_roots(m, k, nu_z),
                                F(nu_z, k))
         for l in divisors((m + k) * f.support_lcm):
-            parts = suspend_terms(f, m, k, nu_z, l)
+            parts = [RatFun._part(*t)
+                     for t in suspend_terms(f, m, k, nu_z, l)]
             for num, _, forms in parts:
                 for a, b in forms:
                     assert sum(c * F(-a, b) ** i
