@@ -22,8 +22,9 @@ keep the others.  Each row holds:
     BinomialGerm and CheckItem from fields taken from the grid and the
     holomorphy check; microseconds per sum of two terms over n shared
     forms, for each n of SHARED_FORMS, of RatFun a + b and of
-    RatFun.sum_inv_products, and per product a * c that cancels the n
-    forms; microseconds per RatFun.sum of n canonical
+    RatFun.sum_inv_products, per product a * c that cancels the n
+    forms and per quotient a / d by d = 1/c, whose factored reciprocal
+    cancels them; microseconds per RatFun.sum of n canonical
     terms, for each n of SUM_TERMS (a tree without RatFun.sum is timed on
     the left fold of +); microseconds per substitute_affine at
     s -> (7s + 1)/6 of a function of numerator and denominator degree d,
@@ -169,33 +170,38 @@ def ratfun_rows() -> dict:
     a = 1/((s + 1) ... (s + n) (2s + 1)) and 3/((s + 1) ... (s + n) (3s + 1)):
     the n shared forms are held at equal power, so each is tried for
     cancellation; per product a * c with c = (s + 1) ... (s + n)/(3s + 1),
-    whose numerator cancels the n forms; and per RatFun.sum of n terms."""
+    whose numerator cancels the n forms; per quotient a / d with
+    d = (3s + 1)/((s + 1) ... (s + n)), whose factored reciprocal c
+    cancels them; and per RatFun.sum of n terms.  Every input is built by
+    one-term sum_inv_products."""
     rows = {}
+    term = ratfun.RatFun.sum_inv_products
     for n in SHARED_FORMS:
         shared = [(i, 1) for i in range(1, n + 1)]
         terms = [(1, shared + [(1, 2)]), (3, shared + [(1, 3)])]
-        a, b = [ratfun.RatFun.scaled_inv_product(c, f) for c, f in terms]
+        a, b = [term([t]) for t in terms]
         rows[f"ratfun_add_us|shared={n}"] = per_case_us(
             operator.add, [(a, b)] * CALLS_PER_TWIST)
         rows[f"sum_inv_products_us|shared={n}"] = per_case_us(
             ratfun.RatFun.sum_inv_products, [(terms,)] * CALLS_PER_TWIST)
-        c = ratfun.RatFun.scaled_inv_product(
-            1, [(1, 3)], ratfun.linear_product(shared))
+        c = term([(1, [(1, 3)], ratfun.linear_product(shared))])
         rows[f"ratfun_mul_us|shared={n}"] = per_case_us(
             operator.mul, [(a, c)] * CALLS_PER_TWIST)
+        d = term([(1, shared, (1, 3))])
+        rows[f"ratfun_div_us|shared={n}"] = per_case_us(
+            operator.truediv, [(a, d)] * CALLS_PER_TWIST)
     # n terms (i + 1)/((s + 1)^(1 + i % 2) ((i + 1) s + 1)), as suspend_G's
     # cone terms: one form shared at unequal powers, one of their own
     total = getattr(ratfun.RatFun, "sum", partial(reduce, operator.add))
     for n in SUM_TERMS:
-        terms = [ratfun.RatFun.scaled_inv_product(
-            i + 1, [(1, 1)] * (1 + i % 2) + [(1, i + 1)]) for i in range(n)]
+        terms = [term([(i + 1, [(1, 1)] * (1 + i % 2) + [(1, i + 1)])])
+                 for i in range(n)]
         rows[f"ratfun_sum_us|terms={n}"] = per_case_us(
             total, [(terms,)] * CALLS_PER_TWIST)
     # (1 + s + ... + s^d)/((2s + 1)(2s + 3) ... (2s + 2d - 1)) at suspend_G's
     # r = ((m+k)s + nu_z)/k for m = 1, k = 6, nu_z = 1
     for d in SUBSTITUTE_DEGREES:
-        f = ratfun.RatFun.scaled_inv_product(
-            1, [(2 * i + 1, 2) for i in range(d)], (1,) * (d + 1))
+        f = term([(1, [(2 * i + 1, 2) for i in range(d)], (1,) * (d + 1))])
         rows[f"substitute_affine_us|deg={d}"] = per_case_us(
             f.substitute_affine,
             [(Fraction(7, 6), Fraction(1, 6))] * CALLS_PER_TWIST)

@@ -125,21 +125,21 @@ def w_top(g: BinomialGerm, bullet: str) -> RatFun:
     fs = _k_scaled_factors(g)
     kq = g.k ** g.q
     if bullet == SIGMA_PLUS:
-        return RatFun.scaled_inv_product(kq, [(g.nu_z, g.m)] + fs)
-    if bullet == RHO:
-        return RatFun.scaled_inv_product(-g.e_q ** 2 * g.k ** (g.q - 1), fs)
-    if bullet == RHO_STAR:
-        return RatFun.scaled_inv_product(g.e_q ** 2 * g.k ** (g.q - 1),
-                                         fs + [(1, 1)])
-    if bullet == SIGMA_MINUS:
+        term = (kq, [(g.nu_z, g.m)] + fs)
+    elif bullet in (RHO, RHO_STAR):
+        rho = g.e_q ** 2 * g.k ** (g.q - 1)
+        term = (-rho, fs) if bullet == RHO else (rho, fs + [(1, 1)])
+    elif bullet == SIGMA_MINUS:
         # (1/(k r)) (1/prod nu - k^q/prod F); k r = (m+k)s + nu_z divides
         # the combined numerator exactly, in integers
         prod_nu = prod(g.nu)
         num = list(linear_product(fs))
         num[0] -= kq * prod_nu
-        quot = pdiv_linear(num, (g.nu_z, g.m + g.k))
-        return RatFun.scaled_inv_product(Fraction(1, prod_nu), fs, quot)
-    raise ValidationError(f"unknown bullet {bullet!r}")
+        term = (Fraction(1, prod_nu), fs,
+                pdiv_linear(num, (g.nu_z, g.m + g.k)))
+    else:
+        raise ValidationError(f"unknown bullet {bullet!r}")
+    return RatFun.sum_inv_products([term])
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,13 @@ def int_list(text: str) -> list[int]:
 
 
 def _print(args, payload, text_lines):
+    """payload as JSON, or the lines that text_lines() renders."""
     if args.quiet:
         return
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -72,7 +73,7 @@ def _cmd_zeta(args) -> int:
         res = resolution.strata_from_json(obj)
     z = resolution.ztop_from_strata(res, args.ell)
     _print(args, {"ell": args.ell, "zeta": z.to_json()},
-           [_render(z, args.format)])
+           lambda: [_render(z, args.format)])
     return 0
 
 
@@ -80,8 +81,8 @@ def _cmd_acampo(args) -> int:
     g = resolution.graph_from_json(_read_json(args.infile))
     zeta, delta = resolution.acampo(g)
     _print(args, {"zeta": cyclo_to_json(zeta), "delta": cyclo_to_json(delta)},
-           [f"zeta = {_render_cyclo(zeta, args.format)}",
-            f"Delta = {_render_cyclo(delta, args.format)}"])
+           lambda: [f"zeta = {_render_cyclo(zeta, args.format)}",
+                    f"Delta = {_render_cyclo(delta, args.format)}"])
     return 0
 
 
@@ -93,16 +94,15 @@ def _cmd_suspend(args) -> int:
     results = [(l, suspension.suspend_G(profile, args.m, args.k, args.nuz, l))
                for l in args.ell]
     payload = {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]}
-    if len(results) == 1 and not args.matrix:
-        lines = [_render(results[0][1], args.format)]
-    else:
-        lines = [f"Z^({l}) = {_render(z, args.format)}" for l, z in results]
-    holds = True
+    holds, matrix = True, []
     if args.matrix:
         b_matrix, holds = suspension.suspend_matrix(profile, args.k)
         payload["matrix"] = {"B": b_matrix, "identity_holds": holds}
-        lines += [f"B = {b_matrix}", f"identity_holds = {holds}"]
-    _print(args, payload, lines)
+        matrix = [f"B = {b_matrix}", f"identity_holds = {holds}"]
+    single = len(results) == 1 and not args.matrix
+    _print(args, payload, lambda: [
+        _render(z, args.format) if single
+        else f"Z^({l}) = {_render(z, args.format)}" for l, z in results] + matrix)
     return 0 if holds else 3
 
 
@@ -112,7 +112,8 @@ def _cmd_lys(args, sis: bool) -> int:
         raise ValidationError(f"sis needs k = 1, got k = {surface.k}")
     results = [(l, lys_mod.lys_ztop(surface, l)) for l in args.ell]
     _print(args, {"results": [{"ell": l, "zeta": z.to_json()} for l, z in results]},
-           [f"Z^({l}) = {_render(z, args.format)}" for l, z in results])
+           lambda: [f"Z^({l}) = {_render(z, args.format)}"
+                    for l, z in results])
     return 0
 
 
@@ -121,8 +122,8 @@ def _cmd_charpoly(args) -> int:
     delta, delta_tilde = lys_mod.lys_charpoly(surface)
     _print(args,
            {"delta": cyclo_to_json(delta), "delta_tilde": cyclo_to_json(delta_tilde)},
-           [f"Delta = {_render_cyclo(delta, args.format)}",
-            f"Delta_tilde = {_render_cyclo(delta_tilde, args.format)}"])
+           lambda: [f"Delta = {_render_cyclo(delta, args.format)}",
+                    f"Delta_tilde = {_render_cyclo(delta_tilde, args.format)}"])
     return 0
 
 
@@ -140,14 +141,14 @@ def _cmd_check(args) -> int:
     for item in report.items:
         note = f"  ({item.note})" if item.note else ""
         lines.append(f"  {item.label}: {'ok' if item.ok else 'FAIL'}{note}")
-    _print(args, report.to_json(), lines)
+    _print(args, report.to_json(), lambda: lines)
     return 0 if report.passed else 2
 
 
 def _cmd_fbad(args) -> int:
     orders = frozenset(args.orders)
     bad = sorted(suspension.fbad_set(orders))
-    _print(args, {"fbad": bad}, [",".join(map(str, bad))])
+    _print(args, {"fbad": bad}, lambda: [",".join(map(str, bad))])
     return 0
 
 

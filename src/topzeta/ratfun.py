@@ -7,9 +7,12 @@ terms.  A RatFun is stored as num(s) / (scale * prod (a + b s)^mult): num an
 integer polynomial (ascending, () for zero), scale a positive integer
 coprime to its content, forms ((a, b), mult) sorted, coprime with b > 0 and
 no root -a/b a root of num.  The form is canonical, so equality is exact.
-Ring operations merge the forms and cancel by integer synthetic division;
-poles and rendering read them.  Dense input (JSON, from_polys, division by
-a polynomial) is factored once, in polynomial time, or rejected.
+There are two ways in.  Dense input (from_polys, which JSON, linear and
+inv_linear call) is factored once, in polynomial time, or rejected; terms
+scalar num(s) z(s) / prod (a + b s) go to the common-denominator kernel
+(sum_inv_products, or sum for canonical summands), which merges the forms
+and cancels by integer synthetic division.  A quotient is the product with
+the factored reciprocal.  Poles and rendering read the forms.
 """
 from __future__ import annotations
 
@@ -207,11 +210,11 @@ class RatFun(NamedTuple):
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _canonical(num, scale: int, forms: dict, cancel=None) -> "RatFun":
+    def _canonical(num, scale: int, forms: dict, cancel) -> "RatFun":
         """num / (scale * prod form^mult) in canonical form.  num is a
         trimmed integer polynomial, scale a nonzero integer and the forms
-        primitive with b > 0; only the forms in cancel (default: all of
-        them) may share a root with num, and a constant num shares none."""
+        primitive with b > 0; only the forms in cancel may share a root with
+        num (from_polys passes them all), and a constant num shares none."""
         if not num:
             return _ZERO
         if len(num) == 1:
@@ -219,7 +222,7 @@ class RatFun(NamedTuple):
             g = gcd(scale, num[0]) if scale > 0 else -gcd(scale, num[0])
             return RatFun((num[0] // g,), scale // g,
                           tuple(sorted(forms.items())))
-        num = _cancel(num, forms, list(forms) if cancel is None else cancel)
+        num = _cancel(num, forms, cancel)
         g = gcd(scale, *num)
         if scale < 0:
             g = -g
@@ -238,17 +241,7 @@ class RatFun(NamedTuple):
             return _ZERO
         unit, forms = _factor(d)
         return RatFun._canonical(tuple([c * d_scale for c in n]),
-                                 unit * n_scale, forms)
-
-    @staticmethod
-    def scaled_inv_product(scalar: Scalar, factors, num=(1,)) -> "RatFun":
-        """scalar * num(s) / prod (a_i + b_i s) for integer pairs (a_i, b_i)
-        and an integer polynomial num."""
-        if num and not num[-1]:
-            num = _trim(list(num))
-        if not scalar or not num:
-            return _ZERO
-        return RatFun._canonical(*RatFun._part(scalar, factors, num), ())
+                                 unit * n_scale, forms, list(forms))
 
     @staticmethod
     def _part(scalar: Scalar, factors, num=(1,), z=None):
@@ -378,15 +371,12 @@ class RatFun(NamedTuple):
     @staticmethod
     def linear(a: Scalar, b: Scalar) -> "RatFun":
         """The polynomial a*s + b."""
-        num, scale = _integer_poly([b, a])
-        return RatFun._canonical(num, scale, {})
+        return RatFun.from_polys([b, a], [1])
 
     @staticmethod
     def inv_linear(a: Scalar, b: Scalar) -> "RatFun":
         """1/(a*s + b)."""
-        a, b = Fraction(a), Fraction(b)
-        d = lcm(a.denominator, b.denominator)
-        return RatFun.scaled_inv_product(d, [(int(b * d), int(a * d))])
+        return RatFun.from_polys([1], [b, a])
 
     def is_zero(self) -> bool:
         return not self.num
@@ -444,13 +434,8 @@ class RatFun(NamedTuple):
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        unit, forms = _factor(o.num)
-        for f, m in self.forms:
-            forms[f] = forms.get(f, 0) + m
-        num = pmul(self.num, linear_product(
-            f for f, m in o.forms for _ in range(m)))
-        return RatFun._canonical(tuple([o.scale * c for c in num]),
-                                 self.scale * unit, forms, list(forms))
+        return self * RatFun.from_polys([o.scale * c for c in linear_product(
+            f for f, m in o.forms for _ in range(m))], o.num)
 
     def __rtruediv__(self, other):
         return RatFun._coerce(other) / self

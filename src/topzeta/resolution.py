@@ -240,7 +240,8 @@ def solve_multiplicities(self_intersections: dict[str, int],
     N solves the projection formula sum_{j~i} N_j + arrows_i = e_i N_i;
     nu - 1 solves the adjunction system M (nu - 1) = (e_i - 2) with M the
     intersection matrix (arrows contribute nu - 1 = 0).  Both right-hand
-    sides go through one elimination.
+    sides go through one elimination.  A non-integer solution is refused
+    here, and one below 1 by CurveResolutionGraph.
     """
     index = {vid: i for i, vid in enumerate(self_intersections)}
     for u, v in edges:
@@ -264,8 +265,6 @@ def solve_multiplicities(self_intersections: dict[str, int],
         for vid, val in zip(index, vals):
             if val.denominator != 1:
                 raise ValidationError(f"non-integer {name} at {vid}: {val}")
-            if val < 1:
-                raise ValidationError(f"non-positive {name} at {vid}: {val}")
     solved = [Vertex(vid, int(big_n[i]), int(nu[i]), self_intersections[vid])
               for vid, i in index.items()]
     return CurveResolutionGraph(solved, list(arrows), list(edges), prod_nu0)

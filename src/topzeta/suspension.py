@@ -211,9 +211,8 @@ def suspend_matrix(f: ZetaProfile, k: int):
     b_matrix = [[(k if i == j else 0) - j2[j] for j in range(len(ds))]
                 for i in range(len(ds))]
     # (s + 1)/s, and in t = s + 1/k: 1/t = k/(ks + 1), (t + 1)/t
-    s1_s = RatFun.scaled_inv_product(1, [(0, 1)], (1, 1))
-    inv_t = RatFun.scaled_inv_product(k, [(1, k)])
-    t1_t = RatFun.scaled_inv_product(1, [(1, k)], (k + 1, k))
+    s1_s, inv_t, t1_t = [RatFun.sum_inv_products([term]) for term in (
+        (1, [(0, 1)], (1, 1)), (k, [(1, k)]), (1, [(1, k)], (k + 1, k)))]
     a_vec = [RatFun.const(Fraction(1, f.prod_nu0)) for _ in ds]
     a_vec[0] = s1_s * Fraction(1, f.prod_nu0)
 

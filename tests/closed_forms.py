@@ -351,6 +351,22 @@ def thom_sebastiani_walk(h: CycloProduct, k: int) -> CycloProduct:
     return _refactor_counts(counts, L)
 
 
+def brieskorn_pham_eigenvalues(exponents: tuple[int, ...]) -> CycloProduct:
+    """Monodromy eigenvalues of x_1^a_1 + ... + x_n^a_n: the products
+    w_1 ... w_n with w_i^a_i = 1 and w_i != 1 (Milnor-Orlik, Topology 9,
+    1970), counted as residues modulo L = lcm(a_i)."""
+    L = lcm_all(exponents)
+    counts = {0: 1}
+    for a in exponents:
+        nxt: dict[int, int] = {}
+        for res, c in counts.items():
+            for j in range(1, a):
+                r = (res + j * (L // a)) % L
+                nxt[r] = nxt.get(r, 0) + c
+        counts = nxt
+    return _refactor_counts(counts, L)
+
+
 def _refactor_counts(counts: dict[int, int], L: int) -> CycloProduct:
     """Turn residue-class multiplicities mod L into Phi_d exponents."""
     by_order: dict[int, dict[int, int]] = {}
@@ -460,7 +476,7 @@ def newton_bp_ztop(exponents: tuple[int, ...], m: int, nu_z: int,
     def form(r):
         return dot(r, nu_vec), min(dot(r, v) for v in vertices)
 
-    total = RatFun.zero()
+    terms = []
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
             mult = gcd(*(w[i] for i in S))
@@ -473,11 +489,11 @@ def newton_bp_ztop(exponents: tuple[int, ...], m: int, nu_z: int,
             forms = [form(w)] + [form([int(i == j) for i in range(n)])
                                  for j in rest]
             if size == 1:
-                total += RatFun.scaled_inv_product(mult, forms)
+                terms.append((mult, forms))
                 continue
             vol = prod(exponents[i] for i in S) \
                 // lcm_all(exponents[i] for i in S)
             coef = (-1) ** (size - 1) * vol * mult
-            total += RatFun.scaled_inv_product(coef, forms + [(1, 1)], (0, 1)) \
-                if l == 1 else RatFun.scaled_inv_product(coef, forms)
-    return total
+            terms.append((coef, forms + [(1, 1)], (0, 1)) if l == 1
+                         else (coef, forms))
+    return RatFun.sum_inv_products(terms)

@@ -146,7 +146,7 @@ def test_w_top_rho_with_trivial_gcd():
     g = BinomialGerm(1, 4, (3,), (2,), 1)
     assert g.e_q == 1
     # -1/k prod 1/(N_j r + nu_j) with k(N r + nu) = N(m+k)s + N nu_z + k nu
-    assert w_top(g, RHO) == RatFun.scaled_inv_product(-1, [(11, 15)])
+    assert w_top(g, RHO) == RatFun.from_polys([-1], [11, 15])
 
 
 def test_w_top_twisted_gates():

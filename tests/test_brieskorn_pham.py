@@ -7,9 +7,10 @@ eigenvalues (Milnor-Orlik, Topology 9, 1970).  For curves both
 conjectures are theorems (Veys, Math. Ann. 295, 1993).
 """
 import time
+from itertools import product
 from math import lcm
 
-from closed_forms import ztop_binomial
+from closed_forms import brieskorn_pham_eigenvalues, ztop_binomial
 from graphgen import brieskorn_pham_graph
 from topzeta.binomial import BinomialGerm
 from topzeta.checks import check_holomorphy, check_monodromy, curve_subject
@@ -47,6 +48,20 @@ def test_monodromy_matches_brieskorn():
                 [(a, 1), (1, -1)]).thom_sebastiani_tensor(b), (a, b)
     _, cusp = acampo(brieskorn_pham_graph(2, 3))
     assert cusp == CycloProduct.from_factors({6: 1})
+
+
+def test_thom_sebastiani_matches_milnor_orlik():
+    # x_1^a_1 + ... + x_n^a_n for n = 3 and 4 with 2 <= a_i <= 6, every
+    # order of the exponents: the tensor, applied once per variable after
+    # the first, against the products of roots of unity
+    start = time.perf_counter()
+    for n in (3, 4):
+        for exponents in product(range(2, 7), repeat=n):
+            delta = CycloProduct.from_brackets([(exponents[0], 1), (1, -1)])
+            for a in exponents[1:]:
+                delta = delta.thom_sebastiani_tensor(a)
+            assert delta == brieskorn_pham_eigenvalues(exponents), exponents
+    assert time.perf_counter() - start < 3.0
 
 
 def test_conjectures_hold():

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import FIXTURES
+from topzeta import cli
 from topzeta.cli import main
 from topzeta.errors import ValidationError
 from topzeta.resolution import graph_from_json
@@ -555,6 +556,22 @@ def test_cli_matches_recorded_output(capsys, monkeypatch, label):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("label", sorted(
+    label for label in GOLDEN if label.startswith("json:")))
+def test_json_output_renders_no_text(capsys, monkeypatch, label):
+    # --format json prints the payload only: a text renderer that raises
+    # must leave every recorded exit code and stdout as they are
+    def refuse(*_):
+        raise AssertionError("text rendered for --format json")
+
+    for name in ("render_text", "render_latex", "cyclo_str"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(ROOT)
+    case = GOLDEN[label]
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 # seeded CLI fuzz: every fixture (each Kashiwara fibre as a graph) and the

@@ -56,6 +56,8 @@ def test_zero_and_division():
     assert z.is_zero() and z == RatFun.from_polys([0], [5])
     with pytest.raises(ZeroDivisionError):
         RatFun.one() / z
+    with pytest.raises(ValidationError, match="zero denominator"):
+        RatFun.inv_linear(0, 0)
     assert (RatFun.linear(1, 0) / RatFun.linear(1, 0)) == RatFun.one()
     # dividing by a polynomial factors it: (s^2 - 1)/(2s^2 - 2s) = (s+1)/(2s)
     assert RatFun.from_polys([-1, 0, 1], [1]) / RatFun.from_polys([0, -2, 2], [1]) \
@@ -207,14 +209,15 @@ def test_evaluate_respects_ring_ops(f, g, x):
     assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
     assert (f - g).evaluate(x) == f.evaluate(x) - g.evaluate(x)
     if g.evaluate(x) and roots_by_search(_dense(g)[0]) is not None:
+        assert_canonical(f / g)
         assert (f / g).evaluate(x) == f.evaluate(x) / g.evaluate(x)
 
 
 @given(st.integers(-20, 20), st.lists(
     st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda ab: ab != (0, 0)),
     max_size=4))
-def test_scaled_inv_product_agrees_with_generic_path(scalar, factors):
-    direct = RatFun.scaled_inv_product(scalar, factors)
+def test_one_term_kernel_agrees_with_generic_path(scalar, factors):
+    direct = RatFun.sum_inv_products([(scalar, factors)])
     slow = RatFun.const(scalar)
     for a, b in factors:
         slow = slow * RatFun.inv_linear(b, a)
@@ -243,13 +246,13 @@ def _random_factor(rng):
     if kind == 0:
         return RatFun.const(scalar)
     if kind == 1:
-        return RatFun.scaled_inv_product(scalar, den)
+        return RatFun.sum_inv_products([(scalar, den)])
     num = [rng.choice(FORM_POOL) for _ in range(rng.randint(1, 3))]
     return RatFun.from_polys(expand(scalar, num), expand(1, den))
 
 
 def test_products_stay_canonical():
-    # a * b and scaled_inv_product: canonical, and equal to the
+    # a * b and one-term sum_inv_products: canonical, and equal to the
     # cross-multiplied dense form at 20 rational points
     rng = random.Random(83)
     for _ in range(600):
@@ -264,17 +267,16 @@ def test_products_stay_canonical():
         scalar = rng.choice([rng.randint(-9, 9),
                              F(rng.randint(-9, 9), rng.randint(1, 6))])
         factors = [rng.choice(FORM_POOL) for _ in range(rng.randint(0, 4))]
-        num = rng.choice([(1,), (rng.randint(-9, 9),),
+        num = rng.choice([(1,), (rng.choice([-1, 1]) * rng.randint(1, 9),),
                           linear_product(rng.choice(FORM_POOL)
                                          for _ in range(rng.randint(1, 3)))])
-        num += (0,) * rng.randint(0, 2)     # untrimmed input is accepted
-        f = RatFun.scaled_inv_product(scalar, factors, num)
+        f = RatFun.sum_inv_products([(scalar, factors, num)])
         assert_canonical(f)
         for x in POINTS:
             assert f.evaluate(x) == scalar * _peval(num, x) / _peval(
                 linear_product(factors), x), (scalar, factors, num)
-    assert RatFun.scaled_inv_product(1, [(1, 2)], (0,)) == RatFun.zero()
-    assert RatFun.scaled_inv_product(1, [], (1, 0)) == RatFun.const(1)
+    assert RatFun.sum_inv_products([(0, [(1, 2)])]) == RatFun.zero()
+    assert RatFun.sum_inv_products([(1, [])]) == RatFun.const(1)
 
 
 # pairs (a, b) for a + b s: shared forms, non-primitive and negative-slope
@@ -400,7 +402,7 @@ def _sum_terms(rng):
     """Canonical terms for RatFun.sum: the kernel's terms (blocks that
     cancel, forms repeated within a term and so shared at unequal powers),
     terms with numerators made of pool forms, and zero terms."""
-    terms = [RatFun.scaled_inv_product(c, f) for c, f in _kernel_terms(rng)]
+    terms = [RatFun.sum_inv_products([t]) for t in _kernel_terms(rng)]
     terms += [_random_factor(rng) for _ in range(rng.randint(0, 2))]
     terms += [RatFun.zero()] * rng.randint(0, 1)
     rng.shuffle(terms)
@@ -449,7 +451,7 @@ def test_sum_matches_left_fold():
 def test_ingest_factorization_matches_oracle(scalar, factors):
     den = expand(scalar, factors)
     ingested = RatFun.from_polys([1], den)
-    assert ingested == RatFun.scaled_inv_product(F(1, scalar), factors)
+    assert ingested == RatFun.sum_inv_products([(F(1, scalar), factors)])
     assert ingested.poles_with_multiplicity() == roots_by_search(den)
 
 
@@ -471,7 +473,7 @@ def test_poles_of_four_three_digit_forms():
     text = render_text(f)
     assert time.perf_counter() - start < 1.0
     assert poles == sorted((F(-a, b), 1) for a, b in factors)
-    assert f == RatFun.scaled_inv_product(1, factors)
+    assert f == RatFun.sum_inv_products([(1, factors)])
     assert text == "(1)/((997*s + 991)*(983*s + 977)*(971*s - 967)*(953*s + 947))"
 
 
@@ -484,7 +486,7 @@ def test_factorization_with_twenty_digit_coefficients():
     start = time.perf_counter()
     f = RatFun.from_polys([3, 5], den)
     assert time.perf_counter() - start < 2.0
-    assert f == RatFun.scaled_inv_product(F(1, 7), factors, (3, 5))
+    assert f == RatFun.sum_inv_products([(F(1, 7), factors, (3, 5))])
     assert [m for _, m in f.poles_with_multiplicity()] == [1, 1, 2]
 
 

@@ -258,6 +258,14 @@ def test_library_refuses_prod_nu0_below_one(prod_nu0):
     assert str(info.value) == message
 
 
+def test_solver_leaves_the_range_to_the_graph():
+    # E1^2 = +1 with one arrow solves N = -1: the graph refuses it, with
+    # the message it gives any vertex below 1
+    with pytest.raises(ValidationError) as info:
+        solve_multiplicities({"E1": 1}, [Arrow("A1", 1, "E1")], [])
+    assert str(info.value) == "vertex E1: non-positive N = -1"
+
+
 @pytest.mark.parametrize("key", ["N", "nu"])
 def test_library_refuses_vertex_below_one(key):
     vertex = Vertex("E1", 2, 2, None)._replace(**{key: 0})

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import reduce
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "topzeta"
 
@@ -43,7 +44,8 @@ UNTESTED_CALLERS = ["perfbench/workloads.py", "perfbench/capture.py",
 
 def _topzeta_reads(tree: ast.AST) -> set[tuple[str, str | None]]:
     """(module, attribute) for each topzeta module a file imports (attribute
-    None) and each attribute it reads from one."""
+    None) and each attribute it reads from one, down to an attribute of
+    that attribute (a class's method: "RatFun.sum")."""
     aliases: dict[str, str] = {}
     reads: set[tuple[str, str | None]] = set()
     for node in ast.walk(tree):
@@ -58,9 +60,13 @@ def _topzeta_reads(tree: ast.AST) -> set[tuple[str, str | None]]:
             reads |= {(name.name, None) for name in node.names
                       if name.name.startswith("topzeta")}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and node.value.id in aliases:
-            reads.add((aliases[node.value.id], node.attr))
+        if not isinstance(node, ast.Attribute):
+            continue
+        value, attr = node.value, node.attr
+        if isinstance(value, ast.Attribute):
+            value, attr = value.value, f"{value.attr}.{attr}"
+        if isinstance(value, ast.Name) and value.id in aliases:
+            reads.add((aliases[value.id], attr))
     return reads
 
 
@@ -71,8 +77,10 @@ def test_untested_callers_find_their_api():
         reads = _topzeta_reads(ast.parse(path.read_text(encoding="utf-8")))
         assert reads, caller
         for module, attr in sorted(reads, key=str):
-            mod = importlib.import_module(module)
-            if attr is not None and not hasattr(mod, attr):
+            try:
+                reduce(getattr, attr.split(".") if attr else (),
+                       importlib.import_module(module))
+            except AttributeError:
                 missing.append(f"{caller}: {module}.{attr}")
     assert not missing, missing
 

@@ -502,11 +502,11 @@ def test_parts_cancel_where_entries_vanish():
         for l in divisors(bound):
             terms = [suspend_G_dispatch(q.zeta, m, k, 3, l) for q in points]
             if m % l == 0:
-                terms.append(RatFun.scaled_inv_product(S.chi_complement,
-                                                       [(3, m)]))
+                terms.append(RatFun.sum_inv_products(
+                    [(S.chi_complement, [(3, m)])]))
             if l == 1:
-                terms.append(RatFun.scaled_inv_product(
-                    S.chi_curve_smooth, [(3, m), (1, 1)]))
+                terms.append(RatFun.sum_inv_products(
+                    [(S.chi_curve_smooth, [(3, m), (1, 1)])]))
             z = lys_ztop(S, l)
             assert_canonical(z)
             assert z == RatFun.sum(terms), (m, k, l)

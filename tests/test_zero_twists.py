@@ -172,13 +172,14 @@ def test_value_types_are_immutable(values, name):
 
 def strata_oracle(res, l: int) -> RatFun:
     """sum over strata with l | N_i for all i in I of
-    chi / prod (N_i s + nu_i), one scaled_inv_product per stratum."""
+    chi / prod (N_i s + nu_i), one one-term sum_inv_products per stratum
+    added up by +."""
     comps = {c.id: c for c in res.components}
     total = RatFun.zero()
     for st in res.strata:
         if all(comps[i].N % l == 0 for i in st.I):
-            total += RatFun.scaled_inv_product(
-                st.chi, [(comps[i].nu, comps[i].N) for i in st.I])
+            total += RatFun.sum_inv_products(
+                [(st.chi, [(comps[i].nu, comps[i].N) for i in st.I])])
     return total
 
 
