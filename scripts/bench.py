@@ -5,24 +5,31 @@ Z^(1) of large curves and the criterion-5 motivic grid; write BENCH_*.json.
 Usage:
     python3 scripts/bench.py --compare ../parent/src --out BENCH_N.json
 
---compare PARENT_SRC measures two trees in the same rounds: each round runs
-every row group (cli_import, construct, ratfun, layers, twists,
-zero_twists, curves, grid) in a child process for PARENT_SRC and for this
-checkout's src/, back to back, the parent first in odd rounds and second
-in even ones.  It writes a "before"
-and an "after" row, each value the median over the rounds, so host drift
-falls on both rows alike instead of reading as a change between them.
-Comparing a tree with itself (--compare src) shows the noise floor.
+--compare PARENT_SRC measures two trees in the same rounds and in this one
+interpreter: the topzeta package of PARENT_SRC and that of this checkout's
+src/ are each imported under a name of their own, so their modules, classes
+and lru_caches stay apart.  Each round runs every row group (cli_import,
+construct, ratfun, layers, twists, zero_twists, curves, grid) for both
+trees back to back, the parent first in odd rounds and second in even
+ones.  It writes a "before" and an "after" row, each value the median over
+the rounds, so host drift falls on both rows alike instead of reading as a
+change between them.
 
 The two rows replace the before and after rows of the output file and
-keep the others.  Each row holds:
+keep the others.  Comparing a tree with itself (--compare src) shows the
+noise floor: such a run writes no before and after rows but appends a
+"noise" row of the after/before ratio of each value, and rewrites the
+"noise_band" row, the least and greatest ratio of each value over every
+noise row of the file.  Each before and after row holds:
 
   * machine: Python version, platform and CPU count;
   * layers: microseconds per construction of RatFun, MotTerm,
     BinomialGerm and CheckItem from fields taken from the grid and the
     holomorphy check; microseconds per sum of two terms over n shared
     forms, for each n of SHARED_FORMS, of RatFun a + b and of
-    RatFun.sum_inv_products, per product a * c that cancels the n
+    RatFun.sum_inv_products, per one-term RatFun.sum_inv_products that
+    builds a (as w_top builds each cone term), per product a * c that
+    cancels the n
     forms and per quotient a / d by d = 1/c, whose factored reciprocal
     cancels them; microseconds per RatFun.sum of n canonical
     terms, for each n of SUM_TERMS (a tree without RatFun.sum is timed on
@@ -63,6 +70,7 @@ Standard library only; timings use time.perf_counter.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import operator
@@ -84,6 +92,12 @@ sys.path.append(str(SRC.parent / "tests"))
 from graphgen import brieskorn_pham_graph  # noqa: E402
 from topzeta import arith, binomial, checks, lys, ratfun, resolution, \
     suspension  # noqa: E402
+from topzeta.resolution import graph_to_json  # noqa: E402
+
+# the modules the row groups read by these names; compare_rows rebinds the
+# names to the measured tree's modules before each group
+MODULES = ("arith", "binomial", "checks", "lys", "ratfun", "resolution",
+           "suspension")
 
 REPEATS = 5
 ROUNDS = 9
@@ -137,13 +151,15 @@ def per_case_us(fn, cases) -> float:
 
 def cli_import_ms() -> float:
     """Median over IMPORT_SPAWNS fresh interpreters, which import topzeta
-    from this process's PYTHONPATH, of the milliseconds to import
+    from the measured tree's src/, of the milliseconds to import
     topzeta.cli."""
     probe = ("import time; t = time.perf_counter(); import topzeta.cli; "
              "print((time.perf_counter() - t) * 1e3)")
+    env = dict(os.environ, PYTHONPATH=str(Path(arith.__file__).parents[1]))
     return statistics.median(
         float(subprocess.run([sys.executable, "-c", probe], check=True,
-                             stdout=subprocess.PIPE, text=True).stdout)
+                             env=env, stdout=subprocess.PIPE,
+                             text=True).stdout)
         for _ in range(IMPORT_SPAWNS))
 
 
@@ -169,7 +185,8 @@ def ratfun_rows() -> dict:
     """RatFun addition, microseconds per sum of the two terms
     a = 1/((s + 1) ... (s + n) (2s + 1)) and 3/((s + 1) ... (s + n) (3s + 1)):
     the n shared forms are held at equal power, so each is tried for
-    cancellation; per product a * c with c = (s + 1) ... (s + n)/(3s + 1),
+    cancellation; per one-term sum_inv_products that builds a; per product
+    a * c with c = (s + 1) ... (s + n)/(3s + 1),
     whose numerator cancels the n forms; per quotient a / d with
     d = (3s + 1)/((s + 1) ... (s + n)), whose factored reciprocal c
     cancels them; and per RatFun.sum of n terms.  Every input is built by
@@ -184,6 +201,8 @@ def ratfun_rows() -> dict:
             operator.add, [(a, b)] * CALLS_PER_TWIST)
         rows[f"sum_inv_products_us|shared={n}"] = per_case_us(
             ratfun.RatFun.sum_inv_products, [(terms,)] * CALLS_PER_TWIST)
+        rows[f"sum_inv_products_one_us|shared={n}"] = per_case_us(
+            ratfun.RatFun.sum_inv_products, [(terms[:1],)] * CALLS_PER_TWIST)
         c = term([(1, [(1, 3)], ratfun.linear_product(shared))])
         rows[f"ratfun_mul_us|shared={n}"] = per_case_us(
             operator.mul, [(a, c)] * CALLS_PER_TWIST)
@@ -320,7 +339,9 @@ def curve_rows() -> dict:
     stratum term with a form of its own."""
     rows = {}
     for v in CURVE_VERTICES:
-        res = resolution.strata_of_graph(brieskorn_pham_graph(v - 1, v))
+        graph = resolution.graph_from_json(
+            graph_to_json(brieskorn_pham_graph(v - 1, v)))
+        res = resolution.strata_of_graph(graph)
         rows[f"curve_ztop_ms|V={v}"] = per_case_us(
             resolution.ztop_from_strata, [(res, 1)]) / 1e3
     return rows
@@ -359,27 +380,33 @@ def src_lines(package: Path) -> int:
                for p in sorted(package.glob("*.py")))
 
 
-def run_group(src: Path, group: str) -> dict:
-    """One row group measured in a child process importing topzeta from
-    src."""
-    proc = subprocess.run(
-        [sys.executable, __file__, "--group", group],
-        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
-        check=True, text=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+def load_tree(src: Path, name: str) -> dict:
+    """The MODULES of the topzeta package under src, imported as the package
+    `name`: its relative imports resolve inside it, so two trees load side
+    by side without sharing a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "topzeta" / "__init__.py",
+        submodule_search_locations=[str(src / "topzeta")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}") for m in MODULES}
 
 
 def compare_rows(parent: Path) -> list[dict]:
     """A before (parent) and an after (this checkout) row from the same
     ROUNDS rounds, in alternating order; each value is the median over
-    the rounds."""
-    trees = {"before": parent, "after": SRC}
+    the rounds.  A group reads the modules bound to the names of MODULES,
+    which are set to the measured tree's before each call."""
+    trees = {"before": load_tree(parent, "topzeta_before"),
+             "after": load_tree(SRC, "topzeta_after")}
     samples: dict[str, dict[str, list]] = {"before": {}, "after": {}}
     for r in range(ROUNDS):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for group in GROUPS:
+        for group in GROUPS.values():
             for label in order:
-                for key, value in run_group(trees[label], group).items():
+                globals().update(trees[label])
+                for key, value in group().items():
                     samples[label].setdefault(key, []).append(value)
     rows = []
     for label, values in samples.items():
@@ -396,10 +423,37 @@ def compare_rows(parent: Path) -> list[dict]:
                            "criterion5_grid_cases": 637_920,
                            "cli_import_ms": statistics.median(imports),
                            "cli_import_samples_ms": imports},
-            "src_lines": src_lines(trees[label] / "topzeta"),
+            "src_lines": src_lines(
+                Path(trees[label]["arith"].__file__).parent),
             "rounds": ROUNDS,
         })
     return rows
+
+
+def timings(row: dict) -> dict:
+    """The medians of a before or after row, by key."""
+    e2e = row["end_to_end"]
+    return {**{k: v for k, v in row["layers"].items()
+                if not k.startswith("cases|")},
+            "criterion5_grid_s": e2e["criterion5_grid_s"],
+            "cli_import_ms": e2e["cli_import_ms"]}
+
+
+def noise_row(before: dict, after: dict) -> dict:
+    """after/before of each timing, for a tree compared with itself."""
+    old = timings(before)
+    return {"label": "noise", "machine": after["machine"],
+            "rounds": ROUNDS, "ratios": {
+                k: v / old[k] for k, v in timings(after).items()}}
+
+
+def noise_band(noise: list[dict]) -> dict:
+    """The least and greatest after/before ratio of each timing over the
+    noise rows."""
+    keys = noise[-1]["ratios"]
+    return {"label": "noise_band", "runs": len(noise), "band": {
+        k: [min(r["ratios"][k] for r in noise),
+            max(r["ratios"][k] for r in noise)] for k in keys}}
 
 
 def main(argv=None) -> int:
@@ -407,11 +461,7 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", metavar="PARENT_SRC", type=Path,
                         help="src/ of the parent tree")
     parser.add_argument("--out", help="BENCH_*.json to update")
-    parser.add_argument("--group", choices=GROUPS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.group:
-        print(json.dumps(GROUPS[args.group]()))
-        return 0
     if not args.compare or not args.out:
         parser.error("--compare and --out are required")
 
@@ -419,8 +469,13 @@ def main(argv=None) -> int:
     out = Path(args.out)
     rows = json.loads(out.read_text(encoding="utf-8"))["rows"] \
         if out.exists() else []
-    rows = [r for r in rows if r["label"] not in ("before", "after")] \
-        + new_rows
+    if args.compare.resolve() == SRC:
+        rows = [r for r in rows if r["label"] != "noise_band"]
+        rows += [noise_row(*new_rows)]
+        rows += [noise_band([r for r in rows if r["label"] == "noise"])]
+    else:
+        rows = [r for r in rows if r["label"] not in ("before", "after")] \
+            + new_rows
     out.write_text(json.dumps({"rows": rows}, indent=2) + "\n",
                    encoding="utf-8")
     json.dump(new_rows, sys.stdout, indent=2)

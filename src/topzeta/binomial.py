@@ -4,13 +4,13 @@ form x^nu z^nu_z dx/x dz/z.
 The Newton polyhedron of such a germ induces a subdivision of the positive
 orthant into the cones sigma+, sigma-, rho (with rho* the extra arc regime
 over rho), and the local zeta function splits into four corresponding
-terms.  This module computes:
+terms, from forms and atoms derived once per germ.  This module computes:
 
   * the cone data (primitive rays, multiplicities, fundamental-domain
     point sets D_C, enumerated from their coordinates in O(|D_C|) and
     counted against the closed-form multiplicities);
   * the topological terms w_top in closed form, in the variable
-    r = ((m+k)s + nu_z)/k;
+    r = ((m+k)s + nu_z)/k, as one integer kernel term per cone;
   * a symbolic motivic layer (a tuple of MotTerms per cone) mirroring the
     generating-function expressions term by term, whose Euler
     specialization must reproduce w_top exactly - the package's main
@@ -21,7 +21,6 @@ terms.  This module computes:
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
@@ -48,10 +47,12 @@ class BinomialGerm(NamedTuple):
     nu: tuple[int, ...]
     nu_z: int
     # derived, computed at construction
-    q: int
-    n_q: int
-    e_q: int
-    k_j: tuple[int, ...]
+    q: int                 # len(N)
+    n_q: int               # gcd(N)
+    e_q: int               # gcd(k, n_q)
+    k_j: tuple[int, ...]   # gcd(k, N_j)
+    k_forms: tuple[tuple[int, int], ...]   # k (N_j r + nu_j), w_top's forms
+    h_atoms: tuple[tuple[int, int], ...]   # k_forms_j / k_j, motivic_w's atoms
 
     def _new(cls, m, k, N, nu, nu_z):
         if m < 0 or k < 1 or nu_z < 1:
@@ -61,8 +62,11 @@ class BinomialGerm(NamedTuple):
         if any(x < 1 for x in N) or any(x < 1 for x in nu):
             raise ValidationError("N_j and nu_j must be >= 1")
         n_q = gcd(*N)
+        k_j = tuple([gcd(k, x) for x in N])
+        k_forms = tuple([(x * nu_z + k * y, x * (m + k)) for x, y in zip(N, nu)])
+        h_atoms = tuple([(a // d, b // d) for (a, b), d in zip(k_forms, k_j)])
         return tuple.__new__(cls, (m, k, N, nu, nu_z, len(N), n_q, gcd(k, n_q),
-                                   tuple([gcd(k, x) for x in N])))
+                                   k_j, k_forms, h_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +117,23 @@ def cone_multiplicities(g: BinomialGerm) -> ConeData:
 # topological terms
 
 
-def _k_scaled_factors(g: BinomialGerm) -> list[tuple[int, int]]:
-    """Integer forms k (N_j r + nu_j) = (N_j nu_z + k nu_j) + N_j (m+k) s,
-    as (constant, slope) pairs; each carries a spare factor k."""
-    return [(n_j * g.nu_z + g.k * nu_j, n_j * (g.m + g.k))
-            for n_j, nu_j in zip(g.N, g.nu)]
-
-
 def w_top(g: BinomialGerm, bullet: str) -> RatFun:
     """Closed-form topological term of the given cone, in s."""
-    fs = _k_scaled_factors(g)
+    fs = g.k_forms
     kq = g.k ** g.q
     if bullet == SIGMA_PLUS:
-        term = (kq, [(g.nu_z, g.m)] + fs)
+        term = (kq, [(g.nu_z, g.m), *fs])
     elif bullet in (RHO, RHO_STAR):
         rho = g.e_q ** 2 * g.k ** (g.q - 1)
-        term = (-rho, fs) if bullet == RHO else (rho, fs + [(1, 1)])
+        term = (-rho, fs) if bullet == RHO else (rho, [*fs, (1, 1)])
     elif bullet == SIGMA_MINUS:
-        # (1/(k r)) (1/prod nu - k^q/prod F); k r = (m+k)s + nu_z divides
-        # the combined numerator exactly, in integers
+        # (1/(k r)) (1/prod nu - k^q/prod F) over the forms F = k (N_j r +
+        # nu_j) and the constant prod nu; k r = (m+k)s + nu_z divides the
+        # numerator exactly, in integers
         prod_nu = prod(g.nu)
         num = list(linear_product(fs))
         num[0] -= kq * prod_nu
-        term = (Fraction(1, prod_nu), fs,
-                pdiv_linear(num, (g.nu_z, g.m + g.k)))
+        term = (1, [(prod_nu, 0), *fs], pdiv_linear(num, (g.nu_z, g.m + g.k)))
     else:
         raise ValidationError(f"unknown bullet {bullet!r}")
     return RatFun.sum_inv_products([term])
@@ -200,32 +197,28 @@ def motivic_w(g: BinomialGerm, bullet: str) -> tuple[MotTerm, ...]:
     nu_full = (*g.nu, g.nu_z)
     n_full = (*g.N, g.m)                       # T-weights on sigma+/rho
     mk_ez = tuple([0] * q + [g.m + g.k])       # T-weights (m+k) e_z
-    # shared atom blocks
-    h_atoms = tuple([((g.k * nu_j + g.nu_z * n_j) // k_j,
-                      (g.m + g.k) * n_j // k_j)
-                     for n_j, nu_j, k_j in zip(g.N, g.nu, g.k_j)])
     k_atom = (g.nu_z, g.m)
     k_tilde_atom = (g.nu_z, g.m + g.k)
 
     if bullet == SIGMA_PLUS:
-        return (MotTerm(q + 1, (1,), (k_atom, *h_atoms),
+        return (MotTerm(q + 1, (1,), (k_atom, *g.h_atoms),
                         cones.d_sigma_plus, nu_full, n_full),)
 
     if bullet == SIGMA_MINUS:
         term1 = MotTerm(q + 1, (1,),
                         (k_tilde_atom, *[(nu_j, 0) for nu_j in g.nu]))
-        term2 = MotTerm(q + 1, (-1,), (k_tilde_atom, *h_atoms),
+        term2 = MotTerm(q + 1, (-1,), (k_tilde_atom, *g.h_atoms),
                         cones.d_sigma_plus, nu_full, mk_ez)
-        term3 = MotTerm(q + 1, (-1,), h_atoms, cones.d_rho, nu_full, mk_ez)
+        term3 = MotTerm(q + 1, (-1,), g.h_atoms, cones.d_rho, nu_full, mk_ez)
         return term1, term2, term3
 
     if bullet == RHO:
         # (L - 1 - e_q) (L - 1)^q
-        return (MotTerm(q, (-1 - g.e_q, 1), h_atoms,
+        return (MotTerm(q, (-1 - g.e_q, 1), g.h_atoms,
                         cones.d_rho, nu_full, n_full),)
 
     if bullet == RHO_STAR:
-        return (MotTerm(q + 1, (g.e_q,), ((1, 1), *h_atoms),
+        return (MotTerm(q + 1, (g.e_q,), ((1, 1), *g.h_atoms),
                         cones.d_rho, nu_full, n_full, monomials=((1, 1),)),)
 
     raise ValidationError(f"unknown bullet {bullet!r}")

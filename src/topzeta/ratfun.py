@@ -113,10 +113,10 @@ def _cancel(num, forms: dict, cancel) -> tuple[int, ...]:
 
 
 def _integer_poly(coeffs: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
-    """(p, d) with coeffs = p / d, p an integer polynomial."""
-    cs = [Fraction(c) for c in coeffs]
-    d = lcm(1, *(c.denominator for c in cs))
-    return _trim([int(c * d) for c in cs]), d
+    """(p, d) with int or Fraction coeffs = p / d, p an integer polynomial."""
+    cs = list(coeffs)
+    d = lcm(1, *[c.denominator for c in cs])
+    return _trim([c.numerator * (d // c.denominator) for c in cs]), d
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,9 @@ def _factor(p: tuple[int, ...]) -> tuple[int, dict[tuple[int, int], int]]:
     if zeros:
         forms[(0, 1)] = zeros
         p = p[zeros:]
-    if len(p) > 1:
+    if len(p) == 2:     # a linear p is a primitive form with b > 0
+        forms[p], p = 1, (1,)
+    elif len(p) > 1:
         n, lead = len(p) - 1, p[-1]
         q = [c * lead ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]
         for y in _integer_roots(q):
@@ -350,6 +352,9 @@ class RatFun(NamedTuple):
         """sum of scalar num(s) z(s) / prod (a + b s) over terms (scalar,
         factors[, num[, z]]), num a nonzero trimmed integer polynomial, z
         a nonzero canonical RatFun (both 1 by default); skips zero scalars."""
+        match terms:    # a sequence of one term, the hot case: no comprehension
+            case [t]:
+                return RatFun._sum([RatFun._part(*t)] if t[0] else [])
         part = RatFun._part
         return RatFun._sum([part(*t) for t in terms if t[0]])
 
@@ -421,9 +426,11 @@ class RatFun(NamedTuple):
             return NotImplemented
         if not self.num or not o.num:
             return _ZERO
-        # a constant numerator goes in the term: no form is tried against it
-        x, z = (self, o) if len(self.num) == 1 else (o, self)
-        return RatFun._canonical(*RatFun._part(Fraction(1, x.scale), [
+        # _part's term: a constant numerator, against which no form is tried,
+        # of two the one with fewer forms; its scale is a constant factor
+        x, z = (self, o) if (len(self.num), len(self.forms)) <= \
+            (len(o.num), len(o.forms)) else (o, self)
+        return RatFun._canonical(*RatFun._part(1, [(x.scale, 0)] + [
             f for f, m in x.forms for _ in range(m)], x.num, z), ())
 
     __rmul__ = __mul__

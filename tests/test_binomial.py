@@ -11,7 +11,7 @@ from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, SIGMA_PLUS, \
     BinomialGerm, MotTerm, cone_multiplicities, euler_specialize, motivic_w, \
     w_top
 from topzeta.errors import ConsistencyError, ValidationError
-from topzeta.ratfun import RatFun
+from topzeta.ratfun import RatFun, pmul
 
 
 def _grid_shapes():
@@ -37,9 +37,57 @@ def test_cone_multiplicities_examples():
     assert len(two.d_sigma_plus) == 2
     assert len(cone_multiplicities(BinomialGerm(0, 10, (4, 6), (1, 1), 1))
                .d_sigma_plus) == 25
-    # q, n_q, e_q and k_j are derived from N and k, never passed in
+    # the derived fields are computed from the others, never passed in
     with pytest.raises(TypeError):
         BinomialGerm(0, 2, (2,), (1,), 1, q=5)
+    for block in ("k_forms", "h_atoms"):
+        with pytest.raises(TypeError):
+            BinomialGerm(0, 2, (2,), (1,), 1, **{block: ((3, 4),)})
+
+
+def test_derived_blocks_match_their_formulas():
+    # k_forms_j = k (N_j r + nu_j) with r = ((m+k)s + nu_z)/k, and
+    # h_atoms_j = k_forms_j / gcd(k, N_j), an integer pair
+    rng = random.Random(21)
+    for _ in range(500):
+        q = rng.randint(1, 5)
+        m, k, nu_z = rng.randint(0, 6), rng.randint(1, 9), rng.randint(1, 6)
+        n_vec = tuple(rng.randint(1, 12) for _ in range(q))
+        nu_vec = tuple(rng.randint(1, 5) for _ in range(q))
+        g = BinomialGerm(m, k, n_vec, nu_vec, nu_z)
+        r = [F(nu_z, k), F(m + k, k)]
+        forms = [(k * (n_j * r[0] + nu_j), k * n_j * r[1])
+                 for n_j, nu_j in zip(n_vec, nu_vec)]
+        k_j = [gcd(k, n_j) for n_j in n_vec]
+        assert g.k_forms == tuple(forms), g
+        assert g.h_atoms == tuple((a / d, b / d)
+                                  for (a, b), d in zip(forms, k_j)), g
+        assert all(isinstance(x, int) for pair in g.k_forms + g.h_atoms
+                   for x in pair), g
+        assert (g.q, g.n_q, g.k_j) == (q, gcd(*n_vec), tuple(k_j))
+        assert g.e_q == gcd(k, *n_vec)
+
+
+def test_sigma_minus_matches_dense_closed_form():
+    # (1/(k r)) (1/prod nu - k^q/prod F) with F_j = k (N_j r + nu_j) and
+    # r = ((m+k)s + nu_z)/k, over one dense denominator prod nu (k r)
+    # prod F, factored by from_polys
+    rng = random.Random(5)
+    shapes = _grid_shapes()
+    for _ in range(300):
+        n_vec, nu_vec = rng.choice(shapes)
+        m, k, nu_z = rng.randint(0, 4), rng.randint(1, 6), rng.randint(1, 4)
+        g = BinomialGerm(m, k, n_vec, nu_vec, nu_z)
+        r = [F(nu_z, k), F(m + k, k)]
+        k_r = [k * r[0], k * r[1]]
+        prod_f = [F(1)]
+        for n_j, nu_j in zip(n_vec, nu_vec):
+            prod_f = pmul(prod_f, [k * (n_j * r[0] + nu_j), k * n_j * r[1]])
+        prod_nu = prod(nu_vec)
+        num = list(prod_f)
+        num[0] -= k ** len(n_vec) * prod_nu
+        den = pmul(pmul([prod_nu], k_r), prod_f)
+        assert w_top(g, SIGMA_MINUS) == RatFun.from_polys(num, den), g
 
 
 def test_domains_match_box_walk_on_grid():

@@ -455,6 +455,45 @@ def test_ingest_factorization_matches_oracle(scalar, factors):
     assert ingested.poles_with_multiplicity() == roots_by_search(den)
 
 
+def test_from_polys_reads_a_linear_denominator():
+    # a degree-1 denominator is one primitive form with b > 0, its content
+    # and sign in the scale and numerator
+    cases = {(3, -2): RatFun((-1,), 1, (((-3, 2), 1),)),
+             (4, 6): RatFun((1,), 2, (((2, 3), 1),)),
+             (-4, -6): RatFun((-1,), 2, (((2, 3), 1),)),
+             (F(1, 2), F(1, 3)): RatFun((6,), 1, (((3, 2), 1),)),
+             (0, 5): RatFun((1,), 5, (((0, 1), 1),)),
+             (0, 2, 4): RatFun((1,), 2, (((0, 1), 1), ((1, 2), 1)))}
+    for den, expected in cases.items():
+        f = RatFun.from_polys([1], den)
+        assert f == expected, den
+        assert_canonical(f)
+    assert RatFun.inv_linear(2, 3) == RatFun((1,), 1, (((3, 2), 1),))
+    assert RatFun.linear(-2, 3) == RatFun((3, -2), 1, ())
+    # a root of the numerator cancels the form
+    assert RatFun.from_polys([-6, 4], [-3, 2]) == RatFun.const(2)
+    assert RatFun.one() / RatFun.linear(2, 3) == RatFun.inv_linear(2, 3)
+    with pytest.raises(ValidationError, match="zero denominator"):
+        RatFun.from_polys([1], [0, 0])
+    with pytest.raises(FactorizationError):
+        RatFun.from_polys([1], [1, 0, 1])
+
+
+def test_products_match_dense_oracle_in_both_orders():
+    # f * g and g * f against from_polys on the cross-multiplied dense
+    # form; with two constant numerators either factor may go to _part
+    rng = random.Random(121)
+    both_constant = 0
+    for _ in range(600):
+        f, g = _random_factor(rng), _random_factor(rng)
+        (fn, fd), (gn, gd) = _dense(f), _dense(g)
+        dense = RatFun.from_polys(pmul(fn, gn), pmul(fd, gd))
+        assert f * g == dense == g * f, (f, g)
+        both_constant += len(f.num) == len(g.num) == 1 and \
+            len(f.forms) != len(g.forms)
+    assert both_constant > 100, both_constant
+
+
 def test_linear_helpers():
     assert linear_product([]) == (1,)
     assert linear_product([(1, 1), (1, 1), (-3, 2)]) == (-3, -4, 1, 2)
