@@ -42,7 +42,8 @@ noise row of the file.  Each before and after row holds:
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
     ztop_from_strata on each curve fixture (l = 1..12); microseconds per
-    call of lys_charpoly on each Le-Yomdin fixture at k = 1..LYS_K_MAX;
+    call of lys_charpoly and of lys_ztop at l = 1 on each Le-Yomdin
+    fixture at k = 1..LYS_K_MAX;
     microseconds per twist of lys_ztop on LYS_SURFACES at the zero twists
     up to the default l_max and at the nonzero twists of the order closure,
     per zero twist
@@ -259,15 +260,18 @@ def load(name: str) -> dict:
 
 
 def twist_rows() -> dict:
-    """suspend_G, ztop_from_strata and lys_charpoly, microseconds per
-    call."""
+    """suspend_G, ztop_from_strata, lys_charpoly and lys_ztop at l = 1,
+    microseconds per call."""
     rows = {}
     for name in LYS_FIXTURES:
         base = lys.lys_from_json(load(name))
-        rows[f"lys_charpoly_us|{name}"] = per_case_us(lys.lys_charpoly, [
-            (lys.LysSurface(base.n, base.m, k, base.chi_complement,
-                            base.chi_curve_smooth, base.points),)
-            for k in range(1, LYS_K_MAX + 1)])
+        surfaces = [lys.LysSurface(base.n, base.m, k, base.chi_complement,
+                                   base.chi_curve_smooth, base.points)
+                    for k in range(1, LYS_K_MAX + 1)]
+        rows[f"lys_charpoly_us|{name}"] = per_case_us(
+            lys.lys_charpoly, [(S,) for S in surfaces])
+        rows[f"lys_ztop_us|{name},l=1"] = per_case_us(
+            lys.lys_ztop, [(S, 1) for S in surfaces])
     for name in ("x5y6", "lvp"):
         prof = suspension.profile_from_json(load(f"{name}_profile"))
         for m in (0, 2):

@@ -8,6 +8,7 @@ the underlying finite-order automorphism) substituted at tau^p.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 from typing import NamedTuple
 
@@ -36,7 +37,8 @@ class CycloProduct(NamedTuple):
         return CycloProduct(())
 
     def exponent(self, d: int) -> int:
-        return self.factors.get(d, 0)
+        i = bisect_left(items := self.items, (d,))
+        return items[i][1] if i < len(items) and items[i][0] == d else 0
 
     # -- bracket form --------------------------------------------------------
 

@@ -4,7 +4,8 @@ A germ F = f_m + f_{m+k} + ... with projectivized tangent cone C_m whose
 singular points avoid V(f_{m+k}) blows down to a stratification of the
 exceptional P^n, so its zeta functions assemble from the global strata and
 the generalized-suspension terms of each singular point of C_m, in the
-shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products.  The characteristic
+shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products, built once per
+point type (zeta, delta) and scaled by its count.  The characteristic
 polynomial is one bracket list, (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
 prod_q Delta_q^(k)(tau^{m+k}), also for superisolated surfaces (k = 1).
 Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
@@ -28,8 +29,10 @@ from .suspension import GermSummary, summary_from_json, summary_to_json, \
 
 @checked
 class LysSurface(NamedTuple):
-    """support_lcm = lcm(m, (m+k) q.zeta.support_lcm over the points q) is
-    computed here; every l with a nonzero lys_ztop(S, l) divides it."""
+    """Two fields are derived here, once: support_lcm = lcm(m, (m+k)
+    q.zeta.support_lcm over the points q), which every l with a nonzero
+    lys_ztop(S, l) divides, and point_types, one (point, count) per
+    distinct (zeta, delta) of the points, in order of first appearance."""
     n: int                     # ambient projective dimension (2 for surfaces)
     m: int                     # degree of the tangent cone C_m
     k: int
@@ -37,6 +40,7 @@ class LysSurface(NamedTuple):
     chi_curve_smooth: int      # chi(C \ Sing C)
     points: Sequence[GermSummary]
     support_lcm: int           # derived
+    point_types: tuple         # derived
 
     def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
         if n < 1 or m < 1 or k < 1:
@@ -49,15 +53,19 @@ class LysSurface(NamedTuple):
                 raise ValidationError(
                     f"(chi_complement, chi_curve_smooth) = ({chi_complement}"
                     f", {chi_curve_smooth}), expected {expected}")
+        keys = [q[:2] for q in points]          # (zeta, delta), not the name
         return tuple.__new__(cls, (
             n, m, k, chi_complement, chi_curve_smooth, points,
-            lcm(m, *((m + k) * q.zeta.support_lcm for q in points))))
+            lcm(m, *((m + k) * q.zeta.support_lcm for q in points)),
+            tuple((q, keys.count(key)) for i, (q, key) in
+                  enumerate(zip(points, keys)) if keys.index(key) == i)))
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
-    """Z_top^(l)(F, s): the global strata terms and every singular point's
-    suspend_terms, added by one RatFun.sum_inv_products.  Zero, before any
-    term is built, when l does not divide S.support_lcm."""
+    """Z_top^(l)(F, s): the global strata terms and each point type's
+    suspend_terms, their scalars times the type's count, added by one
+    RatFun.sum_inv_products.  Zero, before any term is built, when l does
+    not divide S.support_lcm."""
     if l < 1:
         raise ValidationError("l must be >= 1")
     if S.support_lcm % l:
@@ -66,23 +74,28 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     terms = [(S.chi_complement, [krs])] if S.m % l == 0 else []
     if l == 1:
         terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
-    for point in S.points:
-        terms += suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)
+    for point, count in S.point_types:
+        terms += [(count * t[0], *t[1:]) for t in
+                  suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)]
     return RatFun.sum_inv_products(terms)
 
 
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     """(Delta, Delta_tilde): the characteristic polynomial of the monodromy
-    and its (tau - 1) multiple, which must be an honest polynomial; both
-    from one bracket list, (tau^m - 1)^chi and each Delta_q^(k)(tau^{m+k})."""
+    and its (tau - 1) multiple, which must be an honest polynomial.  One
+    bracket list, (tau^m - 1)^chi and each type's Delta_q^(k)(tau^{m+k})
+    times its count, gives Delta_tilde; Delta lowers the exponent of Phi_1,
+    which is the first item if present, by one."""
     brackets = [(S.m, S.chi_complement)]
-    for q in S.points:
-        brackets += q.delta.power_brackets(S.k, S.m + S.k)
+    for q, count in S.point_types:
+        brackets += [(d, count * n) for d, n in
+                     q.delta.power_brackets(S.k, S.m + S.k)]
     delta_tilde = CycloProduct.from_brackets(brackets)
-    delta = delta_tilde / CycloProduct.from_brackets([(1, 1)])
     if not delta_tilde.is_polynomial():
         raise ValidationError("(tau - 1) Delta is not a polynomial; "
                               "inconsistent Le-Yomdin input")
+    e1, items = delta_tilde.exponent(1), delta_tilde.items
+    delta = CycloProduct(((1, e1 - 1),) * (e1 != 1) + items[bool(e1):])
     return delta, delta_tilde
 
 
@@ -104,7 +117,7 @@ def is_bad_divisor(S: LysSurface) -> bool:
     if S.m <= 3 or S.chi_complement > 0:
         return False
     lct = Fraction(3, S.m)
-    return all(lct not in q.zeta.pol_plus() for q in S.points)
+    return all(lct not in q.zeta.pol_plus() for q, _ in S.point_types)
 
 
 def residue_lct(S: LysSurface) -> Fraction:
@@ -116,7 +129,7 @@ def residue_lct(S: LysSurface) -> Fraction:
                         "s + 1, which other terms carry, so the pole need "
                         "not be simple")
     lct = Fraction(3, S.m)
-    for q in S.points:
+    for q, _ in S.point_types:          # the first point of each type
         if lct in q.zeta.pol_plus():
             raise PoleError(
                 f"-3/m is a pole at point {q.name!r}: multiple pole regime")

@@ -42,6 +42,19 @@ def test_mul_div():
     assert expand_poly(p) != expand_poly(q)
 
 
+def test_exponent_reads_the_factor_map():
+    # the sorted items bisected against the d -> e map, for present and
+    # absent d, below, between and above the stored orders
+    rng = random.Random(20261020)
+    assert CycloProduct.one().exponent(1) == 0
+    for _ in range(300):
+        h = CycloProduct.from_factors(
+            {rng.randint(1, 40): rng.choice([-3, -2, -1, 1, 2, 3])
+             for _ in range(rng.randint(0, 6))})
+        for d in range(1, 45):
+            assert h.exponent(d) == h.factors.get(d, 0), (h, d)
+
+
 def test_no_tuple_arithmetic():
     # a product is a tuple, but + would concatenate and n * repeat it
     c = CycloProduct.from_brackets([(6, 1), (4, 2)])

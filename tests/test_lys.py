@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,8 @@ from topzeta.errors import ValidationError
 from topzeta.lys import LysSurface, is_bad_divisor, lys_charpoly, lys_from_json, \
     lys_orders, lys_to_json, lys_ztop, residue_lct
 from topzeta.ratfun import PoleError, RatFun
-from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph
+from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph, \
+    suspend_terms
 
 
 def node_summary():
@@ -264,3 +266,61 @@ def test_charpoly_oracle_on_random_points(point_deltas, m, k):
     else:
         with pytest.raises(ValidationError):
             lys_charpoly(S)
+
+
+def _per_point_ztop(S: LysSurface, l: int) -> RatFun:
+    """Z_top^(l) with no point types: the global terms and every point's
+    suspend_terms, added by one sum_inv_products."""
+    krs = (S.n + 1, S.m)
+    terms = [(S.chi_complement, [krs])] if S.m % l == 0 else []
+    if l == 1:
+        terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
+    for q in S.points:
+        terms += suspend_terms(q.zeta, S.m, S.k, S.n + 1, l)
+    return RatFun.sum_inv_products(terms)
+
+
+def test_point_types_match_per_point_assembly():
+    # random germs, each repeated 1-4 times, shuffled and some copies
+    # renamed: every twist dividing support_lcm and a few that do not give
+    # the per-point sum, Delta the per-point transforms, and the lct
+    # statements read every point
+    rng = random.Random(2323)
+    twists = 0
+    for _ in range(100):
+        m, k = rng.randint(2, 9), rng.randint(1, 6)
+        germs = [summary_from_graph(random_graph(rng), f"q{i + 1}")
+                 for i in range(rng.randint(1, 3))]
+        points = [GermSummary(g.zeta, g.delta, rng.choice([g.name, "copy"]))
+                  for g in germs for _ in range(rng.randint(1, 4))]
+        rng.shuffle(points)
+        chi_c = 3 * m - m ** 2 + sum(q.delta.degree() for q in points)
+        fields = (2, m, k, 3 - chi_c, chi_c - len(points), points)
+        S = LysSurface(*fields)
+        assert sum(count for _, count in S.point_types) == len(points)
+        for q, count in S.point_types:
+            assert count == sum(p[:2] == q[:2] for p in points)
+        firsts = [p for i, p in enumerate(points)
+                  if all(p[:2] != o[:2] for o in points[:i])]
+        assert [q for q, _ in S.point_types] == firsts
+        divisors = [l for l in range(1, S.support_lcm + 1)
+                    if S.support_lcm % l == 0]
+        for l in divisors + [S.support_lcm + 1, 2 * S.support_lcm, 7, 11]:
+            assert lys_ztop(S, l) == _per_point_ztop(S, l), (m, k, l)
+            twists += 1
+        try:
+            delta = lys_charpoly(S)[0]
+        except ValidationError:  # (tau - 1) Delta is not a polynomial
+            assert not (_charpoly_oracle(S) * CycloProduct.from_brackets(
+                [(1, 1)])).is_polynomial()
+        else:
+            assert delta == _charpoly_oracle(S)
+        hits = [q.name for q in points if F(3, m) in q.zeta.pol_plus()]
+        assert is_bad_divisor(S) == (m > 3 and S.chi_complement <= 0
+                                     and not hits)
+        if hits and m != 3:       # the message names the first such point
+            with pytest.raises(PoleError, match=re.escape(repr(hits[0]))):
+                residue_lct(S)
+        with pytest.raises(TypeError):
+            LysSurface(*fields, point_types=S.point_types)
+    assert twists > 1_000

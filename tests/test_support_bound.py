@@ -104,7 +104,8 @@ def test_ztop_from_strata_vanishes_off_support_lcm():
 
 def test_lys_ztop_zero_twist_builds_no_part(monkeypatch):
     # off support_lcm, lys_ztop answers from the gate: no point's
-    # suspend_terms and no RatFun._sum; on it, each point's terms are read
+    # suspend_terms and no RatFun._sum; on it, each point type's terms are
+    # read once, so the three A1 nodes of xyz = 0 cost one call
     surfaces = lys_surfaces()
     calls = {"suspend_terms": 0, "_sum": 0}
     suspend_terms, ratfun_sum = lys.suspend_terms, RatFun._sum
@@ -129,6 +130,9 @@ def test_lys_ztop_zero_twist_builds_no_part(monkeypatch):
             zero_twists += 1
         assert calls == {"suspend_terms": 0, "_sum": 0}, (S.m, S.k)
         lys_ztop(S, S.m)
-        assert calls == {"suspend_terms": len(S.points), "_sum": 1}
+        assert calls == {"suspend_terms": len(S.point_types), "_sum": 1}
         calls.update(suspend_terms=0, _sum=0)
     assert zero_twists > 1_000
+    for name in ("lys_xyz_k1", "lys_xyz_k2"):      # three A1 nodes, one type
+        S = lys_from_json(load_fixture(f"{name}.json"))
+        assert len(S.points) == 3 and len(S.point_types) == 1
