@@ -49,8 +49,11 @@ noise row of the file.  Each before and after row holds:
     per zero twist
     of suspend_G (the same profiles, l <= 2 (m+k) lcm(support)) and of
     ztop_from_strata (l <= 2 lcm(N)), and milliseconds per check_holomorphy
-    at the default l_max on HOLOMORPHY_SURFACE and on each subject of
-    HOLOMORPHY_SUBJECTS (a curve and a suspension), 20 checks per timing;
+    at the default l_max on the subjects HOLOMORPHY_SURFACE and
+    HOLOMORPHY_SUBJECTS (a surface, a curve and a suspension), as
+    `check holomorphy` reads them, 20 checks per timing, and milliseconds
+    per subject_from_json on each of CHECK_FIXTURES, the subjects of
+    `check`, 20 reads per timing;
     milliseconds per
     ztop_from_strata(res, 1) on the resolution graph of x^(V-1) + y^V,
     which has V vertices, for each V of CURVE_VERTICES (a large sum of
@@ -115,6 +118,7 @@ LYS_SURFACES = ("lys_kashiwara_Ib", "lys_kashiwara_IbL")
 CURVE_VERTICES = (31, 61, 101, 151)
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 HOLOMORPHY_SUBJECTS = ("triple_cusp_graph", "cusp3_susp")
+CHECK_FIXTURES = (*CURVES, "cusp3_susp", *LYS_FIXTURES)
 SUBSTITUTE_DEGREES = (1, 2, 4, 8, 16)
 SHARED_FORMS = (1, 2, 4, 8, 16)
 SUM_TERMS = (2, 4, 8, 16)
@@ -322,19 +326,29 @@ def zero_twist_rows() -> dict:
         rows[f"ztop_from_strata_zero_us|{name},twists={len(zero)}"] = \
             per_case_us(resolution.ztop_from_strata,
                         [(res, l) for l in zero])
-    surface = lys.lys_from_json(load(HOLOMORPHY_SURFACE))
-    subjects = {HOLOMORPHY_SURFACE: (partial(lys.lys_ztop, surface),
-                                     lys.lys_orders(surface))}
-    for name in HOLOMORPHY_SUBJECTS:
-        subject = checks.subject_from_json(load(name))
-        subjects[name] = (subject.zeta, subject.orders)
-    for name, (family, orders) in subjects.items():
+    for name in (HOLOMORPHY_SURFACE, *HOLOMORPHY_SUBJECTS):
+        family, orders = holomorphy_inputs(
+            checks.subject_from_json(load(name)))
         closure = arith.divisor_closure(orders)
         twists = sum(1 for l in range(2, checks.default_l_max(orders) + 1)
                      if l not in closure)
         rows[f"check_holomorphy_ms|{name},twists={twists}"] = per_case_us(
             checks.check_holomorphy, [(family, orders)] * 20) / 1e3
+    for name in CHECK_FIXTURES:
+        rows[f"subject_summary_ms|{name}"] = per_case_us(
+            checks.subject_from_json, [(load(name),)] * 20) / 1e3
     return rows
+
+
+def holomorphy_inputs(subject) -> tuple:
+    """The twist family and orders that `check holomorphy` reads off a
+    subject: a GermSummary's profile and the root orders of (tau - 1) Delta,
+    or the fields of a Subject, which trees before GermSummary subjects
+    build."""
+    if not hasattr(subject, "delta"):
+        return subject.zeta, subject.orders
+    tau_minus_1 = type(subject.delta).from_brackets([(1, 1)])
+    return subject.zeta.entry, (subject.delta * tau_minus_1).root_orders()
 
 
 def curve_rows() -> dict:

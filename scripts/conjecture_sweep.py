@@ -11,11 +11,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 from graphgen import random_graph
-from topzeta.checks import Subject, check_holomorphy, check_monodromy, \
-    curve_subject, lys_subject, suspension_subject
-from topzeta.lys import lys_from_json
+from topzeta.checks import check_holomorphy, check_monodromy
+from topzeta.cyclo import CycloProduct
+from topzeta.lys import lys_from_json, lys_summary
 from topzeta.resolution import graph_from_json
-from topzeta.suspension import summary_from_graph
+from topzeta.suspension import GermSummary, summary_from_graph, \
+    suspend_summary
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,9 +25,10 @@ LYS = ["lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
        "lys_kashiwara_Ib", "lys_kashiwara_IbL"]
 
 
-def check(subject: Subject, label: str) -> bool:
-    mon = check_monodromy(subject.zeta(1), subject.delta_tilde)
-    hol = check_holomorphy(subject.zeta, subject.orders)
+def check(germ: GermSummary, label: str) -> bool:
+    delta_tilde = germ.delta * CycloProduct.from_brackets([(1, 1)])
+    mon = check_monodromy(germ.zeta.entry(1), delta_tilde)
+    hol = check_holomorphy(germ.zeta.entry, delta_tilde.root_orders())
     print(f"  {label:34s} monodromy={'PASS' if mon.passed else 'FAIL'} "
           f"holomorphy={'PASS' if hol.passed else 'FAIL'}")
     return mon.passed and hol.passed
@@ -44,27 +46,27 @@ def main() -> int:
     graphs = {name: graph_from_json(
         json.loads((FIXTURES / f"{name}.json").read_text())) for name in CURVES}
     for name, g in graphs.items():
-        ok &= check(curve_subject(g), name)
+        ok &= check(summary_from_graph(g), name)
 
     print("suspensions of curve fixtures:")
     for name, g in graphs.items():
         germ = summary_from_graph(g)
         for k in (2, 3):
-            ok &= check(suspension_subject(germ, k), f"z^{k} + ({name})")
+            ok &= check(suspend_summary(germ, k), f"z^{k} + ({name})")
 
     print("Le-Yomdin surfaces:")
     for name in LYS:
         surface = lys_from_json(
             json.loads((FIXTURES / f"{name}.json").read_text()))
-        ok &= check(lys_subject(surface), name)
+        ok &= check(lys_summary(surface), name)
 
     print(f"randomized curve germs (n = {args.random}):")
     rng = random.Random(args.seed)
     for i in range(args.random):
         g = random_graph(rng)
-        ok &= check(curve_subject(g), f"random germ {i + 1}")
-        ok &= check(suspension_subject(summary_from_graph(g), 2),
-                    f"z^2 + (random germ {i + 1})")
+        germ = summary_from_graph(g)
+        ok &= check(germ, f"random germ {i + 1}")
+        ok &= check(suspend_summary(germ, 2), f"z^2 + (random germ {i + 1})")
 
     print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 2

@@ -8,64 +8,32 @@ Phi_b dividing (tau - 1) Delta.
 check_holomorphy: for every l > 1 outside the divisor closure of the
 eigenvalue orders, the l-twisted zeta function must vanish identically.
 
-A Subject is what both checks read off one germ (a curve germ, a
-suspension z^k + f, or a Le-Yomdin surface): its twist family and
-(tau - 1) Delta, whose root orders give the eigenvalue orders.
+Both read a germ (a curve, a suspension z^k + f or a Le-Yomdin surface) as
+a GermSummary with a complete profile, Z^(l) = germ.zeta.entry(l), and the
+root orders of (tau - 1) Delta, which differ from the eigenvalue orders at
+most in 1, which check_holomorphy skips.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .arith import divisor_closure, lcm_all
 from .cyclo import CycloProduct, OrderSet
 from .errors import ValidationError, json_field
-from .lys import LysSurface, lys_charpoly, lys_from_json, lys_ztop, \
-    require_surface
+from .lys import lys_from_json, lys_summary
 from .ratfun import RatFun
-from .resolution import CurveResolutionGraph, acampo, graph_from_json, \
-    strata_of_graph, ztop_from_strata
-from .suspension import GermSummary, summary_from_json, suspend_G
+from .resolution import graph_from_json
+from .suspension import GermSummary, summary_from_graph, summary_from_json, \
+    suspend_summary
 
 L_MAX_CAP = 10_000
-_TAU_MINUS_1 = CycloProduct.from_brackets([(1, 1)])
 # a subject without "kind" has the kind of the first of these keys it holds
 _KIND_KEYS = (("vertices", "curve"), ("germ", "suspension"),
               ("points", "lys"), ("chi_complement", "lys"))
 
 
-class Subject(NamedTuple):
-    """One checked germ: its twist family l -> Z^(l) and (tau - 1) Delta."""
-    zeta: Callable[[int], RatFun]
-    delta_tilde: CycloProduct
-
-    @property
-    def orders(self) -> OrderSet:
-        """The root orders of (tau - 1) Delta.  They differ from the
-        eigenvalue orders at most in 1, which check_holomorphy skips."""
-        return self.delta_tilde.root_orders()
-
-
-def curve_subject(g: CurveResolutionGraph) -> Subject:
-    res = strata_of_graph(g)
-    _, delta = acampo(g)
-    return Subject(partial(ztop_from_strata, res), delta * _TAU_MINUS_1)
-
-
-def suspension_subject(germ: GermSummary, k: int) -> Subject:
-    """z^k + f, with the form dx dz (m = 0, nu_z = 1)."""
-    return Subject(partial(suspend_G, germ.zeta, 0, k, 1),
-                   germ.delta.thom_sebastiani_tensor(k) * _TAU_MINUS_1)
-
-
-def lys_subject(S: LysSurface) -> Subject:
-    _, delta_tilde = lys_charpoly(S)
-    require_surface(S, "order description is a surface statement")
-    return Subject(partial(lys_ztop, S), delta_tilde)
-
-
-def subject_from_json(obj: dict) -> Subject:
+def subject_from_json(obj: dict) -> GermSummary:
     """A curve germ, a suspension or a Le-Yomdin surface; "kind" is
     inferred from the keys when absent."""
     kind = obj.get("kind")
@@ -74,13 +42,13 @@ def subject_from_json(obj: dict) -> Subject:
         if kind is None:
             raise ValidationError("cannot infer subject kind")
     if kind == "curve":
-        return curve_subject(graph_from_json(obj.get("graph", obj)))
+        return summary_from_graph(graph_from_json(obj.get("graph", obj)))
     if kind == "suspension":
         k = json_field(obj, "k")
-        return suspension_subject(
+        return suspend_summary(
             summary_from_json(json_field(obj, "germ", dict)), k)
     if kind == "lys":
-        return lys_subject(lys_from_json(obj.get("lys", obj)))
+        return lys_summary(lys_from_json(obj.get("lys", obj)))
     raise ValidationError(f"unknown subject kind {kind!r}")
 
 

@@ -94,14 +94,6 @@ class CycloProduct(NamedTuple):
         return [(p * d // (g := gcd(d, k)), n * g)
                 for d, n in self.to_brackets()]
 
-    def power_transform(self, k: int) -> "CycloProduct":
-        """h^(k), the k-th power transform."""
-        return CycloProduct.from_brackets(self.power_brackets(k, 1))
-
-    def variable_power(self, p: int) -> "CycloProduct":
-        """h(tau^p)."""
-        return CycloProduct.from_brackets(self.power_brackets(1, p))
-
     # -- inspection ------------------------------------------------------------
 
     def is_polynomial(self) -> bool:

@@ -7,7 +7,7 @@ the generalized-suspension terms of each singular point of C_m, in the
 shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products, built once per
 point type (zeta, delta) and scaled by its count.  The characteristic
 polynomial is one bracket list, (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
-prod_q Delta_q^(k)(tau^{m+k}), also for superisolated surfaces (k = 1).
+prod_q Delta_q^(k)(tau^{m+k}) for surfaces (n = 2), superisolated too.
 Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
 paper's closed forms for both are test oracles (tests/closed_forms.py).
 """
@@ -23,8 +23,8 @@ from .cyclo import CycloProduct, OrderSet
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field
 from .ratfun import PoleError, RatFun
-from .suspension import GermSummary, summary_from_json, summary_to_json, \
-    suspend_terms
+from .suspension import GermSummary, ZetaProfile, summary_from_json, \
+    summary_to_json, suspend_terms
 
 
 @checked
@@ -86,6 +86,7 @@ def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     bracket list, (tau^m - 1)^chi and each type's Delta_q^(k)(tau^{m+k})
     times its count, gives Delta_tilde; Delta lowers the exponent of Phi_1,
     which is the first item if present, by one."""
+    require_surface(S, "Le-Yomdin Delta formula is a surface statement")
     brackets = [(S.m, S.chi_complement)]
     for q, count in S.point_types:
         brackets += [(d, count * n) for d, n in
@@ -99,6 +100,17 @@ def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     return delta, delta_tilde
 
 
+def lys_summary(S: LysSurface) -> GermSummary:
+    """Delta and lys_ztop at every divisor of m, m + k and (m+k) s, s in a
+    point's support: every other twist is zero (suspend_G's support gate).
+    Z(F, 0) = 1 is checked unless a point's profile is unvalidated."""
+    delta = lys_charpoly(S)[0]
+    twists = divisor_closure([S.m, S.m + S.k, *(
+        (S.m + S.k) * s for q, _ in S.point_types for s in q.zeta.support())])
+    return GermSummary(ZetaProfile({l: lys_ztop(S, l) for l in twists}, 1, all(
+        q.zeta.validate for q, _ in S.point_types)), delta)
+
+
 def require_surface(S: LysSurface, statement: str) -> None:
     if S.n != 2:
         raise ValidationError(f"{statement} (n = 2)")
@@ -107,7 +119,6 @@ def require_surface(S: LysSurface, statement: str) -> None:
 def lys_orders(S: LysSurface) -> OrderSet:
     """Divisor closure of the eigenvalue orders, read off the assembled
     characteristic polynomial."""
-    require_surface(S, "order description is a surface statement")
     return divisor_closure(lys_charpoly(S)[0].root_orders())
 
 

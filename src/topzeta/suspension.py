@@ -84,8 +84,9 @@ class ZetaProfile(NamedTuple):
 
 @checked
 class GermSummary(NamedTuple):
-    """A germ as consumed by the Le-Yomdin assembly: zeta family plus the
-    characteristic polynomial of its monodromy."""
+    """A germ as constructions and checks read it: its complete zeta family
+    and the characteristic polynomial of its monodromy, built by
+    summary_from_graph, suspend_summary or lys.lys_summary."""
     zeta: ZetaProfile
     delta: CycloProduct
     name: str
@@ -178,12 +179,18 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
 
 
 def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int) -> ZetaProfile:
-    """The whole profile of G = z^m (z^k + f): every twist l dividing
-    (m+k) f.support_lcm, outside of which Z^(l)(G) vanishes (suspend_G's
-    support gate).  So the result is complete and can be suspended again."""
-    bound = (m + k) * f.support_lcm
-    entries = {l: suspend_G(f, m, k, nu_z, l) for l in divisors(bound)}
-    return ZetaProfile(entries, nu_z * f.prod_nu0)
+    """The whole profile of G = z^m (z^k + f), validated if f is: every l
+    dividing (m+k) s, s = 1 or in f's support, outside of which Z^(l)(G)
+    vanishes (suspend_G's support-gate proof), so it can be suspended again."""
+    twists = divisor_closure((m + k) * s for s in {1} | f.support())
+    entries = {l: suspend_G(f, m, k, nu_z, l) for l in twists}
+    return ZetaProfile(entries, nu_z * f.prod_nu0, f.validate)
+
+
+def suspend_summary(f: GermSummary, k: int) -> GermSummary:
+    """z^k + f (m = 0, nu_z = 1); the tensor refuses k < 1 first."""
+    delta = f.delta.thom_sebastiani_tensor(k)
+    return GermSummary(suspend_profile(f.zeta, 0, k, 1), delta)
 
 
 # ---------------------------------------------------------------------------

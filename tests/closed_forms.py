@@ -320,6 +320,20 @@ def residue_lct_formula(S: LysSurface) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the two halves of CycloProduct.power_brackets, one product each
+
+
+def power_transform(h: CycloProduct, k: int) -> CycloProduct:
+    """h^(k), the k-th power transform."""
+    return CycloProduct.from_brackets(h.power_brackets(k, 1))
+
+
+def variable_power(h: CycloProduct, p: int) -> CycloProduct:
+    """h(tau^p)."""
+    return CycloProduct.from_brackets(h.power_brackets(1, p))
+
+
+# ---------------------------------------------------------------------------
 # Thom-Sebastiani by walking the root multiset
 
 

@@ -12,23 +12,23 @@ from math import gcd
 
 import pytest
 
-from closed_forms import lys_candidate_poles, lys_orders_formula
+from closed_forms import lys_candidate_poles, lys_orders_formula, \
+    power_transform
 from conftest import load_fixture
 from graphgen import random_graph
 from topzeta.arith import divisor_closure, divisors, frak_m, jordan_totient
 from topzeta.binomial import BULLETS, BinomialGerm, euler_specialize, \
     motivic_w, w_top
-from topzeta.checks import Subject, check_holomorphy, check_monodromy, \
-    curve_subject, lys_subject, suspension_subject
+from topzeta.checks import check_holomorphy, check_monodromy
 from topzeta.cyclo import CycloProduct
 from topzeta.lys import LysSurface, lys_charpoly, lys_from_json, lys_orders, \
-    lys_ztop
+    lys_summary, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import acampo, graph_from_json, strata_of_graph, \
     ztop_from_strata
-from topzeta.suspension import ZetaProfile, fbad_set, profile_from_graph, \
-    profile_from_json, summary_from_graph, suspend_G, suspend_matrix, \
-    suspend_orders
+from topzeta.suspension import GermSummary, ZetaProfile, fbad_set, \
+    profile_from_graph, profile_from_json, summary_from_graph, suspend_G, \
+    suspend_matrix, suspend_orders, suspend_summary
 
 @contextmanager
 def criterion(number: int, name: str):
@@ -83,7 +83,6 @@ def test_criterion_03_triple_cusp_suite():
 def test_criterion_04_low_degree_lys():
     with criterion(4, "degree-3 tangent cone surfaces, k = 1..8"):
         node = ZetaProfile({1: RatFun.from_polys([1], [1, 2, 1])})
-        from topzeta.suspension import GermSummary
         nodesum = GermSummary(node, CycloProduct.from_factors({1: 1}))
         one = RatFun.from_polys([1, 1], [1])
         a3 = graph_from_json(load_fixture("a3_graph.json"))
@@ -177,7 +176,7 @@ def test_criterion_07_arithmetic_properties():
                         for _ in range(rng.randint(0, 5))]
             h = CycloProduct.from_brackets(brackets)
             k = rng.randint(1, 12)
-            assert h.power_transform(k) == _power_oracle(h, k)
+            assert power_transform(h, k) == _power_oracle(h, k)
 
 
 def _curve_fixture_graphs():
@@ -227,22 +226,24 @@ def test_criterion_08_structural_theorems():
                             for l1 in divisors(ell))
 
 
-def _conjectures_hold(subject: Subject) -> bool:
-    l_max = min(2 * max(subject.orders, default=1), 80)
-    return check_monodromy(subject.zeta(1), subject.delta_tilde).passed \
-        and check_holomorphy(subject.zeta, subject.orders, l_max).passed
+def _conjectures_hold(germ: GermSummary) -> bool:
+    delta_tilde = germ.delta * CycloProduct.from_brackets([(1, 1)])
+    orders = delta_tilde.root_orders()
+    l_max = min(2 * max(orders, default=1), 80)
+    return check_monodromy(germ.zeta.entry(1), delta_tilde).passed \
+        and check_holomorphy(germ.zeta.entry, orders, l_max).passed
 
 
 def test_criterion_09_conjecture_suites():
     with criterion(9, "monodromy and holomorphy checks on all fixtures"):
         for g in _curve_fixture_graphs():
-            assert _conjectures_hold(curve_subject(g))
+            assert _conjectures_hold(summary_from_graph(g))
         for g in _curve_fixture_graphs()[:4]:
             germ = summary_from_graph(g)
             for k in (2, 3):
-                assert _conjectures_hold(suspension_subject(germ, k))
+                assert _conjectures_hold(suspend_summary(germ, k))
         for S in _lys_fixtures():
-            assert _conjectures_hold(lys_subject(S))
+            assert _conjectures_hold(lys_summary(S))
 
 
 def test_criterion_10_kashiwara_tables():

@@ -13,9 +13,10 @@ from math import lcm
 from closed_forms import brieskorn_pham_eigenvalues, ztop_binomial
 from graphgen import brieskorn_pham_graph
 from topzeta.binomial import BinomialGerm
-from topzeta.checks import check_holomorphy, check_monodromy, curve_subject
+from topzeta.checks import check_holomorphy, check_monodromy
 from topzeta.cyclo import CycloProduct
 from topzeta.resolution import acampo, strata_of_graph, ztop_from_strata
+from topzeta.suspension import summary_from_graph
 
 EXPONENTS = range(2, 13)
 
@@ -68,7 +69,9 @@ def test_conjectures_hold():
     start = time.perf_counter()
     for a in EXPONENTS:
         for b in EXPONENTS:
-            subject = curve_subject(brieskorn_pham_graph(a, b))
-            assert check_monodromy(subject.zeta(1), subject.delta_tilde).passed
-            assert check_holomorphy(subject.zeta, subject.orders).passed
+            germ = summary_from_graph(brieskorn_pham_graph(a, b))
+            delta_tilde = germ.delta * CycloProduct.from_brackets([(1, 1)])
+            assert check_monodromy(germ.zeta.entry(1), delta_tilde).passed
+            assert check_holomorphy(germ.zeta.entry,
+                                    delta_tilde.root_orders()).passed
     assert time.perf_counter() - start < 4.0

@@ -8,12 +8,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from closed_forms import brieskorn_pham_eigenvalues
 from conftest import FIXTURES
+from graphgen import brieskorn_pham_graph
 from topzeta import cli
 from topzeta.cli import main
+from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
+from topzeta.lys import LysSurface, lys_to_json
 from topzeta.resolution import graph_from_json
-from topzeta.suspension import MATRIX_DIVISOR_BOUND
+from topzeta.suspension import MATRIX_DIVISOR_BOUND, summary_from_graph, \
+    suspend_summary
 
 
 ROOT = FIXTURES.parent
@@ -246,16 +251,33 @@ def test_flags_that_would_be_ignored_exit_1(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+NON_SURFACE = "error: Le-Yomdin Delta formula is a surface statement (n = 2)\n"
+
+
 @pytest.mark.parametrize("conjecture", ["monodromy", "holomorphy"])
 def test_check_refuses_non_surface_lys(capsys, tmp_path, conjecture):
-    # the eigenvalue-order description is a statement about surfaces
+    # both checks read Delta, whose Le-Yomdin formula is a surface statement
     obj = json.loads((FIXTURES / "lys_xyz_k1.json").read_text())
     obj["n"] = 3
     f = tmp_path / "lys_n3.json"
     f.write_text(json.dumps(obj))
     code, out, err = run_cli(capsys, "check", conjecture, "--in", str(f))
     assert code == 1 and not out
-    assert err == "error: order description is a surface statement (n = 2)\n"
+    assert err == NON_SURFACE
+
+
+def test_charpoly_refuses_non_surface_lys(capsys, tmp_path):
+    # x^2 + y^2 + z^2 + w^3 is an n = 3 Le-Yomdin germ (m = 2, k = 1) with
+    # one point, x^2 + y^2 + z^2; the surface formula would print
+    # Phi_2^2 Phi_6 where Brieskorn's Delta is Phi_6
+    point = suspend_summary(summary_from_graph(brieskorn_pham_graph(2, 2)), 2)
+    assert brieskorn_pham_eigenvalues((2, 2, 2, 3)) == \
+        CycloProduct.from_factors({6: 1})
+    f = tmp_path / "lys_n3.json"
+    f.write_text(json.dumps(lys_to_json(LysSurface(3, 2, 1, 1, 2, [point]))))
+    code, out, err = run_cli(capsys, "charpoly", "--in", str(f))
+    assert code == 1 and not out
+    assert err == NON_SURFACE
 
 
 DELETE = object()

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from closed_forms import candidate_a, lys_candidate_poles, \
-    lys_orders_formula, residue_lct_formula, sis_ztop
+    lys_orders_formula, power_transform, residue_lct_formula, sis_ztop, \
+    variable_power
 from conftest import load_fixture
 from graphgen import random_graph
 from topzeta.arith import divisor_closure
@@ -227,10 +228,12 @@ def test_json_roundtrip(a3_graph):
 
 def _charpoly_oracle(S: LysSurface) -> CycloProduct:
     """Delta as (tau^m - 1)^chi / (tau - 1) times each point's
-    power_transform(k).variable_power(m + k), one product at a time."""
+    variable_power(power_transform(delta_q, k), m + k), one product at a
+    time."""
     delta = CycloProduct.from_brackets([(S.m, S.chi_complement), (1, -1)])
     for q in S.points:
-        delta = delta * q.delta.power_transform(S.k).variable_power(S.m + S.k)
+        delta = delta * variable_power(power_transform(q.delta, S.k),
+                                       S.m + S.k)
     return delta
 
 

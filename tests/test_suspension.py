@@ -291,11 +291,14 @@ def test_suspend_profile_order_symmetry(x5y6_profile):
     for f in profiles:
         for k1, k2 in ((3, 2), (4, 6), (2, 2), (3, 5)):
             first = suspend_profile(f, 0, k1, 1)
-            # every twist outside the stored divisors is zero
+            # the stored twists are the divisors of k1 s for s = 1 and s in
+            # f's support, and every twist outside them is zero
             bound = k1 * lcm_all(f.support())
-            assert set(first.entries) == set(divisors(bound))
+            assert set(first.entries) == divisor_closure(
+                k1 * s for s in {1} | f.support())
             assert all(suspend_G(f, 0, k1, 1, l).is_zero()
-                       for l in range(1, 2 * bound + 1) if bound % l)
+                       for l in range(1, 2 * bound + 1)
+                       if l not in first.entries)
             assert _nonzero(suspend_profile(first, 0, k2, 1)) == \
                 _nonzero(suspend_profile(suspend_profile(f, 0, k2, 1),
                                          0, k1, 1)), (k1, k2)

@@ -16,7 +16,8 @@ from closed_forms import suspend_G_dispatch
 from topzeta.arith import divisors, frak_m, lcm_all
 from topzeta.binomial import SIGMA_PLUS, BinomialGerm, cone_multiplicities, \
     motivic_w
-from topzeta.checks import check_monodromy, curve_subject
+from topzeta.checks import check_monodromy
+from topzeta.cyclo import CycloProduct
 from topzeta.lys import LysSurface, lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_from_json, \
@@ -130,7 +131,7 @@ def test_zeta_profile_is_immutable():
 VALUE_TYPES = ("RatFun", "CycloProduct", "BinomialGerm", "ConeData",
                "MotTerm", "ZetaProfile", "GermSummary", "LysSurface",
                "Component", "Stratum", "StratifiedResolution", "Vertex",
-               "Arrow", "CurveResolutionGraph", "Subject", "CheckItem",
+               "Arrow", "CurveResolutionGraph", "CheckItem",
                "Report")
 
 
@@ -139,17 +140,17 @@ def values() -> dict:
     """One instance of each value type of the package, by class name."""
     graph = graph_from_json(load_fixture("a3_graph.json"))
     res = strata_of_graph(graph)
-    subject = curve_subject(graph)
-    report = check_monodromy(subject.zeta(1), subject.delta_tilde)
+    summary = summary_from_graph(graph, "A3")
+    delta_tilde = summary.delta * CycloProduct.from_brackets([(1, 1)])
+    report = check_monodromy(summary.zeta.entry(1), delta_tilde)
     germ = BinomialGerm(0, 2, (3,), (1,), 1)
     out = {type(v).__name__: v for v in (
-        RatFun.inv_linear(1, 1), subject.delta_tilde, germ,
+        RatFun.inv_linear(1, 1), delta_tilde, germ,
         cone_multiplicities(germ), motivic_w(germ, SIGMA_PLUS)[0],
-        profile_from_json(load_fixture("x5y6_profile.json")),
-        summary_from_graph(graph, "A3"),
+        profile_from_json(load_fixture("x5y6_profile.json")), summary,
         lys_from_json(load_fixture("lys_xyz_k1.json")), res,
         res.components[0], res.strata[0], graph, graph.vertices[0],
-        graph.arrows[0], subject, report, report.items[0])}
+        graph.arrows[0], report, report.items[0])}
     # every tuple class of the package is listed
     modules = [m for name, m in sys.modules.items()
                if name.startswith("topzeta.")]
