@@ -25,7 +25,9 @@ noise row of the file.  Each before and after row holds:
   * machine: Python version, platform and CPU count;
   * layers: microseconds per construction of RatFun, MotTerm,
     BinomialGerm and CheckItem from fields taken from the grid and the
-    holomorphy check; microseconds per sum of two terms over n shared
+    holomorphy check, and milliseconds per graph_from_json of every
+    resolution graph stored under fixtures/ and perfbench/data/ (215
+    graphs); microseconds per sum of two terms over n shared
     forms, for each n of SHARED_FORMS, of RatFun a + b and of
     RatFun.sum_inv_products, per one-term RatFun.sum_inv_products that
     builds a (as w_top builds each cone term), per product a * c that
@@ -58,7 +60,9 @@ noise row of the file.  Each before and after row holds:
     ztop_from_strata(res, 1) on the resolution graph of x^(V-1) + y^V,
     which has V vertices, for each V of CURVE_VERTICES (a large sum of
     terms with forms of their own); each the median over the rounds of a
-    median of REPEATS timings;
+    median of REPEATS timings; and milliseconds per solve_multiplicities
+    of that graph from its self-intersections, timed once per round, as a
+    dense solve takes seconds at V = 151;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
     cleared cone cache, once per round, in seconds; and the milliseconds
@@ -107,6 +111,7 @@ REPEATS = 5
 ROUNDS = 9
 SHAPES_PER_Q = 12
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GRAPH_DIRS = (FIXTURES, FIXTURES.parent / "perfbench" / "data")
 CURVES = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
 SUSPEND_K = 6
 L_LADDER = (1, 2, 3, 5, 6, 10, 27, 30, 54, 97)
@@ -182,8 +187,26 @@ def construct_rows() -> dict:
              "BinomialGerm": (binomial.BinomialGerm,
                               (g.m, g.k, g.N, g.nu, g.nu_z)),
              "CheckItem": (checks.CheckItem, (7, True, ""))}
-    return {f"construct_us|{name}": per_case_us(cls, [args] * CONSTRUCTIONS)
+    rows = {f"construct_us|{name}": per_case_us(cls, [args] * CONSTRUCTIONS)
             for name, (cls, args) in cases.items()}
+    graphs = stored_graphs()
+    rows[f"construct_ms|graph_from_json,graphs={len(graphs)}"] = per_case_us(
+        lambda: [resolution.graph_from_json(g) for g in graphs], [()]) / 1e3
+    return rows
+
+
+def stored_graphs() -> list[dict]:
+    """Every resolution graph (a JSON object with "vertices") in the JSON
+    files of GRAPH_DIRS, however deeply nested."""
+    def walk(obj):
+        if isinstance(obj, dict) and "vertices" in obj:
+            yield obj
+        elif isinstance(obj, (dict, list)):
+            for value in obj.values() if isinstance(obj, dict) else obj:
+                yield from walk(value)
+
+    return [g for d in GRAPH_DIRS for path in sorted(d.glob("*.json"))
+            for g in walk(json.loads(path.read_text(encoding="utf-8")))]
 
 
 def ratfun_rows() -> dict:
@@ -354,7 +377,8 @@ def holomorphy_inputs(subject) -> tuple:
 def curve_rows() -> dict:
     """Z^(1) of large curves: milliseconds per ztop_from_strata on the
     resolution graph of x^(V-1) + y^V, whose V vertices each give a
-    stratum term with a form of its own."""
+    stratum term with a form of its own, and per solve_multiplicities of
+    that graph from its self-intersections, one call."""
     rows = {}
     for v in CURVE_VERTICES:
         graph = resolution.graph_from_json(
@@ -362,6 +386,13 @@ def curve_rows() -> dict:
         res = resolution.strata_of_graph(graph)
         rows[f"curve_ztop_ms|V={v}"] = per_case_us(
             resolution.ztop_from_strata, [(res, 1)]) / 1e3
+        self_intersections = {u.id: u.self_intersection
+                              for u in graph.vertices}
+        start = time.perf_counter()
+        resolution.solve_multiplicities(self_intersections, graph.arrows,
+                                        graph.edges)
+        rows[f"solve_multiplicities_ms|V={v}"] = \
+            (time.perf_counter() - start) * 1e3
     return rows
 
 

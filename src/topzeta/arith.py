@@ -1,12 +1,11 @@
 """Number-theoretic primitives used by the zeta-function formulas.
 
-Divisors, Mobius, Jordan totients, the gadget m(k,l,q) that controls
-which twists of a germ feed a given twist of its suspension or
-Le-Yomdin blow-up, and Gauss-Jordan elimination over Q.
+Divisors, Mobius, Jordan totients, lcm, and the gadget m(k,l,q) that
+controls which twists of a germ feed a given twist of its suspension or
+Le-Yomdin blow-up.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -99,23 +98,3 @@ def lcm_all(values) -> int:
         out = lcm(out, v)
     return out
 
-
-def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> bool:
-    """Reduce augmented rows over Q in place so that the first ncols rows
-    carry the identity in the first ncols columns; the trailing columns then
-    hold the solution and any further rows the consistency conditions.
-    Returns False, leaving rows partly reduced, when those columns are
-    linearly dependent."""
-    for col in range(ncols):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0),
-                     None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / Fraction(rows[col][col])
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(len(rows)):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return True

@@ -6,8 +6,10 @@ Z^(l) = sum_{I : l | N_i} chi(E_I°) / prod (N_i s + nu_i).
 
 CurveResolutionGraph is the dual graph of a plane-curve resolution:
 exceptional vertices, arrows for strict-transform branches, and edges.
-From it we derive strata, A'Campo's monodromy zeta function and the
-solved multiplicities (N, nu) from self-intersections.
+Its exceptional graph is a tree with a negative definite intersection
+matrix (Mumford), walked by one traversal.  From it we derive strata,
+A'Campo's monodromy zeta function and (N, nu), solved from
+self-intersections by elimination along the tree.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from .arith import gauss_jordan, lcm_all
+from .arith import lcm_all
 from .cyclo import CycloProduct
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field, json_items, json_number
@@ -129,11 +131,7 @@ class CurveResolutionGraph(NamedTuple):
                 raise ValidationError(f"arrow {a.id} attached to unknown vertex")
             if a.mult < 1:
                 raise ValidationError(f"arrow {a.id}: mult must be >= 1")
-        for u, v in edges:
-            if u not in ids or v not in ids or u == v:
-                raise ValidationError(f"bad edge ({u}, {v})")
-        if len(_components([v.id for v in vertices], edges)) != 1:
-            raise ValidationError("exceptional graph is not connected")
+        _tree_order([v.id for v in vertices], edges)
         self = tuple.__new__(cls, (vertices, arrows, edges, prod_nu0))
         if all(v.self_intersection is not None for v in vertices):
             self.check_numerical_data()
@@ -172,29 +170,31 @@ class CurveResolutionGraph(NamedTuple):
                     f"neighbours is {canonical} != {e} * {v.nu} - 2")
 
 
-def _components(ids, edges) -> list[set[str]]:
-    """Connected components of the graph on ids spanned by those edges whose
-    ends both lie in ids, each started from its first id in the given order."""
-    adj: dict[str, set[str]] = {i: set() for i in ids}
+def _tree_order(ids: list[str], edges) -> dict[str, str | None]:
+    """The tree on ids spanned by edges, walked breadth first from ids[0]:
+    each vertex's parent (None at the root), keyed in that order.  Refuses
+    an edge with an unknown end or a loop, an empty or disconnected graph,
+    and a connected one with more than V - 1 edges (a cycle or a doubled
+    edge)."""
+    near: dict[str, list[str]] = {vid: [] for vid in ids}
     for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    out: list[set[str]] = []
-    seen: set[str] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(comp)
-    return out
+        if u not in near or v not in near or u == v:
+            raise ValidationError(f"bad edge ({u}, {v})")
+        near[u].append(v)
+        near[v].append(u)
+    parent = dict.fromkeys(ids[:1])
+    order = list(parent)
+    for vid in order:
+        for w in near[vid]:
+            if w not in parent:
+                parent[w] = vid
+                order.append(w)
+    if not order or len(order) < len(near):
+        raise ValidationError("exceptional graph is not connected")
+    if len(edges) != len(order) - 1:
+        raise ValidationError(f"exceptional graph is not a tree: "
+                              f"{len(edges)} edges on {len(order)} vertices")
+    return parent
 
 
 def strata_of_graph(g: CurveResolutionGraph) -> StratifiedResolution:
@@ -235,38 +235,41 @@ def solve_multiplicities(self_intersections: dict[str, int],
                          arrows: list[Arrow], edges: list[tuple[str, str]],
                          prod_nu0: int = 1) -> CurveResolutionGraph:
     """The graph on the vertices of self_intersections, in its order, with
-    N and nu filled in from self-intersections and arrow multiplicities.
+    N and nu filled in from self-intersections -e_i and arrow multiplicities.
 
-    N solves the projection formula sum_{j~i} N_j + arrows_i = e_i N_i;
-    nu - 1 solves the adjunction system M (nu - 1) = (e_i - 2) with M the
-    intersection matrix (arrows contribute nu - 1 = 0).  Both right-hand
-    sides go through one elimination.  A non-integer solution is refused
-    here, and one below 1 by CurveResolutionGraph.
+    N solves the projection formula e_i N_i - sum_{j~i} N_j = arrows_i and
+    x = nu - 1 the adjunction system e_i x_i - sum_{j~i} x_j = 2 - e_i
+    (arrows contribute nu - 1 = 0), both in one O(V) elimination from the
+    leaves of the tree to its root and back.  A pivot <= 0 (the matrix is
+    not negative definite) and a non-integer solution are refused here,
+    a solution below 1 by CurveResolutionGraph.
     """
-    index = {vid: i for i, vid in enumerate(self_intersections)}
-    for u, v in edges:
-        if u not in index or v not in index or u == v:
-            raise ValidationError(f"bad edge ({u}, {v})")
-    n = len(index)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in edges:
-        m[index[u]][index[v]] += 1
-        m[index[v]][index[u]] += 1
-    for vid, i in index.items():
-        e = self_intersections[vid]
-        arrow_load = sum(a.mult for a in arrows if a.attached_to == vid)
-        m[i][i] = Fraction(e)
-        m[i] += [Fraction(-arrow_load), Fraction(-e - 2)]
-    if not gauss_jordan(m, n):
-        raise ValidationError("singular intersection matrix")
-    big_n = [row[n] for row in m]
-    nu = [row[n + 1] + 1 for row in m]
-    for name, vals in (("N", big_n), ("nu", nu)):
-        for vid, val in zip(index, vals):
-            if val.denominator != 1:
-                raise ValidationError(f"non-integer {name} at {vid}: {val}")
-    solved = [Vertex(vid, int(big_n[i]), int(nu[i]), self_intersections[vid])
-              for vid, i in index.items()]
+    parent = _tree_order(list(self_intersections), edges)
+    load: dict[str, int] = {}
+    for a in arrows:
+        load[a.attached_to] = load.get(a.attached_to, 0) + a.mult
+    # each vertex's pivot and right-hand sides once its subtree is gone;
+    # back-substitution, root first, turns the sides into (N, nu - 1)
+    pivot = {vid: Fraction(-self_intersections[vid]) for vid in parent}
+    rhs = {vid: [Fraction(load.get(vid, 0)), 2 - pivot[vid]] for vid in parent}
+    for vid in reversed(parent):
+        if pivot[vid] <= 0:
+            raise ValidationError(
+                "intersection matrix is not negative definite")
+        if (up := parent[vid]) is not None:
+            inv = 1 / pivot[vid]
+            pivot[up] -= inv
+            rhs[up] = [x + y * inv for x, y in zip(rhs[up], rhs[vid])]
+    for vid in parent:
+        above = rhs.get(parent[vid], (0, 0))
+        rhs[vid] = [(x + y) / pivot[vid] for x, y in zip(rhs[vid], above)]
+    for k, name in enumerate(("N", "nu")):
+        for vid in self_intersections:
+            if rhs[vid][k].denominator != 1:
+                raise ValidationError(
+                    f"non-integer {name} at {vid}: {rhs[vid][k] + k}")
+    solved = [Vertex(vid, int(rhs[vid][0]), int(rhs[vid][1]) + 1, e)
+              for vid, e in self_intersections.items()]
     return CurveResolutionGraph(solved, list(arrows), list(edges), prod_nu0)
 
 

@@ -11,7 +11,9 @@ the superisolated k = 1 surfaces), the Le-Yomdin pole candidates,
 eigenvalue orders and residue at -3/m, the residue-class walk over the
 root multiset and the box walk that solves for every integer point of a
 cone's bounding box are independent derivations of the same quantities;
-so is the Newton-polyhedron formula of Denef-Loeser for the Brieskorn-Pham
+so is the dense Gauss-Jordan solve of a resolution graph's numerical data,
+beside the tree elimination of resolution.solve_multiplicities, and so
+is the Newton-polyhedron formula of Denef-Loeser for the Brieskorn-Pham
 suspensions z^m (z^k + x_1^a_1 + ... + x_{n-1}^a_{n-1}), which does not go
 through the transfer theorem at all.  The tests compare them with the
 production path.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
-from topzeta.arith import divisor_closure, divisors, frak_m, gauss_jordan, \
+from topzeta.arith import divisor_closure, divisors, frak_m, \
     jordan_totient, lcm_all
 from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, \
     SIGMA_PLUS, BinomialGerm, w_top
@@ -395,6 +397,53 @@ def _refactor_counts(counts: dict[int, int], L: int) -> CycloProduct:
                 f"root multiset is not Galois-stable at order {d}")
         factors[d] = mults.pop()
     return CycloProduct.from_factors(factors)
+
+
+# ---------------------------------------------------------------------------
+# dense elimination over Q: cone coordinates and a graph's numerical data
+
+
+def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> bool:
+    """Reduce augmented rows over Q in place so that the first ncols rows
+    carry the identity in the first ncols columns; the trailing columns then
+    hold the solution and any further rows the consistency conditions.
+    Returns False, leaving rows partly reduced, when those columns are
+    linearly dependent."""
+    for col in range(ncols):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0),
+                     None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / Fraction(rows[col][col])
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return True
+
+
+def dense_multiplicities(self_intersections: dict[str, int], arrows,
+                         edges) -> dict[str, tuple[Fraction, Fraction]] | None:
+    """(N, nu) of each vertex, solved from the full intersection matrix M:
+    M N = -arrows (projection formula) and M (nu - 1) = -2 - E_i^2
+    (adjunction), both in one Gauss-Jordan elimination; None when M is
+    singular.  Any graph shape is accepted."""
+    index = {vid: i for i, vid in enumerate(self_intersections)}
+    n = len(index)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in edges:
+        m[index[u]][index[v]] += 1
+        m[index[v]][index[u]] += 1
+    for vid, i in index.items():
+        e = self_intersections[vid]
+        arrow_load = sum(a.mult for a in arrows if a.attached_to == vid)
+        m[i][i] = Fraction(e)
+        m[i] += [Fraction(-arrow_load), Fraction(-e - 2)]
+    if not gauss_jordan(m, n):
+        return None
+    return {vid: (m[i][n], m[i][n + 1] + 1) for vid, i in index.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,38 @@ def test_cusp_nu_edit_exit_code(capsys, tmp_path):
                    "neighbours is 4 != 3 * 3 - 2\n")
 
 
+NOT_TREES = {
+    # a triangle E1-E2-E3 with an arrow on each vertex: acampo used to print
+    # zeta = Phi_1^-3 Phi_3^-3 and exit 0
+    "triangle": ({"vertices": [{"id": f"E{i}", "N": 3, "nu": 2}
+                               for i in (1, 2, 3)],
+                  "arrows": [{"id": f"A{i}", "mult": 1, "attached_to": f"E{i}"}
+                             for i in (1, 2, 3)],
+                  "edges": [["E1", "E2"], ["E2", "E3"], ["E1", "E3"]]},
+                 "3 edges on 3 vertices"),
+    # E1 and E2 joined twice: acampo used to print Delta = Phi_1^2 Phi_2
+    "doubled-edge": ({"vertices": [{"id": "E1", "N": 2, "nu": 2},
+                                   {"id": "E2", "N": 1, "nu": 2}],
+                      "arrows": [{"id": "A1", "mult": 1, "attached_to": "E1"}],
+                      "edges": [["E1", "E2"], ["E1", "E2"]]},
+                     "2 edges on 2 vertices"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["acampo", "--in", "IN"], GRAPH, ["check", "monodromy", "--in", "IN"]],
+    ids=["acampo", "zeta-graph", "check"])
+@pytest.mark.parametrize("name", sorted(NOT_TREES))
+def test_graph_that_is_not_a_tree_exits_1(capsys, tmp_path, name, argv):
+    graph, counts = NOT_TREES[name]
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, *[str(f) if a == "IN" else a
+                                       for a in argv])
+    assert code == 1 and not out
+    assert err == f"error: exceptional graph is not a tree: {counts}\n"
+
+
 def test_nu_edits_exit_code(capsys, tmp_path):
     # every two-vertex nu edit is rejected at ingest, and the 82 that keep
     # the normalization exit 1 through the CLI as well

@@ -1,16 +1,18 @@
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 
+from closed_forms import dense_multiplicities
 from conftest import load_fixture
-from graphgen import random_graph
+from graphgen import brieskorn_pham_graph, random_graph
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.ratfun import RatFun
 from topzeta.resolution import Arrow, Component, CurveResolutionGraph, \
-    StratifiedResolution, Stratum, Vertex, _components, acampo, \
+    StratifiedResolution, Stratum, Vertex, acampo, \
     graph_from_json, graph_to_json, solve_multiplicities, strata_from_json, \
     strata_of_graph, strata_to_json, ztop_from_strata
 
@@ -123,8 +125,9 @@ def test_solve_multiplicities_examples(triple_cusp_graph):
 
 
 def test_solve_multiplicities_rejects_singular():
+    # the singular matrix [[-1, 1], [1, -1]] is refused at its zero pivot
     for edges, message in (
-            ([("E1", "E2")], "singular intersection matrix"),
+            ([("E1", "E2")], "intersection matrix is not negative definite"),
             ([("E1", "E9")], "bad edge (E1, E9)"),
             ([("E1", "E2"), ("E1", "E1")], "bad edge (E1, E1)")):
         with pytest.raises(ValidationError) as err:
@@ -133,10 +136,115 @@ def test_solve_multiplicities_rejects_singular():
         assert str(err.value) == message, edges
 
 
+NOT_A_TREE = "exceptional graph is not a tree: {} edges on {} vertices"
+TRIANGLE = [("E1", "E2"), ("E2", "E3"), ("E1", "E3")]
+
+
+@pytest.mark.parametrize("self_intersections,edges,message", [
+    ({"E1": -3, "E2": -3, "E3": -3}, TRIANGLE, NOT_A_TREE.format(3, 3)),
+    ({"E1": -3, "E2": -3}, [("E1", "E2")] * 2, NOT_A_TREE.format(2, 2)),
+    ({"E1": 1}, [], "intersection matrix is not negative definite"),
+    # non-singular but indefinite: det [[-1, 1], [1, 2]] = -3
+    ({"E1": -1, "E2": 2}, [("E1", "E2")],
+     "intersection matrix is not negative definite"),
+    ({"E1": -2}, [], "non-integer N at E1: 1/2"),
+    ({}, [], "exceptional graph is not connected"),
+    ({"E1": -1, "E2": -1}, [], "exceptional graph is not connected"),
+], ids=["cycle", "doubled-edge", "self-intersection+1", "indefinite",
+        "non-integer-N", "empty", "disconnected"])
+def test_solve_multiplicities_refusals(self_intersections, edges, message):
+    with pytest.raises(ValidationError) as err:
+        solve_multiplicities(self_intersections, [Arrow("A1", 1, "E1")],
+                             edges)
+    assert str(err.value) == message
+
+
+def test_solve_multiplicities_refuses_non_integer_nu():
+    # E1^2 = -3 with an arrow of multiplicity 3: N = 1, nu - 1 = -1/3
+    with pytest.raises(ValidationError) as err:
+        solve_multiplicities({"E1": -3}, [Arrow("A1", 3, "E1")], [])
+    assert str(err.value) == "non-integer nu at E1: 2/3"
+
+
+@pytest.mark.parametrize("size,edges,message", [
+    (3, TRIANGLE, NOT_A_TREE.format(3, 3)),
+    (3, [("E1", "E2"), ("E2", "E1"), ("E2", "E3")], NOT_A_TREE.format(3, 3)),
+    (3, [("E1", "E2")], "exceptional graph is not connected"),
+    (0, [], "exceptional graph is not connected"),
+    (3, [("E1", "E2"), ("E2", "E4")], "bad edge (E2, E4)"),
+], ids=["cycle", "doubled-edge", "disconnected", "empty", "bad-edge"])
+def test_graph_refuses_what_is_not_a_tree(size, edges, message):
+    vertices = [Vertex(f"E{i}", 3, 2, None) for i in range(1, size + 1)]
+    with pytest.raises(ValidationError) as err:
+        CurveResolutionGraph(vertices, [], edges)
+    assert str(err.value) == message
+
+
+def _assert_solve_matches_dense(g: CurveResolutionGraph) -> None:
+    self_intersections = {v.id: v.self_intersection for v in g.vertices}
+    dense = dense_multiplicities(self_intersections, g.arrows, g.edges)
+    assert dense == {v.id: (v.N, v.nu) for v in g.vertices}, g
+
+
+def test_tree_solve_matches_dense_oracle():
+    # random_graph and brieskorn_pham_graph build through the tree solve;
+    # the dense Gauss-Jordan solve of the whole matrix must give the same
+    # (N, nu) on 300 seeded blow-up sequences, the Brieskorn-Pham curves
+    # 2 <= a, b <= 12 and the chains x^(V-1) + y^V up to V = 51
+    rng = random.Random(20261020)
+    for _ in range(300):
+        _assert_solve_matches_dense(
+            random_graph(rng, n_blowups=rng.randint(0, 20)))
+    for a in range(2, 13):
+        for b in range(2, 13):
+            _assert_solve_matches_dense(brieskorn_pham_graph(a, b))
+    for v in (*range(3, 12), 21, 31, 41, 51):
+        _assert_solve_matches_dense(brieskorn_pham_graph(v - 1, v))
+
+
+SOLVE_BUDGET_S = 1.0
+
+
+def test_tree_solve_of_a_long_chain_is_fast():
+    # x^200 + y^201 has 201 vertices; the dense solve took seconds here
+    g = brieskorn_pham_graph(200, 201)
+    self_intersections = {v.id: v.self_intersection for v in g.vertices}
+    start = time.perf_counter()
+    solved = solve_multiplicities(self_intersections, g.arrows, g.edges)
+    assert time.perf_counter() - start < SOLVE_BUDGET_S
+    assert len(solved.vertices) == 201
+    solved.check_numerical_data()
+
+
 @dataclass(frozen=True)
 class EnComponent:
     strata: tuple[frozenset[str], ...]
     kind: str  # "type1" | "type2" | "other"
+
+
+def _components(ids, edges) -> list[set[str]]:
+    """Connected components of the graph on ids spanned by those edges whose
+    ends both lie in ids, each started from its first id in the given order."""
+    adj: dict[str, set[str]] = {i: set() for i in ids}
+    for u, v in edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    out: list[set[str]] = []
+    seen: set[str] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(comp)
+    return out
 
 
 def e_n_components(g: CurveResolutionGraph, n: int) -> list[EnComponent]:
@@ -259,11 +367,11 @@ def test_library_refuses_prod_nu0_below_one(prod_nu0):
 
 
 def test_solver_leaves_the_range_to_the_graph():
-    # E1^2 = +1 with one arrow solves N = -1: the graph refuses it, with
-    # the message it gives any vertex below 1
+    # E1^2 = -1 with no arrow solves N = 0: the graph refuses it, with the
+    # message it gives any vertex below 1 (E1^2 = +1 is refused at the pivot)
     with pytest.raises(ValidationError) as info:
-        solve_multiplicities({"E1": 1}, [Arrow("A1", 1, "E1")], [])
-    assert str(info.value) == "vertex E1: non-positive N = -1"
+        solve_multiplicities({"E1": -1}, [], [])
+    assert str(info.value) == "vertex E1: non-positive N = 0"
 
 
 @pytest.mark.parametrize("key", ["N", "nu"])
