@@ -57,10 +57,11 @@ noise row of the file.  Each before and after row holds:
     per subject_from_json on each of CHECK_FIXTURES, the subjects of
     `check`, 20 reads per timing;
     milliseconds per
-    ztop_from_strata(res, 1) on the resolution graph of x^(V-1) + y^V,
-    which has V vertices, for each V of CURVE_VERTICES (a large sum of
-    terms with forms of their own); each the median over the rounds of a
-    median of REPEATS timings; and milliseconds per solve_multiplicities
+    graph_from_json of the resolution graph of x^(V-1) + y^V, which has
+    V vertices, and per ztop_from_strata(res, 1) on it, for each V of
+    CURVE_VERTICES (a large sum of terms with forms of their own); each
+    the median over the rounds of a median of REPEATS timings; and
+    milliseconds per solve_multiplicities
     of that graph from its self-intersections, timed once per round, as a
     dense solve takes seconds at V = 151;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
@@ -375,14 +376,17 @@ def holomorphy_inputs(subject) -> tuple:
 
 
 def curve_rows() -> dict:
-    """Z^(1) of large curves: milliseconds per ztop_from_strata on the
-    resolution graph of x^(V-1) + y^V, whose V vertices each give a
-    stratum term with a form of its own, and per solve_multiplicities of
-    that graph from its self-intersections, one call."""
+    """Z^(1) of large curves: milliseconds per graph_from_json of the
+    resolution graph of x^(V-1) + y^V, per ztop_from_strata on it, whose
+    V vertices each give a stratum term with a form of its own, and per
+    solve_multiplicities of that graph from its self-intersections, one
+    call."""
     rows = {}
     for v in CURVE_VERTICES:
-        graph = resolution.graph_from_json(
-            graph_to_json(brieskorn_pham_graph(v - 1, v)))
+        obj = graph_to_json(brieskorn_pham_graph(v - 1, v))
+        rows[f"construct_ms|graph_from_json,V={v}"] = per_case_us(
+            resolution.graph_from_json, [(obj,)]) / 1e3
+        graph = resolution.graph_from_json(obj)
         res = resolution.strata_of_graph(graph)
         rows[f"curve_ztop_ms|V={v}"] = per_case_us(
             resolution.ztop_from_strata, [(res, 1)]) / 1e3

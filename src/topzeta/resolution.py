@@ -7,9 +7,9 @@ Z^(l) = sum_{I : l | N_i} chi(E_I°) / prod (N_i s + nu_i).
 CurveResolutionGraph is the dual graph of a plane-curve resolution:
 exceptional vertices, arrows for strict-transform branches, and edges.
 Its exceptional graph is a tree with a negative definite intersection
-matrix (Mumford), walked by one traversal.  From it we derive strata,
-A'Campo's monodromy zeta function and (N, nu), solved from
-self-intersections by elimination along the tree.
+matrix (Mumford), walked by one traversal that also gives its adjacency.
+From that we derive strata, A'Campo's monodromy zeta function and (N, nu),
+solved from self-intersections by elimination along the tree.
 """
 from __future__ import annotations
 
@@ -111,10 +111,14 @@ class Arrow(NamedTuple):
 
 @checked
 class CurveResolutionGraph(NamedTuple):
+    """One field is derived here, once: near, the adjacency, which lists
+    for each E_i one (N, nu) per component that meets it, (mult, 1) for
+    an arrow; the valence of E_i is len(near[id])."""
     vertices: list[Vertex]
     arrows: list[Arrow]
     edges: list[tuple[str, str]]
     prod_nu0: int
+    near: dict             # derived
 
     def _new(cls, vertices, arrows, edges, prod_nu0=1):
         for v in vertices:
@@ -123,59 +127,53 @@ class CurveResolutionGraph(NamedTuple):
                     raise ValidationError(
                         f"vertex {v.id}: non-positive {key} = {value}")
         check_prod_nu0(prod_nu0)
-        ids = {v.id for v in vertices}
-        if len(ids) != len(vertices):
+        by_id = {v.id: (v.N, v.nu) for v in vertices}
+        if len(by_id) != len(vertices):
             raise ValidationError("duplicate vertex ids")
         for a in arrows:
-            if a.attached_to not in ids:
+            if a.attached_to not in by_id:
                 raise ValidationError(f"arrow {a.id} attached to unknown vertex")
             if a.mult < 1:
                 raise ValidationError(f"arrow {a.id}: mult must be >= 1")
-        _tree_order([v.id for v in vertices], edges)
-        self = tuple.__new__(cls, (vertices, arrows, edges, prod_nu0))
-        if all(v.self_intersection is not None for v in vertices):
-            self.check_numerical_data()
+        ids = by_id.keys() | {a.id for a in arrows}
+        if len(ids) < len(vertices) + len(arrows):
+            raise ValidationError("duplicate component ids")
+        _, links = _tree_order(list(by_id), edges)
+        near = {vid: [by_id[w] for w in ws] for vid, ws in links.items()}
+        for a in arrows:
+            near[a.attached_to].append((a.mult, 1))
+        self = tuple.__new__(cls, (vertices, arrows, edges, prod_nu0, near))
+        self.check_numerical_data()
         return self
 
-    def neighbors(self, vid: str) -> list[str]:
-        return [v if u == vid else u for u, v in self.edges if vid in (u, v)]
-
-    def arrows_at(self, vid: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.attached_to == vid]
-
-    def valence(self, vid: str) -> int:
-        return len(self.neighbors(vid)) + len(self.arrows_at(vid))
-
     def check_numerical_data(self) -> None:
-        """At each exceptional E_i (a rational curve, E_i^2 = -e_i), the
-        total transform meets E_i with intersection 0 and adjunction holds:
-        sum_{j~i} N_j + arrow mults = e_i N_i (projection formula) and
-        sum_{j~i} (nu_j - 1) = e_i nu_i - 2, where arrows add nu - 1 = 0."""
-        by_id = {v.id: v for v in self.vertices}
+        """At each exceptional E_i (a rational curve) whose E_i^2 = -e_i is
+        given, the total transform meets E_i with intersection 0 and
+        adjunction holds: sum_{j~i} N_j + arrow mults = e_i N_i (projection
+        formula) and sum_{j~i} (nu_j - 1) = e_i nu_i - 2, where arrows add
+        nu - 1 = 0."""
         for v in self.vertices:
             if v.self_intersection is None:
                 continue
             e = -v.self_intersection
-            near = [by_id[w] for w in self.neighbors(v.id)]
-            total = sum(w.N for w in near)
-            total += sum(a.mult for a in self.arrows_at(v.id))
+            total = sum(n for n, _ in self.near[v.id])
             if total != e * v.N:
                 raise ValidationError(
                     f"projection formula fails at {v.id}: "
                     f"{total} != {e} * {v.N}")
-            canonical = sum(w.nu - 1 for w in near)
+            canonical = sum(nu - 1 for _, nu in self.near[v.id])
             if canonical != e * v.nu - 2:
                 raise ValidationError(
                     f"adjunction fails at {v.id}: sum of nu - 1 over its "
                     f"neighbours is {canonical} != {e} * {v.nu} - 2")
 
 
-def _tree_order(ids: list[str], edges) -> dict[str, str | None]:
+def _tree_order(ids: list[str], edges) -> tuple[dict, dict]:
     """The tree on ids spanned by edges, walked breadth first from ids[0]:
-    each vertex's parent (None at the root), keyed in that order.  Refuses
-    an edge with an unknown end or a loop, an empty or disconnected graph,
-    and a connected one with more than V - 1 edges (a cycle or a doubled
-    edge)."""
+    each vertex's parent (None at the root), keyed in that order, and its
+    neighbours, keyed in the order of ids.  Refuses an edge with an unknown
+    end or a loop, an empty or disconnected graph, and a connected one with
+    more than V - 1 edges (a cycle or a doubled edge)."""
     near: dict[str, list[str]] = {vid: [] for vid in ids}
     for u, v in edges:
         if u not in near or v not in near or u == v:
@@ -194,7 +192,7 @@ def _tree_order(ids: list[str], edges) -> dict[str, str | None]:
     if len(edges) != len(order) - 1:
         raise ValidationError(f"exceptional graph is not a tree: "
                               f"{len(edges)} edges on {len(order)} vertices")
-    return parent
+    return parent, near
 
 
 def strata_of_graph(g: CurveResolutionGraph) -> StratifiedResolution:
@@ -204,7 +202,8 @@ def strata_of_graph(g: CurveResolutionGraph) -> StratifiedResolution:
     components carry (N = mult, nu = 1)."""
     comps = [Component(v.id, v.N, v.nu) for v in g.vertices]
     comps += [Component(a.id, a.mult, 1) for a in g.arrows]
-    strata = [Stratum(frozenset([v.id]), 2 - g.valence(v.id)) for v in g.vertices]
+    strata = [Stratum(frozenset([vid]), 2 - len(near))
+              for vid, near in g.near.items()]
     strata += [Stratum(frozenset([u, v]), 1) for u, v in g.edges]
     strata += [Stratum(frozenset([a.attached_to, a.id]), 1) for a in g.arrows]
     return StratifiedResolution(comps, strata, g.prod_nu0)
@@ -218,9 +217,9 @@ def acampo(g: CurveResolutionGraph) -> tuple[CycloProduct, CycloProduct]:
         raise ValidationError(
             "A'Campo valence convention undefined for non-reduced arrows")
     zeta = CycloProduct.from_brackets(
-        (v.N, 2 - g.valence(v.id)) for v in g.vertices)
+        (v.N, 2 - len(g.near[v.id])) for v in g.vertices)
     delta = CycloProduct.from_brackets(
-        [(1, 1)] + [(v.N, g.valence(v.id) - 2) for v in g.vertices])
+        [(1, 1)] + [(v.N, len(g.near[v.id]) - 2) for v in g.vertices])
     if not delta.is_polynomial():
         raise ValidationError("characteristic polynomial is not a polynomial; "
                               "graph is inconsistent with a curve germ")
@@ -244,7 +243,7 @@ def solve_multiplicities(self_intersections: dict[str, int],
     not negative definite) and a non-integer solution are refused here,
     a solution below 1 by CurveResolutionGraph.
     """
-    parent = _tree_order(list(self_intersections), edges)
+    parent, _ = _tree_order(list(self_intersections), edges)
     load: dict[str, int] = {}
     for a in arrows:
         load[a.attached_to] = load.get(a.attached_to, 0) + a.mult

@@ -16,7 +16,7 @@ from topzeta.cli import main
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import LysSurface, lys_to_json
-from topzeta.resolution import graph_from_json
+from topzeta.resolution import graph_from_json, graph_to_json
 from topzeta.suspension import MATRIX_DIVISOR_BOUND, summary_from_graph, \
     suspend_summary
 
@@ -544,6 +544,47 @@ def test_graph_that_is_not_a_tree_exits_1(capsys, tmp_path, name, argv):
                                        for a in argv])
     assert code == 1 and not out
     assert err == f"error: exceptional graph is not a tree: {counts}\n"
+
+
+def _bad_triple_cusp(name: str) -> dict:
+    obj = json.loads((FIXTURES / "triple_cusp_graph.json").read_text())
+    if name == "partial-self-intersections":
+        # E1's left out: the graph used to be checked only when every
+        # vertex had one, so all three commands exited 0
+        del obj["vertices"][0]["self_intersection"]
+        obj["vertices"][1]["self_intersection"] = -5
+    else:
+        # acampo used to print a Delta for a repeated arrow id
+        obj["arrows"][1]["id"] = {"arrow-id": "A1", "vertex-id": "E2"}[name]
+    return obj
+
+
+@pytest.mark.parametrize("argv", [
+    ["acampo", "--in", "IN"], GRAPH, ["check", "monodromy", "--in", "IN"]],
+    ids=["acampo", "zeta-graph", "check"])
+@pytest.mark.parametrize("name,message", [
+    ("partial-self-intersections",
+     "projection formula fails at E2: 18 != 5 * 9"),
+    ("arrow-id", "duplicate component ids"),
+    ("vertex-id", "duplicate component ids")])
+def test_graph_checks_exit_1(capsys, tmp_path, name, message, argv):
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps(_bad_triple_cusp(name)))
+    code, out, err = run_cli(capsys, *[str(f) if a == "IN" else a
+                                       for a in argv])
+    assert code == 1 and not out
+    assert err == f"error: {message}\n"
+
+
+def test_check_holomorphy_reads_twist_2(capsys, tmp_path):
+    # x^3 + y^5: (tau - 1) Delta = Phi_1 Phi_15 has no Phi_2, so twist 2
+    # is checked; a Delta tilde with Phi_2 in place of Phi_1 would skip it
+    f = tmp_path / "x3y5.json"
+    f.write_text(json.dumps(graph_to_json(brieskorn_pham_graph(3, 5))))
+    code, out, _ = run_cli(capsys, "check", "holomorphy", "--in", str(f),
+                           "--lmax", "6")
+    assert code == 0
+    assert out == "holomorphy: PASS\n  2: ok\n  4: ok\n  6: ok\n"
 
 
 def test_nu_edits_exit_code(capsys, tmp_path):

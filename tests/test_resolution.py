@@ -266,7 +266,7 @@ def e_n_components(g: CurveResolutionGraph, n: int) -> list[EnComponent]:
 
 
 def _classify(g: CurveResolutionGraph, comp: set[str]) -> str:
-    valences = sorted(g.valence(vid) for vid in comp)
+    valences = sorted(len(g.near[vid]) for vid in comp)
     if len(comp) == 1 and valences == [2]:
         return "type1"
     if len(comp) == 2 and valences == [1, 3]:
