@@ -34,8 +34,7 @@ noise row of the file.  Each before and after row holds:
     cancels the n
     forms and per quotient a / d by d = 1/c, whose factored reciprocal
     cancels them; microseconds per RatFun.sum of n canonical
-    terms, for each n of SUM_TERMS (a tree without RatFun.sum is timed on
-    the left fold of +); microseconds per substitute_affine at
+    terms, for each n of SUM_TERMS; microseconds per substitute_affine at
     s -> (7s + 1)/6 of a function of numerator and denominator degree d,
     for each d of SUBSTITUTE_DEGREES; microseconds per case of w_top,
     motivic_w and euler_specialize on a fixed sample of the grid's shapes
@@ -91,7 +90,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -240,12 +239,11 @@ def ratfun_rows() -> dict:
             operator.truediv, [(a, d)] * CALLS_PER_TWIST)
     # n terms (i + 1)/((s + 1)^(1 + i % 2) ((i + 1) s + 1)), as suspend_G's
     # cone terms: one form shared at unequal powers, one of their own
-    total = getattr(ratfun.RatFun, "sum", partial(reduce, operator.add))
     for n in SUM_TERMS:
         terms = [term([(i + 1, [(1, 1)] * (1 + i % 2) + [(1, i + 1)])])
                  for i in range(n)]
         rows[f"ratfun_sum_us|terms={n}"] = per_case_us(
-            total, [(terms,)] * CALLS_PER_TWIST)
+            ratfun.RatFun.sum, [(terms,)] * CALLS_PER_TWIST)
     # (1 + s + ... + s^d)/((2s + 1)(2s + 3) ... (2s + 2d - 1)) at suspend_G's
     # r = ((m+k)s + nu_z)/k for m = 1, k = 6, nu_z = 1
     for d in SUBSTITUTE_DEGREES:
@@ -366,11 +364,8 @@ def zero_twist_rows() -> dict:
 
 def holomorphy_inputs(subject) -> tuple:
     """The twist family and orders that `check holomorphy` reads off a
-    subject: a GermSummary's profile and the root orders of (tau - 1) Delta,
-    or the fields of a Subject, which trees before GermSummary subjects
-    build."""
-    if not hasattr(subject, "delta"):
-        return subject.zeta, subject.orders
+    subject: a GermSummary's profile and the root orders of (tau - 1)
+    Delta."""
     tau_minus_1 = type(subject.delta).from_brackets([(1, 1)])
     return subject.zeta.entry, (subject.delta * tau_minus_1).root_orders()
 

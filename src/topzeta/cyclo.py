@@ -49,7 +49,7 @@ class CycloProduct(NamedTuple):
         for m, n in brackets:
             if m < 1:
                 raise ValidationError(f"bracket exponent must be >= 1, got {m}")
-            for d in divisors(m):
+            for d in divisors(m) if n else ():
                 acc[d] = acc.get(d, 0) + n
         return CycloProduct.from_factors(acc)
 

@@ -6,8 +6,8 @@ exceptional P^n, so its zeta functions assemble from the global strata and
 the generalized-suspension terms of each singular point of C_m, in the
 shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products, built once per
 point type (zeta, delta) and scaled by its count.  The characteristic
-polynomial is one bracket list, (tau^m - 1)^chi(P^2 \\ C) / (tau - 1) *
-prod_q Delta_q^(k)(tau^{m+k}) for surfaces (n = 2), superisolated too.
+polynomial is one bracket list in every dimension, with eps = (-1)^n:
+[(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k}).
 Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
 paper's closed forms for both are test oracles (tests/closed_forms.py).
 """
@@ -18,13 +18,16 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .arith import divisor_closure
+from .arith import TRIAL_DIVISION_BOUND, divisor_closure
 from .cyclo import CycloProduct, OrderSet
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field
 from .ratfun import PoleError, RatFun
 from .suspension import GermSummary, ZetaProfile, summary_from_json, \
     summary_to_json, suspend_terms
+
+
+N_MAX = 64           # n above it is refused: chi_n(m) has n log10(m) digits
 
 
 @checked
@@ -45,14 +48,16 @@ class LysSurface(NamedTuple):
     def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
         if n < 1 or m < 1 or k < 1:
             raise ValidationError("need n, m, k >= 1")
-        if n == 2:
-            # a plane curve of degree m: chi(C) = 3m - m^2 + sum_p mu_p
-            chi_c = 3 * m - m ** 2 + sum(q.delta.degree() for q in points)
-            expected = (3 - chi_c, chi_c - len(points))
-            if (chi_complement, chi_curve_smooth) != expected:
-                raise ValidationError(
-                    f"(chi_complement, chi_curve_smooth) = ({chi_complement}"
-                    f", {chi_curve_smooth}), expected {expected}")
+        if n > N_MAX or m > TRIAL_DIVISION_BOUND:
+            raise ValidationError(f"need n <= {N_MAX} and m <= 10^12")
+        # degree-m C in P^n: chi(C) = chi_n(m) (C smooth) + (-1)^n sum_q mu_q
+        chi_c = ((1 - m) ** (n + 1) - 1) // m + n + 1 + (-1) ** n * sum(
+            q.delta.degree() for q in points)
+        expected = (n + 1 - chi_c, chi_c - len(points))
+        if (chi_complement, chi_curve_smooth) != expected:
+            raise ValidationError(
+                f"(chi_complement, chi_curve_smooth) = ({chi_complement}"
+                f", {chi_curve_smooth}), expected {expected}")
         keys = [q[:2] for q in points]          # (zeta, delta), not the name
         return tuple.__new__(cls, (
             n, m, k, chi_complement, chi_curve_smooth, points,
@@ -83,11 +88,11 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     """(Delta, Delta_tilde): the characteristic polynomial of the monodromy
     and its (tau - 1) multiple, which must be an honest polynomial.  One
-    bracket list, (tau^m - 1)^chi and each type's Delta_q^(k)(tau^{m+k})
-    times its count, gives Delta_tilde; Delta lowers the exponent of Phi_1,
-    which is the first item if present, by one."""
-    require_surface(S, "Le-Yomdin Delta formula is a surface statement")
-    brackets = [(S.m, S.chi_complement)]
+    bracket list, (tau - 1)^(1-eps) (tau^m - 1)^(eps chi), eps = (-1)^n, and
+    each type's Delta_q^(k)(tau^{m+k}) times its count, gives Delta_tilde;
+    Delta lowers the exponent of Phi_1, the first item if present, by one."""
+    eps = (-1) ** S.n
+    brackets = [(1, 1 - eps), (S.m, eps * S.chi_complement)]
     for q, count in S.point_types:
         brackets += [(d, count * n) for d, n in
                      q.delta.power_brackets(S.k, S.m + S.k)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from topzeta.arith import divisor_closure, divisors, frak_m, \
     jordan_totient, lcm_all
@@ -288,7 +288,20 @@ def lys_candidate_poles(S: LysSurface) -> frozenset[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Le-Yomdin eigenvalue orders and the residue at the lct candidate
+# Le-Yomdin Euler characteristics, eigenvalue orders and the residue at the
+# lct candidate
+
+
+def lys_euler_characteristics(n: int, m: int, points) -> tuple[int, int]:
+    """(chi(P^n \\ C), chi(C \\ Sing C)) for C of degree m in P^n with
+    isolated singular points q of Milnor numbers deg Delta_q: chi(C) is a
+    smooth C's sum_{j=1}^n (-1)^(j-1) binom(n+1, n-j) m^j, the degree-n
+    coefficient of the total Chern class (1 + h)^(n+1) m h/(1 + m h), plus
+    (-1)^n sum_q deg Delta_q."""
+    chi_c = sum((-1) ** (j - 1) * comb(n + 1, n - j) * m ** j
+                for j in range(1, n + 1)) \
+        + (-1) ** n * sum(q.delta.degree() for q in points)
+    return n + 1 - chi_c, chi_c - len(points)
 
 
 def frak_n(n: int, m: int, k: int) -> int:

@@ -251,33 +251,33 @@ def test_flags_that_would_be_ignored_exit_1(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-NON_SURFACE = "error: Le-Yomdin Delta formula is a surface statement (n = 2)\n"
-
-
 @pytest.mark.parametrize("conjecture", ["monodromy", "holomorphy"])
 def test_check_refuses_non_surface_lys(capsys, tmp_path, conjecture):
-    # both checks read Delta, whose Le-Yomdin formula is a surface statement
+    # an n = 3 copy of a surface keeps the surface's Euler characteristics,
+    # which the rule for n = 3 refuses before either check reads Delta
     obj = json.loads((FIXTURES / "lys_xyz_k1.json").read_text())
     obj["n"] = 3
     f = tmp_path / "lys_n3.json"
     f.write_text(json.dumps(obj))
     code, out, err = run_cli(capsys, "check", conjecture, "--in", str(f))
     assert code == 1 and not out
-    assert err == NON_SURFACE
+    assert err == "error: (chi_complement, chi_curve_smooth) = (0, 0), " \
+        "expected (-2, 3)\n"
 
 
-def test_charpoly_refuses_non_surface_lys(capsys, tmp_path):
+def test_charpoly_n3_lys_is_brieskorn(capsys, tmp_path):
     # x^2 + y^2 + z^2 + w^3 is an n = 3 Le-Yomdin germ (m = 2, k = 1) with
-    # one point, x^2 + y^2 + z^2; the surface formula would print
-    # Phi_2^2 Phi_6 where Brieskorn's Delta is Phi_6
+    # one point, x^2 + y^2 + z^2, on a quadric cone: chi(C) = 3.  Its Delta
+    # is Brieskorn's Phi_6, where the surface formula would give
+    # Phi_2^2 Phi_6
     point = suspend_summary(summary_from_graph(brieskorn_pham_graph(2, 2)), 2)
     assert brieskorn_pham_eigenvalues((2, 2, 2, 3)) == \
         CycloProduct.from_factors({6: 1})
     f = tmp_path / "lys_n3.json"
     f.write_text(json.dumps(lys_to_json(LysSurface(3, 2, 1, 1, 2, [point]))))
     code, out, err = run_cli(capsys, "charpoly", "--in", str(f))
-    assert code == 1 and not out
-    assert err == NON_SURFACE
+    assert code == 0 and not err
+    assert out == "Delta = Phi_6\nDelta_tilde = Phi_1 Phi_6\n"
 
 
 DELETE = object()
@@ -448,6 +448,14 @@ MALFORMED = [
     ("suspension-k-huge", ["check", "monodromy", "--in", "IN"],
      FIXTURES / "cusp3_susp.json", ["k"], 10 ** 13,
      "integer above 10^12: too large to factor by trial division"),
+    # a Le-Yomdin n or m whose Euler characteristics would run to thousands
+    # of digits, and a surface's Euler characteristics given for n = 3
+    ("lys-m-huge", LYS, FIXTURES / "lys_xyz_k1.json", ["m"], 10 ** 4000,
+     "need n <= 64 and m <= 10^12"),
+    ("lys-n-huge", LYS, FIXTURES / "lys_xyz_k1.json", ["n"], 65,
+     "need n <= 64 and m <= 10^12"),
+    ("lys-n3-chi", LYS, FIXTURES / "lys_xyz_k1.json", ["n"], 3,
+     "(chi_complement, chi_curve_smooth) = (0, 0), expected (-2, 3)"),
 ]
 
 

@@ -8,11 +8,13 @@ product) counts as one event, so counts complement timings and do not
 replace them.
 """
 import sys
+from functools import partial
 
 import pytest
 
+from conftest import load_fixture
 from graphgen import brieskorn_pham_graph
-from topzeta import resolution
+from topzeta import lys, resolution, suspension
 
 
 def opcode_count(fn, *args) -> int:
@@ -45,8 +47,11 @@ GROWTH_PER_DOUBLING = 2.2
 
 
 @pytest.mark.parametrize("layer", ["graph_from_json", "strata_of_graph",
-                                   "solve_multiplicities"])
+                                   "solve_multiplicities", "acampo"])
 def test_graph_layers_grow_linearly_along_a_chain(layer):
+    # acampo factors only the N of a vertex whose valence is not 2: a
+    # bracket with exponent 0 is skipped, and every inner vertex of the
+    # chain has valence 2
     counts = []
     for v in CHAIN_VERTICES:
         obj = resolution.graph_to_json(brieskorn_pham_graph(v - 1, v))
@@ -54,7 +59,36 @@ def test_graph_layers_grow_linearly_along_a_chain(layer):
         args = {"graph_from_json": (obj,), "strata_of_graph": (g,),
                 "solve_multiplicities": (
                     {u.id: u.self_intersection for u in g.vertices},
-                    g.arrows, g.edges)}[layer]
+                    g.arrows, g.edges), "acampo": (g,)}[layer]
         counts.append(opcode_count(getattr(resolution, layer), *args))
     growth = [big / small for small, big in zip(counts, counts[1:])]
     assert max(growth) <= GROWTH_PER_DOUBLING, (counts, growth)
+
+
+def zero_twist_call(label: str):
+    """The call at twist l, and its support bound M."""
+    if label == "lys_ztop":
+        ib_l = lys.lys_from_json(load_fixture("lys_kashiwara_IbL.json"))
+        return partial(lys.lys_ztop, ib_l), ib_l.support_lcm
+    if label == "suspend_G":
+        x5y6 = suspension.profile_from_json(load_fixture("x5y6_profile.json"))
+        return (partial(suspension.suspend_G, x5y6, 0, 6, 1),
+                6 * x5y6.support_lcm)
+    cusp = resolution.strata_of_graph(
+        resolution.graph_from_json(load_fixture("triple_cusp_graph.json")))
+    return partial(resolution.ztop_from_strata, cusp), cusp.support_lcm
+
+
+@pytest.mark.parametrize("label", ["lys_ztop", "suspend_G",
+                                   "ztop_from_strata"])
+def test_zero_twist_count_is_the_same_at_every_l(label):
+    # a twist l that does not divide the support bound M is answered by the
+    # support gate, a modulo and a return, before any term is read: its
+    # count is the same at every such l, however many digits l has
+    call, bound = zero_twist_call(label)
+    ells = [bound + 1, 2 * bound + 1, 10 ** 9 + 7, 10 ** 30 + 1]
+    assert all(bound % l for l in ells)
+    for l in ells:
+        assert call(l).is_zero()    # and warm any cache the first call fills
+    counts = [opcode_count(call, l) for l in ells]
+    assert len(set(counts)) == 1, dict(zip(ells, counts))

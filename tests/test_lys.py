@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -6,19 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from closed_forms import candidate_a, lys_candidate_poles, \
-    lys_orders_formula, power_transform, residue_lct_formula, sis_ztop, \
+from closed_forms import brieskorn_pham_eigenvalues, candidate_a, \
+    lys_candidate_poles, lys_euler_characteristics, lys_orders_formula, \
+    newton_bp_ztop, power_transform, residue_lct_formula, sis_ztop, \
     variable_power
 from conftest import load_fixture
-from graphgen import random_graph
-from topzeta.arith import divisor_closure
+from graphgen import brieskorn_pham_graph, random_graph
+from topzeta.arith import TRIAL_DIVISION_BOUND, divisor_closure, divisors
+from topzeta.cli import main
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
-from topzeta.lys import LysSurface, is_bad_divisor, lys_charpoly, lys_from_json, \
-    lys_orders, lys_to_json, lys_ztop, residue_lct
+from topzeta.lys import N_MAX, LysSurface, is_bad_divisor, lys_charpoly, \
+    lys_from_json, lys_orders, lys_to_json, lys_ztop, residue_lct
 from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph, \
-    suspend_terms
+    suspend_summary, suspend_terms
 
 
 def node_summary():
@@ -37,8 +40,34 @@ def tacnode_surface(k: int, a3_graph) -> LysSurface:
 def test_chi_accounting_validation():
     with pytest.raises(ValidationError):
         LysSurface(2, 3, 1, 1, 0, [node_summary()] * 3)
-    # non-surface dimensions skip the accounting
-    LysSurface(3, 4, 2, 0, 0, [])
+    # every dimension is held to one rule: m points on P^1, a plane curve,
+    # the smooth quartic (K3) surface of P^3 with chi = 24
+    for n, chi in ((1, (-2, 4)), (2, (7, -4)), (3, (-20, 24))):
+        assert lys_euler_characteristics(n, 4, []) == chi
+        LysSurface(n, 4, 2, *chi, [])
+        with pytest.raises(ValidationError, match=re.escape(
+                f"(chi_complement, chi_curve_smooth) = (0, 0), "
+                f"expected {chi}")):
+            LysSurface(n, 4, 2, 0, 0, [])
+    # the cone C in P^3 over a smooth plane curve D of degree m is its
+    # vertex, whose germ is x^m + y^m + z^m, and a C-bundle over D:
+    # chi(C) = chi(D) + 1 with chi(D) = 3m - m^2
+    for m in range(1, 9):
+        vertex = GermSummary(ZetaProfile({1: RatFun.one()}),
+                             brieskorn_pham_eigenvalues((m, m, m)), "vertex")
+        chi_c = 3 * m - m ** 2 + 1
+        LysSurface(3, m, 1, 4 - chi_c, chi_c - 1, [vertex])
+
+
+def test_dimension_and_degree_bounds():
+    # refused before any count: chi_n(m) has about n log10(m) digits, which
+    # past about 4,300 would fail to print in the refusal's message
+    LysSurface(N_MAX, 1, 1, 1, N_MAX, [])        # a hyperplane
+    for n, m in ((N_MAX + 1, 1), (2, TRIAL_DIVISION_BOUND + 1),
+                 (2, 10 ** 4000)):
+        with pytest.raises(ValidationError,
+                           match=r"^need n <= 64 and m <= 10\^12$"):
+            LysSurface(n, m, 1, 0, 0, [])
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -327,3 +356,46 @@ def test_point_types_match_per_point_assembly():
         with pytest.raises(TypeError):
             LysSurface(*fields, point_types=S.point_types)
     assert twists > 1_000
+
+
+def cone_point(n: int, m: int) -> GermSummary:
+    """The one singular point of the tangent cone of x_1^m + ... + x_n^m
+    + w^(m+k), as a germ in n variables: x^m (n = 1), the curve x^m + y^m
+    (n = 2), or that curve suspended by z^m (n = 3)."""
+    if n == 1:
+        return GermSummary(
+            ZetaProfile({l: RatFun.inv_linear(m, 1) for l in divisors(m)}),
+            CycloProduct.from_brackets([(m, 1), (1, -1)]), "x^m")
+    curve = summary_from_graph(brieskorn_pham_graph(m, m), "x^m + y^m")
+    return curve if n == 2 else suspend_summary(curve, m)
+
+
+def test_brieskorn_pham_cones_in_every_dimension(capsys, tmp_path):
+    # x_1^m + ... + x_n^m + w^(m+k) is a k-Le-Yomdin germ with Euler
+    # characteristics from the one rule: Z against Denef-Loeser's Newton
+    # formula at every twist up to 2 support_lcm, Delta against Brieskorn's
+    # eigenvalues (Milnor-Orlik), and both checks of the command line, which
+    # read the subject's lys_summary, pass
+    subject = tmp_path / "cone.json"
+    cones = twists = 0
+    for n, m_top in ((1, 6), (2, 6), (3, 5)):
+        for m in range(2, m_top + 1):
+            point = cone_point(n, m)
+            for k in range(1, 6):
+                S = LysSurface(n, m, k, *lys_euler_characteristics(
+                    n, m, [point]), [point])
+                exponents = (m,) * n + (m + k,)
+                for l in range(1, 2 * S.support_lcm + 1):
+                    assert lys_ztop(S, l) == newton_bp_ztop(
+                        exponents, 0, 1, l), (n, m, k, l)
+                    twists += 1
+                assert lys_charpoly(S)[0] == \
+                    brieskorn_pham_eigenvalues(exponents), (n, m, k)
+                subject.write_text(json.dumps(lys_to_json(S)))
+                for conjecture in ("monodromy", "holomorphy"):
+                    assert main(["check", conjecture, "--in",
+                                 str(subject)]) == 0, (n, m, k)
+                    assert capsys.readouterr().out.startswith(
+                        f"{conjecture}: PASS\n")
+                cones += 1
+    assert (cones, twists) == (70, 3_940)

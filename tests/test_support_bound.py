@@ -9,6 +9,7 @@ import random
 import time
 from math import lcm
 
+from closed_forms import lys_euler_characteristics
 from conftest import load_fixture
 from graphgen import random_graph
 from test_zero_twists import LYS_FIXTURES, strata_oracle
@@ -29,13 +30,15 @@ PENCILS = ("kashiwara_quartic", "kashiwara_sextic", "kashiwara_degree10")
 
 def lys_surfaces() -> list[LysSurface]:
     """The Le-Yomdin fixtures at k = 1..24, as surfaces (n = 2) and as
-    n = 3 copies with the same points."""
+    n = 3 copies with the same points, each with the Euler characteristics
+    of its dimension."""
     out = []
     for name in LYS_FIXTURES:
         base = lys_from_json(load_fixture(f"{name}.json"))
-        out += [LysSurface(n, base.m, k, base.chi_complement,
-                           base.chi_curve_smooth, base.points)
-                for n in (2, 3) for k in range(1, 25)]
+        for n in (2, 3):
+            chi = lys_euler_characteristics(n, base.m, base.points)
+            out += [LysSurface(n, base.m, k, *chi, base.points)
+                    for k in range(1, 25)]
     return out
 
 
@@ -60,10 +63,10 @@ def test_lys_ztop_vanishes_off_support_lcm():
         bound = lcm(S.m, *((S.m + S.k) * lcm_all(q.zeta.support())
                            for q in S.points))
         assert S.support_lcm == bound
-        # Delta is a surface formula: an n = 3 copy counts the twists
-        # beyond its n = 2 twin's closure
-        twin = LysSurface(2, S.m, S.k, S.chi_complement, S.chi_curve_smooth,
-                          S.points)
+        # the points are plane-curve germs, which fit only n = 2: an n = 3
+        # copy counts the twists beyond its n = 2 twin's closure
+        twin = LysSurface(2, S.m, S.k, *lys_euler_characteristics(
+            2, S.m, S.points), S.points)
         closure_lcm = lcm_all(divisor_closure(
             lys_charpoly(twin)[0].root_orders()))
         for l in range(1, min(2 * bound, L_CAP) + 1):
