@@ -20,7 +20,15 @@ keep the others.  Comparing a tree with itself (--compare src) shows the
 noise floor: such a run writes no before and after rows but appends a
 "noise" row of the after/before ratio of each value, and rewrites the
 "noise_band" row, the least and greatest ratio of each value over every
-noise row of the file.  Each before and after row holds:
+noise row of the file.
+
+Exact work counts stand beside the timings: after the timed rounds, each
+tree's row groups run once more and every layer row records
+opcodes|<row>, the bytecode events (tests/opcodes.py) of one call, its
+first case.  A parent comparison appends a "count_ratio" row of the
+after/before ratio of each count, and a noise row holds the counts'
+ratios too, which read exactly 1.  Counts depend on the CPython version,
+which each row's machine field names.  Each before and after row holds:
 
   * machine: Python version, platform and CPU count;
   * layers: microseconds per construction of RatFun, MotTerm,
@@ -43,8 +51,9 @@ noise row of the file.  Each before and after row holds:
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
     ztop_from_strata on each curve fixture (l = 1..12); microseconds per
-    call of lys_charpoly and of lys_ztop at l = 1 on each Le-Yomdin
-    fixture at k = 1..LYS_K_MAX;
+    LysSurface construction, which derives Delta_tilde, and per call of
+    lys_charpoly and of lys_ztop at l = 1 on each Le-Yomdin fixture at
+    k = 1..LYS_K_MAX;
     microseconds per twist of lys_ztop on LYS_SURFACES at the zero twists
     up to the default l_max and at the nonzero twists of the order closure,
     per zero twist
@@ -58,11 +67,9 @@ noise row of the file.  Each before and after row holds:
     milliseconds per
     graph_from_json of the resolution graph of x^(V-1) + y^V, which has
     V vertices, and per ztop_from_strata(res, 1) on it, for each V of
-    CURVE_VERTICES (a large sum of terms with forms of their own); each
-    the median over the rounds of a median of REPEATS timings; and
-    milliseconds per solve_multiplicities
-    of that graph from its self-intersections, timed once per round, as a
-    dense solve takes seconds at V = 151;
+    CURVE_VERTICES (a large sum of terms with forms of their own), and per
+    solve_multiplicities of that graph from its self-intersections; each
+    the median over the rounds of a median of REPEATS timings;
   * end_to_end: the criterion-5 grid (1,329 shapes, 637,920 germ/cone
     cases, euler_specialize(motivic_w) == w_top checked on each) from a
     cleared cone cache, once per round, in seconds; and the milliseconds
@@ -71,7 +78,8 @@ noise row of the file.  Each before and after row holds:
     sources wherever the interpreter writes no bytecode cache, as under
     PYTHONDONTWRITEBYTECODE);
   * src_lines: the line count of the measured topzeta package;
-  * rounds: the number of rounds.
+  * rounds: the number of rounds;
+  * counts: opcodes|<row> for each layer row.
 
 Standard library only; timings use time.perf_counter.
 """
@@ -98,6 +106,7 @@ sys.path.append(str(SRC))
 sys.path.append(str(SRC.parent / "tests"))
 
 from graphgen import brieskorn_pham_graph  # noqa: E402
+from opcodes import opcode_count  # noqa: E402
 from topzeta import arith, binomial, checks, lys, ratfun, resolution, \
     suspension  # noqa: E402
 from topzeta.resolution import graph_to_json  # noqa: E402
@@ -129,6 +138,9 @@ SHARED_FORMS = (1, 2, 4, 8, 16)
 SUM_TERMS = (2, 4, 8, 16)
 CONSTRUCTIONS = 2000
 IMPORT_SPAWNS = 5
+# set while each tree's row groups run once more after the timed rounds:
+# per_case_us then returns a count of bytecode events in place of a timing
+COUNTING = False
 
 
 def grid_shapes(q_values=(1, 2, 3)) -> list[tuple]:
@@ -148,15 +160,19 @@ def germs(shapes) -> list:
             for k in range(1, 7) for nu_z in range(1, 5)]
 
 
-def per_case_us(fn, cases) -> float:
-    """Median over REPEATS of the microseconds per call of fn on cases."""
+def per_case_us(fn, cases, scale: float = 1) -> float:
+    """Median over REPEATS of the microseconds per call of fn on cases,
+    divided by scale (1e3 for milliseconds); while COUNTING, the bytecode
+    events of fn on its first case instead."""
+    if COUNTING:
+        return opcode_count(fn, *cases[0])
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for case in cases:
             fn(*case)
         samples.append((time.perf_counter() - start) / len(cases) * 1e6)
-    return statistics.median(samples)
+    return statistics.median(samples) / scale
 
 
 def cli_import_ms() -> float:
@@ -191,7 +207,7 @@ def construct_rows() -> dict:
             for name, (cls, args) in cases.items()}
     graphs = stored_graphs()
     rows[f"construct_ms|graph_from_json,graphs={len(graphs)}"] = per_case_us(
-        lambda: [resolution.graph_from_json(g) for g in graphs], [()]) / 1e3
+        lambda: [resolution.graph_from_json(g) for g in graphs], [()], 1e3)
     return rows
 
 
@@ -286,14 +302,16 @@ def load(name: str) -> dict:
 
 
 def twist_rows() -> dict:
-    """suspend_G, ztop_from_strata, lys_charpoly and lys_ztop at l = 1,
-    microseconds per call."""
+    """suspend_G, ztop_from_strata, LysSurface, lys_charpoly and lys_ztop at
+    l = 1, microseconds per call."""
     rows = {}
     for name in LYS_FIXTURES:
         base = lys.lys_from_json(load(name))
-        surfaces = [lys.LysSurface(base.n, base.m, k, base.chi_complement,
-                                   base.chi_curve_smooth, base.points)
-                    for k in range(1, LYS_K_MAX + 1)]
+        fields = [(base.n, base.m, k, base.chi_complement,
+                   base.chi_curve_smooth, base.points)
+                  for k in range(1, LYS_K_MAX + 1)]
+        surfaces = [lys.LysSurface(*f) for f in fields]
+        rows[f"lys_construct_us|{name}"] = per_case_us(lys.LysSurface, fields)
         rows[f"lys_charpoly_us|{name}"] = per_case_us(
             lys.lys_charpoly, [(S,) for S in surfaces])
         rows[f"lys_ztop_us|{name},l=1"] = per_case_us(
@@ -355,10 +373,10 @@ def zero_twist_rows() -> dict:
         twists = sum(1 for l in range(2, checks.default_l_max(orders) + 1)
                      if l not in closure)
         rows[f"check_holomorphy_ms|{name},twists={twists}"] = per_case_us(
-            checks.check_holomorphy, [(family, orders)] * 20) / 1e3
+            checks.check_holomorphy, [(family, orders)] * 20, 1e3)
     for name in CHECK_FIXTURES:
         rows[f"subject_summary_ms|{name}"] = per_case_us(
-            checks.subject_from_json, [(load(name),)] * 20) / 1e3
+            checks.subject_from_json, [(load(name),)] * 20, 1e3)
     return rows
 
 
@@ -374,24 +392,21 @@ def curve_rows() -> dict:
     """Z^(1) of large curves: milliseconds per graph_from_json of the
     resolution graph of x^(V-1) + y^V, per ztop_from_strata on it, whose
     V vertices each give a stratum term with a form of its own, and per
-    solve_multiplicities of that graph from its self-intersections, one
-    call."""
+    solve_multiplicities of that graph from its self-intersections."""
     rows = {}
     for v in CURVE_VERTICES:
         obj = graph_to_json(brieskorn_pham_graph(v - 1, v))
         rows[f"construct_ms|graph_from_json,V={v}"] = per_case_us(
-            resolution.graph_from_json, [(obj,)]) / 1e3
+            resolution.graph_from_json, [(obj,)], 1e3)
         graph = resolution.graph_from_json(obj)
         res = resolution.strata_of_graph(graph)
         rows[f"curve_ztop_ms|V={v}"] = per_case_us(
-            resolution.ztop_from_strata, [(res, 1)]) / 1e3
+            resolution.ztop_from_strata, [(res, 1)], 1e3)
         self_intersections = {u.id: u.self_intersection
                               for u in graph.vertices}
-        start = time.perf_counter()
-        resolution.solve_multiplicities(self_intersections, graph.arrows,
-                                        graph.edges)
-        rows[f"solve_multiplicities_ms|V={v}"] = \
-            (time.perf_counter() - start) * 1e3
+        rows[f"solve_multiplicities_ms|V={v}"] = per_case_us(
+            resolution.solve_multiplicities,
+            [(self_intersections, graph.arrows, graph.edges)], 1e3)
     return rows
 
 
@@ -445,7 +460,8 @@ def compare_rows(parent: Path) -> list[dict]:
     """A before (parent) and an after (this checkout) row from the same
     ROUNDS rounds, in alternating order; each value is the median over
     the rounds.  A group reads the modules bound to the names of MODULES,
-    which are set to the measured tree's before each call."""
+    which are set to the measured tree's before each call; each row also
+    holds the count_rows of its tree."""
     trees = {"before": load_tree(parent, "topzeta_before"),
              "after": load_tree(SRC, "topzeta_after")}
     samples: dict[str, dict[str, list]] = {"before": {}, "after": {}}
@@ -475,16 +491,40 @@ def compare_rows(parent: Path) -> list[dict]:
                 Path(trees[label]["arith"].__file__).parent),
             "rounds": ROUNDS,
         })
+    for row, counts in zip(rows, count_rows(trees).values()):
+        row["counts"] = counts
     return rows
 
 
+def count_rows(trees: dict) -> dict:
+    """For each tree, opcodes|<row>: the bytecode events of one call of
+    each layer row, the first case of its timing.  The row groups run once
+    more per tree with COUNTING set, after the timed rounds, so each tree's
+    caches are in the state that the same rounds left them in; cli_import
+    and grid are end-to-end timings and have no count."""
+    global COUNTING
+    COUNTING = True
+    try:
+        counts = {}
+        for label, modules in trees.items():
+            globals().update(modules)
+            counts[label] = {
+                f"opcodes|{key}": value for name, group in GROUPS.items()
+                if name not in ("cli_import", "grid")
+                for key, value in group().items()
+                if not key.startswith("cases|")}
+        return counts
+    finally:
+        COUNTING = False
+
+
 def timings(row: dict) -> dict:
-    """The medians of a before or after row, by key."""
+    """The medians of a before or after row, and its counts, by key."""
     e2e = row["end_to_end"]
     return {**{k: v for k, v in row["layers"].items()
                 if not k.startswith("cases|")},
             "criterion5_grid_s": e2e["criterion5_grid_s"],
-            "cli_import_ms": e2e["cli_import_ms"]}
+            "cli_import_ms": e2e["cli_import_ms"], **row["counts"]}
 
 
 def noise_row(before: dict, after: dict) -> dict:
@@ -495,9 +535,17 @@ def noise_row(before: dict, after: dict) -> dict:
                 k: v / old[k] for k, v in timings(after).items()}}
 
 
+def count_ratio_row(before: dict, after: dict) -> dict:
+    """after/before of each count that both trees have: exact, where the
+    timings' ratios carry the host's noise."""
+    old, new = before["counts"], after["counts"]
+    return {"label": "count_ratio", "machine": after["machine"],
+            "ratios": {k: new[k] / old[k] for k in new if k in old}}
+
+
 def noise_band(noise: list[dict]) -> dict:
-    """The least and greatest after/before ratio of each timing over the
-    noise rows."""
+    """The least and greatest after/before ratio of each timing and count
+    over the noise rows."""
     keys = noise[-1]["ratios"]
     return {"label": "noise_band", "runs": len(noise), "band": {
         k: [min(r["ratios"][k] for r in noise),
@@ -522,8 +570,9 @@ def main(argv=None) -> int:
         rows += [noise_row(*new_rows)]
         rows += [noise_band([r for r in rows if r["label"] == "noise"])]
     else:
-        rows = [r for r in rows if r["label"] not in ("before", "after")] \
-            + new_rows
+        rows = [r for r in rows if r["label"] not in (
+            "before", "after", "count_ratio")] \
+            + new_rows + [count_ratio_row(*new_rows)]
     out.write_text(json.dumps({"rows": rows}, indent=2) + "\n",
                    encoding="utf-8")
     json.dump(new_rows, sys.stdout, indent=2)

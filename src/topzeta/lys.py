@@ -7,9 +7,10 @@ the generalized-suspension terms of each singular point of C_m, in the
 shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products, built once per
 point type (zeta, delta) and scaled by its count.  The characteristic
 polynomial is one bracket list in every dimension, with eps = (-1)^n:
-[(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k}).
-Eigenvalue orders are read off Delta and the residue at -3/m off Z_top; the
-paper's closed forms for both are test oracles (tests/closed_forms.py).
+[(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k});
+LysSurface derives its (tau - 1) multiple delta_tilde once.  Eigenvalue
+orders are read off Delta and the residue at -3/m off Z_top; the paper's
+closed forms for both are test oracles (tests/closed_forms.py).
 """
 from __future__ import annotations
 
@@ -32,10 +33,10 @@ N_MAX = 64           # n above it is refused: chi_n(m) has n log10(m) digits
 
 @checked
 class LysSurface(NamedTuple):
-    """Two fields are derived here, once: support_lcm = lcm(m, (m+k)
+    """Three fields are derived here, once: support_lcm = lcm(m, (m+k)
     q.zeta.support_lcm over the points q), which every l with a nonzero
-    lys_ztop(S, l) divides, and point_types, one (point, count) per
-    distinct (zeta, delta) of the points, in order of first appearance."""
+    lys_ztop(S, l) divides; point_types, one (point, count) per distinct
+    (zeta, delta) of the points, in order of first appearance; delta_tilde."""
     n: int                     # ambient projective dimension (2 for surfaces)
     m: int                     # degree of the tangent cone C_m
     k: int
@@ -44,6 +45,7 @@ class LysSurface(NamedTuple):
     points: Sequence[GermSummary]
     support_lcm: int           # derived
     point_types: tuple         # derived
+    delta_tilde: CycloProduct | ValidationError   # derived, or its refusal
 
     def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
         if n < 1 or m < 1 or k < 1:
@@ -59,11 +61,19 @@ class LysSurface(NamedTuple):
                 f"(chi_complement, chi_curve_smooth) = ({chi_complement}"
                 f", {chi_curve_smooth}), expected {expected}")
         keys = [q[:2] for q in points]          # (zeta, delta), not the name
+        point_types = tuple((q, keys.count(key)) for i, (q, key) in enumerate(
+            zip(points, keys)) if keys.index(key) == i)
+        try:        # past 10^12 it is lys_charpoly's refusal: Z needs no Delta
+            delta_tilde = CycloProduct.from_brackets([
+                (1, 1 - (-1) ** n), (m, (-1) ** n * chi_complement), *(
+                    (d, count * e) for q, count in point_types
+                    for d, e in q.delta.power_brackets(k, m + k))])
+        except ValidationError as refusal:
+            delta_tilde = refusal
         return tuple.__new__(cls, (
             n, m, k, chi_complement, chi_curve_smooth, points,
             lcm(m, *((m + k) * q.zeta.support_lcm for q in points)),
-            tuple((q, keys.count(key)) for i, (q, key) in
-                  enumerate(zip(points, keys)) if keys.index(key) == i)))
+            point_types, delta_tilde))
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
@@ -87,22 +97,17 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
 
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     """(Delta, Delta_tilde): the characteristic polynomial of the monodromy
-    and its (tau - 1) multiple, which must be an honest polynomial.  One
-    bracket list, (tau - 1)^(1-eps) (tau^m - 1)^(eps chi), eps = (-1)^n, and
-    each type's Delta_q^(k)(tau^{m+k}) times its count, gives Delta_tilde;
-    Delta lowers the exponent of Phi_1, the first item if present, by one."""
-    eps = (-1) ** S.n
-    brackets = [(1, 1 - eps), (S.m, eps * S.chi_complement)]
-    for q, count in S.point_types:
-        brackets += [(d, count * n) for d, n in
-                     q.delta.power_brackets(S.k, S.m + S.k)]
-    delta_tilde = CycloProduct.from_brackets(brackets)
-    if not delta_tilde.is_polynomial():
+    and its (tau - 1) multiple S.delta_tilde, which must be an honest
+    polynomial; Delta lowers the exponent of Phi_1, the first item if
+    present, by one."""
+    if isinstance(S.delta_tilde, ValidationError):
+        raise S.delta_tilde.with_traceback(None)
+    if not S.delta_tilde.is_polynomial():
         raise ValidationError("(tau - 1) Delta is not a polynomial; "
                               "inconsistent Le-Yomdin input")
-    e1, items = delta_tilde.exponent(1), delta_tilde.items
+    e1, items = S.delta_tilde.exponent(1), S.delta_tilde.items
     delta = CycloProduct(((1, e1 - 1),) * (e1 != 1) + items[bool(e1):])
-    return delta, delta_tilde
+    return delta, S.delta_tilde
 
 
 def lys_summary(S: LysSurface) -> GermSummary:
@@ -165,9 +170,10 @@ def lys_to_json(S: LysSurface) -> dict:
 
 def lys_from_json(obj: dict) -> LysSurface:
     json_check(obj, dict, "'lys'")
-    points = [summary_from_json(p, f"q{i + 1}") for i, p in
+    n = json_field(obj, "n")             # each point is a germ in n variables
+    points = [summary_from_json(p, f"q{i + 1}", n) for i, p in
               enumerate(json_array(obj, "points", required=False))]
-    n, m, k, chi_complement, chi_curve_smooth = [
+    m, k, chi_complement, chi_curve_smooth = [
         json_field(obj, key) for key in
-        ("n", "m", "k", "chi_complement", "chi_curve_smooth")]
+        ("m", "k", "chi_complement", "chi_curve_smooth")]
     return LysSurface(n, m, k, chi_complement, chi_curve_smooth, points)

@@ -287,12 +287,16 @@ def summary_to_json(g: GermSummary) -> dict:
     return out
 
 
-def summary_from_json(obj: dict, name: str = "") -> GermSummary:
-    """A germ from its resolution graph (inline or under "graph") or from a
-    profile with "delta"; named by "name", or else by the given name."""
+def summary_from_json(obj: dict, name: str = "", n: int = 2) -> GermSummary:
+    """A germ in n variables from its resolution graph (inline or under
+    "graph"), which needs n = 2, or from a profile with "delta"; named by
+    "name", or else by the given name."""
     if "name" in obj:
         name = json_field(obj, "name", str)
     if "graph" in obj or "vertices" in obj:
+        if n != 2:
+            raise ValidationError(f"point {name!r} is a plane-curve graph; "
+                                  "graph points need n = 2")
         return summary_from_graph(graph_from_json(obj.get("graph", obj)), name)
     delta = json_field(obj, "delta", dict)
     return GermSummary(profile_from_json(obj), cyclo_from_json(delta), name)

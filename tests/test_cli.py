@@ -8,14 +8,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from closed_forms import brieskorn_pham_eigenvalues
+from closed_forms import brieskorn_pham_eigenvalues, \
+    lys_euler_characteristics
 from conftest import FIXTURES
 from graphgen import brieskorn_pham_graph
 from topzeta import cli
 from topzeta.cli import main
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
-from topzeta.lys import LysSurface, lys_to_json
+from topzeta.lys import LysSurface, lys_from_json, lys_to_json
 from topzeta.resolution import graph_from_json, graph_to_json
 from topzeta.suspension import MATRIX_DIVISOR_BOUND, summary_from_graph, \
     suspend_summary
@@ -278,6 +279,52 @@ def test_charpoly_n3_lys_is_brieskorn(capsys, tmp_path):
     code, out, err = run_cli(capsys, "charpoly", "--in", str(f))
     assert code == 0 and not err
     assert out == "Delta = Phi_6\nDelta_tilde = Phi_1 Phi_6\n"
+
+
+@pytest.mark.parametrize("argv", [["lys", "--in", "IN", "--ell", "1"],
+                                  ["charpoly", "--in", "IN"],
+                                  ["check", "monodromy", "--in", "IN"]])
+def test_graph_point_needs_n2(capsys, tmp_path, argv):
+    # a resolution graph is a plane-curve germ, so an n = 3 surface with a
+    # graph point is refused even with the Euler characteristics that the
+    # rule gives for n = 3, which pass the surface's own check
+    obj = json.loads((FIXTURES / "lys_kashiwara_Ib.json").read_text())
+    points = lys_from_json(obj).points
+    obj["n"] = 3
+    obj["chi_complement"], obj["chi_curve_smooth"] = \
+        lys_euler_characteristics(3, obj["m"], points)
+    LysSurface(3, obj["m"], obj["k"], obj["chi_complement"],
+               obj["chi_curve_smooth"], points)
+    f = tmp_path / "lys_n3.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *[str(f) if a == "IN" else a
+                                       for a in argv])
+    assert code == 1 and not out
+    assert err == "error: point 'q' is a plane-curve graph; " \
+        "graph points need n = 2\n"
+
+
+@pytest.mark.parametrize("name,k", [("lys_xyz_k1", 5), ("lys_tacnode_k2", 1)])
+def test_lys_z_past_the_bracket_bound(capsys, tmp_path, name, k):
+    # at m = 10^12 - 1 a bracket of Delta_tilde, (m + k) d / gcd(d, k),
+    # exceeds 10^12; Z needs no Delta, so lys and sis print it and only the
+    # commands that read Delta refuse
+    obj = json.loads((FIXTURES / f"{name}.json").read_text())
+    points = lys_from_json(obj).points
+    obj["m"], obj["k"] = 10 ** 12 - 1, k
+    obj["chi_complement"], obj["chi_curve_smooth"] = \
+        lys_euler_characteristics(2, obj["m"], points)
+    f = tmp_path / "lys.json"
+    f.write_text(json.dumps(obj))
+    for command in ["lys"] + ["sis"] * (k == 1):
+        code, out, err = run_cli(capsys, command, "--in", str(f),
+                                 "--ell", "1")
+        assert code == 0 and out.startswith("Z^(1) = ") and not err
+    for argv in (["charpoly"], ["check", "monodromy"]) * 2:
+        code, out, err = run_cli(capsys, *argv, "--in", str(f))
+        assert code == 1 and not out
+        assert err == "error: integer above 10^12: too large to factor by " \
+            "trial division\n"
 
 
 DELETE = object()

@@ -7,35 +7,14 @@ without a timer's noise.  A call into C (sum, a dict lookup, a big-integer
 product) counts as one event, so counts complement timings and do not
 replace them.
 """
-import sys
 from functools import partial
 
 import pytest
 
 from conftest import load_fixture
 from graphgen import brieskorn_pham_graph
+from opcodes import opcode_count
 from topzeta import lys, resolution, suspension
-
-
-def opcode_count(fn, *args) -> int:
-    """The bytecode events that Python frames run during fn(*args)."""
-    count = 0
-
-    def trace(frame, event, arg):
-        nonlocal count
-        if event == "call":
-            frame.f_trace_opcodes = True
-        elif event == "opcode":
-            count += 1
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(previous)
-    return count
 
 
 # the chain x^(V-1) + y^V has V vertices, V - 1 edges and one arrow; a cost

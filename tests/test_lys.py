@@ -18,7 +18,8 @@ from topzeta.cli import main
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import N_MAX, LysSurface, is_bad_divisor, lys_charpoly, \
-    lys_from_json, lys_orders, lys_to_json, lys_ztop, residue_lct
+    lys_from_json, lys_orders, lys_summary, lys_to_json, lys_ztop, \
+    residue_lct
 from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph, \
     suspend_summary, suspend_terms
@@ -278,6 +279,26 @@ def test_charpoly_matches_per_point_transforms():
                            base.chi_curve_smooth, base.points)
             delta = _charpoly_oracle(S)
             assert lys_charpoly(S) == (delta, delta * tau_minus_1), (name, k)
+
+
+def test_delta_tilde_is_derived_at_construction(monkeypatch):
+    # every Le-Yomdin fixture at k = 1..24: once the surfaces are built, Delta,
+    # the orders and the summary assemble no bracket product
+    surfaces = []
+    for name in ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
+                 "lys_kashiwara_Ib", "lys_kashiwara_IbL"):
+        base = lys_from_json(load_fixture(f"{name}.json"))
+        surfaces += [LysSurface(base.n, base.m, k, base.chi_complement,
+                                base.chi_curve_smooth, base.points)
+                     for k in range(1, 25)]
+    readers = (lys_charpoly, lys_orders, lys_summary)
+    before = [[read(S) for read in readers] for S in surfaces]
+
+    def refuse(brackets):
+        raise AssertionError("a bracket product assembled after construction")
+
+    monkeypatch.setattr(CycloProduct, "from_brackets", staticmethod(refuse))
+    assert [[read(S) for read in readers] for S in surfaces] == before
 
 
 @given(st.lists(st.dictionaries(st.integers(1, 30), st.integers(1, 2),
