@@ -51,7 +51,7 @@ which each row's machine field names.  Each before and after row holds:
     cache cleared, microseconds per twist of suspend_G on the x5y6 and lvp
     profiles (m = 0 and 2, k = SUSPEND_K, each l of L_LADDER) and of
     ztop_from_strata on each curve fixture (l = 1..12); microseconds per
-    LysSurface construction, which derives Delta_tilde, and per call of
+    LysSurface construction, which derives Delta, and per call of
     lys_charpoly and of lys_ztop at l = 1 on each Le-Yomdin fixture at
     k = 1..LYS_K_MAX;
     microseconds per twist of lys_ztop on LYS_SURFACES at the zero twists
@@ -367,8 +367,8 @@ def zero_twist_rows() -> dict:
             per_case_us(resolution.ztop_from_strata,
                         [(res, l) for l in zero])
     for name in (HOLOMORPHY_SURFACE, *HOLOMORPHY_SUBJECTS):
-        family, orders = holomorphy_inputs(
-            checks.subject_from_json(load(name)))
+        subject = checks.subject_from_json(load(name))
+        family, orders = subject.zeta.entry, subject.delta.root_orders()
         closure = arith.divisor_closure(orders)
         twists = sum(1 for l in range(2, checks.default_l_max(orders) + 1)
                      if l not in closure)
@@ -378,14 +378,6 @@ def zero_twist_rows() -> dict:
         rows[f"subject_summary_ms|{name}"] = per_case_us(
             checks.subject_from_json, [(load(name),)] * 20, 1e3)
     return rows
-
-
-def holomorphy_inputs(subject) -> tuple:
-    """The twist family and orders that `check holomorphy` reads off a
-    subject: a GermSummary's profile and the root orders of (tau - 1)
-    Delta."""
-    tau_minus_1 = type(subject.delta).from_brackets([(1, 1)])
-    return subject.zeta.entry, (subject.delta * tau_minus_1).root_orders()
 
 
 def curve_rows() -> dict:

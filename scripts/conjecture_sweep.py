@@ -12,7 +12,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 
 from graphgen import random_graph
 from topzeta.checks import check_holomorphy, check_monodromy
-from topzeta.cyclo import CycloProduct
 from topzeta.lys import lys_from_json, lys_summary
 from topzeta.resolution import graph_from_json
 from topzeta.suspension import GermSummary, summary_from_graph, \
@@ -26,9 +25,8 @@ LYS = ["lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
 
 
 def check(germ: GermSummary, label: str) -> bool:
-    delta_tilde = germ.delta * CycloProduct.from_brackets([(1, 1)])
-    mon = check_monodromy(germ.zeta.entry(1), delta_tilde)
-    hol = check_holomorphy(germ.zeta.entry, delta_tilde.root_orders())
+    mon = check_monodromy(germ.zeta.entry(1), germ.delta)
+    hol = check_holomorphy(germ.zeta.entry, germ.delta.root_orders())
     print(f"  {label:34s} monodromy={'PASS' if mon.passed else 'FAIL'} "
           f"holomorphy={'PASS' if hol.passed else 'FAIL'}")
     return mon.passed and hol.passed

@@ -3,15 +3,16 @@
 check_monodromy: every pole -a/b of the untwisted zeta function must give
 an eigenvalue exp(2 pi i a/b) of the monodromy somewhere on the zero set;
 integer poles pass via the eigenvalue 1 at a smooth point, other poles by
-Phi_b dividing (tau - 1) Delta.
+Phi_b dividing Delta.
 
 check_holomorphy: for every l > 1 outside the divisor closure of the
 eigenvalue orders, the l-twisted zeta function must vanish identically.
 
 Both read a germ (a curve, a suspension z^k + f or a Le-Yomdin surface) as
-a GermSummary with a complete profile, Z^(l) = germ.zeta.entry(l), and the
-root orders of (tau - 1) Delta, which differ from the eigenvalue orders at
-most in 1, which check_holomorphy skips.
+a GermSummary with a complete profile, Z^(l) = germ.zeta.entry(l), and its
+characteristic polynomial Delta.  Neither reads Phi_1: an integer pole
+passes via the smooth point and the twist 1 is never checked, so
+(tau - 1) Delta gives the same reports as Delta.
 """
 from __future__ import annotations
 
@@ -92,18 +93,18 @@ class Report(NamedTuple):
                 "items": [item.to_json() for item in self.items]}
 
 
-def check_monodromy(zeta1: RatFun, delta_tilde: CycloProduct) -> Report:
+def check_monodromy(zeta1: RatFun, delta: CycloProduct) -> Report:
     """For each pole -a/b (lowest terms) of zeta1: pass if b = 1 (eigenvalue
-    1 at a smooth point) or Phi_b divides delta_tilde."""
-    if not delta_tilde.is_polynomial():
-        raise ValidationError("delta_tilde must be a polynomial")
+    1 at a smooth point) or Phi_b divides delta."""
+    if not delta.is_polynomial():
+        raise ValidationError("delta must be a polynomial")
     items = []
     for pole, _mult in zeta1.poles_with_multiplicity():
         order = pole.denominator
         if order == 1:
             items.append(CheckItem(None, True, "accepted via smooth point",
                                    pole))
-        elif delta_tilde.exponent(order) >= 1:
+        elif delta.exponent(order) >= 1:
             items.append(CheckItem(None, True, pole=pole))
         else:
             items.append(CheckItem(

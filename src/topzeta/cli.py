@@ -131,12 +131,11 @@ def _cmd_check(args) -> int:
     if args.conjecture == "monodromy" and args.lmax is not None:
         raise ValidationError("--lmax applies to check holomorphy only")
     germ = checks.subject_from_json(_read_json(args.infile))
-    delta_tilde = germ.delta * CycloProduct.from_brackets([(1, 1)])
     if args.conjecture == "monodromy":
-        report = checks.check_monodromy(germ.zeta.entry(1), delta_tilde)
+        report = checks.check_monodromy(germ.zeta.entry(1), germ.delta)
     else:
         report = checks.check_holomorphy(
-            germ.zeta.entry, delta_tilde.root_orders(), args.lmax)
+            germ.zeta.entry, germ.delta.root_orders(), args.lmax)
     verdict = "PASS" if report.passed else "FAIL"
     lines = [f"{report.conjecture}: {verdict}"]
     for item in report.items:

@@ -7,8 +7,9 @@ the generalized-suspension terms of each singular point of C_m, in the
 shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products, built once per
 point type (zeta, delta) and scaled by its count.  The characteristic
 polynomial is one bracket list in every dimension, with eps = (-1)^n:
-[(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k});
-LysSurface derives its (tau - 1) multiple delta_tilde once.  Eigenvalue
+[(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k}),
+which LysSurface derives once and refuses when it is not a polynomial;
+lys_charpoly alone builds its (tau - 1) multiple Delta_tilde.  Eigenvalue
 orders are read off Delta and the residue at -3/m off Z_top; the paper's
 closed forms for both are test oracles (tests/closed_forms.py).
 """
@@ -36,7 +37,9 @@ class LysSurface(NamedTuple):
     """Three fields are derived here, once: support_lcm = lcm(m, (m+k)
     q.zeta.support_lcm over the points q), which every l with a nonzero
     lys_ztop(S, l) divides; point_types, one (point, count) per distinct
-    (zeta, delta) of the points, in order of first appearance; delta_tilde."""
+    (zeta, delta) of the points, in order of first appearance; delta = Delta,
+    or the ValidationError that refuses it (a bracket above 10^12, or Delta
+    not a polynomial), which lys_charpoly raises and lys_ztop never reads."""
     n: int                     # ambient projective dimension (2 for surfaces)
     m: int                     # degree of the tangent cone C_m
     k: int
@@ -45,7 +48,7 @@ class LysSurface(NamedTuple):
     points: Sequence[GermSummary]
     support_lcm: int           # derived
     point_types: tuple         # derived
-    delta_tilde: CycloProduct | ValidationError   # derived, or its refusal
+    delta: CycloProduct | ValidationError   # derived, or its refusal
 
     def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
         if n < 1 or m < 1 or k < 1:
@@ -63,17 +66,20 @@ class LysSurface(NamedTuple):
         keys = [q[:2] for q in points]          # (zeta, delta), not the name
         point_types = tuple((q, keys.count(key)) for i, (q, key) in enumerate(
             zip(points, keys)) if keys.index(key) == i)
-        try:        # past 10^12 it is lys_charpoly's refusal: Z needs no Delta
-            delta_tilde = CycloProduct.from_brackets([
-                (1, 1 - (-1) ** n), (m, (-1) ** n * chi_complement), *(
+        try:        # the refusals are lys_charpoly's: Z needs no Delta
+            delta = CycloProduct.from_brackets([
+                (1, -(-1) ** n), (m, (-1) ** n * chi_complement), *(
                     (d, count * e) for q, count in point_types
                     for d, e in q.delta.power_brackets(k, m + k))])
+            if not delta.is_polynomial():
+                raise ValidationError("Delta is not a polynomial; "
+                                      "inconsistent Le-Yomdin input")
         except ValidationError as refusal:
-            delta_tilde = refusal
+            delta = refusal
         return tuple.__new__(cls, (
             n, m, k, chi_complement, chi_curve_smooth, points,
             lcm(m, *((m + k) * q.zeta.support_lcm for q in points)),
-            point_types, delta_tilde))
+            point_types, delta))
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
@@ -96,18 +102,13 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
 
 
 def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
-    """(Delta, Delta_tilde): the characteristic polynomial of the monodromy
-    and its (tau - 1) multiple S.delta_tilde, which must be an honest
-    polynomial; Delta lowers the exponent of Phi_1, the first item if
-    present, by one."""
-    if isinstance(S.delta_tilde, ValidationError):
-        raise S.delta_tilde.with_traceback(None)
-    if not S.delta_tilde.is_polynomial():
-        raise ValidationError("(tau - 1) Delta is not a polynomial; "
-                              "inconsistent Le-Yomdin input")
-    e1, items = S.delta_tilde.exponent(1), S.delta_tilde.items
-    delta = CycloProduct(((1, e1 - 1),) * (e1 != 1) + items[bool(e1):])
-    return delta, S.delta_tilde
+    """(Delta, Delta_tilde): S.delta, the characteristic polynomial of the
+    monodromy, or its refusal raised, and its (tau - 1) multiple, which
+    raises the exponent of Phi_1, the first item if present, by one."""
+    if isinstance(S.delta, ValidationError):
+        raise S.delta.with_traceback(None)
+    e1, items = S.delta.exponent(1), S.delta.items
+    return S.delta, CycloProduct(((1, e1 + 1),) + items[bool(e1):])
 
 
 def lys_summary(S: LysSurface) -> GermSummary:
@@ -127,8 +128,7 @@ def require_surface(S: LysSurface, statement: str) -> None:
 
 
 def lys_orders(S: LysSurface) -> OrderSet:
-    """Divisor closure of the eigenvalue orders, read off the assembled
-    characteristic polynomial."""
+    """Divisor closure of the eigenvalue orders, the root orders of Delta."""
     return divisor_closure(lys_charpoly(S)[0].root_orders())
 
 

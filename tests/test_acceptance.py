@@ -227,10 +227,9 @@ def test_criterion_08_structural_theorems():
 
 
 def _conjectures_hold(germ: GermSummary) -> bool:
-    delta_tilde = germ.delta * CycloProduct.from_brackets([(1, 1)])
-    orders = delta_tilde.root_orders()
+    orders = germ.delta.root_orders()
     l_max = min(2 * max(orders, default=1), 80)
-    return check_monodromy(germ.zeta.entry(1), delta_tilde).passed \
+    return check_monodromy(germ.zeta.entry(1), germ.delta).passed \
         and check_holomorphy(germ.zeta.entry, orders, l_max).passed
 
 

@@ -25,18 +25,17 @@ LYS_FIXTURES = ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
 
 
 def holomorphy(germ: GermSummary, l_max: int | None = None):
-    """check_holomorphy over germ's profile and the root orders of
-    (tau - 1) Delta, as `topzeta check holomorphy` calls it."""
-    return check_holomorphy(germ.zeta.entry,
-                            (germ.delta * TAU_MINUS_1).root_orders(), l_max)
+    """check_holomorphy over germ's profile and the root orders of Delta,
+    as `topzeta check holomorphy` calls it."""
+    return check_holomorphy(germ.zeta.entry, germ.delta.root_orders(), l_max)
 
 
 def monodromy(germ: GermSummary):
-    return check_monodromy(germ.zeta.entry(1), germ.delta * TAU_MINUS_1)
+    return check_monodromy(germ.zeta.entry(1), germ.delta)
 
 def test_monodromy_xyz_lys():
     S = lys_from_json(load_fixture("lys_xyz_k2.json"))
-    report = check_monodromy(lys_ztop(S, 1), lys_charpoly(S)[1])
+    report = check_monodromy(lys_ztop(S, 1), lys_charpoly(S)[0])
     assert report.passed
     assert [item.label for item in report.items] == ["-1|1"]
     assert "smooth point" in report.items[0].note
@@ -147,7 +146,7 @@ def test_lys_summary_validates_unless_a_point_is_unvalidated():
 
 def above_bound_germs() -> list[tuple]:
     """Two constructions whose support_lcm lies above divisors' 10^12 bound,
-    as (summary, family, Delta_tilde, M): an n = 2 surface with five
+    as (summary, family, Delta, M): an n = 2 surface with five
     Brieskorn-Pham points, and z^2 + f for an unvalidated profile with
     entries at 1 and at the primes 7..43."""
     pairs = [(7, 11), (13, 17), (19, 23), (29, 31), (37, 41)]
@@ -159,18 +158,17 @@ def above_bound_germs() -> list[tuple]:
     f = GermSummary(ZetaProfile(
         {l: RatFun.inv_linear(l, 1) for l in (1, *primes)}, validate=False),
         CycloProduct.from_factors(dict.fromkeys(primes, 1)))
-    return [(lys_summary(S), lambda l: lys_ztop(S, l), lys_charpoly(S)[1],
+    return [(lys_summary(S), lambda l: lys_ztop(S, l), lys_charpoly(S)[0],
              S.support_lcm),
             (suspend_summary(f, 2), lambda l: suspend_G(f.zeta, 0, 2, 1, l),
-             f.delta.thom_sebastiani_tensor(2) * TAU_MINUS_1,
-             2 * f.zeta.support_lcm)]
+             f.delta.thom_sebastiani_tensor(2), 2 * f.zeta.support_lcm)]
 
 
 def test_subjects_match_their_constructions():
     # every summary a check reads is its construction: entry(l) is
     # ztop_from_strata, suspend_G or lys_ztop at every l <= 2 M (M the
     # construction's support bound, at most L_CAP here) and at every stored
-    # l, so each profile is complete; (tau - 1) Delta is the construction's
+    # l, so each profile is complete; Delta is the construction's
     start = time.perf_counter()
     rng = random.Random(2424)
     graphs = [graph_from_json(load_fixture(f"{name}.json")) for name in
@@ -185,21 +183,21 @@ def test_subjects_match_their_constructions():
     for g in graphs:
         res, germ = strata_of_graph(g), summary_from_graph(g)
         cases.append((germ, lambda l, res=res: ztop_from_strata(res, l),
-                      acampo(g)[1] * TAU_MINUS_1, res.support_lcm))
+                      acampo(g)[1], res.support_lcm))
         for k in (2, 3):
             cases.append((
                 suspend_summary(germ, k),
                 lambda l, k=k, f=germ.zeta: suspend_G(f, 0, k, 1, l),
-                germ.delta.thom_sebastiani_tensor(k) * TAU_MINUS_1,
+                germ.delta.thom_sebastiani_tensor(k),
                 k * germ.zeta.support_lcm))
     for name in LYS_FIXTURES:
         S = lys_from_json(load_fixture(f"{name}.json"))
         cases.append((lys_summary(S), lambda l, S=S: lys_ztop(S, l),
-                      lys_charpoly(S)[1], S.support_lcm))
+                      lys_charpoly(S)[0], S.support_lcm))
     cases += above_bound_germs()
     twists = off_bound = 0
-    for germ, family, delta_tilde, bound in cases:
-        assert germ.delta * TAU_MINUS_1 == delta_tilde
+    for germ, family, delta, bound in cases:
+        assert germ.delta == delta
         assert bound % germ.zeta.support_lcm == 0
         for l in {*range(1, min(2 * bound, L_CAP) + 1), *germ.zeta.entries}:
             assert germ.zeta.entry(l) == family(l), (bound, l)
@@ -221,3 +219,35 @@ def test_subjects_match_their_constructions():
         subject_from_json({"k": 2})
     with pytest.raises(ValidationError, match="unknown subject kind 'germ'"):
         subject_from_json({"kind": "germ"})
+
+
+def test_delta_and_delta_tilde_give_the_same_reports():
+    # neither check reads Phi_1, so (tau - 1) Delta, which perfbench passes
+    # from lys_charpoly, gives the reports that Delta gives: the subjects of
+    # `check`, the curve fixtures' suspensions at k = 2 and 3, the Le-Yomdin
+    # fixtures at k = 1..24 and seeded random germs with their suspensions
+    names = ("a3_graph", "cusp_graph", "triple_cusp_graph", "two_cusp_graph")
+    curves = [summary_from_graph(graph_from_json(load_fixture(f"{name}.json")))
+              for name in names]
+    rng = random.Random(5)
+    curves += [summary_from_graph(random_graph(rng)) for _ in range(40)]
+    germs = [subject_from_json(load_fixture(f"{name}.json"))
+             for name in (*names, "cusp3_susp", *LYS_FIXTURES)]
+    germs += curves + [suspend_summary(g, k) for g in curves for k in (2, 3)]
+    pairs = [(germ, germ.delta * TAU_MINUS_1) for germ in germs]
+    for name in LYS_FIXTURES:
+        base = lys_from_json(load_fixture(f"{name}.json"))
+        for k in range(1, 25):
+            S = LysSurface(base.n, base.m, k, base.chi_complement,
+                           base.chi_curve_smooth, base.points)
+            pairs.append((lys_summary(S), lys_charpoly(S)[1]))
+    items = 0
+    for germ, delta_tilde in pairs:
+        z = germ.zeta.entry(1)
+        assert check_monodromy(z, delta_tilde) == \
+            check_monodromy(z, germ.delta)
+        report = holomorphy(germ)
+        assert check_holomorphy(
+            germ.zeta.entry, delta_tilde.root_orders()) == report
+        items += len(report.items)
+    assert len(pairs) == 10 + 44 * 3 + 120 and items > 1000

@@ -19,7 +19,7 @@ from topzeta.errors import ValidationError
 from topzeta.lys import LysSurface, lys_from_json, lys_to_json
 from topzeta.resolution import graph_from_json, graph_to_json
 from topzeta.suspension import MATRIX_DIVISOR_BOUND, summary_from_graph, \
-    suspend_summary
+    summary_to_json, suspend_summary
 
 
 ROOT = FIXTURES.parent
@@ -306,7 +306,7 @@ def test_graph_point_needs_n2(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("name,k", [("lys_xyz_k1", 5), ("lys_tacnode_k2", 1)])
 def test_lys_z_past_the_bracket_bound(capsys, tmp_path, name, k):
-    # at m = 10^12 - 1 a bracket of Delta_tilde, (m + k) d / gcd(d, k),
+    # at m = 10^12 - 1 a bracket of Delta, (m + k) d / gcd(d, k),
     # exceeds 10^12; Z needs no Delta, so lys and sis print it and only the
     # commands that read Delta refuse
     obj = json.loads((FIXTURES / f"{name}.json").read_text())
@@ -325,6 +325,31 @@ def test_lys_z_past_the_bracket_bound(capsys, tmp_path, name, k):
         assert code == 1 and not out
         assert err == "error: integer above 10^12: too large to factor by " \
             "trial division\n"
+
+
+def test_lys_delta_not_a_polynomial(capsys, tmp_path):
+    # seven points with delta Phi_2 on a quartic pass the Euler
+    # characteristics, but Delta = Phi_1^-1 Phi_2^7 Phi_10^7 is no polynomial
+    # (Delta_tilde is one); Z needs no Delta, so lys and sis print it and the
+    # commands that read Delta refuse the surface
+    point = summary_to_json(summary_from_graph(graph_from_json(
+        json.loads((FIXTURES / "cusp_graph.json").read_text()))))
+    point["delta"] = {"cyclotomic": {"2": 1}}
+    obj = {"kind": "lys", "n": 2, "m": 4, "k": 1, "chi_complement": 0,
+           "chi_curve_smooth": -4,
+           "points": [{**point, "name": f"q{i + 1}"} for i in range(7)]}
+    f = tmp_path / "lys.json"
+    f.write_text(json.dumps(obj))
+    for command in ("lys", "sis"):
+        code, out, err = run_cli(capsys, command, "--in", str(f),
+                                 "--ell", "1")
+        assert code == 0 and out.startswith("Z^(1) = ") and not err
+    for argv in (["charpoly"], ["check", "monodromy"],
+                 ["check", "holomorphy"]):
+        code, out, err = run_cli(capsys, *argv, "--in", str(f))
+        assert code == 1 and not out
+        assert err == "error: Delta is not a polynomial; inconsistent " \
+            "Le-Yomdin input\n"
 
 
 DELETE = object()
@@ -632,8 +657,8 @@ def test_graph_checks_exit_1(capsys, tmp_path, name, message, argv):
 
 
 def test_check_holomorphy_reads_twist_2(capsys, tmp_path):
-    # x^3 + y^5: (tau - 1) Delta = Phi_1 Phi_15 has no Phi_2, so twist 2
-    # is checked; a Delta tilde with Phi_2 in place of Phi_1 would skip it
+    # x^3 + y^5: Delta = Phi_15 has no Phi_2, so twist 2 is checked; a
+    # Delta with Phi_2 would skip it
     f = tmp_path / "x3y5.json"
     f.write_text(json.dumps(graph_to_json(brieskorn_pham_graph(3, 5))))
     code, out, _ = run_cli(capsys, "check", "holomorphy", "--in", str(f),

@@ -172,7 +172,7 @@ def test_orders_and_residue_match_closed_forms():
     for i, S in enumerate(surfaces):
         try:
             orders = lys_orders(S)
-        except ValidationError:  # (tau - 1) Delta is not a polynomial
+        except ValidationError:  # Delta is not a polynomial
             assert i >= fixed
             continue
         checked += 1
@@ -281,9 +281,10 @@ def test_charpoly_matches_per_point_transforms():
             assert lys_charpoly(S) == (delta, delta * tau_minus_1), (name, k)
 
 
-def test_delta_tilde_is_derived_at_construction(monkeypatch):
-    # every Le-Yomdin fixture at k = 1..24: once the surfaces are built, Delta,
-    # the orders and the summary assemble no bracket product
+def test_delta_is_derived_at_construction(monkeypatch):
+    # every Le-Yomdin fixture at k = 1..24: once the surfaces are built,
+    # Delta and Delta_tilde, the orders and the summary assemble no bracket
+    # product
     surfaces = []
     for name in ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
                  "lys_kashiwara_Ib", "lys_kashiwara_IbL"):
@@ -306,7 +307,8 @@ def test_delta_tilde_is_derived_at_construction(monkeypatch):
        st.integers(1, 8), st.integers(1, 24))
 def test_charpoly_oracle_on_random_points(point_deltas, m, k):
     # random point deltas, with the Euler characteristics the accounting
-    # asks for; a Delta_tilde that is not a polynomial is refused
+    # asks for; a Delta that is not a polynomial is refused, also where
+    # Delta_tilde is one
     points = [GermSummary(ZetaProfile({1: RatFun.one()}),
                           CycloProduct.from_factors(factors), f"q{i + 1}")
               for i, factors in enumerate(point_deltas)]
@@ -314,7 +316,7 @@ def test_charpoly_oracle_on_random_points(point_deltas, m, k):
     S = LysSurface(2, m, k, 3 - chi_c, chi_c - len(points), points)
     delta = _charpoly_oracle(S)
     delta_tilde = delta * CycloProduct.from_brackets([(1, 1)])
-    if delta_tilde.is_polynomial():
+    if delta.is_polynomial():
         assert lys_charpoly(S) == (delta, delta_tilde)
     else:
         with pytest.raises(ValidationError):
@@ -363,9 +365,8 @@ def test_point_types_match_per_point_assembly():
             twists += 1
         try:
             delta = lys_charpoly(S)[0]
-        except ValidationError:  # (tau - 1) Delta is not a polynomial
-            assert not (_charpoly_oracle(S) * CycloProduct.from_brackets(
-                [(1, 1)])).is_polynomial()
+        except ValidationError:  # Delta is not a polynomial
+            assert not _charpoly_oracle(S).is_polynomial()
         else:
             assert delta == _charpoly_oracle(S)
         hits = [q.name for q in points if F(3, m) in q.zeta.pol_plus()]

@@ -100,3 +100,27 @@ def test_cli_import_loads_every_module():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[] []"
+
+
+def _literal(node: ast.AST):
+    """The value of a literal expression, or None for any other."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_delta_tilde_is_built_by_lys_charpoly_only():
+    # the checks read Delta, so nothing in the package or its scripts
+    # multiplies by tau - 1 = from_brackets([(1, 1)]); (tau - 1) Delta is
+    # lys_charpoly's second value, which raises the exponent of Phi_1
+    offenders = []
+    for path in sorted([*SRC.glob("*.py"),
+                        *(SRC.parent.parent / "scripts").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "from_brackets"
+            and any(_literal(arg) == [(1, 1)] for arg in node.args)]
+    assert not offenders, offenders

@@ -17,7 +17,6 @@ from topzeta.arith import divisors, frak_m, lcm_all
 from topzeta.binomial import SIGMA_PLUS, BinomialGerm, cone_multiplicities, \
     motivic_w
 from topzeta.checks import check_monodromy
-from topzeta.cyclo import CycloProduct
 from topzeta.lys import LysSurface, lys_from_json, lys_orders, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_from_json, \
@@ -141,11 +140,10 @@ def values() -> dict:
     graph = graph_from_json(load_fixture("a3_graph.json"))
     res = strata_of_graph(graph)
     summary = summary_from_graph(graph, "A3")
-    delta_tilde = summary.delta * CycloProduct.from_brackets([(1, 1)])
-    report = check_monodromy(summary.zeta.entry(1), delta_tilde)
+    report = check_monodromy(summary.zeta.entry(1), summary.delta)
     germ = BinomialGerm(0, 2, (3,), (1,), 1)
     out = {type(v).__name__: v for v in (
-        RatFun.inv_linear(1, 1), delta_tilde, germ,
+        RatFun.inv_linear(1, 1), summary.delta, germ,
         cone_multiplicities(germ), motivic_w(germ, SIGMA_PLUS)[0],
         profile_from_json(load_fixture("x5y6_profile.json")), summary,
         lys_from_json(load_fixture("lys_xyz_k1.json")), res,
