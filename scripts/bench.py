@@ -63,7 +63,10 @@ which each row's machine field names.  Each before and after row holds:
     HOLOMORPHY_SUBJECTS (a surface, a curve and a suspension), as
     `check holomorphy` reads them, 20 checks per timing, and milliseconds
     per subject_from_json on each of CHECK_FIXTURES, the subjects of
-    `check`, 20 reads per timing;
+    `check`, 20 reads per timing, and on cusp3_susp with its "k" set to
+    each of SUSPENSION_KS, whose d(k) are 2, 60 and 240, fewer reads per
+    timing at the larger k; milliseconds per lys_summary on
+    each Le-Yomdin fixture, 20 summaries per timing;
     milliseconds per
     graph_from_json of the resolution graph of x^(V-1) + y^V, which has
     V vertices, and per ztop_from_strata(res, 1) on it, for each V of
@@ -133,6 +136,8 @@ CURVE_VERTICES = (31, 61, 101, 151)
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 HOLOMORPHY_SUBJECTS = ("triple_cusp_graph", "cusp3_susp")
 CHECK_FIXTURES = (*CURVES, "cusp3_susp", *LYS_FIXTURES)
+# k -> subject_from_json reads per timing of cusp3_susp at that k
+SUSPENSION_KS = {2: 20, 5040: 5, 720720: 1}
 SUBSTITUTE_DEGREES = (1, 2, 4, 8, 16)
 SHARED_FORMS = (1, 2, 4, 8, 16)
 SUM_TERMS = (2, 4, 8, 16)
@@ -377,6 +382,13 @@ def zero_twist_rows() -> dict:
     for name in CHECK_FIXTURES:
         rows[f"subject_summary_ms|{name}"] = per_case_us(
             checks.subject_from_json, [(load(name),)] * 20, 1e3)
+    for k, reads in SUSPENSION_KS.items():
+        rows[f"subject_summary_ms|cusp3_susp,k={k}"] = per_case_us(
+            checks.subject_from_json, [(dict(load("cusp3_susp"), k=k),)]
+            * reads, 1e3)
+    for name in LYS_FIXTURES:
+        rows[f"lys_summary_ms|{name}"] = per_case_us(
+            lys.lys_summary, [(lys.lys_from_json(load(name)),)] * 20, 1e3)
     return rows
 
 

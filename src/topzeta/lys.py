@@ -5,8 +5,9 @@ singular points avoid V(f_{m+k}) blows down to a stratification of the
 exceptional P^n, so its zeta functions assemble from the global strata and
 the generalized-suspension terms of each singular point of C_m, in the
 shift r = (1 + n + (m+k)s)/k, all in one sum_inv_products, built once per
-point type (zeta, delta) and scaled by its count.  The characteristic
-polynomial is one bracket list in every dimension, with eps = (-1)^n:
+point type (zeta, delta), whose entries are shifted to r once, and scaled
+by its count.  The characteristic polynomial is one bracket list in every
+dimension, with eps = (-1)^n:
 [(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k}),
 which LysSurface derives once and refuses when it is not a polynomial;
 lys_charpoly alone builds its (tau - 1) multiple Delta_tilde.  Eigenvalue
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .arith import TRIAL_DIVISION_BOUND, divisor_closure
@@ -25,8 +27,8 @@ from .cyclo import CycloProduct, OrderSet
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field
 from .ratfun import PoleError, RatFun
-from .suspension import GermSummary, ZetaProfile, summary_from_json, \
-    summary_to_json, suspend_terms
+from .suspension import GermSummary, ZetaProfile, shift_entries, \
+    summary_from_json, summary_to_json, suspend_reads, suspend_terms
 
 
 N_MAX = 64           # n above it is refused: chi_n(m) has n log10(m) digits
@@ -34,12 +36,15 @@ N_MAX = 64           # n above it is refused: chi_n(m) has n log10(m) digits
 
 @checked
 class LysSurface(NamedTuple):
-    """Three fields are derived here, once: support_lcm = lcm(m, (m+k)
+    """Four fields are derived here, once: support_lcm = lcm(m, (m+k)
     q.zeta.support_lcm over the points q), which every l with a nonzero
     lys_ztop(S, l) divides; point_types, one (point, count) per distinct
-    (zeta, delta) of the points, in order of first appearance; delta = Delta,
-    or the ValidationError that refuses it (a bracket above 10^12, or Delta
-    not a polynomial), which lys_charpoly raises and lys_ztop never reads."""
+    (zeta, delta) of the points, in order of first appearance; at_r, per
+    point type, its nonzero entries shifted to r = (n + 1 + (m+k)s)/k (a
+    read-only map j -> Z^(j)(q)(r)), which lys_ztop reads at every twist;
+    delta = Delta, or the ValidationError that refuses it (a bracket above
+    10^12, or Delta not a polynomial), which lys_charpoly raises and
+    lys_ztop never reads."""
     n: int                     # ambient projective dimension (2 for surfaces)
     m: int                     # degree of the tangent cone C_m
     k: int
@@ -48,6 +53,7 @@ class LysSurface(NamedTuple):
     points: Sequence[GermSummary]
     support_lcm: int           # derived
     point_types: tuple         # derived
+    at_r: tuple                # derived
     delta: CycloProduct | ValidationError   # derived, or its refusal
 
     def _new(cls, n, m, k, chi_complement, chi_curve_smooth, points=()):
@@ -79,14 +85,16 @@ class LysSurface(NamedTuple):
         return tuple.__new__(cls, (
             n, m, k, chi_complement, chi_curve_smooth, points,
             lcm(m, *((m + k) * q.zeta.support_lcm for q in points)),
-            point_types, delta))
+            point_types, tuple(MappingProxyType(shift_entries(
+                q.zeta, m, k, n + 1, q.zeta.support()))
+                for q, _ in point_types), delta))
 
 
 def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     """Z_top^(l)(F, s): the global strata terms and each point type's
-    suspend_terms, their scalars times the type's count, added by one
-    RatFun.sum_inv_products.  Zero, before any term is built, when l does
-    not divide S.support_lcm."""
+    suspend_terms, built from its entries in S.at_r, their scalars times
+    the type's count, added by one RatFun.sum_inv_products.  Zero, before
+    any term is built, when l does not divide S.support_lcm."""
     if l < 1:
         raise ValidationError("l must be >= 1")
     if S.support_lcm % l:
@@ -95,9 +103,10 @@ def lys_ztop(S: LysSurface, l: int = 1) -> RatFun:
     terms = [(S.chi_complement, [krs])] if S.m % l == 0 else []
     if l == 1:
         terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
-    for point, count in S.point_types:
-        terms += [(count * t[0], *t[1:]) for t in
-                  suspend_terms(point.zeta, S.m, S.k, S.n + 1, l)]
+    for (point, count), at_r in zip(S.point_types, S.at_r):
+        if reads := suspend_reads(point.zeta, S.m, S.k, S.n + 1, l):
+            terms += [(count * t[0], *t[1:]) for t in suspend_terms(
+                reads, at_r, point.zeta.prod_nu0, S.m, S.k, S.n + 1, l)]
     return RatFun.sum_inv_products(terms)
 
 

@@ -6,7 +6,8 @@ G = z^m (z^k + f) in closed form; the plain suspension F = z^k + f is the
 case m = 0, nu_z = 1.  The ell-twisted output is one sum over the cones
 sigma+, sigma-, rho, rho* of z^m (z^k + x^N), each gated by the
 divisibility of m or m+k by ell, with a Jordan-totient-weighted sum over
-the divisors of k, in the shift r = ((m+k)s + nu_z)/k.
+the divisors of k, in the shift r = ((m+k)s + nu_z)/k, which no twist
+changes: suspend_profile and LysSurface shift each entry of f once.
 
 Also here: the matrix form of the transfer identity for F, eigenvalue-order
 transfer via classical Thom-Sebastiani, and the f-bad order classification
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -116,34 +117,47 @@ def summary_from_graph(g: CurveResolutionGraph, name: str = "") -> GermSummary:
 # generalized suspension G = z^m (z^k + f)
 
 
-def suspend_terms(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> list:
-    """suspend_G's nonzero cone terms for RatFun.sum_inv_products, with each
-    nonzero entry read substituted once; none outside the support gate."""
+def suspend_reads(f: ZetaProfile, m: int, k: int, nu_z: int, l: int):
+    """suspend_G's read rule at twist l: None if the twist is zero (past the
+    support gate, or nothing to read), else (plus, minus, minus_1, rho):
+    sigma+ reads entry l if l | m (plus), sigma- is there if l | m+k
+    (minus) and reads entry 1 (minus_1), and rho, rho* read entry
+    j = lcm(e, m(k,l,m+k)) with weight rho[j] = sum of J_2(e); only nonzero
+    entries count.  e runs over the divisors of gcd(k, f.support_lcm): a
+    nonzero entry j divides support_lcm, and so does e.  nu_z is only
+    checked here, with m, k and l; no read depends on it."""
     if m < 0 or k < 1 or nu_z < 1 or l < 1:
         raise ValidationError("need m >= 0, k >= 1, nu_z >= 1, l >= 1")
     if (m + k) * f.support_lcm % l:
-        return []
-    read, rho = {}, {}     # the nonzero entries read; j -> sum of J_2(e)
-    if m % l == 0 and (z := f.entry(l)).num:
-        read[l] = z
-    if (minus := (m + k) % l == 0) and (z := f.entry(1)).num:
-        read[1] = z
+        return None
+    plus = m % l == 0 and bool(f.entry(l).num)
+    minus = (m + k) % l == 0
+    minus_1 = minus and bool(f.entry(1).num)
+    rho = {}                                  # j -> sum of J_2(e)
     fm = frak_m(k, l, m + k)
-    for e in divisors(k):
-        if (z := f.entry(j := lcm(e, fm))).num:
-            read[j] = z
+    for e in divisors(gcd(k, f.support_lcm)):
+        if f.entry(j := lcm(e, fm)).num:
             rho[j] = rho.get(j, 0) + jordan_totient(2, e)
-    if not (read or minus):                   # zero past the support gate
-        return []
+    return (plus, minus, minus_1, rho) if plus or minus or rho else None
+
+
+def shift_entries(f: ZetaProfile, m: int, k: int, nu_z: int, js) -> dict:
+    """Z^(j)(f)(r), r = ((m+k)s + nu_z)/k, for each nonzero entry j of js."""
     a, b = Fraction(m + k, k), Fraction(nu_z, k)
-    at_r = {j: z.substitute_affine(a, b) for j, z in read.items()}
-    terms = [(1, [(nu_z, m)], (1,), at_r[l])] \
-        if m % l == 0 and l in at_r else []
+    return {j: f.entries[j].substitute_affine(a, b) for j in js}
+
+
+def suspend_terms(reads: tuple, at_r: Mapping[int, RatFun], prod_nu0: int,
+                  m: int, k: int, nu_z: int, l: int) -> list:
+    """suspend_G's cone terms for RatFun.sum_inv_products at twist l, from
+    suspend_reads' reads and at_r, each entry read shifted to r."""
+    plus, minus, minus_1, rho = reads
+    terms = [(1, [(nu_z, m)], (1,), at_r[l])] if plus else []
     # 1/prod_nu0 and rho's 1/k are constant factors (b = 0) of the terms
     if minus:
         kr = [(nu_z, m + k)]
-        terms.append((1, [*kr, (f.prod_nu0, 0)]))
-        if 1 in at_r:
+        terms.append((1, [*kr, (prod_nu0, 0)]))
+        if minus_1:
             terms.append((-1, kr, (1,), at_r[1]))
     # w_l / k: s/(k (s + 1)) or 1/k
     w_l = ([(k, 0), (1, 1)], (0, 1)) if l == 1 else ([(k, 0)], (1,))
@@ -163,9 +177,11 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
       - w_l(s) sum_{e | k} J_2(e)/k Z^(lcm(e, m(k,l,m+k)))(f)(r)  rho, rho*
 
     with w_1 = s/(s+1) = 1 - 1/(s+1) (rho* adds the -1/(s+1)) and w_l = 1
-    for l >= 2 (rho* vanishes).  suspend_terms lists the terms, rho's with
-    equal entries merged, and RatFun.sum_inv_products adds them over one
-    common denominator, where k r cancels from sigma-.
+    for l >= 2 (rho* vanishes).  suspend_reads picks the nonzero entries
+    each cone reads, rho's with equal entries merged; this twist shifts
+    only those to r, suspend_terms lists the terms, and
+    RatFun.sum_inv_products adds them over one common denominator, where
+    k r cancels from sigma-.
 
     Support gate: the result is zero unless l divides
     (m+k) f.support_lcm, and then no entry is read.  Each term needs it:
@@ -174,16 +190,25 @@ def suspend_G(f: ZetaProfile, m: int, k: int, nu_z: int, l: int) -> RatFun:
     is nonzero only for some s in the support that m(k,l,m+k) divides, and
     every such multiple M of m(k,l,m+k) has l gcd(k, M) | (m+k) M, so
     l | (m+k) s."""
-    terms = suspend_terms(f, m, k, nu_z, l)
-    return RatFun.sum_inv_products(terms) if terms else _ZERO
+    if (reads := suspend_reads(f, m, k, nu_z, l)) is None:
+        return _ZERO
+    plus, _, minus_1, rho = reads
+    at_r = shift_entries(f, m, k, nu_z, {*[l] * plus, *[1] * minus_1, *rho})
+    return RatFun.sum_inv_products(
+        suspend_terms(reads, at_r, f.prod_nu0, m, k, nu_z, l))
 
 
 def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int) -> ZetaProfile:
     """The whole profile of G = z^m (z^k + f), validated if f is: every l
     dividing (m+k) s, s = 1 or in f's support, outside of which Z^(l)(G)
-    vanishes (suspend_G's support-gate proof), so it can be suspended again."""
-    twists = divisor_closure((m + k) * s for s in {1} | f.support())
-    entries = {l: suspend_G(f, m, k, nu_z, l) for l in twists}
+    vanishes (suspend_G's support-gate proof), so it can be suspended again;
+    each nonzero entry of f is shifted to r once, for all twists."""
+    support = f.support()
+    twists = divisor_closure((m + k) * s for s in {1} | support)
+    at_r = shift_entries(f, m, k, nu_z, support)
+    entries = {l: _ZERO if (reads := suspend_reads(f, m, k, nu_z, l)) is None
+               else RatFun.sum_inv_products(suspend_terms(
+                   reads, at_r, f.prod_nu0, m, k, nu_z, l)) for l in twists}
     return ZetaProfile(entries, nu_z * f.prod_nu0, f.validate)
 
 

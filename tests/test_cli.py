@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from closed_forms import brieskorn_pham_eigenvalues, \
-    lys_euler_characteristics
+    lys_euler_characteristics, newton_bp_ztop
 from conftest import FIXTURES
 from graphgen import brieskorn_pham_graph
 from topzeta import cli
@@ -17,6 +17,7 @@ from topzeta.cli import main
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
 from topzeta.lys import LysSurface, lys_from_json, lys_to_json
+from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, graph_to_json
 from topzeta.suspension import MATRIX_DIVISOR_BOUND, summary_from_graph, \
     summary_to_json, suspend_summary
@@ -859,6 +860,23 @@ def test_large_orders_exit_quickly(capsys, order):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "fbad", "--orders", order)
     assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err == "error: integer above 10^12: too large to factor by " \
+        "trial division\n"
+
+
+def test_suspend_reads_a_k_above_the_trial_division_bound(capsys):
+    # Z^(1) of z^k + x^5 + y^6 reads only the divisors of gcd(k, 30), so
+    # `suspend` prints it at k = 10^13, and the Newton polyhedron agrees;
+    # --matrix needs the divisors of k itself and still refuses
+    k = 10 ** 13
+    argv = ("suspend", "--in", str(FIXTURES / "x5y6_profile.json"),
+            "--k", str(k), "--ell", "1")
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0 and not err
+    z = RatFun.from_json(json.loads(out)["results"][0]["zeta"])
+    assert z == newton_bp_ztop((5, 6, k), 0, 1, 1)
+    code, out, err = run_cli(capsys, *argv, "--matrix")
     assert code == 1 and not out
     assert err == "error: integer above 10^12: too large to factor by " \
         "trial division\n"

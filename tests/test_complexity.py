@@ -71,3 +71,30 @@ def test_zero_twist_count_is_the_same_at_every_l(label):
         assert call(l).is_zero()    # and warm any cache the first call fills
     counts = [opcode_count(call, l) for l in ells]
     assert len(set(counts)) == 1, dict(zip(ells, counts))
+
+
+# k with d(k) = 60, 120 and 240 divisors, each a multiple of 126, the lcm of
+# the cusp germ's support, so gcd(k, 126) = 126 at every k
+SUSPENSION_K = (5_040, 55_440, 720_720)
+# the spread of the per-twist counts over SUSPENSION_K; a rho loop over
+# every divisor of k grows its count per twist by about 1.3x to 1.4x each
+# time d(k) doubles
+PER_TWIST_SPREAD = 1.1
+
+
+def test_suspend_profile_cost_per_twist_is_flat_in_k():
+    # suspend_profile shifts the germ's nonzero entries once, and each twist
+    # reads only the divisors e of gcd(k, support_lcm): a nonzero entry
+    # lcm(e, m(k,l,m+k)) divides support_lcm, and so does e.  Its cones then
+    # build at most 2 + d(gcd(k, support_lcm)) terms, so the count per twist
+    # does not grow with d(k); the twists themselves, the divisors of k s,
+    # grow with it
+    cusp = suspension.summary_from_json(
+        load_fixture("cusp3_susp.json")["germ"]).zeta
+    assert cusp.support_lcm == 126
+    per_twist = []
+    for k in SUSPENSION_K:
+        twists = len(suspension.suspend_profile(cusp, 0, k, 1).entries)
+        per_twist.append(
+            opcode_count(suspension.suspend_profile, cusp, 0, k, 1) / twists)
+    assert max(per_twist) <= PER_TWIST_SPREAD * min(per_twist), per_twist

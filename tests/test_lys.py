@@ -21,8 +21,8 @@ from topzeta.lys import N_MAX, LysSurface, is_bad_divisor, lys_charpoly, \
     lys_from_json, lys_orders, lys_summary, lys_to_json, lys_ztop, \
     residue_lct
 from topzeta.ratfun import PoleError, RatFun
-from topzeta.suspension import GermSummary, ZetaProfile, summary_from_graph, \
-    suspend_summary, suspend_terms
+from topzeta.suspension import GermSummary, ZetaProfile, shift_entries, \
+    summary_from_graph, suspend_reads, suspend_summary, suspend_terms
 
 
 def node_summary():
@@ -302,6 +302,31 @@ def test_delta_is_derived_at_construction(monkeypatch):
     assert [[read(S) for read in readers] for S in surfaces] == before
 
 
+def test_entries_are_shifted_at_construction(monkeypatch):
+    # every Le-Yomdin fixture at k = 1..24: once the surfaces are built,
+    # lys_ztop at every divisor of support_lcm and at twists off it, and
+    # the summary, shift no entry to r
+    surfaces = []
+    for name in ("lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
+                 "lys_kashiwara_Ib", "lys_kashiwara_IbL"):
+        base = lys_from_json(load_fixture(f"{name}.json"))
+        surfaces += [LysSurface(base.n, base.m, k, base.chi_complement,
+                                base.chi_curve_smooth, base.points)
+                     for k in range(1, 25)]
+
+    def read(S):
+        ells = [*divisors(S.support_lcm), 2 * S.support_lcm + 1, 7, 11]
+        return [lys_ztop(S, l) for l in ells], lys_summary(S)
+
+    before = [read(S) for S in surfaces]
+
+    def refuse(self, a, b):
+        raise AssertionError("an entry shifted to r after construction")
+
+    monkeypatch.setattr(RatFun, "substitute_affine", refuse)
+    assert [read(S) for S in surfaces] == before
+
+
 @given(st.lists(st.dictionaries(st.integers(1, 30), st.integers(1, 2),
                                 max_size=4), max_size=3),
        st.integers(1, 8), st.integers(1, 24))
@@ -325,13 +350,17 @@ def test_charpoly_oracle_on_random_points(point_deltas, m, k):
 
 def _per_point_ztop(S: LysSurface, l: int) -> RatFun:
     """Z_top^(l) with no point types: the global terms and every point's
-    suspend_terms, added by one sum_inv_products."""
+    suspend_terms, from its entries shifted here, added by one
+    sum_inv_products."""
     krs = (S.n + 1, S.m)
     terms = [(S.chi_complement, [krs])] if S.m % l == 0 else []
     if l == 1:
         terms.append((S.chi_curve_smooth, [krs, (1, 1)]))
     for q in S.points:
-        terms += suspend_terms(q.zeta, S.m, S.k, S.n + 1, l)
+        if reads := suspend_reads(q.zeta, S.m, S.k, S.n + 1, l):
+            at_r = shift_entries(q.zeta, S.m, S.k, S.n + 1, q.zeta.support())
+            terms += suspend_terms(reads, at_r, q.zeta.prod_nu0, S.m, S.k,
+                                   S.n + 1, l)
     return RatFun.sum_inv_products(terms)
 
 
@@ -421,3 +450,20 @@ def test_brieskorn_pham_cones_in_every_dimension(capsys, tmp_path):
                         f"{conjecture}: PASS\n")
                 cones += 1
     assert (cones, twists) == (70, 3_940)
+
+
+def test_z_reads_a_k_above_the_trial_division_bound():
+    # each point's twist reads only the divisors of gcd(k, its support_lcm),
+    # so Z of a Brieskorn-Pham cone has its Newton-formula value at
+    # k = 10^13, while Delta, a transform of the points' Delta by k, still
+    # needs k factored and is refused
+    k = 10 ** 13
+    for n, m in ((1, 4), (2, 3), (3, 2)):
+        point = cone_point(n, m)
+        S = LysSurface(n, m, k, *lys_euler_characteristics(n, m, [point]),
+                       [point])
+        for l in (1, 2, 3, 4, 7, m + k, 2 * (m + k)):
+            assert lys_ztop(S, l) == newton_bp_ztop(
+                (m,) * n + (m + k,), 0, 1, l), (n, m, l)
+        with pytest.raises(ValidationError, match="above 10\\^12"):
+            lys_charpoly(S)

@@ -111,21 +111,21 @@ def test_ztop_from_strata_vanishes_off_support_lcm():
 
 def test_lys_ztop_zero_twist_builds_no_part(monkeypatch):
     # off support_lcm, lys_ztop answers from the gate: no point's
-    # suspend_terms and no RatFun._sum; on it, each point type's terms are
-    # read once, so the three A1 nodes of xyz = 0 cost one call
+    # suspend_reads and no RatFun._sum; on it, each point type's read rule
+    # runs once, so the three A1 nodes of xyz = 0 cost one call
     surfaces = lys_surfaces()
-    calls = {"suspend_terms": 0, "_sum": 0}
-    suspend_terms, ratfun_sum = lys.suspend_terms, RatFun._sum
+    calls = {"suspend_reads": 0, "_sum": 0}
+    suspend_reads, ratfun_sum = lys.suspend_reads, RatFun._sum
 
-    def counting_suspend_terms(*args):
-        calls["suspend_terms"] += 1
-        return suspend_terms(*args)
+    def counting_suspend_reads(*args):
+        calls["suspend_reads"] += 1
+        return suspend_reads(*args)
 
     def counting_sum(parts):
         calls["_sum"] += 1
         return ratfun_sum(parts)
 
-    monkeypatch.setattr(lys, "suspend_terms", counting_suspend_terms)
+    monkeypatch.setattr(lys, "suspend_reads", counting_suspend_reads)
     monkeypatch.setattr(RatFun, "_sum", staticmethod(counting_sum))
     zero_twists = 0
     for S in surfaces:
@@ -135,10 +135,10 @@ def test_lys_ztop_zero_twist_builds_no_part(monkeypatch):
                 continue
             assert lys_ztop(S, l).is_zero()
             zero_twists += 1
-        assert calls == {"suspend_terms": 0, "_sum": 0}, (S.m, S.k)
+        assert calls == {"suspend_reads": 0, "_sum": 0}, (S.m, S.k)
         lys_ztop(S, S.m)
-        assert calls == {"suspend_terms": len(S.point_types), "_sum": 1}
-        calls.update(suspend_terms=0, _sum=0)
+        assert calls == {"suspend_reads": len(S.point_types), "_sum": 1}
+        calls.update(suspend_reads=0, _sum=0)
     assert zero_twists > 1_000
     for name in ("lys_xyz_k1", "lys_xyz_k2"):      # three A1 nodes, one type
         S = lys_from_json(load_fixture(f"{name}.json"))

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import Counter
@@ -20,8 +21,8 @@ from topzeta.ratfun import RatFun
 from topzeta.resolution import graph_from_json, strata_of_graph
 from topzeta.suspension import GermSummary, ZetaProfile, fbad_set, \
     profile_from_graph, profile_from_json, profile_to_json, \
-    summary_from_graph, suspend_G, suspend_matrix, suspend_orders, \
-    suspend_profile, suspend_terms
+    shift_entries, summary_from_graph, suspend_G, suspend_matrix, \
+    suspend_orders, suspend_profile, suspend_reads, suspend_terms
 
 SUBSTITUTION_BUDGET_S = 2.0
 
@@ -380,6 +381,47 @@ def test_each_entry_substituted_once_per_twist(monkeypatch):
     assert time.perf_counter() - start < SUBSTITUTION_BUDGET_S
 
 
+def test_profile_shifts_each_entry_once(monkeypatch):
+    # suspend_profile shifts each nonzero entry of f to r once, for all its
+    # twists; suspend_G at one twist shifts exactly the nonzero entries that
+    # twist reads, each once
+    profiles = [profile_from_json(load_fixture(f"{name}_profile.json"))
+                for name in ("x5y6", "lvp")]
+    profiles += [profile_from_graph(graph_from_json(load_fixture(
+        f"{name}.json"))) for name in ("a3_graph", "cusp_graph",
+                                       "triple_cusp_graph", "two_cusp_graph")]
+    reads, shifted = [], []
+    entry, substitute = ZetaProfile.entry, RatFun.substitute_affine
+
+    def recording_entry(self, l):
+        z = entry(self, l)
+        if not z.is_zero():
+            reads.append(id(z))
+        return z
+
+    def recording_substitute(self, a, b):
+        shifted.append(id(self))
+        return substitute(self, a, b)
+
+    monkeypatch.setattr(ZetaProfile, "entry", recording_entry)
+    monkeypatch.setattr(RatFun, "substitute_affine", recording_substitute)
+    nonzero = 0
+    for f in profiles:
+        for m, k, nu_z in itertools.product(range(3), (1, 2, 3, 6), (1, 3)):
+            shifted.clear()
+            g = suspend_profile(f, m, k, nu_z)
+            assert sorted(shifted) == sorted(id(f.entries[j])
+                                             for j in f.support())
+            for l in divisors((m + k) * f.support_lcm):
+                reads.clear()
+                shifted.clear()
+                z = suspend_G(f, m, k, nu_z, l)
+                assert sorted(shifted) == sorted(set(reads)), (m, k, nu_z, l)
+                assert z == g.entry(l), (m, k, nu_z, l)
+                nonzero += bool(shifted)
+    assert nonzero > 900, nonzero
+
+
 def _fixture_twists():
     """suspend_G on the x5y6, lvp and curve-fixture profiles (m = 0..2,
     k in {1, 2, 3, 6}, nu_z in {1, 3}) and lys_ztop on the Le-Yomdin
@@ -479,9 +521,12 @@ def test_parts_cancel_where_entries_vanish():
         m, k, nu_z = rng.randint(0, 3), rng.randint(1, 4), rng.randint(1, 4)
         f = _vanishing_profile(rng, _special_roots(m, k, nu_z),
                                F(nu_z, k))
+        at_r = shift_entries(f, m, k, nu_z, f.support())
         for l in divisors((m + k) * f.support_lcm):
-            parts = [RatFun._part(*t)
-                     for t in suspend_terms(f, m, k, nu_z, l)]
+            reads = suspend_reads(f, m, k, nu_z, l)
+            terms = [] if reads is None else suspend_terms(
+                reads, at_r, f.prod_nu0, m, k, nu_z, l)
+            parts = [RatFun._part(*t) for t in terms]
             for num, _, forms in parts:
                 for a, b in forms:
                     assert sum(c * F(-a, b) ** i

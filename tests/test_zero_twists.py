@@ -6,7 +6,7 @@ import json
 import random
 import sys
 import time
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -33,12 +33,12 @@ def expected_reads(m: int, k: int, l: int, bound: int) -> list[int]:
     """The entries suspend_G reads, in order: none when l does not divide
     bound = (m+k) lcm(support(f)) (the support gate), else entry l when
     l | m (sigma+), entry 1 when l | m+k (sigma-), then
-    lcm(e, m(k, l, m+k)) for each e | k (rho)."""
+    lcm(e, m(k, l, m+k)) for each e | gcd(k, lcm(support(f))) (rho)."""
     if bound % l:
         return []
     fm = frak_m(k, l, m + k)
     return [l] * (m % l == 0) + [1] * ((m + k) % l == 0) \
-        + [lcm(e, fm) for e in divisors(k)]
+        + [lcm(e, fm) for e in divisors(gcd(k, bound // (m + k)))]
 
 
 def test_suspend_G_fast_paths_match_dispatch(monkeypatch):
