@@ -197,7 +197,8 @@ def cli_import_ms() -> float:
 def construct_rows() -> dict:
     """Microseconds per construction of the value types built in the inner
     loops: RatFun and MotTerm (grid terms), BinomialGerm (grid germs) and
-    CheckItem (one per holomorphy twist)."""
+    CheckItem (one per checked twist when a holomorphy report's items are
+    read, and one per failing twist in the check itself)."""
     g = binomial.BinomialGerm(2, 4, (2, 6), (1, 2), 3)
     term = binomial.motivic_w(g, binomial.RHO)[0]
     f = ratfun.RatFun.inv_linear(1, 1) + ratfun.RatFun.inv_linear(2, 3)

@@ -87,8 +87,9 @@ def frak_m(k: int, l: int, q: int) -> int:
 def divisor_closure(values) -> frozenset[int]:
     """Union of the divisor sets of the given positive integers."""
     out: set[int] = set()
-    for v in values:
-        out.update(divisors(v))
+    for v in sorted(values, reverse=True):
+        if v not in out:           # else its divisors are in out already
+            out.update(divisors(v))
     return frozenset(out)
 
 

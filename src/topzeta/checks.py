@@ -6,7 +6,8 @@ integer poles pass via the eigenvalue 1 at a smooth point, other poles by
 Phi_b dividing Delta.
 
 check_holomorphy: for every l > 1 outside the divisor closure of the
-eigenvalue orders, the l-twisted zeta function must vanish identically.
+eigenvalue orders, the l-twisted zeta function must vanish identically;
+its report keeps the failing twists, and builds a passing item when read.
 
 Both read a germ (a curve, a suspension z^k + f or a Le-Yomdin surface) as
 a GermSummary with a complete profile, Z^(l) = germ.zeta.entry(l), and its
@@ -16,12 +17,14 @@ passes via the smooth point and the twist 1 is never checked, so
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .arith import divisor_closure, lcm_all
 from .cyclo import CycloProduct, OrderSet
-from .errors import ValidationError, json_field
+from .errors import ValidationError, checked, json_field
 from .lys import lys_from_json, lys_summary
 from .ratfun import RatFun
 from .resolution import graph_from_json
@@ -79,13 +82,54 @@ class CheckItem(NamedTuple):
         return out
 
 
-class Report(NamedTuple):
-    conjecture: str
-    items: tuple[CheckItem, ...]
+class HolomorphyItems(Sequence):
+    """A holomorphy report's items, per 1 < l <= l_max outside the closure:
+    the failure's or CheckItem(l, True), built when read.  Equal and hashed
+    over l_max, skipped (the closure in 2..l_max) and failures."""
+    __slots__ = ("l_max", "skipped", "failures")
 
-    @property
-    def passed(self) -> bool:
-        return all(item.ok for item in self.items)
+    def __init__(self, l_max: int, closure, failures: dict[int, CheckItem]):
+        skipped = frozenset(d for d in closure if 2 <= d <= l_max)
+        for name, value in zip(self.__slots__, (
+                l_max, skipped, MappingProxyType(dict(failures)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __iter__(self):
+        return (self.failures.get(l) or CheckItem(l, True)
+                for l in range(2, self.l_max + 1) if l not in self.skipped)
+
+    def __len__(self) -> int:
+        return self.l_max - 1 - len(self.skipped)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or not -len(self) <= i < len(self):
+            return tuple(self)[i]        # a slice, or the IndexError
+        l = i % len(self) + 2            # then step over each skipped <= l
+        for d in sorted(self.skipped):
+            l += d <= l
+        return self.failures.get(l) or CheckItem(l, True)
+
+    def __eq__(self, other):
+        return type(other) is HolomorphyItems and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash((self.l_max, self.skipped, *self.failures.values()))
+
+
+@checked
+class Report(NamedTuple):
+    """passed is the check's verdict, or all(item.ok) when none is given."""
+    conjecture: str
+    items: Sequence[CheckItem]
+    passed: bool
+
+    def _new(cls, conjecture, items, passed=None):
+        return tuple.__new__(cls, (conjecture, items, all(
+            item.ok for item in items) if passed is None else passed))
 
     def to_json(self) -> dict:
         return {"conjecture": self.conjecture,
@@ -124,17 +168,16 @@ def check_holomorphy(zeta_family: Callable[[int], RatFun], orders: OrderSet,
                      l_max: int | None = None) -> Report:
     """Every 1 < l <= l_max outside the order closure must give the zero
     function; l inside the closure is unconstrained and skipped.  A given
-    l_max must lie in [2, L_MAX_CAP]; the default is default_l_max's.  A
-    passing item is built as the checked types' _new build theirs, by
-    tuple.__new__, and equals CheckItem(l, True)."""
+    l_max must lie in [2, L_MAX_CAP]; the default is default_l_max's.  Only
+    a failing twist is recorded; the report's items are a HolomorphyItems
+    view over the range, the closure and the failures."""
     if l_max is not None and not 2 <= l_max <= L_MAX_CAP:
         raise ValidationError(
             f"l_max must be between 2 and {L_MAX_CAP}, got {l_max}")
-    closure = divisor_closure(orders)
-    items, new = [], tuple.__new__
-    for l in range(2, (l_max or default_l_max(orders)) + 1):
-        if l not in closure:
-            z = zeta_family(l)
-            items.append(CheckItem(l, False, f"Z^({l}) = {z}") if z.num
-                         else new(CheckItem, (l, True, "", None)))
-    return Report("holomorphy", tuple(items))
+    closure, l_max = divisor_closure(orders), l_max or default_l_max(orders)
+    failures = {}
+    for l in range(2, l_max + 1):
+        if l not in closure and (z := zeta_family(l)).num:
+            failures[l] = CheckItem(l, False, f"Z^({l}) = {z}")
+    return Report("holomorphy", HolomorphyItems(l_max, closure, failures),
+                  not failures)

@@ -14,7 +14,7 @@ solved from self-intersections by elimination along the tree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .arith import lcm_all
@@ -68,13 +68,14 @@ class StratifiedResolution(NamedTuple):
         by_id = {c.id: (c.nu, c.N) for c in components}
         terms = [(st.chi, tuple([by_id[cid] for cid in st.I]))
                  for st in strata if st.chi]
-        # normalization: sum chi / prod nu_i over strata is 1 / prod_nu0
-        total = sum((Fraction(chi, prod([nu for nu, _ in factors]))
-                     for chi, factors in terms), Fraction(0))
-        if total != Fraction(1, prod_nu0):
+        # normalization: sum chi L / prod nu_i = L / prod_nu0, L their lcm
+        nus = [prod([nu for nu, _ in factors]) for _, factors in terms]
+        L = lcm(*nus)
+        total = sum(chi * (L // nu) for (chi, _), nu in zip(terms, nus))
+        if total * prod_nu0 != L:
             raise ValidationError(
-                f"normalization fails: sum chi/prod nu = {total}, "
-                f"expected 1/{prod_nu0}")
+                f"normalization fails: sum chi/prod nu = {Fraction(total, L)}"
+                f", expected 1/{prod_nu0}")
         return tuple.__new__(cls, (components, strata, prod_nu0,
                                    lcm_all(c.N for c in components), terms))
 

@@ -57,12 +57,12 @@ class ZetaProfile(NamedTuple):
         if 1 not in entries:
             raise ValidationError("profile must store the ell = 1 entry")
         support = [l for l, z in entries.items() if not z.is_zero()]
-        for l in support:
-            for d in divisors(l):
-                if d not in entries:
-                    raise ValidationError(
-                        f"support not divisor-closed: entry {l} is nonzero "
-                        f"but divisor {d} is absent")
+        if not entries.keys() >= divisor_closure(support):
+            l, d = next((l, d) for l in support for d in divisors(l)
+                        if d not in entries)
+            raise ValidationError(
+                f"support not divisor-closed: entry {l} is nonzero "
+                f"but divisor {d} is absent")
         if validate:
             if Fraction(0) in entries[1].pol_plus():
                 raise ValidationError("Z(f, s) has a pole at s = 0")

@@ -71,8 +71,9 @@ def test_monodromy_refuses_nonpolynomial_as_bad_input():
 
 
 def test_holomorphy_passing_items_are_plain_check_items(triple_cusp_graph):
-    # a passing item is built by tuple.__new__ and must be the CheckItem
-    # the constructor builds, down to its type and its JSON
+    # the report records failures only; its items view builds each passing
+    # item when read, and it must be the CheckItem the constructor builds,
+    # down to its type and its JSON
     germs = [summary_from_graph(triple_cusp_graph),
              suspend_summary(summary_from_graph(triple_cusp_graph), 2),
              lys_summary(lys_from_json(load_fixture("lys_xyz_k1.json")))]
@@ -84,6 +85,37 @@ def test_holomorphy_passing_items_are_plain_check_items(triple_cusp_graph):
             assert item == CheckItem(item.ell, True)
             assert item.to_json() == CheckItem(item.ell, True).to_json() \
                 == {"ell": item.ell, "ok": True}
+
+
+def test_holomorphy_items_read_as_the_checked_twists():
+    # the items view against the tuple of items it stands for: every
+    # 1 < l <= l_max outside the closure {1, 2, 3, 4, 6}, in order, a
+    # failure where Z^(l) is nonzero; by index, slice, length and count
+    family = lambda l: RatFun.inv_linear(1, l) if l % 5 == 0 else \
+        RatFun.zero()
+    for l_max in (2, 3, 5, 13, 40):
+        report = check_holomorphy(family, frozenset({4, 6}), l_max)
+        expected = tuple(
+            CheckItem(l, False, f"Z^({l}) = {family(l)}") if l % 5 == 0
+            else CheckItem(l, True) for l in range(2, l_max + 1)
+            if l not in {2, 3, 4, 6})
+        items = report.items
+        assert tuple(items) == expected and len(items) == len(expected)
+        assert report.passed == all(item.ok for item in expected)
+        assert [items[i] for i in range(-len(items), len(items))] == \
+            [*expected, *expected]
+        assert items[1:-1:2] == expected[1:-1:2]
+        assert items.count(CheckItem(7, True)) == (l_max >= 7)
+        for i in (len(items), -len(items) - 1):
+            with pytest.raises(IndexError):
+                items[i]
+        with pytest.raises(AttributeError):
+            items.l_max = 50
+        # equal and of equal hash whatever the closure holds above l_max
+        again = check_holomorphy(family, frozenset({1, 4, 6, 41}), l_max)
+        assert again == report and hash(again) == hash(report)
+        assert again != check_holomorphy(family, frozenset({4}), l_max) \
+            or l_max < 3
 
 
 def test_holomorphy_suspension(triple_cusp_graph):

@@ -14,7 +14,7 @@ import pytest
 from conftest import load_fixture
 from graphgen import brieskorn_pham_graph
 from opcodes import opcode_count
-from topzeta import lys, resolution, suspension
+from topzeta import checks, lys, ratfun, resolution, suspension
 
 
 # the chain x^(V-1) + y^V has V vertices, V - 1 edges and one arrow; a cost
@@ -98,3 +98,33 @@ def test_suspend_profile_cost_per_twist_is_flat_in_k():
         per_twist.append(
             opcode_count(suspension.suspend_profile, cusp, 0, k, 1) / twists)
     assert max(per_twist) <= PER_TWIST_SPREAD * min(per_twist), per_twist
+
+
+# l_max of a holomorphy check over a family that is zero at every twist;
+# every l in 4..l_max is checked, 97, 997 and 9,997 twists
+HOLOMORPHY_L_MAX = (100, 1_000, 10_000)
+
+
+def test_holomorphy_verdict_reads_no_item():
+    # the check sets the verdict, so reading it reads none of the items
+    zero = ratfun.RatFun.zero()
+    reports = [checks.check_holomorphy(lambda l: zero, frozenset({2, 3}),
+                                       l_max) for l_max in HOLOMORPHY_L_MAX]
+    assert all(report.passed for report in reports)
+    assert [len(report.items) for report in reports] == [97, 997, 9_997]
+    counts = [opcode_count(lambda r: r.passed, report) for report in reports]
+    assert len(set(counts)) == 1, counts
+
+
+def test_holomorphy_cost_per_zero_twist_is_flat_in_l_max():
+    # a passing twist is a closure test, one call and a zero test, and
+    # records nothing: each of the 900 twists from l_max = 100 to 1,000
+    # costs what each of the 9,000 from 1,000 to 10,000 costs
+    zero = ratfun.RatFun.zero()
+    counts = [opcode_count(checks.check_holomorphy, lambda l: zero,
+                           frozenset({2, 3}), l_max)
+              for l_max in HOLOMORPHY_L_MAX]
+    per_twist = [(more - fewer) / (big - small) for fewer, more, small, big
+                 in zip(counts, counts[1:], HOLOMORPHY_L_MAX,
+                        HOLOMORPHY_L_MAX[1:])]
+    assert per_twist[0] == per_twist[1], (counts, per_twist)

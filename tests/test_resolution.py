@@ -57,6 +57,23 @@ def test_normalization_validation():
         StratifiedResolution(comps, [Stratum(frozenset(["E1"]), 2)], 3)
 
 
+def test_normalization_is_read_over_the_lcm_of_the_nu_products():
+    # sum chi / prod nu = 1/2 - 2/6 + 1/6 = 2/6 = 1/3, read as 3 - 2 + 1
+    # over lcm(2, 6, 6) = 6: prod_nu0 = 3 is accepted, and every other is
+    # refused with the sum in lowest terms, also 5, which does not divide 6
+    comps = [Component("E1", 2, 2), Component("E2", 4, 3),
+             Component("E3", 6, 6)]
+    strata = [Stratum(frozenset(["E1"]), 1),
+              Stratum(frozenset(["E1", "E2"]), -2),
+              Stratum(frozenset(["E3"]), 1)]
+    assert StratifiedResolution(comps, strata, 3).prod_nu0 == 3
+    for prod_nu0 in (1, 2, 4, 5, 6):
+        with pytest.raises(ValidationError) as info:
+            StratifiedResolution(comps, strata, prod_nu0)
+        assert str(info.value) == ("normalization fails: sum chi/prod nu = "
+                                   f"1/3, expected 1/{prod_nu0}")
+
+
 def test_terms_are_derived_and_skip_zero_chi_strata():
     comps = [Component("E1", 2, 3), Component("E2", 4, 6),
              Component("E3", 6, 3)]

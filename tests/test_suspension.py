@@ -39,6 +39,24 @@ def test_profile_invariants():
     assert prof.entry(7).is_zero()
 
 
+def test_profile_names_the_first_entry_that_lacks_a_divisor():
+    # the closure is built from the largest entry down, yet the refusal
+    # names the first nonzero entry, in entries order, with an absent
+    # divisor, and its least absent divisor: the largest, 15, lacks
+    # nothing, 10 lacks 2, 8 lacks 2 and 4, and the zero entry 6 is not read
+    z = RatFun.inv_linear(1, 1)
+    entries = {1: RatFun.from_polys([1], [1, 1]), 3: z, 5: z, 15: z,
+               9: z, 10: z, 8: z, 6: RatFun.zero()}
+    with pytest.raises(ValidationError) as info:
+        ZetaProfile(entries)
+    assert str(info.value) == \
+        "support not divisor-closed: entry 10 is nonzero but divisor 2 is absent"
+    with pytest.raises(ValidationError) as info:
+        ZetaProfile({**entries, 2: z})
+    assert str(info.value) == \
+        "support not divisor-closed: entry 8 is nonzero but divisor 4 is absent"
+
+
 @pytest.mark.parametrize("validate", [True, False])
 @pytest.mark.parametrize("prod_nu0", [0, -1])
 def test_profile_refuses_prod_nu0_below_one(prod_nu0, validate):
