@@ -62,9 +62,9 @@ which each row's machine field names.  Each before and after row holds:
     at the default l_max on the subjects HOLOMORPHY_SURFACE and
     HOLOMORPHY_SUBJECTS (a surface, a curve and a suspension), as
     `check holomorphy` reads them, 20 checks per timing, and milliseconds
-    per subject_from_json on each of CHECK_FIXTURES, the subjects of
-    `check`, 20 reads per timing, and on cusp3_susp with its "k" set to
-    each of SUSPENSION_KS, whose d(k) are 2, 60 and 240, fewer reads per
+    per read_subject, the read of a `check` subject, on each of
+    CHECK_FIXTURES, 20 reads per timing, and on cusp3_susp with its "k" set
+    to each of SUSPENSION_KS, whose d(k) are 2, 60 and 240, fewer reads per
     timing at the larger k; milliseconds per lys_summary on
     each Le-Yomdin fixture, 20 summaries per timing;
     milliseconds per
@@ -136,7 +136,7 @@ CURVE_VERTICES = (31, 61, 101, 151)
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 HOLOMORPHY_SUBJECTS = ("triple_cusp_graph", "cusp3_susp")
 CHECK_FIXTURES = (*CURVES, "cusp3_susp", *LYS_FIXTURES)
-# k -> subject_from_json reads per timing of cusp3_susp at that k
+# k -> read_subject calls per timing of cusp3_susp at that k
 SUSPENSION_KS = {2: 20, 5040: 5, 720720: 1}
 SUBSTITUTE_DEGREES = (1, 2, 4, 8, 16)
 SHARED_FORMS = (1, 2, 4, 8, 16)
@@ -307,6 +307,15 @@ def load(name: str) -> dict:
     return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
+def read_subject(obj: dict):
+    """A `check` subject as the measured tree reads it: lys.germ_from_json,
+    or checks.subject_from_json in a tree older than that reader (named by
+    a string: this tree has no such function)."""
+    reader = lys.germ_from_json if hasattr(lys, "germ_from_json") \
+        else getattr(checks, "subject_from_json")
+    return reader(obj)
+
+
 def twist_rows() -> dict:
     """suspend_G, ztop_from_strata, LysSurface, lys_charpoly and lys_ztop at
     l = 1, microseconds per call."""
@@ -373,7 +382,7 @@ def zero_twist_rows() -> dict:
             per_case_us(resolution.ztop_from_strata,
                         [(res, l) for l in zero])
     for name in (HOLOMORPHY_SURFACE, *HOLOMORPHY_SUBJECTS):
-        subject = checks.subject_from_json(load(name))
+        subject = read_subject(load(name))
         family, orders = subject.zeta.entry, subject.delta.root_orders()
         closure = arith.divisor_closure(orders)
         twists = sum(1 for l in range(2, checks.default_l_max(orders) + 1)
@@ -382,11 +391,10 @@ def zero_twist_rows() -> dict:
             checks.check_holomorphy, [(family, orders)] * 20, 1e3)
     for name in CHECK_FIXTURES:
         rows[f"subject_summary_ms|{name}"] = per_case_us(
-            checks.subject_from_json, [(load(name),)] * 20, 1e3)
+            read_subject, [(load(name),)] * 20, 1e3)
     for k, reads in SUSPENSION_KS.items():
         rows[f"subject_summary_ms|cusp3_susp,k={k}"] = per_case_us(
-            checks.subject_from_json, [(dict(load("cusp3_susp"), k=k),)]
-            * reads, 1e3)
+            read_subject, [(dict(load("cusp3_susp"), k=k),)] * reads, 1e3)
     for name in LYS_FIXTURES:
         rows[f"lys_summary_ms|{name}"] = per_case_us(
             lys.lys_summary, [(lys.lys_from_json(load(name)),)] * 20, 1e3)

@@ -9,11 +9,11 @@ check_holomorphy: for every l > 1 outside the divisor closure of the
 eigenvalue orders, the l-twisted zeta function must vanish identically;
 its report keeps the failing twists, and builds a passing item when read.
 
-Both read a germ (a curve, a suspension z^k + f or a Le-Yomdin surface) as
-a GermSummary with a complete profile, Z^(l) = germ.zeta.entry(l), and its
-characteristic polynomial Delta.  Neither reads Phi_1: an integer pole
-passes via the smooth point and the twist 1 is never checked, so
-(tau - 1) Delta gives the same reports as Delta.
+Both read a GermSummary: a complete profile, Z^(l) = germ.zeta.entry(l),
+and the characteristic polynomial Delta.  This module holds verdicts only;
+lys.germ_from_json reads a germ from JSON.  Neither check reads Phi_1: an
+integer pole passes via the smooth point and the twist 1 is never checked,
+so (tau - 1) Delta gives the same reports as Delta.
 """
 from __future__ import annotations
 
@@ -24,36 +24,10 @@ from typing import Callable, NamedTuple
 
 from .arith import divisor_closure, lcm_all
 from .cyclo import CycloProduct, OrderSet
-from .errors import ValidationError, checked, json_field
-from .lys import lys_from_json, lys_summary
+from .errors import ValidationError, checked
 from .ratfun import RatFun
-from .resolution import graph_from_json
-from .suspension import GermSummary, summary_from_graph, summary_from_json, \
-    suspend_summary
 
 L_MAX_CAP = 10_000
-# a subject without "kind" has the kind of the first of these keys it holds
-_KIND_KEYS = (("vertices", "curve"), ("germ", "suspension"),
-              ("points", "lys"), ("chi_complement", "lys"))
-
-
-def subject_from_json(obj: dict) -> GermSummary:
-    """A curve germ, a suspension or a Le-Yomdin surface; "kind" is
-    inferred from the keys when absent."""
-    kind = obj.get("kind")
-    if kind is None:
-        kind = next((named for key, named in _KIND_KEYS if key in obj), None)
-        if kind is None:
-            raise ValidationError("cannot infer subject kind")
-    if kind == "curve":
-        return summary_from_graph(graph_from_json(obj.get("graph", obj)))
-    if kind == "suspension":
-        k = json_field(obj, "k")
-        return suspend_summary(
-            summary_from_json(json_field(obj, "germ", dict)), k)
-    if kind == "lys":
-        return lys_summary(lys_from_json(obj.get("lys", obj)))
-    raise ValidationError(f"unknown subject kind {kind!r}")
 
 
 class CheckItem(NamedTuple):

@@ -130,7 +130,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_check(args) -> int:
     if args.conjecture == "monodromy" and args.lmax is not None:
         raise ValidationError("--lmax applies to check holomorphy only")
-    germ = checks.subject_from_json(_read_json(args.infile))
+    germ = lys_mod.germ_from_json(_read_json(args.infile))
     if args.conjecture == "monodromy":
         report = checks.check_monodromy(germ.zeta.entry(1), germ.delta)
     else:
@@ -221,7 +221,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError,
+            RecursionError) as exc:  # a germ nested near JSON's depth limit
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # ConsistencyError, or a fault in topzeta

@@ -12,7 +12,9 @@ dimension, with eps = (-1)^n:
 which LysSurface derives once and refuses when it is not a polynomial;
 lys_charpoly alone builds its (tau - 1) multiple Delta_tilde.  Eigenvalue
 orders are read off Delta and the residue at -3/m off Z_top; the paper's
-closed forms for both are test oracles (tests/closed_forms.py).
+closed forms for both are test oracles (tests/closed_forms.py).  The one
+reader of a germ from JSON, germ_from_json, sits here above both
+constructions that it calls: a check subject, a suspension's germ, a point.
 """
 from __future__ import annotations
 
@@ -23,12 +25,14 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .arith import TRIAL_DIVISION_BOUND, divisor_closure
-from .cyclo import CycloProduct, OrderSet
+from .cyclo import CycloProduct, OrderSet, cyclo_from_json
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field
 from .ratfun import PoleError, RatFun
-from .suspension import GermSummary, ZetaProfile, shift_entries, \
-    summary_from_json, summary_to_json, suspend_reads, suspend_terms
+from .resolution import graph_from_json
+from .suspension import GermSummary, ZetaProfile, profile_from_json, \
+    shift_entries, summary_from_graph, summary_to_json, suspend_reads, \
+    suspend_summary, suspend_terms
 
 
 N_MAX = 64           # n above it is refused: chi_n(m) has n log10(m) digits
@@ -120,7 +124,7 @@ def lys_charpoly(S: LysSurface) -> tuple[CycloProduct, CycloProduct]:
     return S.delta, CycloProduct(((1, e1 + 1),) + items[bool(e1):])
 
 
-def lys_summary(S: LysSurface) -> GermSummary:
+def lys_summary(S: LysSurface, name: str = "") -> GermSummary:
     """Delta and lys_ztop at every divisor of m, m + k and (m+k) s, s in a
     point's support: every other twist is zero (suspend_G's support gate).
     Z(F, 0) = 1 is checked unless a point's profile is unvalidated."""
@@ -128,7 +132,7 @@ def lys_summary(S: LysSurface) -> GermSummary:
     twists = divisor_closure([S.m, S.m + S.k, *(
         (S.m + S.k) * s for q, _ in S.point_types for s in q.zeta.support())])
     return GermSummary(ZetaProfile({l: lys_ztop(S, l) for l in twists}, 1, all(
-        q.zeta.validate for q, _ in S.point_types)), delta)
+        q.zeta.validate for q, _ in S.point_types)), delta, name)
 
 
 def require_surface(S: LysSurface, statement: str) -> None:
@@ -180,9 +184,47 @@ def lys_to_json(S: LysSurface) -> dict:
 def lys_from_json(obj: dict) -> LysSurface:
     json_check(obj, dict, "'lys'")
     n = json_field(obj, "n")             # each point is a germ in n variables
-    points = [summary_from_json(p, f"q{i + 1}", n) for i, p in
+    points = [germ_from_json(p, f"q{i + 1}", n) for i, p in
               enumerate(json_array(obj, "points", required=False))]
-    m, k, chi_complement, chi_curve_smooth = [
-        json_field(obj, key) for key in
-        ("m", "k", "chi_complement", "chi_curve_smooth")]
-    return LysSurface(n, m, k, chi_complement, chi_curve_smooth, points)
+    return LysSurface(n, *[json_field(obj, key) for key in (
+        "m", "k", "chi_complement", "chi_curve_smooth")], points)
+
+
+_KIND_KEYS = {"vertices": "curve", "graph": "curve", "germ": "suspension",
+              "points": "lys", "chi_complement": "lys", "lys": "lys",
+              "delta": "profile"}
+
+
+def germ_from_json(obj: dict, name="", n: int | None = None) -> GermSummary:
+    """A germ in n variables (any number if n is None): a curve graph, inline
+    or under "graph", needs n = 2; a profile with "delta" is taken at any n
+    on trust; a suspension {"germ": ..., "k": ...} reads its germ in n - 1;
+    a Le-Yomdin surface in P^d, inline or under "lys", needs n = d + 1.  The
+    kind is "kind", that of the first key of _KIND_KEYS in obj, or else, for
+    a known n, a profile.  The name, "name" or else name, is its germ's too."""
+    name = json_field(obj, "name", str) if "name" in obj else name
+    kind = obj.get("kind")
+    if kind is None:
+        kind = next((v for key, v in _KIND_KEYS.items() if key in obj),
+                    None if n is None else "profile")
+    if kind == "curve":
+        if n not in (None, 2):
+            raise ValidationError(f"point {name!r} is a plane-curve graph; "
+                                  "graph points need n = 2")
+        return summary_from_graph(graph_from_json(obj.get("graph", obj)), name)
+    if kind == "profile":
+        delta = json_field(obj, "delta", dict)
+        return GermSummary(profile_from_json(obj), cyclo_from_json(delta),
+                           name)
+    if kind == "suspension":
+        k = json_field(obj, "k")
+        return suspend_summary(germ_from_json(json_field(
+            obj, "germ", dict), name, None if n is None else n - 1), k, name)
+    if kind == "lys":
+        S = lys_from_json(obj.get("lys", obj))
+        if n not in (None, S.n + 1):
+            raise ValidationError(f"point {name!r} is a Le-Yomdin germ in "
+                                  f"P^{S.n}; such points need n = {S.n + 1}")
+        return lys_summary(S, name)
+    raise ValidationError("cannot infer subject kind" if kind is None
+                          else f"unknown subject kind {kind!r}")

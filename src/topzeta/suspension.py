@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 from .arith import divisor_closure, divisors, frak_m, jordan_totient, \
     lcm_all
-from .cyclo import CycloProduct, OrderSet, cyclo_from_json, cyclo_to_json
+from .cyclo import CycloProduct, OrderSet, cyclo_to_json
 from .errors import ValidationError, checked, json_array, json_field
 from .ratfun import RatFun
 from .resolution import CurveResolutionGraph, acampo, check_prod_nu0, \
-    graph_from_json, prod_nu0_from_json, strata_of_graph, ztop_from_strata
+    prod_nu0_from_json, strata_of_graph, ztop_from_strata
 
 _ZERO = RatFun.zero()
 
@@ -86,8 +86,8 @@ class ZetaProfile(NamedTuple):
 @checked
 class GermSummary(NamedTuple):
     """A germ as constructions and checks read it: its complete zeta family
-    and the characteristic polynomial of its monodromy, built by
-    summary_from_graph, suspend_summary or lys.lys_summary."""
+    and its monodromy's characteristic polynomial, built by summary_from_graph,
+    suspend_summary, lys.lys_summary or lys.germ_from_json."""
     zeta: ZetaProfile
     delta: CycloProduct
     name: str
@@ -212,10 +212,10 @@ def suspend_profile(f: ZetaProfile, m: int, k: int, nu_z: int) -> ZetaProfile:
     return ZetaProfile(entries, nu_z * f.prod_nu0, f.validate)
 
 
-def suspend_summary(f: GermSummary, k: int) -> GermSummary:
+def suspend_summary(f: GermSummary, k: int, name: str = "") -> GermSummary:
     """z^k + f (m = 0, nu_z = 1); the tensor refuses k < 1 first."""
     delta = f.delta.thom_sebastiani_tensor(k)
-    return GermSummary(suspend_profile(f.zeta, 0, k, 1), delta)
+    return GermSummary(suspend_profile(f.zeta, 0, k, 1), delta, name)
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +299,10 @@ def profile_from_json(obj: dict) -> ZetaProfile:
         if l in entries:
             raise ValidationError(f"'entries'[{i}]: duplicate ell = {l}")
         entries[l] = RatFun.from_json(e)
-    validate = json_field(obj, "validate", bool) if "validate" in obj \
-        else True
+    validate = "validate" not in obj or json_field(obj, "validate", bool)
     return ZetaProfile(entries, prod_nu0_from_json(obj), validate)
 
 
 def summary_to_json(g: GermSummary) -> dict:
-    out = profile_to_json(g.zeta)
-    out["delta"] = cyclo_to_json(g.delta)
-    if g.name:
-        out["name"] = g.name
-    return out
-
-
-def summary_from_json(obj: dict, name: str = "", n: int = 2) -> GermSummary:
-    """A germ in n variables from its resolution graph (inline or under
-    "graph"), which needs n = 2, or from a profile with "delta"; named by
-    "name", or else by the given name."""
-    if "name" in obj:
-        name = json_field(obj, "name", str)
-    if "graph" in obj or "vertices" in obj:
-        if n != 2:
-            raise ValidationError(f"point {name!r} is a plane-curve graph; "
-                                  "graph points need n = 2")
-        return summary_from_graph(graph_from_json(obj.get("graph", obj)), name)
-    delta = json_field(obj, "delta", dict)
-    return GermSummary(profile_from_json(obj), cyclo_from_json(delta), name)
+    return {**profile_to_json(g.zeta), "delta": cyclo_to_json(g.delta),
+            **({"name": g.name} if g.name else {})}

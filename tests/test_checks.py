@@ -7,16 +7,16 @@ import pytest
 from conftest import load_fixture
 from graphgen import brieskorn_pham_graph, random_graph
 from topzeta.checks import CheckItem, check_holomorphy, check_monodromy, \
-    default_l_max, subject_from_json
+    default_l_max
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
-from topzeta.lys import LysSurface, lys_charpoly, lys_from_json, \
-    lys_summary, lys_ztop
+from topzeta.lys import LysSurface, germ_from_json, lys_charpoly, \
+    lys_from_json, lys_summary, lys_ztop
 from topzeta.ratfun import RatFun
 from topzeta.resolution import acampo, graph_from_json, strata_of_graph, \
     ztop_from_strata
 from topzeta.suspension import GermSummary, ZetaProfile, \
-    summary_from_graph, suspend_G, suspend_summary
+    summary_from_graph, summary_to_json, suspend_G, suspend_summary
 
 TAU_MINUS_1 = CycloProduct.from_brackets([(1, 1)])
 L_CAP = 5_000
@@ -237,20 +237,23 @@ def test_subjects_match_their_constructions():
             off_bound += bound % l != 0
     assert twists > 80_000 and off_bound > 75_000
     assert time.perf_counter() - start < 8.0
-    # subject_from_json reads each kind, inferring it when "kind" is absent
+    # germ_from_json reads each kind, inferring it when "kind" is absent
     graph_obj = load_fixture("triple_cusp_graph.json")
     curve = summary_from_graph(graph_from_json(graph_obj))
     for obj, expected in [
             (graph_obj, curve),
             ({"kind": "curve", "graph": graph_obj}, curve),
+            ({"graph": graph_obj}, curve),
+            (summary_to_json(curve), curve),
+            (dict(summary_to_json(curve), kind="profile"), curve),
             ({"germ": graph_obj, "k": 3}, suspend_summary(curve, 3)),
             (load_fixture("lys_tacnode_k2.json"), lys_summary(
                 lys_from_json(load_fixture("lys_tacnode_k2.json"))))]:
-        assert subject_from_json(obj) == expected
+        assert germ_from_json(obj) == expected
     with pytest.raises(ValidationError, match="cannot infer subject kind"):
-        subject_from_json({"k": 2})
+        germ_from_json({"k": 2})
     with pytest.raises(ValidationError, match="unknown subject kind 'germ'"):
-        subject_from_json({"kind": "germ"})
+        germ_from_json({"kind": "germ"})
 
 
 def test_delta_and_delta_tilde_give_the_same_reports():
@@ -263,7 +266,7 @@ def test_delta_and_delta_tilde_give_the_same_reports():
               for name in names]
     rng = random.Random(5)
     curves += [summary_from_graph(random_graph(rng)) for _ in range(40)]
-    germs = [subject_from_json(load_fixture(f"{name}.json"))
+    germs = [germ_from_json(load_fixture(f"{name}.json"))
              for name in (*names, "cusp3_susp", *LYS_FIXTURES)]
     germs += curves + [suspend_summary(g, k) for g in curves for k in (2, 3)]
     pairs = [(germ, germ.delta * TAU_MINUS_1) for germ in germs]

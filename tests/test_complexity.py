@@ -89,8 +89,7 @@ def test_suspend_profile_cost_per_twist_is_flat_in_k():
     # build at most 2 + d(gcd(k, support_lcm)) terms, so the count per twist
     # does not grow with d(k); the twists themselves, the divisors of k s,
     # grow with it
-    cusp = suspension.summary_from_json(
-        load_fixture("cusp3_susp.json")["germ"]).zeta
+    cusp = lys.germ_from_json(load_fixture("cusp3_susp.json")["germ"]).zeta
     assert cusp.support_lcm == 126
     per_twist = []
     for k in SUSPENSION_K:

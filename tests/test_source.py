@@ -85,6 +85,22 @@ def test_untested_callers_find_their_api():
     assert not missing, missing
 
 
+def test_checks_import_no_input_grammar():
+    # checks.py holds verdicts only: every germ is read by lys.germ_from_json,
+    # so it imports none of the modules that construct or read a germ
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            if node.module in (None, "topzeta"):      # from . import lys
+                imported |= {name.name for name in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {name.name.rpartition(".")[2] for name in node.names}
+    assert imported, imported
+    assert not imported & {"lys", "suspension", "resolution"}, imported
+
+
 def test_cli_import_loads_every_module():
     # the benchmark's tracer wraps only the topzeta modules already in
     # sys.modules after `import topzeta.cli`; a module that import leaves
