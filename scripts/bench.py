@@ -61,8 +61,11 @@ which each row's machine field names.  Each before and after row holds:
     ztop_from_strata (l <= 2 lcm(N)), and milliseconds per check_holomorphy
     at the default l_max on the subjects HOLOMORPHY_SURFACE and
     HOLOMORPHY_SUBJECTS (a surface, a curve and a suspension), as
-    `check holomorphy` reads them, 20 checks per timing, and milliseconds
-    per read_subject, the read of a `check` subject, on each of
+    `check holomorphy` reads them, 20 checks per timing, per
+    check_holomorphy and Report.to_json, which builds every item of the
+    report as `check holomorphy` prints it, on HOLOMORPHY_SURFACE, 20 per
+    timing, and milliseconds per lys.germ_from_json, the read of a `check`
+    subject, on each of
     CHECK_FIXTURES, 20 reads per timing, and on cusp3_susp with its "k" set
     to each of SUSPENSION_KS, whose d(k) are 2, 60 and 240, fewer reads per
     timing at the larger k; milliseconds per lys_summary on
@@ -136,7 +139,7 @@ CURVE_VERTICES = (31, 61, 101, 151)
 HOLOMORPHY_SURFACE = "lys_kashiwara_IbL"
 HOLOMORPHY_SUBJECTS = ("triple_cusp_graph", "cusp3_susp")
 CHECK_FIXTURES = (*CURVES, "cusp3_susp", *LYS_FIXTURES)
-# k -> read_subject calls per timing of cusp3_susp at that k
+# k -> lys.germ_from_json calls per timing of cusp3_susp at that k
 SUSPENSION_KS = {2: 20, 5040: 5, 720720: 1}
 SUBSTITUTE_DEGREES = (1, 2, 4, 8, 16)
 SHARED_FORMS = (1, 2, 4, 8, 16)
@@ -307,15 +310,6 @@ def load(name: str) -> dict:
     return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def read_subject(obj: dict):
-    """A `check` subject as the measured tree reads it: lys.germ_from_json,
-    or checks.subject_from_json in a tree older than that reader (named by
-    a string: this tree has no such function)."""
-    reader = lys.germ_from_json if hasattr(lys, "germ_from_json") \
-        else getattr(checks, "subject_from_json")
-    return reader(obj)
-
-
 def twist_rows() -> dict:
     """suspend_G, ztop_from_strata, LysSurface, lys_charpoly and lys_ztop at
     l = 1, microseconds per call."""
@@ -382,19 +376,24 @@ def zero_twist_rows() -> dict:
             per_case_us(resolution.ztop_from_strata,
                         [(res, l) for l in zero])
     for name in (HOLOMORPHY_SURFACE, *HOLOMORPHY_SUBJECTS):
-        subject = read_subject(load(name))
+        subject = lys.germ_from_json(load(name))
         family, orders = subject.zeta.entry, subject.delta.root_orders()
         closure = arith.divisor_closure(orders)
         twists = sum(1 for l in range(2, checks.default_l_max(orders) + 1)
                      if l not in closure)
         rows[f"check_holomorphy_ms|{name},twists={twists}"] = per_case_us(
             checks.check_holomorphy, [(family, orders)] * 20, 1e3)
+        if name == HOLOMORPHY_SURFACE:
+            rows[f"holomorphy_report_ms|{name}"] = per_case_us(
+                lambda *args: checks.check_holomorphy(*args).to_json(),
+                [(family, orders)] * 20, 1e3)
     for name in CHECK_FIXTURES:
         rows[f"subject_summary_ms|{name}"] = per_case_us(
-            read_subject, [(load(name),)] * 20, 1e3)
+            lys.germ_from_json, [(load(name),)] * 20, 1e3)
     for k, reads in SUSPENSION_KS.items():
         rows[f"subject_summary_ms|cusp3_susp,k={k}"] = per_case_us(
-            read_subject, [(dict(load("cusp3_susp"), k=k),)] * reads, 1e3)
+            lys.germ_from_json, [(dict(load("cusp3_susp"), k=k),)] * reads,
+            1e3)
     for name in LYS_FIXTURES:
         rows[f"lys_summary_ms|{name}"] = per_case_us(
             lys.lys_summary, [(lys.lys_from_json(load(name)),)] * 20, 1e3)

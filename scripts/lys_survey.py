@@ -4,20 +4,25 @@
 For each fixture surface, prints the topological zeta function, the
 characteristic polynomial, the eigenvalue-order closure and, where the
 tangent cone is a bad divisor, the residue at the log-canonical candidate.
+Those two surface statements are read from tests/closed_forms.py, beside
+the paper's closed form for the residue.
 """
 import argparse
 import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "tests"))
 
+from closed_forms import is_bad_divisor, residue_lct
 from topzeta.cyclo import cyclo_str
-from topzeta.lys import LysSurface, is_bad_divisor, lys_charpoly, lys_from_json, \
-    lys_orders, lys_ztop, residue_lct
+from topzeta.lys import LysSurface, lys_charpoly, lys_from_json, \
+    lys_orders, lys_ztop
 from topzeta.ratfun import render_text
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = ROOT / "fixtures"
 SURFACES = ["lys_xyz_k1", "lys_xyz_k2", "lys_tacnode_k2",
             "lys_kashiwara_Ib", "lys_kashiwara_IbL"]
 

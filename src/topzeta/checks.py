@@ -28,6 +28,7 @@ from .errors import ValidationError, checked
 from .ratfun import RatFun
 
 L_MAX_CAP = 10_000
+_new = tuple.__new__    # CheckItem(l, True), without NamedTuple's arguments
 
 
 class CheckItem(NamedTuple):
@@ -72,7 +73,7 @@ class HolomorphyItems(Sequence):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __iter__(self):
-        return (self.failures.get(l) or CheckItem(l, True)
+        return (self.failures.get(l) or _new(CheckItem, (l, True, "", None))
                 for l in range(2, self.l_max + 1) if l not in self.skipped)
 
     def __len__(self) -> int:
@@ -84,7 +85,7 @@ class HolomorphyItems(Sequence):
         l = i % len(self) + 2            # then step over each skipped <= l
         for d in sorted(self.skipped):
             l += d <= l
-        return self.failures.get(l) or CheckItem(l, True)
+        return self.failures.get(l) or _new(CheckItem, (l, True, "", None))
 
     def __eq__(self, other):
         return type(other) is HolomorphyItems and all(

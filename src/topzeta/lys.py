@@ -11,15 +11,15 @@ dimension, with eps = (-1)^n:
 [(tau^m - 1)^chi(P^n \\ C) / (tau - 1)]^eps * prod_q Delta_q^(k)(tau^{m+k}),
 which LysSurface derives once and refuses when it is not a polynomial;
 lys_charpoly alone builds its (tau - 1) multiple Delta_tilde.  Eigenvalue
-orders are read off Delta and the residue at -3/m off Z_top; the paper's
-closed forms for both are test oracles (tests/closed_forms.py).  The one
+orders are read off Delta.  The statements read off Z_top (the bad divisor,
+the residue at -3/m) and the paper's closed forms for the orders and that
+residue are test oracles (tests/closed_forms.py).  The one
 reader of a germ from JSON, germ_from_json, sits here above both
 constructions that it calls: a check subject, a suspension's germ, a point.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
@@ -28,7 +28,7 @@ from .arith import TRIAL_DIVISION_BOUND, divisor_closure
 from .cyclo import CycloProduct, OrderSet, cyclo_from_json
 from .errors import ValidationError, checked, json_array, json_check, \
     json_field
-from .ratfun import PoleError, RatFun
+from .ratfun import RatFun
 from .resolution import graph_from_json
 from .suspension import GermSummary, ZetaProfile, profile_from_json, \
     shift_entries, summary_from_graph, summary_to_json, suspend_reads, \
@@ -135,39 +135,9 @@ def lys_summary(S: LysSurface, name: str = "") -> GermSummary:
         q.zeta.validate for q, _ in S.point_types)), delta, name)
 
 
-def require_surface(S: LysSurface, statement: str) -> None:
-    if S.n != 2:
-        raise ValidationError(f"{statement} (n = 2)")
-
-
 def lys_orders(S: LysSurface) -> OrderSet:
     """Divisor closure of the eigenvalue orders, the root orders of Delta."""
     return divisor_closure(lys_charpoly(S)[0].root_orders())
-
-
-def is_bad_divisor(S: LysSurface) -> bool:
-    """deg C > 3, chi(P^2 \\ C) <= 0, and -3/m a pole of no local zeta."""
-    require_surface(S, "bad divisors are defined for surfaces")
-    if S.m <= 3 or S.chi_complement > 0:
-        return False
-    lct = Fraction(3, S.m)
-    return all(lct not in q.zeta.pol_plus() for q, _ in S.point_types)
-
-
-def residue_lct(S: LysSurface) -> Fraction:
-    """Residue of Z_top(F, s) at the log-canonical candidate -3/m, where it
-    is at most a simple pole: m != 3 and -3/m a pole of no local zeta."""
-    require_surface(S, "residue formula is a surface statement")
-    if S.m == 3:
-        raise PoleError("m = 3: the candidate -3/m = -1 is also the root of "
-                        "s + 1, which other terms carry, so the pole need "
-                        "not be simple")
-    lct = Fraction(3, S.m)
-    for q, _ in S.point_types:          # the first point of each type
-        if lct in q.zeta.pol_plus():
-            raise PoleError(
-                f"-3/m is a pole at point {q.name!r}: multiple pole regime")
-    return lys_ztop(S, 1).residue_at(-lct)
 
 
 # ---------------------------------------------------------------------------

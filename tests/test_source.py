@@ -36,6 +36,21 @@ def test_ratfun_private_names_stay_in_ratfun():
     assert not offenders, offenders
 
 
+def test_dense_constructors_stay_in_ratfun():
+    # production builds its functions from JSON and through the sum kernel;
+    # the dense sum and the constant and linear constructors, which go with
+    # the ring operators, are API for the tests and the tools only
+    dense = {"sum", "const", "one", "linear", "inv_linear"}
+    offenders = [
+        f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+        if path.name != "ratfun.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in dense
+        and "RatFun" in (getattr(node.value, "id", None),
+                         getattr(node.value, "attr", None))]
+    assert not offenders, offenders
+
+
 # Callers of the package that tier-1 does not run: removing a name they read
 # would break them without failing any other test.
 UNTESTED_CALLERS = ["perfbench/workloads.py", "perfbench/capture.py",
@@ -83,6 +98,44 @@ def test_untested_callers_find_their_api():
             except AttributeError:
                 missing.append(f"{caller}: {module}.{attr}")
     assert not missing, missing
+
+
+# Module-level names of src/ that only the tests read: lys_to_json writes
+# the format that lys_from_json reads.
+READ_BY_TESTS_ONLY = ["lys.py:lys_to_json"]
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Each name that node reads: a loaded name, an attribute or an
+    imported name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def test_every_definition_has_a_reader():
+    # src/ keeps production paths only: each module-level function and class
+    # is read in src/ outside its own definition (a re-export counts) or by
+    # an untested caller; a closed form or statement that only the tests
+    # read belongs in tests/
+    callers = set().union(*[_names_read(ast.parse(
+        (SRC.parent.parent / caller).read_text(encoding="utf-8")))
+        for caller in UNTESTED_CALLERS])
+    body = [(path.name, node, _names_read(node))
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unread = [f"{name}:{node.name}" for name, node, _ in body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in callers
+              and not any(node.name in names
+                          for _, other, names in body if other is not node)]
+    assert unread == READ_BY_TESTS_ONLY
 
 
 def test_checks_import_no_input_grammar():

@@ -7,11 +7,12 @@ from functools import partial
 
 import pytest
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from graphgen import random_graph
 from test_ratfun import assert_canonical, expand
 from closed_forms import candidate_a, k2_twisted, suspend_F, \
     suspend_G_dispatch, w_top_twisted
+from topzeta import cli, suspension
 from topzeta.arith import divisor_closure, divisors, lcm_all
 from topzeta.binomial import BULLETS, BinomialGerm, w_top
 from topzeta.cyclo import CycloProduct
@@ -95,6 +96,26 @@ def test_matrix_prime_k(x5y6_profile):
         assert holds
 
 
+@pytest.mark.parametrize("name", ["x5y6", "lvp"])
+def test_matrix_identity_fails_on_a_perturbed_row(monkeypatch, capsys, name):
+    # suspend_matrix reads Z^(l)(F) as suspend_terms' terms: one more term,
+    # 1/(s + 7), on Z^(2)(F) breaks the identity in the row of l = 2, and
+    # `suspend --matrix` then exits 3
+    path = str(FIXTURES / f"{name}_profile.json")
+    prof = profile_from_json(load_fixture(f"{name}_profile.json"))
+    for k in (2, 6, 10):
+        assert suspend_matrix(prof, k)[1]
+    terms = suspension.suspend_terms
+    monkeypatch.setattr(suspension, "suspend_terms", lambda *args: terms(
+        *args) + [(1, [(7, 1)])] * (args[-1] == 2))
+    for k in (2, 6, 10):
+        assert suspend_matrix(prof, k)[1] is False
+        code = cli.main(["suspend", "--in", path, "--k", str(k), "--ell", "1",
+                         "--matrix"])
+        out = capsys.readouterr().out
+        assert code == 3 and out.endswith("identity_holds = False\n")
+
+
 def test_suspend_F_equals_suspend_G(x5y6_profile):
     for l in range(1, 31):
         assert suspend_F(x5y6_profile, 10, l) == \
@@ -124,7 +145,8 @@ def test_pol_plus_containment_suspend_G():
             for nu_z in (1, 2):
                 z = suspend_G(prof, m, k, nu_z, 1)
                 allowed = {F(1), F(nu_z, m)} | {
-                    candidate_a(r0, nu_z, m, k) for r0 in prof.pol_plus()}
+                    candidate_a(r0, nu_z, m, k)
+                    for r0 in prof.entry(1).pol_plus()}
                 assert z.pol_plus() <= allowed
 
 
